@@ -9,16 +9,16 @@ brute-force equilibrium oracles, and regret / price-of-total-anarchy metrics.
 __version__ = "0.1.0"
 
 from .bandit import AgentState, LearnerParams, LearningRates
+from .configio import GameConfig
 from .env import (
     AdversaryPhaseSchedule,
     CandidateSchedule,
     ChannelParams,
-    CostTriple,
     EnvConfig,
     Environment,
     VfnSpec,
 )
-from .game import GameConfig, GameTrace, RoundRecord, run_game
+from .game import GameTrace, run_game
 from .oracle import SmallGame
 
 __all__ = [
@@ -26,14 +26,12 @@ __all__ = [
     "AgentState",
     "CandidateSchedule",
     "ChannelParams",
-    "CostTriple",
     "EnvConfig",
     "Environment",
     "GameConfig",
     "GameTrace",
     "LearnerParams",
     "LearningRates",
-    "RoundRecord",
     "SmallGame",
     "VfnSpec",
     "run_game",

@@ -70,8 +70,6 @@ class AgentState:
     known_arms: tuple[int, ...] = ()
     activation_clock: int = 0
     demand_weight: float = 1.0
-    last_probs: np.ndarray | None = None
-    last_rates: LearningRates | None = None
 
     def score_vector(self, arms: tuple[int, ...]) -> np.ndarray:
         return np.array([self.scores.get(k, 0.0) for k in arms])
@@ -193,13 +191,10 @@ def select_arm(
     )
     state.demand_weight = zeta
     if len(candidate_set) == 1:
-        probs = np.array([1.0])
-        state.last_probs = probs
-        return candidate_set[0], probs
+        return candidate_set[0], np.array([1.0])
     probs = choice_probabilities(
         state.score_vector(candidate_set), zeta, state.params.uniform_mix
     )
-    state.last_probs = probs
     u = rng.random()
     idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
     idx = min(idx, len(candidate_set) - 1)

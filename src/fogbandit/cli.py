@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import GameConfig, GameTrace, run_game, write_trace, read_trace
+from .game import run_game, write_trace, read_trace
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 
 EXIT_OK = 0
@@ -41,12 +41,15 @@ def default_out_root() -> Path:
 
 
 def _run_one(args: tuple) -> dict:
-    """Worker: one replication -> per-run metric arrays (small, picklable)."""
-    config_dict, run_id, want_pota, want_regret = args
-    config = GameConfig.from_dict(config_dict)
+    """Worker: one replication -> per-run metric arrays (small, picklable).
+
+    Writes the replication's trace file too when given a path.
+    """
+    config, run_id, want_pota, want_regret, trace_path = args
     trace = run_game(config, run_id)
-    out: dict = {"run_id": run_id}
-    out["cost"] = metrics.social_cost_series(trace)[1:]
+    if trace_path is not None:
+        write_trace(trace, trace_path)
+    out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
     if want_pota:
         games = stage_games(config, run_id)
         out["pota"] = metrics.pota_series(trace, games)[1:]
@@ -57,21 +60,12 @@ def _run_one(args: tuple) -> dict:
     return out
 
 
-def run_batch(
-    config: GameConfig,
-    run_ids,
-    workers: int = 1,
-    want_pota: bool = False,
-    want_regret: bool = False,
-) -> list[dict]:
-    """Run replications (in parallel when workers > 1), ordered by run id."""
-    args = [(config.to_dict(), r, want_pota, want_regret) for r in run_ids]
+def run_batch(fn, args: list, workers: int = 1) -> list:
+    """``[fn(a) for a in args]``, in a process pool when workers > 1; order kept."""
     if workers > 1 and len(args) > 1:
         with Pool(processes=workers) as pool:
-            results = pool.map(_run_one, args, chunksize=1)
-    else:
-        results = [_run_one(a) for a in args]
-    return sorted(results, key=lambda d: d["run_id"])
+            return pool.map(fn, args, chunksize=1)
+    return [fn(a) for a in args]
 
 
 def _fmt(x: float) -> str:
@@ -115,17 +109,19 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
         config = spec.game_for(variant)
         vdir = out_dir / variant.name
         vdir.mkdir(parents=True, exist_ok=True)
-        results = run_batch(config, spec.run_ids, workers, want_pota, want_regret)
-
+        keep = ()
         if spec.trace_policy != "none":
             keep = spec.run_ids if spec.trace_policy == "all" else spec.run_ids[:1]
-            tdir = vdir / "traces"
-            tdir.mkdir(exist_ok=True)
-            for rid in keep:
-                trace = run_game(config, rid)
-                tpath = tdir / f"run_{rid:04d}.trace"
-                write_trace(trace, tpath)
-                manifest["files"].append(str(tpath.relative_to(out_dir)))
+            (vdir / "traces").mkdir(exist_ok=True)
+        trace_paths = {rid: vdir / "traces" / f"run_{rid:04d}.trace" for rid in keep}
+        manifest["files"].extend(str(t.relative_to(out_dir)) for t in trace_paths.values())
+        results = run_batch(
+            _run_one,
+            # the CSV statistics aggregate rows in ascending run-id order
+            [(config, rid, want_pota, want_regret, trace_paths.get(rid))
+             for rid in sorted(spec.run_ids)],
+            workers,
+        )
 
         cost = np.stack([r["cost"] for r in results])
         _write_series_csv(vdir / "cost.csv", cost)
@@ -222,7 +218,6 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     variant = spec.variants[0]
     config = spec.game_for(variant)
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    traces = [run_game(config, rid) for rid in sample]
     try:
         games = stage_games(config, sample[0])
     except ValueError as exc:
@@ -230,6 +225,8 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
         v.emit("SKIP", "stage-games", f"not enumerable: {exc}")
 
     if games:
+        traces = [run_game(config, rid) for rid in sample]
+
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])
         prof, converged = dynamics.integrate_to_rest(

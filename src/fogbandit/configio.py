@@ -1,16 +1,21 @@
-"""Experiment configuration: YAML schema, validation, baselines.
+"""Experiment configuration: the one config format, validation, baselines.
 
 A config describes one experiment: a base game, learner variants to compare,
-replication seeds, and which metrics to persist.  Validation failures name
-the offending key and the violated constraint; ``--strict`` additionally
-rejects unknown keys.
+replication seeds, and which metrics to persist.  The ``game:`` section's
+format is defined here once: ``parse_game`` reads it from config files and
+trace headers, ``GameConfig.to_dict`` writes it back for trace headers and
+the manifest's config hashes.  Validation failures name the offending key and
+the violated constraint; ``--strict`` additionally rejects unknown keys.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import yaml
 
@@ -23,7 +28,150 @@ from .env import (
     EnvConfig,
     VfnSpec,
 )
-from .game import GameConfig, TaskSizeLaw
+
+TASK_LAWS = ("fixed", "uniform", "truncnorm")
+
+
+@dataclass(frozen=True)
+class TaskSizeLaw:
+    """Per-task input size q in bits, bounded by [q_lo, q_hi]."""
+
+    law: str = "fixed"
+    q_lo: float = 0.2e6
+    q_hi: float = 1.0e6
+    fixed: tuple[float, ...] | None = None  # per-agent sizes for law "fixed"
+
+    def validate(self, num_agents: int) -> None:
+        if self.law not in TASK_LAWS:
+            raise ConfigError(f"task_size.law must be one of {TASK_LAWS}")
+        if not (0 < self.q_lo < self.q_hi):
+            raise ConfigError("task sizes must satisfy 0 < q_lo < q_hi")
+        if self.fixed is not None:
+            if len(self.fixed) != num_agents:
+                raise ConfigError("task_size.fixed needs one size per agent")
+            for q in self.fixed:
+                if not (self.q_lo <= q <= self.q_hi):
+                    raise ConfigError(f"fixed task size {q} outside [q_lo, q_hi]")
+
+
+@dataclass(frozen=True)
+class GameConfig:
+    """Everything one replication needs; validated before any run."""
+
+    num_agents: int
+    horizon: int
+    env: EnvConfig
+    candidates: CandidateSchedule
+    learners: tuple[LearnerParams, ...]
+    task_size: TaskSizeLaw = field(default_factory=TaskSizeLaw)
+    activation: tuple[float, ...] = ()  # empty -> always on
+    computation_intensity: float = 1000.0  # cycles/bit
+    master_seed: int = 0
+
+    def activation_probs(self) -> tuple[float, ...]:
+        return self.activation if self.activation else (1.0,) * self.num_agents
+
+    def validate(self) -> None:
+        if self.num_agents < 1:
+            raise ConfigError("num_agents must be >= 1")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be >= 1")
+        if not self.computation_intensity > 0:
+            raise ConfigError("computation_intensity must be > 0")
+        if len(self.learners) != self.num_agents:
+            raise ConfigError("learners must list one LearnerParams per agent")
+        self.env.validate(self.num_agents, self.horizon)
+        self.candidates.validate(self.horizon, self.num_agents, self.env.arm_ids())
+        self.task_size.validate(self.num_agents)
+        for rho in self.activation_probs():
+            if not (0.0 < rho <= 1.0):
+                raise ConfigError("activation probabilities must be in (0, 1]")
+        for n, lp in enumerate(self.learners):
+            lp.validate()
+            self._check_rate_conditions(n, lp)
+
+    def _check_rate_conditions(self, agent: int, lp: LearnerParams) -> None:
+        """Divergence conditions for the sqrt schedule on this horizon.
+
+        The exploration rate must dominate 1/clock from some round on; with
+        gamma = ratio * sqrt(a log K / (K clock)) that happens once
+        clock > K / (ratio^2 a log K).  Reject configs whose horizon never
+        reaches that point (baselines with ratio 0 are exempt).
+        """
+        if lp.gamma_ratio == 0.0 or lp.feedback == "full":
+            return
+        worst = 0.0
+        for _, sets in self.candidates.epochs:
+            k = len(sets[agent])
+            log_k = max(math.log(k), math.log(2.0))
+            worst = max(worst, k / (lp.gamma_ratio**2 * lp.schedule_a * log_k))
+        if worst >= self.horizon:
+            raise ConfigError(
+                f"agent {agent}: gamma_ratio={lp.gamma_ratio}, schedule_a="
+                f"{lp.schedule_a} keep the exploration rate below 1/round for "
+                f"the whole horizon (needs ~{int(worst) + 1} rounds)"
+            )
+
+    def to_dict(self) -> dict:
+        """A config file's ``game:`` section plus ``master_seed``.
+
+        Fully explicit (per-agent ``learners``, ``activation`` and candidate
+        ``sets``), so ``parse_game`` reads it back to the same digest.
+        """
+        env = self.env
+        if env.adversary is None:
+            adversary = {
+                "num_phases": env.adversary_num_phases,
+                "mean_range": list(env.adversary_mean_range),
+                "noise_halfwidth": env.adversary_noise_halfwidth,
+            }
+        else:
+            adversary = {
+                "mean_range": list(env.adversary.mean_range),
+                "noise_halfwidth": env.adversary.noise_halfwidth,
+                "phases": [
+                    {"start": lo, "end": hi, "means": {str(k): m for k, m in means.items()}}
+                    for lo, hi, means in env.adversary.phases
+                ],
+            }
+        task = self.task_size
+        return {
+            "master_seed": self.master_seed,
+            "num_agents": self.num_agents,
+            "horizon": self.horizon,
+            "computation_intensity": self.computation_intensity,
+            "activation": list(self.activation_probs()),
+            "task_size": {
+                "law": task.law,
+                "q_lo": task.q_lo,
+                "q_hi": task.q_hi,
+                "fixed": list(task.fixed) if task.fixed else None,
+            },
+            "learners": [dataclasses.asdict(lp) for lp in self.learners],
+            "candidates": [
+                {"start": start, "sets": [list(s) for s in sets]}
+                for start, sets in self.candidates.epochs
+            ],
+            "env": {
+                "model": env.model,
+                "cost_cap": env.cost_cap,
+                "vfns": [
+                    {"id": v.id, "max_cpu_freq": v.max_cpu_freq,
+                     "alloc_fraction": list(v.alloc_fraction_range)}
+                    for v in env.vfns
+                ],
+                "channel": dataclasses.asdict(env.channel),
+                "adversary": adversary,
+                "coupling": env.coupling,
+                "theta": env.theta,
+            },
+        }
+
+    def digest(self) -> str:
+        """Hash that changes iff any config field changes."""
+        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
 
 # Named baselines: overrides applied on top of the base learner parameters.
 BASELINES: dict[str, dict] = {
@@ -170,7 +318,7 @@ def _candidates_from(entries: list, num_agents: int, path: str, strict: bool) ->
     return CandidateSchedule(epochs=tuple(epochs))
 
 
-def _env_from(d: dict, horizon: int, path: str, strict: bool) -> EnvConfig:
+def _env_from(d: dict, path: str, strict: bool) -> EnvConfig:
     _check_keys(d, _KEYS_ENV, path, strict)
     vfn_list = d.get("vfns")
     if not vfn_list:
@@ -224,13 +372,12 @@ def _env_from(d: dict, horizon: int, path: str, strict: bool) -> EnvConfig:
     )
 
 
-def parse_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
-    """Build and validate an ExperimentSpec from a parsed YAML document."""
-    _check_keys(doc, _KEYS_TOP, "<top>", strict)
-    for key in ("name", "game"):
-        if key not in doc:
-            raise ConfigError(f"<top>: missing required key {key!r}")
-    g = doc["game"]
+def parse_game(g: dict, master_seed: int | None = None, strict: bool = False) -> GameConfig:
+    """Build a GameConfig from a ``game:`` section or ``GameConfig.to_dict()``.
+
+    ``master_seed`` is the config file's top-level key; left out, it is read
+    from ``g`` itself, where ``to_dict`` puts it.
+    """
     _check_keys(g, _KEYS_GAME, "game", strict)
     for key in ("num_agents", "horizon", "candidates", "env"):
         if key not in g:
@@ -264,17 +411,26 @@ def parse_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
     else:
         act = tuple(float(a) for a in activation)
 
-    base = GameConfig(
+    return GameConfig(
         num_agents=num_agents,
         horizon=horizon,
-        env=_env_from(g["env"], horizon, "game.env", strict),
+        env=_env_from(g["env"], "game.env", strict),
         candidates=_candidates_from(g["candidates"], num_agents, "game.candidates", strict),
         learners=learners,
         task_size=task,
         activation=act,
         computation_intensity=float(g.get("computation_intensity", 1000.0)),
-        master_seed=int(doc.get("master_seed", 0)),
+        master_seed=int(g.get("master_seed", 0) if master_seed is None else master_seed),
     )
+
+
+def parse_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
+    """Build and validate an ExperimentSpec from a parsed YAML document."""
+    _check_keys(doc, _KEYS_TOP, "<top>", strict)
+    for key in ("name", "game"):
+        if key not in doc:
+            raise ConfigError(f"<top>: missing required key {key!r}")
+    base = parse_game(doc["game"], doc.get("master_seed", 0), strict)
 
     variants = []
     for i, v in enumerate(doc.get("variants", [{"name": "default"}])):
@@ -291,7 +447,7 @@ def parse_spec(doc: dict, strict: bool = False) -> ExperimentSpec:
         overrides.update(v.get("learner", {}))
         vl = tuple(
             _learner_from(overrides, f"variants[{i}].learner", strict, lp)
-            for lp in learners
+            for lp in base.learners
         )
         variants.append(Variant(name=str(v["name"]), learners=vl))
 

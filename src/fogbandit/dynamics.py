@@ -79,8 +79,31 @@ class MeanCostField:
             out.append(costs)
         return tuple(out)
 
-    def at_profile(self, profile: MixedProfile) -> tuple[np.ndarray, ...]:
-        return self.expected_costs(profile)
+
+def _euler_step(
+    profile: MixedProfile,
+    costs: Sequence[np.ndarray],
+    weights: Sequence[float],
+    dts: Sequence[float],
+) -> tuple[MixedProfile, bool]:
+    """One explicit Euler step of p_k' = w * p_k * (mean cost - cost_k).
+
+    ``costs`` is the field at ``profile``; agents with a zero step keep their
+    vector.  The raw update is clipped at zero and renormalized, so faces are
+    invariant (zero entries stay zero).  The flag says whether the raw update
+    stayed inside the simplex (no entry below -1e-15).
+    """
+    vecs = []
+    inside = True
+    for p, l, w, dt in zip(profile.vectors, costs, weights, dts):
+        if dt <= 0.0:
+            vecs.append(p)
+            continue
+        q = p + dt * w * p * (float(p @ l) - l)
+        inside = inside and bool(q.min() >= -1e-15)
+        q = np.maximum(q, 0.0)
+        vecs.append(q / q.sum())
+    return MixedProfile(tuple(vecs)), inside
 
 
 def replicator_step(
@@ -89,28 +112,17 @@ def replicator_step(
     weights: Sequence[float],
     dt: float,
 ) -> MixedProfile:
-    """One explicit Euler step of p_k' = w * p_k * (mean cost - cost_k).
-
-    Followed by exact renormalization (projection if the raw step leaves the
-    simplex).  Faces are invariant: zero entries stay zero.
-    """
+    """One Euler step of the replicator field with a common step ``dt``."""
     if dt <= 0:
         raise ValueError("dt must be > 0")
     costs = field.expected_costs(profile)
-    vecs = []
-    for p, l, w in zip(profile.vectors, costs, weights):
-        avg = float(p @ l)
-        q = p + dt * w * p * (avg - l)
-        q = np.maximum(q, 0.0)
-        vecs.append(q / q.sum())
-    return MixedProfile(tuple(vecs))
+    return _euler_step(profile, costs, weights, [dt] * len(profile.vectors))[0]
 
 
 def replicator_velocity(
-    profile: MixedProfile, field: MeanCostField, weights: Sequence[float]
+    profile: MixedProfile, costs: Sequence[np.ndarray], weights: Sequence[float]
 ) -> float:
-    """Sup-norm of the replicator vector field at a profile."""
-    costs = field.expected_costs(profile)
+    """Sup-norm of the replicator vector field, given the field at the profile."""
     v = 0.0
     for p, l, w in zip(profile.vectors, costs, weights):
         avg = float(p @ l)
@@ -128,25 +140,24 @@ def integrate_to_rest(
 ) -> tuple[MixedProfile, bool]:
     """Iterate Euler steps until the field's sup-norm velocity drops below tol.
 
-    The step halves (locally) whenever the raw Euler update would leave the
-    simplex.  Hitting max_steps returns converged=False: limit cycles are a
-    legal outcome in general games, not an error.
+    The field is evaluated once per step.  The step halves (locally, up to
+    30 times) whenever the raw Euler update would leave the simplex.
+    Hitting max_steps returns converged=False: limit cycles are a legal
+    outcome in general games, not an error.
     """
     p = profile0
+    n = len(p.vectors)
     for _ in range(max_steps):
-        if replicator_velocity(p, field, weights) < tol:
+        costs = field.expected_costs(p)
+        if replicator_velocity(p, costs, weights) < tol:
             return p, True
         step = dt
         for _ in range(30):
-            costs = field.expected_costs(p)
-            raw = [
-                pn + step * w * pn * (float(pn @ ln) - ln)
-                for pn, ln, w in zip(p.vectors, costs, weights)
-            ]
-            if all((q >= -1e-15).all() for q in raw):
+            nxt, inside = _euler_step(p, costs, weights, [step] * n)
+            if inside:
                 break
             step /= 2.0
-        p = MixedProfile(tuple(np.maximum(q, 0.0) / np.maximum(q, 0.0).sum() for q in raw))
+        p = nxt
     return p, False
 
 
@@ -270,16 +281,7 @@ def ode_path(
         for n, v in enumerate(prof.vectors):
             out[rnd, n, : len(v)] = v
         costs = field.expected_costs(prof)
-        vecs = []
-        for n, (p, l, w) in enumerate(zip(prof.vectors, costs, weights)):
-            step = float(dt_matrix[rnd, n])
-            if step > 0.0:
-                avg = float(p @ l)
-                q = np.maximum(p + step * w * p * (avg - l), 0.0)
-                vecs.append(q / q.sum())
-            else:
-                vecs.append(p)
-        prof = MixedProfile(tuple(vecs))
+        prof = _euler_step(prof, costs, weights, dt_matrix[rnd].tolist())[0]
     return out
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from .streams import stream_rng
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .game import GameConfig
+    from .configio import GameConfig
 
 FADING_FLOOR = 1e-9  # small-scale power gain clamped at 1e-9 of its mean
 MIN_DISTANCE_M = 1.0
@@ -141,12 +141,6 @@ class AdversaryPhaseSchedule:
         if self.noise_halfwidth < 0:
             raise ConfigError("adversary noise_halfwidth must be >= 0")
 
-    def phase_of(self, rnd: int) -> int:
-        for i, (lo, hi, _) in enumerate(self.phases):
-            if lo <= rnd <= hi:
-                return i
-        raise IndexError(f"round {rnd} outside schedule")
-
     @staticmethod
     def generate(
         horizon: int,
@@ -228,23 +222,6 @@ class CandidateSchedule:
 
 
 @dataclass(frozen=True)
-class CostTriple:
-    """One agent-round cost: adversary part, collision part, and the blend."""
-
-    adversary_cost: float
-    collision_cost: float
-    outlier_weight: float
-    realized_cost: float
-    normalized_cost: float
-
-    def blend_residual(self) -> float:
-        """Relative defect of realized = la + (lc - la) * o (should be ~0)."""
-        expect = self.adversary_cost + (self.collision_cost - self.adversary_cost) * self.outlier_weight
-        scale = max(abs(expect), 1e-300)
-        return abs(self.realized_cost - expect) / scale
-
-
-@dataclass(frozen=True)
 class EnvConfig:
     """Environment half of a game configuration."""
 
@@ -317,23 +294,6 @@ def link_rate(
     noise = params.noise_power_w(num_agents)
     snr = params.tx_power_w() * gain / (noise + params.interference_w)
     return b * math.log2(1.0 + snr)
-
-
-def sample_link_rate(
-    agent: int,
-    arm: int,
-    rng: np.random.Generator,
-    params: ChannelParams,
-    *,
-    distance_m: float | None = None,
-    num_agents: int = 1,
-) -> float:
-    """Draw one per-task rate: fixed epoch distance, fresh Rayleigh fade."""
-    del agent, arm  # identity only matters for stream bookkeeping upstream
-    if distance_m is None:
-        distance_m = rng.uniform(0.0, params.comm_range_m)
-    fading = rng.exponential(1.0)
-    return link_rate(distance_m, fading, params, num_agents)
 
 
 def allocate_cpu(max_cpu_freq: float, base_fraction: float, congestion: int) -> float:
@@ -482,12 +442,6 @@ class Environment:
 
     # -- per-round realization ----------------------------------------------
 
-    def sample_link_rate(self, rnd: int, agent: int, arm: int) -> float:
-        """Rate for one task using the logged epoch distance and fade."""
-        pos = self.arm_pos[arm]
-        d = self.distances[self.epoch_index(rnd), agent, pos]
-        return link_rate(d, self.fading[rnd, agent, pos], self.config.env.channel, self.num_agents)
-
     def congestion_counts(self, joint_action: dict[int, int]) -> dict[int, int]:
         counts: dict[int, int] = {}
         for arm in joint_action.values():
@@ -553,24 +507,6 @@ class Environment:
                 "normalized": np.clip(norm, 0.0, 1.0),
             }
         return out
-
-    def realize_costs(
-        self, rnd: int, joint_action: dict[int, int]
-    ) -> dict[int, CostTriple]:
-        """Resolve one simultaneous joint action into per-agent CostTriples."""
-        vectors = self.cost_vectors(rnd, joint_action)
-        triples: dict[int, CostTriple] = {}
-        for n, arm in joint_action.items():
-            vec = vectors[n]
-            i = int(np.nonzero(vec["arms"] == arm)[0][0])
-            triples[n] = CostTriple(
-                adversary_cost=float(vec["adversary"][i]),
-                collision_cost=float(vec["collision"][i]),
-                outlier_weight=float(vec["outlier"][i]),
-                realized_cost=float(vec["realized"][i]),
-                normalized_cost=float(vec["normalized"][i]),
-            )
-        return triples
 
     # -- mean cost ground truth ----------------------------------------------
 

@@ -9,258 +9,15 @@ draws, congestion re-counted for the switched arm).
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
-from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from . import bandit
-from .bandit import AgentState, LearnerParams, LearningRates
-from .env import (
-    AdversaryPhaseSchedule,
-    CandidateSchedule,
-    ChannelParams,
-    ConfigError,
-    CostTriple,
-    EnvConfig,
-    Environment,
-    ProtocolError,
-    VfnSpec,
-)
+from .bandit import AgentState, LearningRates
+from .configio import GameConfig, parse_game
+from .env import Environment, ProtocolError
 from .streams import stream_rng
-
-TASK_LAWS = ("fixed", "uniform", "truncnorm")
-
-
-@dataclass(frozen=True)
-class TaskSizeLaw:
-    """Per-task input size q in bits, bounded by [q_lo, q_hi]."""
-
-    law: str = "fixed"
-    q_lo: float = 0.2e6
-    q_hi: float = 1.0e6
-    fixed: tuple[float, ...] | None = None  # per-agent sizes for law "fixed"
-
-    def validate(self, num_agents: int) -> None:
-        if self.law not in TASK_LAWS:
-            raise ConfigError(f"task_size.law must be one of {TASK_LAWS}")
-        if not (0 < self.q_lo < self.q_hi):
-            raise ConfigError("task sizes must satisfy 0 < q_lo < q_hi")
-        if self.fixed is not None:
-            if len(self.fixed) != num_agents:
-                raise ConfigError("task_size.fixed needs one size per agent")
-            for q in self.fixed:
-                if not (self.q_lo <= q <= self.q_hi):
-                    raise ConfigError(f"fixed task size {q} outside [q_lo, q_hi]")
-
-
-@dataclass(frozen=True)
-class GameConfig:
-    """Everything one replication needs; validated before any run."""
-
-    num_agents: int
-    horizon: int
-    env: EnvConfig
-    candidates: CandidateSchedule
-    learners: tuple[LearnerParams, ...]
-    task_size: TaskSizeLaw = field(default_factory=TaskSizeLaw)
-    activation: tuple[float, ...] = ()  # empty -> always on
-    computation_intensity: float = 1000.0  # cycles/bit
-    master_seed: int = 0
-
-    def activation_probs(self) -> tuple[float, ...]:
-        return self.activation if self.activation else (1.0,) * self.num_agents
-
-    def validate(self) -> None:
-        if self.num_agents < 1:
-            raise ConfigError("num_agents must be >= 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if not self.computation_intensity > 0:
-            raise ConfigError("computation_intensity must be > 0")
-        if len(self.learners) != self.num_agents:
-            raise ConfigError("learners must list one LearnerParams per agent")
-        self.env.validate(self.num_agents, self.horizon)
-        self.candidates.validate(self.horizon, self.num_agents, self.env.arm_ids())
-        self.task_size.validate(self.num_agents)
-        for rho in self.activation_probs():
-            if not (0.0 < rho <= 1.0):
-                raise ConfigError("activation probabilities must be in (0, 1]")
-        for n, lp in enumerate(self.learners):
-            lp.validate()
-            self._check_rate_conditions(n, lp)
-
-    def _check_rate_conditions(self, agent: int, lp: LearnerParams) -> None:
-        """Divergence conditions for the sqrt schedule on this horizon.
-
-        The exploration rate must dominate 1/clock from some round on; with
-        gamma = ratio * sqrt(a log K / (K clock)) that happens once
-        clock > K / (ratio^2 a log K).  Reject configs whose horizon never
-        reaches that point (baselines with ratio 0 are exempt).
-        """
-        if lp.gamma_ratio == 0.0 or lp.feedback == "full":
-            return
-        worst = 0.0
-        for _, sets in self.candidates.epochs:
-            k = len(sets[agent])
-            log_k = max(math.log(k), math.log(2.0))
-            worst = max(worst, k / (lp.gamma_ratio**2 * lp.schedule_a * log_k))
-        if worst >= self.horizon:
-            raise ConfigError(
-                f"agent {agent}: gamma_ratio={lp.gamma_ratio}, schedule_a="
-                f"{lp.schedule_a} keep the exploration rate below 1/round for "
-                f"the whole horizon (needs ~{int(worst) + 1} rounds)"
-            )
-
-    # -- plain-dict round trip (trace headers, manifests, config files) -----
-
-    def to_dict(self) -> dict:
-        env = self.env
-        d = {
-            "num_agents": self.num_agents,
-            "horizon": self.horizon,
-            "computation_intensity": self.computation_intensity,
-            "master_seed": self.master_seed,
-            "activation": list(self.activation_probs()),
-            "task_size": {
-                "law": self.task_size.law,
-                "q_lo": self.task_size.q_lo,
-                "q_hi": self.task_size.q_hi,
-                "fixed": list(self.task_size.fixed) if self.task_size.fixed else None,
-            },
-            "learners": [
-                {
-                    "schedule_a": lp.schedule_a,
-                    "gamma_ratio": lp.gamma_ratio,
-                    "use_demand_weight": lp.use_demand_weight,
-                    "patch_mode": lp.patch_mode,
-                    "uniform_mix": lp.uniform_mix,
-                    "feedback": lp.feedback,
-                }
-                for lp in self.learners
-            ],
-            "candidates": [
-                {"start": start, "sets": [list(s) for s in sets]}
-                for start, sets in self.candidates.epochs
-            ],
-            "env": {
-                "model": env.model,
-                "vfns": [
-                    {
-                        "id": v.id,
-                        "max_cpu_freq": v.max_cpu_freq,
-                        "alloc_fraction": list(v.alloc_fraction_range),
-                    }
-                    for v in env.vfns
-                ],
-                "channel": {
-                    "bandwidth_hz": env.channel.bandwidth_hz,
-                    "num_subchannels": env.channel.num_subchannels,
-                    "tx_power_dbm": env.channel.tx_power_dbm,
-                    "noise_psd_dbm_hz": env.channel.noise_psd_dbm_hz,
-                    "comm_range_m": env.channel.comm_range_m,
-                    "pathloss_a": env.channel.pathloss_a,
-                    "pathloss_b": env.channel.pathloss_b,
-                    "interference_w": env.channel.interference_w,
-                },
-                "cost_cap": env.cost_cap,
-                "coupling": env.coupling,
-                "theta": env.theta,
-                "adversary_num_phases": env.adversary_num_phases,
-                "adversary_mean_range": list(env.adversary_mean_range),
-                "adversary_noise_halfwidth": env.adversary_noise_halfwidth,
-            },
-        }
-        if env.adversary is not None:
-            d["env"]["adversary_phases"] = [
-                {"start": lo, "end": hi, "means": {str(k): v for k, v in means.items()}}
-                for lo, hi, means in env.adversary.phases
-            ]
-            d["env"]["adversary_mean_range"] = list(env.adversary.mean_range)
-            d["env"]["adversary_noise_halfwidth"] = env.adversary.noise_halfwidth
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GameConfig":
-        e = d["env"]
-        adversary = None
-        if "adversary_phases" in e:
-            adversary = AdversaryPhaseSchedule(
-                phases=tuple(
-                    (p["start"], p["end"], {int(k): float(v) for k, v in p["means"].items()})
-                    for p in e["adversary_phases"]
-                ),
-                noise_halfwidth=e.get("adversary_noise_halfwidth", 0.0),
-                mean_range=tuple(e.get("adversary_mean_range", [0.0, float("inf")])),
-            )
-        env = EnvConfig(
-            model=e["model"],
-            vfns=tuple(
-                VfnSpec(
-                    id=v["id"],
-                    max_cpu_freq=v["max_cpu_freq"],
-                    alloc_fraction_range=tuple(v.get("alloc_fraction", [0.2, 0.5])),
-                )
-                for v in e["vfns"]
-            ),
-            channel=ChannelParams(**e.get("channel", {})),
-            adversary=adversary,
-            adversary_num_phases=e.get("adversary_num_phases", 3),
-            adversary_mean_range=tuple(e.get("adversary_mean_range", [1.0, 2.5])),
-            adversary_noise_halfwidth=e.get("adversary_noise_halfwidth", 0.0),
-            cost_cap=e.get("cost_cap"),
-            coupling=e.get("coupling", "sqrt"),
-            theta=e.get("theta", 0.1),
-        )
-        ts = d.get("task_size", {})
-        return GameConfig(
-            num_agents=d["num_agents"],
-            horizon=d["horizon"],
-            env=env,
-            candidates=CandidateSchedule(
-                epochs=tuple(
-                    (ep["start"], tuple(tuple(s) for s in ep["sets"]))
-                    for ep in d["candidates"]
-                )
-            ),
-            learners=tuple(LearnerParams(**lp) for lp in d["learners"]),
-            task_size=TaskSizeLaw(
-                law=ts.get("law", "fixed"),
-                q_lo=ts.get("q_lo", 0.2e6),
-                q_hi=ts.get("q_hi", 1.0e6),
-                fixed=tuple(ts["fixed"]) if ts.get("fixed") else None,
-            ),
-            activation=tuple(d.get("activation", [])),
-            computation_intensity=d.get("computation_intensity", 1000.0),
-            master_seed=d.get("master_seed", 0),
-        )
-
-    def digest(self) -> str:
-        """Hash that changes iff any config field changes."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
-
-@dataclass(frozen=True)
-class RoundRecord:
-    """One agent-round of play (a read-only view into the trace arrays)."""
-
-    round: int
-    agent: int
-    active: bool
-    candidate_set: tuple[int, ...]
-    probs: np.ndarray | None
-    chosen: int | None
-    congestion: int | None
-    cost: CostTriple | None
-    estimates: np.ndarray | None
-    rates: LearningRates | None
-    activation_clock: int
-    zeta: float
-    task_size: float
 
 
 class GameTrace:
@@ -319,51 +76,11 @@ class GameTrace:
                 f"arm {arm} not in agent {agent}'s candidate set at round {rnd}"
             ) from None
 
-    def record(self, rnd: int, agent: int) -> RoundRecord:
-        arms = self.candidate_set(rnd, agent)
-        k = len(arms)
-        if not self.active[rnd, agent]:
-            return RoundRecord(
-                round=rnd, agent=agent, active=False, candidate_set=arms,
-                probs=None, chosen=None, congestion=None, cost=None,
-                estimates=None, rates=None,
-                activation_clock=int(self.clock[rnd, agent]),
-                zeta=float("nan"), task_size=float("nan"),
-            )
-        cost = CostTriple(
-            adversary_cost=float(self.cost_a[rnd, agent]),
-            collision_cost=float(self.cost_c[rnd, agent]),
-            outlier_weight=float(self.outlier[rnd, agent]),
-            realized_cost=float(self.cost_real[rnd, agent]),
-            normalized_cost=float(self.cost_norm[rnd, agent]),
-        )
-        return RoundRecord(
-            round=rnd, agent=agent, active=True, candidate_set=arms,
-            probs=self.probs[rnd, agent, :k].copy(),
-            chosen=int(self.chosen[rnd, agent]),
-            congestion=int(self.congestion[rnd, agent]),
-            cost=cost,
-            estimates=self.estimates[rnd, agent, :k].copy(),
-            rates=LearningRates(float(self.eta[rnd, agent]), float(self.gamma[rnd, agent])),
-            activation_clock=int(self.clock[rnd, agent]),
-            zeta=float(self.zeta[rnd, agent]),
-            task_size=float(self.task_size[rnd, agent]),
-        )
-
-    def records(self) -> Iterator[RoundRecord]:
-        for rnd in range(1, self.horizon + 1):
-            for agent in range(self.num_agents):
-                yield self.record(rnd, agent)
-
     def counterfactual_cost(self, rnd: int, agent: int, alt_arm: int) -> float:
         """Normalized cost had the agent switched to alt_arm, others fixed."""
         if not self.active[rnd, agent]:
             raise ProtocolError(f"agent {agent} was inactive at round {rnd}")
         return float(self.cf_norm[rnd, agent, self.arm_index(rnd, agent, alt_arm)])
-
-
-def counterfactual_cost(trace: GameTrace, rnd: int, agent: int, alt_arm: int) -> float:
-    return trace.counterfactual_cost(rnd, agent, alt_arm)
 
 
 def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
@@ -436,7 +153,6 @@ def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
             else:
                 est = bandit.estimate_cost(float(vec["normalized"][i]), i, p, rates.gamma)
             bandit.update_scores(st, est, rates.eta, arms)
-            st.last_rates = rates
 
             trace.active[rnd, n] = True
             trace.chosen[rnd, n] = arm
@@ -467,7 +183,7 @@ def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
 # line-oriented trace serialization
 # ---------------------------------------------------------------------------
 
-_TRACE_MAGIC = "# fogbandit-trace v1"
+_TRACE_MAGIC = "# fogbandit-trace v2"
 
 
 def _fmt(x: float) -> str:
@@ -479,9 +195,10 @@ def _fmt_vec(row: np.ndarray, k: int) -> str:
 
 
 def write_trace(trace: GameTrace, path) -> None:
-    """One RoundRecord per line, fixed column order, full-precision floats.
+    """One agent-round per line, fixed column order, full-precision floats.
 
-    Columns: round agent active clock zeta task_size eta gamma chosen
+    The header line holds ``GameConfig.to_dict()``, the run id and the config
+    digest.  Columns: round agent active clock zeta task_size eta gamma chosen
     congestion cost_a cost_c outlier cost_real cost_norm probs estimates
     cf_norm cf_raw -- the last four comma-joined over the round's candidate
     set.  Inactive agent-rounds carry "-" placeholders.
@@ -520,7 +237,7 @@ def read_trace(path) -> GameTrace:
         if magic != _TRACE_MAGIC:
             raise ValueError(f"{path}: not a fogbandit trace (bad magic line)")
         header = json.loads(fh.readline().lstrip("# ").rstrip("\n"))
-        config = GameConfig.from_dict(header["config"])
+        config = parse_game(header["config"])
         trace = GameTrace(config, header.get("run_id", 0))
         for line in fh:
             parts = line.split()

@@ -9,7 +9,7 @@ asynchronous learning-rate conditions, and the smoothness PoTA bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,14 +44,13 @@ def agent_segments(trace: "GameTrace", agent: int) -> list[tuple[int, int]]:
 class RegretSeries:
     """Cumulative regret vs the hindsight-best fixed arm, per segment.
 
-    Index t holds the regret after round t (index 0 is zero).  ``normalized``
-    uses bounded costs; ``raw`` uses seconds/bit.  ``per_round`` is
-    normalized regret divided by the number of the agent's active rounds.
+    Index t holds the regret after round t (index 0 is zero), in normalized
+    costs.  ``per_round`` is that regret divided by the number of the agent's
+    active rounds.
     """
 
     agent: int
     normalized: np.ndarray
-    raw: np.ndarray
     per_round: np.ndarray
 
     def final(self) -> float:
@@ -61,26 +60,19 @@ class RegretSeries:
 def regret_series(trace: "GameTrace", agent: int) -> RegretSeries:
     T = trace.horizon
     cum_norm = np.zeros(T + 1)
-    cum_raw = np.zeros(T + 1)
     base_norm = 0.0
-    base_raw = 0.0
     for lo, hi in agent_segments(trace, agent):
         arms = trace.candidate_set(lo, agent)
         k = len(arms)
         act = trace.active[lo : hi + 1, agent]
         real_n = np.where(act, np.nan_to_num(trace.cost_norm[lo : hi + 1, agent]), 0.0).cumsum()
-        real_r = np.where(act, np.nan_to_num(trace.cost_real[lo : hi + 1, agent]), 0.0).cumsum()
         cf_n = np.where(act[:, None], np.nan_to_num(trace.cf_norm[lo : hi + 1, agent, :k]), 0.0).cumsum(axis=0)
-        cf_r = np.where(act[:, None], np.nan_to_num(trace.cf_raw[lo : hi + 1, agent, :k]), 0.0).cumsum(axis=0)
         cum_norm[lo : hi + 1] = base_norm + real_n - cf_n.min(axis=1)
-        cum_raw[lo : hi + 1] = base_raw + real_r - cf_r.min(axis=1)
         base_norm = cum_norm[hi]
-        base_raw = cum_raw[hi]
     plays = np.concatenate(([1.0], np.maximum(trace.active[1:, agent].cumsum(), 1.0)))
     return RegretSeries(
         agent=agent,
         normalized=cum_norm,
-        raw=cum_raw,
         per_round=cum_norm / plays,
     )
 
@@ -448,36 +440,3 @@ def pota_bound_check(
         )
     return checks
 
-
-# ---------------------------------------------------------------------------
-# aggregate report
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class MetricReport:
-    """Everything the experiment runner persists for one trace."""
-
-    regret: list[RegretSeries]
-    social_cost: np.ndarray
-    pota: np.ndarray | None = None
-    xi: XiCertificate | None = None
-    convergence: ConvergenceRateReport | None = None
-    pota_bounds: list[PotaBoundCheck] = field(default_factory=list)
-
-
-def build_report(
-    trace: "GameTrace",
-    games: list[tuple[tuple[int, int], SmallGame]] | None = None,
-    xi_window: float | None = None,
-) -> MetricReport:
-    report = MetricReport(
-        regret=[regret_series(trace, n) for n in range(trace.num_agents)],
-        social_cost=social_cost_series(trace),
-    )
-    if games:
-        report.pota = pota_series(trace, games)
-        report.pota_bounds = pota_bound_check(trace, games)
-        if xi_window:
-            report.xi = xi_certificate(trace, xi_window, games[-1][1])
-    return report

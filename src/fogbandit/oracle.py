@@ -18,7 +18,8 @@ import numpy as np
 from .env import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .game import GameConfig, GameTrace
+    from .configio import GameConfig
+    from .game import GameTrace
 
 MAX_JOINT_ACTIONS = 10**6
 LAMBDA_GRID = (1.0, 10.0, 0.01)

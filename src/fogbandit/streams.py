@@ -34,7 +34,3 @@ def stream_rng(master_seed: int, run_id: int, name: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(run_id, idx))
     return np.random.Generator(np.random.PCG64(ss))
 
-
-def stream_map(master_seed: int, run_id: int) -> dict[str, np.random.Generator]:
-    """All named streams for one replication, keyed by name."""
-    return {name: stream_rng(master_seed, run_id, name) for name in STREAM_NAMES}

@@ -9,7 +9,9 @@ from fogbandit.env import (
     EnvConfig,
     VfnSpec,
 )
-from fogbandit.game import GameConfig, TaskSizeLaw, run_game
+from fogbandit.cli import run_batch
+from fogbandit.configio import GameConfig, TaskSizeLaw
+from fogbandit.game import run_game
 
 
 def synthetic_config(
@@ -94,45 +96,19 @@ def physical_config(
 
 
 def _probs_worker(args):
-    from fogbandit.game import GameConfig, run_game
-
-    config_dict, run_id, agent, pos = args
-    trace = run_game(GameConfig.from_dict(config_dict), run_id)
-    return run_id, trace.probs[1:, agent, pos].copy()
+    config, run_id, agent, pos = args
+    return run_game(config, run_id).probs[1:, agent, pos].copy()
 
 
 def _regret_worker(args):
     from fogbandit import metrics
-    from fogbandit.game import GameConfig, run_game
 
-    config_dict, run_id = args
-    trace = run_game(GameConfig.from_dict(config_dict), run_id)
-    n = trace.num_agents
-    return run_id, np.array([metrics.regret_series(trace, i).final() for i in range(n)])
-
-
-def _path_worker(args):
-    from fogbandit import dynamics
-    from fogbandit.game import GameConfig, run_game
-
-    config_dict, run_id = args
-    trace = run_game(GameConfig.from_dict(config_dict), run_id)
-    return run_id, dynamics.discrete_probability_path(trace)
-
-
-def parallel_map(worker, argument_lists, workers: int = 2):
-    from multiprocessing import Pool
-
-    if workers > 1 and len(argument_lists) > 1:
-        with Pool(processes=workers) as pool:
-            results = pool.map(worker, argument_lists, chunksize=1)
-    else:
-        results = [worker(a) for a in argument_lists]
-    return [r for _, r in sorted(results, key=lambda x: x[0])]
+    config, run_id = args
+    trace = run_game(config, run_id)
+    return np.array([metrics.regret_series(trace, i).final() for i in range(trace.num_agents)])
 
 
 def seed_mean_probs(config: GameConfig, runs: int, agent: int, pos: int, workers: int = 2):
-    d = config.to_dict()
-    rows = parallel_map(_probs_worker, [(d, r, agent, pos) for r in range(runs)], workers)
+    rows = run_batch(_probs_worker, [(config, r, agent, pos) for r in range(runs)], workers)
     stack = np.stack(rows)
     return stack.mean(axis=0), stack.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -21,7 +21,7 @@ FADE_FLOOR = 1e-9
 def ref_cost_entry(env, rnd: int, agent: int, arm: int, congestion: int) -> dict:
     """One (agent, arm, congestion) cost from the environment's raw draws."""
     cfg = env.config
-    phase = env.phase_of(rnd) if hasattr(env, "phase_of") else env.phase_index(rnd)
+    phase = env.phase_index(rnd)
     epoch = env.epoch_index(rnd)
     pos = env.arm_pos[arm]
     s = float(env.phase_means[phase][pos]) + float(env.adv_noise[rnd, pos])

@@ -13,11 +13,11 @@ import pytest
 
 from fogbandit import dynamics, metrics
 from fogbandit.bandit import LearnerParams, estimate_cost
-from fogbandit.configio import load_config
+from fogbandit.configio import GameConfig, TaskSizeLaw, load_config
 from fogbandit.cli import bundled_config, run_batch, run_experiment
 from fogbandit.dynamics import MeanCostField, MixedProfile
 from fogbandit.env import Environment
-from fogbandit.game import GameConfig, TaskSizeLaw, run_game, write_trace
+from fogbandit.game import run_game
 from fogbandit.oracle import (
     SmallGame,
     find_pure_nash,
@@ -26,7 +26,7 @@ from fogbandit.oracle import (
     stage_games,
 )
 
-from conftest import parallel_map, synthetic_config, seed_mean_probs
+from conftest import synthetic_config, seed_mean_probs
 from test_oracle import make_game, ref_nash, ref_social_optimum
 
 WORKERS = 2
@@ -159,17 +159,16 @@ def _xi_instance(horizon: int, activation=(), seed: int = 55) -> GameConfig:
 
 
 def _xi_worker(args):
-    config_dict, run_id, window = args
-    config = GameConfig.from_dict(config_dict)
+    config, run_id, window = args
     trace = run_game(config, run_id)
     games = stage_games(config, run_id)
     cert = metrics.xi_certificate(trace, window, games[-1][1])
-    return run_id, (cert.certified, cert.max_gap, cert.xi_bound)
+    return cert.certified, cert.max_gap, cert.xi_bound
 
 
 def test_criterion_05_xi_certification():
     cfg = _xi_instance(5000)
-    rows = parallel_map(_xi_worker, [(cfg.to_dict(), r, 0.2) for r in range(50)], WORKERS)
+    rows = run_batch(_xi_worker, [(cfg, r, 0.2) for r in range(50)], WORKERS)
     certified = sum(r[0] for r in rows)
     worst = max(r[1] for r in rows)
     bound = rows[0][2]
@@ -182,14 +181,13 @@ def test_criterion_05_xi_certification():
 
 
 def _pota_worker(args):
-    config_dict, run_id = args
-    config = GameConfig.from_dict(config_dict)
+    config, run_id = args
     trace = run_game(config, run_id)
     games = stage_games(config, run_id)
     checks = metrics.pota_bound_check(trace, games)
     bad = sum((not c.vacuous) and (not c.holds) for c in checks)
     vac = sum(c.vacuous for c in checks)
-    return run_id, (bad, vac, len(checks))
+    return bad, vac, len(checks)
 
 
 def test_criterion_06_pota_bound():
@@ -216,7 +214,7 @@ def test_criterion_06_pota_bound():
     details = []
     all_ok = True
     for name, cfg in instances.items():
-        rows = parallel_map(_pota_worker, [(cfg.to_dict(), r) for r in range(200)], WORKERS)
+        rows = run_batch(_pota_worker, [(cfg, r) for r in range(200)], WORKERS)
         violations = sum(r[0] for r in rows)
         vacuous = sum(r[1] for r in rows)
         epochs = rows[0][2]
@@ -230,13 +228,12 @@ def test_criterion_06_pota_bound():
 
 
 def _finals_worker(args):
-    config_dict, run_id = args
-    config = GameConfig.from_dict(config_dict)
+    config, run_id = args
     trace = run_game(config, run_id)
     games = stage_games(config, run_id)
     cost = float(metrics.social_cost_series(trace)[-1])
     pota = float(metrics.pota_series(trace, games)[-1])
-    return run_id, (cost, pota)
+    return cost, pota
 
 
 @pytest.mark.slow
@@ -247,7 +244,7 @@ def test_criterion_07_benchmark_direction():
         if variant.name not in ("perturbed", "vanilla-ix"):
             continue
         cfg = spec.game_for(variant)
-        rows = parallel_map(_finals_worker, [(cfg.to_dict(), r) for r in range(200)], WORKERS)
+        rows = run_batch(_finals_worker, [(cfg, r) for r in range(200)], WORKERS)
         finals[variant.name] = np.array(rows)  # [200, 2] cost, pota
     msgs = []
     ok = True
@@ -286,7 +283,7 @@ def test_criterion_08_patching_beats_reset():
     finals = {}
     for mode in ("patch", "reset_all"):
         cfg = _volatile_instance(mode)
-        rows = parallel_map(_regret_worker, [(cfg.to_dict(), r) for r in range(200)], WORKERS)
+        rows = run_batch(_regret_worker, [(cfg, r) for r in range(200)], WORKERS)
         finals[mode] = np.stack(rows).mean(axis=1)  # per-seed mean over agents
     a, b = finals["patch"], finals["reset_all"]
     band3 = 3.0 * (a.std(ddof=1) + b.std(ddof=1)) / math.sqrt(len(a))

@@ -1,5 +1,8 @@
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,3 +190,15 @@ def test_variant_names_must_be_unique(mini_path):
     doc["variants"] = [{"name": "x"}, {"name": "x"}]
     with pytest.raises(ConfigError, match="unique"):
         parse_spec(doc)
+
+
+def test_benchmark_tracer_bindings_exist():
+    # perfbench/tracer.py wraps layer functions and methods by name; a rename
+    # or deletion must fail here rather than in the benchmark
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import tracer; tracer.install(tracer.Tracer())"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench")], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -63,7 +63,8 @@ def test_symmetric_uniform_profile_is_fixed_point():
     game = make_game([(1, 2), (1, 2)], {1: 0.4, 2: 0.4})
     field = MeanCostField(game)
     prof = MixedProfile((np.array([0.5, 0.5]), np.array([0.5, 0.5])))
-    assert replicator_velocity(prof, field, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
+    costs = field.expected_costs(prof)
+    assert replicator_velocity(prof, costs, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
     nxt = replicator_step(prof, field, [1.0, 1.0], dt=0.05)
     np.testing.assert_allclose(nxt.vectors[0], [0.5, 0.5], atol=1e-15)
 
@@ -96,6 +97,25 @@ def test_pure_profile_is_rest_point():
     rest, converged = integrate_to_rest(prof, field, [1.0], tol=1e-10, max_steps=10)
     assert converged
     np.testing.assert_array_equal(rest.vectors[0], [1.0, 0.0])
+
+
+def test_field_evaluated_once_per_integration_step():
+    # the velocity test and every step-halving try reuse one field value
+    calls = []
+
+    class CountingField(MeanCostField):
+        def expected_costs(self, profile):
+            calls.append(profile)
+            return super().expected_costs(profile)
+
+    game = make_game([(1, 2, 3), (1, 2, 3)], {1: 0.1, 2: 0.9, 3: 0.5})
+    prof = MixedProfile.random(game, np.random.default_rng(3))
+    # steps this large leave the simplex and get halved; tol 0 never converges
+    _, converged = integrate_to_rest(
+        prof, CountingField(game), [3.0, 3.0], dt=5.0, tol=0.0, max_steps=40
+    )
+    assert not converged
+    assert len(calls) == 40
 
 
 def test_single_arm_agents_converge_immediately():

@@ -1,19 +1,13 @@
 import filecmp
-from multiprocessing import Pool
 
 import numpy as np
 import pytest
 
 from fogbandit.bandit import LearnerParams
+from fogbandit.cli import run_batch
+from fogbandit.configio import TaskSizeLaw
 from fogbandit.env import ConfigError, Environment, ProtocolError
-from fogbandit.game import (
-    GameConfig,
-    TaskSizeLaw,
-    counterfactual_cost,
-    read_trace,
-    run_game,
-    write_trace,
-)
+from fogbandit.game import read_trace, run_game, write_trace
 
 from conftest import physical_config, synthetic_config
 from reference_impls import ref_cost_entry, ref_run_game
@@ -54,21 +48,19 @@ def test_trace_reference_loop_physical():
 
 
 def _roundtrip_worker(args):
-    config_dict, run_id, path = args
-    trace = run_game(GameConfig.from_dict(config_dict), run_id)
-    write_trace(trace, path)
+    config, run_id, path = args
+    write_trace(run_game(config, run_id), path)
     return path
 
 
 def test_determinism_across_processes(tmp_path):
     cfg = physical_config(horizon=60, num_agents=3, freqs_ghz=(6.0, 1.5, 4.0))
-    args = [
-        (cfg.to_dict(), 4, str(tmp_path / "a.trace")),
-        (cfg.to_dict(), 4, str(tmp_path / "b.trace")),
-    ]
-    with Pool(2) as pool:
-        pool.map(_roundtrip_worker, args)
-    assert filecmp.cmp(args[0][2], args[1][2], shallow=False)
+    paths = run_batch(
+        _roundtrip_worker,
+        [(cfg, 4, tmp_path / "a.trace"), (cfg, 4, tmp_path / "b.trace")],
+        workers=2,
+    )
+    assert filecmp.cmp(paths[0], paths[1], shallow=False)
 
 
 def test_trace_file_roundtrip(tmp_path):
@@ -134,7 +126,7 @@ def test_counterfactual_identity_at_realized_arm():
     for rnd in range(1, 51):
         for n in range(3):
             arm = int(trace.chosen[rnd, n])
-            assert counterfactual_cost(trace, rnd, n, arm) == trace.cost_norm[rnd, n]
+            assert trace.counterfactual_cost(rnd, n, arm) == trace.cost_norm[rnd, n]
 
 
 def test_counterfactual_matrix_against_resimulation():
@@ -152,7 +144,7 @@ def test_counterfactual_matrix_against_resimulation():
                     1 for u, a in others.items() if u != n and a == alt
                 )
                 expect = ref_cost_entry(env, rnd, n, alt, c)["norm"]
-                assert counterfactual_cost(trace, rnd, n, alt) == pytest.approx(
+                assert trace.counterfactual_cost(rnd, n, alt) == pytest.approx(
                     expect, rel=1e-12
                 )
 
@@ -169,7 +161,7 @@ def test_counterfactual_congestion_rises_when_joining_crowd():
             alt = 1 if chosen[n] != 1 else 2
             if other.count(alt) == 2:
                 expect = ref_cost_entry(env, rnd, n, alt, 3)["norm"]
-                assert counterfactual_cost(trace, rnd, n, alt) == pytest.approx(expect, rel=1e-12)
+                assert trace.counterfactual_cost(rnd, n, alt) == pytest.approx(expect, rel=1e-12)
                 seen = True
     assert seen, "instance never produced a 2-agent crowd to join"
 
@@ -181,7 +173,7 @@ def test_counterfactual_rejects_foreign_arm():
     )
     trace = run_game(cfg, 0)
     with pytest.raises(ProtocolError):
-        counterfactual_cost(trace, 1, 0, 9)
+        trace.counterfactual_cost(1, 0, 9)
 
 
 def test_epoch_structure_of_volatile_runs():
@@ -199,7 +191,7 @@ def test_epoch_structure_of_volatile_runs():
     assert trace.candidate_set(30, 0) == (1, 2)
     assert trace.candidate_set(31, 0) == (1, 2, 3)
     assert trace.candidate_set(61, 2) == (1, 2, 3, 4)
-    # 3 agents x 90 rounds of records, all active
+    # 3 agents x 90 rounds, all active
     assert int(trace.active[1:].sum()) == 270
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from fogbandit import metrics
 from fogbandit.bandit import LearnerParams
-from fogbandit.game import TaskSizeLaw, run_game
+from fogbandit.configio import TaskSizeLaw
+from fogbandit.game import run_game
 from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
@@ -237,13 +238,13 @@ def test_pota_bound_perturbation_lowers_bound():
     assert sums["perturbed"] < sums["plain"]
 
 
-def test_build_report_shapes():
+def test_metric_series_shapes():
     cfg = synthetic_config({1: 0.32, 2: 0.42}, num_agents=2, horizon=600)
     trace = run_game(cfg, 0)
     games = stage_games(cfg, 0)
-    report = metrics.build_report(trace, games, xi_window=0.5)
-    assert len(report.regret) == 2
-    assert report.social_cost.shape == (601,)
-    assert report.pota.shape == (601,)
-    assert report.xi is not None
-    assert len(report.pota_bounds) == 1
+    for n in range(2):
+        assert metrics.regret_series(trace, n).normalized.shape == (601,)
+    assert metrics.social_cost_series(trace).shape == (601,)
+    assert metrics.pota_series(trace, games).shape == (601,)
+    assert metrics.xi_certificate(trace, 0.5, games[-1][1]) is not None
+    assert len(metrics.pota_bound_check(trace, games)) == 1

@@ -1,0 +1,141 @@
+"""Property tests of the one config format and of trace files.
+
+Generated YAML documents cover both cost models, explicit and generated
+adversary phases, shared and per-agent learners, scalar and per-agent
+activation, every task-size law and one to three candidate epochs.
+"""
+
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES
+from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
+from fogbandit.game import read_trace, run_game, write_trace
+
+from conftest import synthetic_config
+
+# horizons of 40+ rounds satisfy the exploration-rate condition for every
+# drawn (gamma_ratio >= 0.3, schedule_a >= 1, K <= 4) learner
+LEARNER = st.fixed_dictionaries({}, optional={
+    "schedule_a": st.floats(1.0, 4.0),
+    "gamma_ratio": st.floats(0.3, 0.5),
+    "use_demand_weight": st.booleans(),
+    "patch_mode": st.sampled_from(PATCH_MODES),
+    "uniform_mix": st.floats(0.0, 0.5),
+    "feedback": st.sampled_from(FEEDBACK_MODES),
+})
+
+
+@st.composite
+def range_pairs(draw, lo, hi):
+    a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    return [min(a, b), max(a, b)]
+
+
+@st.composite
+def config_docs(draw):
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.integers(40, 80))
+    arms = list(range(1, draw(st.integers(2, 4)) + 1))
+    subsets = st.lists(st.sampled_from(arms), min_size=1, unique=True)
+
+    starts = [1] + sorted(draw(st.sets(st.integers(2, horizon), max_size=2)))
+    candidates = [
+        {"start": s, "all": draw(subsets)} if draw(st.booleans())
+        else {"start": s, "sets": [draw(subsets) for _ in range(n)]}
+        for s in starts
+    ]
+
+    model = draw(st.sampled_from(["synthetic", "physical"]))
+    env = {
+        "model": model,
+        "vfns": [
+            {"id": k, "max_cpu_freq": draw(st.floats(1e9, 6e9)),
+             **({"alloc_fraction": draw(range_pairs(0.1, 1.0))} if draw(st.booleans()) else {})}
+            for k in arms
+        ],
+    }
+    mean_range = draw(range_pairs(0.05, 1.0) if model == "synthetic" else range_pairs(1.0, 2.5))
+    adversary = {"mean_range": mean_range, "noise_halfwidth": draw(st.floats(0.0, 0.05))}
+    if draw(st.booleans()):
+        cuts = sorted(draw(st.sets(st.integers(1, horizon - 1), max_size=3)))
+        bounds = list(zip([1] + [c + 1 for c in cuts], cuts + [horizon]))
+        adversary["phases"] = [
+            {"start": lo, "end": hi, "means": {k: draw(st.floats(*mean_range)) for k in arms}}
+            for lo, hi in bounds
+        ]
+    else:
+        adversary["num_phases"] = draw(st.integers(1, 4))
+    env["adversary"] = adversary
+    if model == "synthetic":
+        env["coupling"] = draw(st.sampled_from(["sqrt", "linear"]))
+        env["theta"] = draw(st.floats(0.0, 0.3))
+    else:
+        if draw(st.booleans()):
+            env["cost_cap"] = draw(st.floats(1e-6, 1e-4))
+        env["channel"] = draw(st.fixed_dictionaries({}, optional={
+            "bandwidth_hz": st.floats(1e6, 2e7),
+            "num_subchannels": st.integers(1, 20),
+            "tx_power_dbm": st.floats(10.0, 30.0),
+        }))
+
+    q_lo = draw(st.floats(1e5, 5e5))
+    task = {"law": draw(st.sampled_from(TASK_LAWS)), "q_lo": q_lo, "q_hi": q_lo + draw(st.floats(1e5, 1e6))}
+    if task["law"] == "fixed" and draw(st.booleans()):
+        task["fixed"] = [draw(st.floats(task["q_lo"], task["q_hi"])) for _ in range(n)]
+
+    game = {
+        "num_agents": n,
+        "horizon": horizon,
+        "activation": draw(st.floats(0.3, 1.0) | st.lists(st.floats(0.3, 1.0), min_size=n, max_size=n)),
+        "task_size": task,
+        "learner": draw(LEARNER),
+        "candidates": candidates,
+        "env": env,
+    }
+    if draw(st.booleans()):
+        game["learners"] = [draw(LEARNER) for _ in range(n)]
+    doc = {"name": "prop", "master_seed": draw(st.integers(0, 2**31)), "game": game}
+    return yaml.safe_load(yaml.safe_dump(doc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(config_docs())
+def test_config_parse_to_dict_parse_keeps_digest(doc):
+    base = parse_spec(doc, strict=True).base
+    d = base.to_dict()
+    again = parse_game(d)
+    assert again.digest() == base.digest()
+    assert again.to_dict() == d
+    # the same dict as a trace header (JSON) and as a config file (YAML)
+    header = json.loads(json.dumps(d))
+    assert parse_game(header).digest() == base.digest()
+    game = {k: v for k, v in d.items() if k != "master_seed"}
+    as_file = yaml.safe_load(yaml.safe_dump({"name": "rt", "master_seed": d["master_seed"], "game": game}))
+    assert parse_spec(as_file, strict=True).base.digest() == base.digest()
+
+
+@settings(max_examples=15, deadline=None)
+@given(config_docs(), st.integers(0, 3))
+def test_trace_write_read_write_is_byte_identical(doc, run_id):
+    trace = run_game(parse_spec(doc).base, run_id)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.trace", Path(tmp) / "second.trace"
+        write_trace(trace, first)
+        write_trace(read_trace(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_v1_trace_is_rejected(tmp_path):
+    path = tmp_path / "old.trace"
+    write_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("# fogbandit-trace v1\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="bad magic"):
+        read_trace(path)
