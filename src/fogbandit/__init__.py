@@ -8,7 +8,7 @@ brute-force equilibrium oracles, and regret / price-of-total-anarchy metrics.
 
 __version__ = "0.1.0"
 
-from .bandit import AgentState, LearnerParams, LearningRates
+from .bandit import LearnerParams, LearnerState, LearningRates
 from .configio import GameConfig
 from .env import (
     AdversaryPhaseSchedule,
@@ -23,7 +23,6 @@ from .oracle import SmallGame
 
 __all__ = [
     "AdversaryPhaseSchedule",
-    "AgentState",
     "CandidateSchedule",
     "ChannelParams",
     "EnvConfig",
@@ -31,6 +30,7 @@ __all__ = [
     "GameConfig",
     "GameTrace",
     "LearnerParams",
+    "LearnerState",
     "LearningRates",
     "SmallGame",
     "VfnSpec",

@@ -1,16 +1,19 @@
-"""One agent's decision rule: demand-weighted softmin over cumulative
+"""The learners' decision rule: demand-weighted softmin over cumulative
 implicit-exploration cost estimates, with score patching for appearing arms.
 
-The learner owns nothing but its own scores and clock ("completely
-uncoupled"): it never sees opponents, only its realized normalized cost.
-Baselines (vanilla IX, explicit exploration, full feedback, full reset) are
-the same machinery with parameters switched off.
+Each learner owns nothing but its own scores and clock ("completely
+uncoupled"): it never sees opponents, only its realized normalized cost.  So
+within a round the N learners are independent given the previous round, and
+every function here steps a batch of them at once: one row per agent, one
+column per candidate slot.  Baselines (vanilla IX, explicit exploration,
+full feedback, full reset) are the same machinery with parameters switched
+off.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,56 +56,64 @@ class LearnerParams:
 
 @dataclass(frozen=True)
 class LearningRates:
-    eta: float
-    gamma: float
+    eta: float | np.ndarray
+    gamma: float | np.ndarray
 
 
 @dataclass
-class AgentState:
-    """The learner's entire memory.
+class LearnerState:
+    """The entire memory of N learners.
 
-    ``scores`` doubles as cold storage: arms that vanish keep their entries
-    and feed the max branch of the patch rule if they re-appear.
+    ``scores[n, a]`` is agent n's cumulative cost estimate on the arm at
+    global position a.  A row doubles as cold storage: positions outside the
+    agent's current candidate set keep their value and feed the max branch
+    of the patch rule if the arm re-appears.  ``known[n]`` holds the
+    positions of the candidate set agent n last synced to (empty before its
+    first activation).
     """
 
-    params: LearnerParams
-    scores: dict[int, float] = field(default_factory=dict)
-    known_arms: tuple[int, ...] = ()
-    activation_clock: int = 0
-    demand_weight: float = 1.0
+    params: tuple[LearnerParams, ...]
+    scores: np.ndarray
+    known: list[tuple[int, ...]]
 
-    def score_vector(self, arms: tuple[int, ...]) -> np.ndarray:
-        return np.array([self.scores.get(k, 0.0) for k in arms])
+    @staticmethod
+    def fresh(params: tuple[LearnerParams, ...], num_arms: int) -> "LearnerState":
+        return LearnerState(tuple(params), np.zeros((len(params), num_arms)), [()] * len(params))
 
 
 def learning_rates(
-    activation_clock: int,
+    activation_clock,
     num_arms: int,
     schedule_a: float,
     gamma_ratio: float,
 ) -> LearningRates:
     """Inverse-sqrt schedule sqrt(a * log K / (K * clock)), gamma = ratio * eta.
 
-    ``log K`` is floored at log 2 so a single-arm candidate set stays defined.
+    ``activation_clock`` is one clock or an array of clocks played on
+    candidate sets of the same size.  ``log K`` is floored at log 2 so a
+    single-arm candidate set stays defined.
     """
-    if activation_clock < 1:
-        raise ValueError(f"activation_clock must be >= 1, got {activation_clock}")
+    clock = np.asarray(activation_clock)
+    if clock.size and clock.min() < 1:
+        raise ValueError(f"activation_clock must be >= 1, got {clock.min()}")
     if num_arms < 1:
         raise ValueError(f"num_arms must be >= 1, got {num_arms}")
     log_k = max(math.log(num_arms), math.log(2.0))
-    eta = math.sqrt(schedule_a * log_k / (num_arms * activation_clock))
+    eta = np.sqrt(schedule_a * log_k / (num_arms * clock))
     return LearningRates(eta=eta, gamma=gamma_ratio * eta)
 
 
 def patch_scores(
-    state: AgentState,
+    row: np.ndarray,
     new_candidates: tuple[int, ...],
     appearing: tuple[int, ...],
 ) -> None:
     """Initialize appearing arms at max(own stored score, min over persisting).
 
-    With no persisting arm the rule is undefined; fall back to a full reset.
-    Persisting arms are untouched and vanished arms stay in cold storage.
+    ``row`` is one agent's score row, indexed by arm position like the
+    candidate tuples.  With no persisting arm the rule is undefined; fall
+    back to a full reset.  Persisting arms are untouched and vanished arms
+    stay in cold storage.
     """
     appearing_set = set(appearing)
     if not appearing_set <= set(new_candidates):
@@ -111,125 +122,122 @@ def patch_scores(
         return
     persisting = [k for k in new_candidates if k not in appearing_set]
     if not persisting:
-        state.scores.clear()
-        for k in new_candidates:
-            state.scores[k] = 0.0
+        row[:] = 0.0
         return
-    floor = min(state.scores.get(k, 0.0) for k in persisting)
-    for k in appearing:
-        state.scores[k] = max(state.scores.get(k, 0.0), floor)
+    new = list(appearing)
+    row[new] = np.maximum(row[new], row[persisting].min())
 
 
-def sync_candidates(state: AgentState, new_candidates: tuple[int, ...]) -> tuple[int, ...]:
-    """Bring the state up to date with this round's candidate set.
+def sync_candidates(
+    state: LearnerState, agents, candidate_sets: list[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Bring the given agents' rows up to date with their candidate sets.
 
-    Returns the appearing arms.  Dispatches on the configured patch mode:
-    ``patch`` applies the score-patch rule, ``reset_all`` wipes the whole
-    score memory on any set change, ``reset_new`` zeroes only appearing arms.
+    ``candidate_sets[n]`` is agent n's current set as arm positions.
+    Returns the agents that saw arms appear.  Dispatches on each agent's
+    patch mode: ``patch`` applies the score-patch rule, ``reset_all`` wipes
+    the whole row on any set change, ``reset_new`` zeroes only appearing arms.
     """
-    if new_candidates == state.known_arms:
-        return ()
-    appearing = tuple(k for k in new_candidates if k not in state.known_arms)
-    mode = state.params.patch_mode
-    if mode == "patch":
-        patch_scores(state, new_candidates, appearing)
-    elif mode == "reset_all":
-        state.scores.clear()
-        for k in new_candidates:
-            state.scores[k] = 0.0
-    else:  # reset_new
-        for k in appearing:
-            state.scores[k] = 0.0
-    state.known_arms = new_candidates
-    return appearing
+    patched = []
+    for n in agents:
+        new, old = candidate_sets[n], state.known[n]
+        if new == old:
+            continue
+        appearing = tuple(k for k in new if k not in old)
+        row = state.scores[n]
+        mode = state.params[n].patch_mode
+        if mode == "patch":
+            patch_scores(row, new, appearing)
+        elif mode == "reset_all":
+            row[:] = 0.0
+        else:  # reset_new
+            row[list(appearing)] = 0.0
+        state.known[n] = new
+        if appearing:
+            patched.append(int(n))
+    return tuple(patched)
 
 
-def demand_weight(task_size: float, q_lo: float, q_hi: float) -> float:
+def demand_weight(task_size, q_lo: float, q_hi: float):
     """zeta = 1 + (q - q_lo) / (q_hi - q_lo), clipped into [1, 2]."""
     if q_hi <= q_lo:
-        return 1.0
-    delta = (task_size - q_lo) / (q_hi - q_lo)
-    return 1.0 + min(max(delta, 0.0), 1.0)
+        return np.ones(np.shape(task_size))
+    return 1.0 + np.clip((np.asarray(task_size) - q_lo) / (q_hi - q_lo), 0.0, 1.0)
 
 
-def choice_probabilities(
-    scores: np.ndarray, zeta: float, uniform_mix: float = 0.0
-) -> np.ndarray:
-    """Softmin of zeta * scores, computed shift-invariantly.
+def choice_probabilities(scores: np.ndarray, zeta, uniform_mix=0.0) -> np.ndarray:
+    """Softmin of zeta * scores along the last axis, computed shift-invariantly.
 
-    Subtracting the minimum before exponentiation keeps the map stable as
-    scores grow linearly with the horizon.
+    ``zeta`` and ``uniform_mix`` broadcast against ``scores`` (per-agent
+    values of a batch come as [agent, 1] columns).  Subtracting the row
+    minimum before exponentiation keeps the map stable as scores grow
+    linearly with the horizon.
     """
     w = zeta * scores
-    e = np.exp(-(w - w.min()))
-    p = e / e.sum()
-    if uniform_mix > 0.0:
-        p = (1.0 - uniform_mix) * p + uniform_mix / len(p)
+    e = np.exp(np.minimum.reduce(w, axis=-1, keepdims=True) - w)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    if isinstance(uniform_mix, np.ndarray) or uniform_mix > 0.0:
+        p = (1.0 - uniform_mix) * p + uniform_mix / scores.shape[-1]
     return p
 
 
 def select_arm(
-    state: AgentState,
-    task_size_bits: float,
-    candidate_set: tuple[int, ...],
-    rng: np.random.Generator,
-    *,
-    q_lo: float = 0.0,
-    q_hi: float = 0.0,
-) -> tuple[int, np.ndarray]:
-    """Draw an arm from the softmin distribution over patched scores.
+    scores: np.ndarray,
+    zeta: np.ndarray,
+    uniform_mix,
+    u: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one candidate slot per agent from the softmin over its scores.
 
-    A single-arm candidate set short-circuits to probability one without
-    touching the learning-rate schedule.
+    ``scores`` is [agent, slot] over candidate sets of one size; ``zeta``,
+    ``uniform_mix`` and the selection-stream uniforms ``u`` broadcast
+    against it.  Agent n takes the first slot whose cumulative probability
+    exceeds its uniform (the last slot if rounding leaves none).  Returns
+    the chosen slots and the [agent, slot] probabilities.  A single-arm
+    candidate set short-circuits to probability one and consumes no uniform.
     """
-    if not candidate_set:
+    m, k = scores.shape
+    if k == 0:
         raise ValueError("candidate set is empty (non-empty supply is assumed)")
-    zeta = (
-        demand_weight(task_size_bits, q_lo, q_hi)
-        if state.params.use_demand_weight
-        else 1.0
-    )
-    state.demand_weight = zeta
-    if len(candidate_set) == 1:
-        return candidate_set[0], np.array([1.0])
-    probs = choice_probabilities(
-        state.score_vector(candidate_set), zeta, state.params.uniform_mix
-    )
-    u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    idx = min(idx, len(candidate_set) - 1)
-    return candidate_set[idx], probs
+    if k == 1:
+        return np.zeros(m, dtype=np.int64), np.ones((m, 1))
+    probs = choice_probabilities(scores, zeta, uniform_mix)
+    beyond = np.add.accumulate(probs, axis=1) > u
+    beyond[:, -1] = True
+    return beyond.argmax(axis=1), probs
 
 
 def estimate_cost(
-    realized_normalized: float,
-    chosen_index: int,
+    realized_normalized: np.ndarray,
+    chosen_index: np.ndarray,
     probs: np.ndarray,
-    gamma: float,
+    gamma: np.ndarray,
 ) -> np.ndarray:
-    """Implicit-exploration estimate: l / (p + gamma) at the chosen arm, 0 elsewhere."""
-    if not (0.0 <= realized_normalized <= 1.0):
+    """Implicit-exploration estimates, one [agent, slot] row per agent:
+    l / (p + gamma) at the agent's chosen slot, 0 elsewhere."""
+    loss = np.asarray(realized_normalized)
+    if not (np.minimum.reduce(loss) >= 0.0 and np.maximum.reduce(loss) <= 1.0):
         raise ValueError(
-            f"normalized cost {realized_normalized} outside [0, 1]; "
-            "normalization upstream is broken"
+            f"normalized cost outside [0, 1] in {loss}; normalization upstream is broken"
         )
-    if gamma < 0.0:
+    if np.minimum.reduce(gamma) < 0.0:
         raise ValueError("gamma must be >= 0")
-    est = np.zeros(len(probs))
-    est[chosen_index] = realized_normalized / (probs[chosen_index] + gamma)
+    rows = np.arange(len(loss))
+    est = np.zeros(probs.shape)
+    est[rows, chosen_index] = loss / (probs[rows, chosen_index] + gamma)
     return est
 
 
 def update_scores(
-    state: AgentState,
+    state: LearnerState,
+    agents: np.ndarray,
+    positions: np.ndarray,
     estimates: np.ndarray,
-    eta: float,
-    candidate_set: tuple[int, ...],
+    eta: np.ndarray,
 ) -> None:
-    """Accumulate eta-weighted estimates into the scores of current arms."""
-    for i, k in enumerate(candidate_set):
-        e = estimates[i]
-        if e != 0.0:
-            state.scores[k] = state.scores.get(k, 0.0) + eta * e
-        elif k not in state.scores:
-            state.scores[k] = 0.0
+    """Accumulate eta-weighted estimates into the agents' current arms.
+
+    ``positions`` and ``estimates`` are [agent, slot] and ``eta`` broadcasts
+    against them; a zero estimate leaves its score unchanged.
+    """
+    state.scores[agents[:, None], positions] += eta * estimates

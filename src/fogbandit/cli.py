@@ -46,12 +46,14 @@ def _run_one(args: tuple) -> dict:
     Writes the replication's trace file too when given a path.
     """
     config, run_id, want_pota, want_regret, trace_path = args
-    trace = run_game(config, run_id)
+    env = Environment(config, run_id)
+    trace = run_game(config, run_id, env)
+    games = stage_games(env) if want_pota else None
+    del env  # its pre-drawn blocks are not needed past the stage games
     if trace_path is not None:
         write_trace(trace, trace_path)
     out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
     if want_pota:
-        games = stage_games(config, run_id)
         out["pota"] = metrics.pota_series(trace, games)[1:]
     if want_regret:
         out["regret"] = np.stack(
@@ -219,7 +221,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     config = spec.game_for(variant)
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
     try:
-        games = stage_games(config, sample[0])
+        games = stage_games(Environment(config, sample[0]))
     except ValueError as exc:
         games = None
         v.emit("SKIP", "stage-games", f"not enumerable: {exc}")
@@ -297,8 +299,9 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
 
         violations = 0
         vacuous = 0
+        fits = [smoothness_constants(game) for _, game in games]
         for tr in traces:
-            for check in metrics.pota_bound_check(tr, games):
+            for check in metrics.pota_bound_check(tr, games, smoothness=fits):
                 if check.vacuous:
                     vacuous += 1
                 elif not check.holds:
@@ -330,7 +333,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
 def oracle_dump(spec: ExperimentSpec, out_root: Path | None = None) -> int:
     """Print and persist NE / optimum / smoothness for each epoch's game."""
     config = spec.game_for(spec.variants[0])
-    games = stage_games(config, spec.run_ids[0])
+    games = stage_games(Environment(config, spec.run_ids[0]))
     payload = []
     for (lo, hi), game in games:
         nes = find_pure_nash(game)

@@ -30,6 +30,8 @@ from .env import (
 )
 
 TASK_LAWS = ("fixed", "uniform", "truncnorm")
+# horizon * agents * arms limit for an Environment's pre-drawn random blocks
+MAX_DRAW_CELLS = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -81,6 +83,13 @@ class GameConfig:
         if len(self.learners) != self.num_agents:
             raise ConfigError("learners must list one LearnerParams per agent")
         self.env.validate(self.num_agents, self.horizon)
+        cells = self.horizon * self.num_agents * len(self.env.vfns)
+        if cells > MAX_DRAW_CELLS:
+            raise ConfigError(
+                f"game.horizon * game.num_agents * len(game.env.vfns) = {self.horizon} * "
+                f"{self.num_agents} * {len(self.env.vfns)} = {cells} exceeds the limit of "
+                f"{MAX_DRAW_CELLS} pre-drawn cells"
+            )
         self.candidates.validate(self.horizon, self.num_agents, self.env.arm_ids())
         self.task_size.validate(self.num_agents)
         for rho in self.activation_probs():
@@ -507,6 +516,7 @@ Top level:
 game:
   num_agents: int               [required]
   horizon: int                  rounds                               [required]
+                                horizon * num_agents * len(env.vfns) <= 5e7
   computation_intensity: float  cycles/bit (default 1000)
   activation: float | [float]   per-round activation probability (default 1.0)
   task_size:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 FADING_FLOOR = 1e-9  # small-scale power gain clamped at 1e-9 of its mean
 MIN_DISTANCE_M = 1.0
-_MAX_DRAW_CELLS = 5e7  # horizon * agents * arms guard for the pre-drawn blocks
 
 
 class ProtocolError(RuntimeError):
@@ -328,6 +327,26 @@ _QUAD_X, _QUAD_W = _fading_quadrature()
 _QUAD_MASS_BELOW = 1.0 - math.exp(-FADING_FLOOR)  # clamped point mass at the floor
 
 
+class CostInputs(NamedTuple):
+    """Cost ingredients that do not depend on the joint action.
+
+    ``adversary`` is the collision-free cost and ``outlier`` the blend
+    weight toward the congested cost.  The physical model's congested cost
+    also needs the inverse uplink rate, the adversary-scaled compute load
+    ``w * s`` and the CPU share at congestion 1.
+    """
+
+    adversary: np.ndarray
+    outlier: np.ndarray
+    inv_rate: np.ndarray | None = None
+    load: np.ndarray | None = None
+    cpu: np.ndarray | None = None
+
+    def per_level(self) -> "CostInputs":
+        """The same ingredients with a trailing axis for the congestion degree."""
+        return CostInputs(*(None if a is None else a[..., None] for a in self))
+
+
 class Environment:
     """Deterministic cost ground truth for one replication.
 
@@ -345,10 +364,6 @@ class Environment:
         self.arm_ids = env.arm_ids()
         self.arm_pos = {k: i for i, k in enumerate(self.arm_ids)}
         n_arms = len(self.arm_ids)
-        if config.horizon * config.num_agents * n_arms > _MAX_DRAW_CELLS:
-            raise ConfigError(
-                "horizon * num_agents * num_arms too large for pre-drawn blocks"
-            )
 
         adv_rng = stream_rng(config.master_seed, run_id, "adversary")
         if env.adversary is not None:
@@ -378,13 +393,24 @@ class Environment:
         self._epoch_of_round = np.empty(config.horizon + 1, dtype=np.int64)
         for i, (lo, hi) in enumerate(self.epoch_bounds):
             self._epoch_of_round[lo : hi + 1] = i
+        # per epoch, [agent, slot] arm positions of the candidate sets in
+        # candidate order, -1 past the end of a set
+        self.slot_pos = []
+        for _, sets in self.candidates.epochs:
+            table = np.full((config.num_agents, max(len(s) for s in sets)), -1, dtype=np.int64)
+            for n, arms in enumerate(sets):
+                table[n, : len(arms)] = [self.arm_pos[k] for k in arms]
+            self.slot_pos.append(table)
 
         T, N, K = config.horizon, config.num_agents, n_arms
         ch_rng = stream_rng(config.master_seed, run_id, "channel")
         self.distances = ch_rng.uniform(
             MIN_DISTANCE_M, env.channel.comm_range_m, size=(self.num_epochs, N, K)
         )
-        self.fading = ch_rng.exponential(1.0, size=(T + 1, N, K))  # row 0 unused
+        # Rayleigh fades [round, agent, arm] (row 0 unused) enter only the
+        # physical model's uplink rate; the synthetic model draws none
+        rows = T + 1 if env.model == "physical" else 0
+        self.fading = ch_rng.exponential(1.0, size=(rows, N, K))
         h = self.adversary.noise_halfwidth
         self.adv_noise = (
             adv_rng.uniform(-h, h, size=(T + 1, K)) if h > 0 else np.zeros((T + 1, K))
@@ -440,73 +466,113 @@ class Environment:
     def epoch_index(self, rnd: int) -> int:
         return int(self._epoch_of_round[rnd])
 
-    # -- per-round realization ----------------------------------------------
+    # -- realization, one block of rounds at a time ----------------------------
 
-    def congestion_counts(self, joint_action: dict[int, int]) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for arm in joint_action.values():
-            counts[arm] = counts.get(arm, 0) + 1
-        return counts
+    def _block_epoch(self, lo: int, hi: int) -> int:
+        if not (1 <= lo <= hi <= self.horizon):
+            raise ValueError(f"rounds [{lo}, {hi}] outside [1, {self.horizon}]")
+        epoch = int(self._epoch_of_round[lo])
+        if int(self._epoch_of_round[hi]) != epoch:
+            raise ValueError(f"rounds [{lo}, {hi}] span candidate epochs")
+        return epoch
 
-    def cost_vectors(
-        self, rnd: int, joint_action: dict[int, int]
-    ) -> dict[int, dict[str, np.ndarray]]:
-        """Per-agent cost vectors over the agent's candidate set.
+    def cost_inputs(self, lo: int, hi: int) -> CostInputs:
+        """The cost ingredients of rounds [lo, hi] that no joint action changes.
 
-        Entry i of each array is what agent n pays (or would pay) on its
-        i-th candidate arm, holding every other agent's realized arm fixed
-        and recomputing the congestion degree; the chosen arm's entry is the
-        realized cost.  Uses the round's logged draws, so counterfactual
-        replay is exact.
+        Arrays are [round - lo, agent, slot] over each agent's candidate slots
+        (``slot_pos``) in the one candidate epoch that [lo, hi] must lie in;
+        entries past the end of a set are NaN.  Uses the round's logged
+        draws, so counterfactual replay is exact.
         """
-        sets = self.candidates.sets_at(rnd)
-        for n, arm in joint_action.items():
-            if arm not in sets[n]:
-                raise ProtocolError(
-                    f"agent {n} chose arm {arm} outside its candidate set at round {rnd}"
-                )
-        counts = self.congestion_counts(joint_action)
-        phase = self.phase_index(rnd)
-        epoch = self.epoch_index(rnd)
-        env = self.config.env
-        out: dict[int, dict[str, np.ndarray]] = {}
-        for n, chosen in joint_action.items():
-            arms = sets[n]
-            pos = np.array([self.arm_pos[k] for k in arms])
-            # congestion if n sits on arm k while the others stay put
-            c = np.array(
-                [1 + counts.get(k, 0) - (1 if k == chosen else 0) for k in arms],
-                dtype=np.float64,
+        epoch = self._block_epoch(lo, hi)
+        valid = self.slot_pos[epoch] >= 0
+        pos = np.where(valid, self.slot_pos[epoch], 0)  # [N, slot]
+        rounds = slice(lo, hi + 1)
+        phase = self._phase_of_round[rounds]
+        s = self.phase_means[phase][:, pos] + self.adv_noise[rounds][:, pos]
+        o = np.take_along_axis(self.outliers[rounds], pos[None], axis=2)
+        if self.config.env.model == "physical":
+            fade = np.take_along_axis(self.fading[rounds], pos[None], axis=2)
+            snr = np.take_along_axis(self._snr_mean[epoch], pos, axis=1)
+            inv_r = 1.0 / (self._b_alloc * np.log2(1.0 + snr * np.maximum(fade, FADING_FLOOR)))
+            cpu = self.max_freqs[pos] * self.fractions[phase][:, pos]
+            load = self.w * s
+            la = inv_r + load / cpu
+            inputs = CostInputs(la, o, inv_r, load, cpu)
+        else:
+            inputs = CostInputs(np.maximum(s, 0.0), o)
+        inputs.adversary[:, ~valid] = np.nan
+        inputs.outlier[:, ~valid] = np.nan
+        return inputs
+
+    def congestion(self, lo: int, chosen: np.ndarray, active: np.ndarray) -> np.ndarray:
+        """Counterfactual congestion degrees [round - lo, agent, slot].
+
+        ``chosen`` holds the arm ids played in rounds lo, lo + 1, ... as a
+        [rounds, agent] array, read where ``active`` is set.  Entry
+        (r, n, i) is the number of agents on slot i's arm had agent n sat
+        there while every other agent kept its arm: the realized degree at
+        the chosen slot.  NaN for inactive agents and past the end of a set.
+        """
+        chosen = np.asarray(chosen)
+        active = np.asarray(active, dtype=bool)
+        rounds = chosen.shape[0]
+        epoch = self._block_epoch(lo, lo + rounds - 1)
+        valid = self.slot_pos[epoch] >= 0
+        pos = np.where(valid, self.slot_pos[epoch], 0)
+        here = valid & (np.asarray(self.arm_ids)[pos] == chosen[:, :, None])  # [round, agent, slot]
+        stray = active & ~here.any(axis=2)
+        if stray.any():
+            r, n = np.argwhere(stray)[0]
+            raise ProtocolError(
+                f"agent {n} chose arm {chosen[r, n]} outside its candidate set at round {lo + r}"
             )
-            s = self.phase_means[phase, pos] + self.adv_noise[rnd, pos]
-            o = self.outliers[rnd, n, pos]
-            if env.model == "physical":
-                inv_r = 1.0 / (
-                    self._b_alloc
-                    * np.log2(1.0 + self._snr_mean[epoch, n, pos] * np.maximum(self.fading[rnd, n, pos], FADING_FLOOR))
-                )
-                f1 = self.max_freqs[pos] * self.fractions[phase, pos]
-                la = inv_r + self.w * s / f1
-                lc = inv_r + self.w * s * np.sqrt(c) / f1
-            else:
-                base = np.maximum(s, 0.0)
-                la = base
-                if env.coupling == "sqrt":
-                    lc = base * np.sqrt(c)
-                else:
-                    lc = base + env.theta * (c - 1.0)
-            real = la + (lc - la) * o
-            norm = np.minimum(real / self.cost_cap, 1.0)
-            out[n] = {
-                "arms": np.array(arms),
-                "congestion": c.astype(np.int64),
-                "adversary": la,
-                "collision": lc,
-                "outlier": o,
-                "realized": real,
-                "normalized": np.clip(norm, 0.0, 1.0),
-            }
-        return out
+        n_arms = len(self.arm_ids)
+        on = np.where(here, pos, 0).sum(axis=2)  # chosen arm position [round, agent]
+        cells = (np.arange(rounds)[:, None] * n_arms + on)[active]
+        counts = np.bincount(cells, minlength=rounds * n_arms).reshape(rounds, n_arms)
+        degree = 1 + counts[:, pos] - here
+        return np.where(active[:, :, None] & valid, degree, np.nan)
+
+    def cost_vectors(self, inputs: CostInputs, congestion) -> dict[str, np.ndarray]:
+        """Costs at the given congestion degrees: the one cost formula.
+
+        ``congestion`` broadcasts against the ``inputs`` arrays.  With
+        ``Environment.congestion`` degrees entry (r, n, i) is what agent n
+        pays (or would pay) on its i-th candidate arm holding every other
+        agent's arm fixed; the round loop looks the chosen arm's cost up in
+        a table over every degree (``CostInputs.per_level``).
+        """
+        c = np.asarray(congestion, dtype=np.float64)
+        env = self.config.env
+        la, o = inputs.adversary, inputs.outlier
+        # in-place steps keep the temporaries few; each is the same IEEE
+        # operation as the plain expression in the comment above it
+        if env.model == "physical":
+            # lc = inv_rate + load * sqrt(c) / cpu
+            lc = inputs.load * np.sqrt(c)
+            lc /= inputs.cpu
+            lc += inputs.inv_rate
+        elif env.coupling == "sqrt":
+            lc = la * np.sqrt(c)
+        else:
+            lc = la + env.theta * (c - 1.0)
+        # real = la + (lc - la) * o
+        real = lc - la
+        real *= o
+        real += la
+        # norm = clip(min(real / cost_cap, 1), 0, 1)
+        norm = real / self.cost_cap
+        np.minimum(norm, 1.0, out=norm)
+        np.clip(norm, 0.0, 1.0, out=norm)
+        return {
+            "congestion": c,
+            "adversary": la,
+            "collision": lc,
+            "outlier": o,
+            "realized": real,
+            "normalized": norm,
+        }
 
     # -- mean cost ground truth ----------------------------------------------
 

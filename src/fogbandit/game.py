@@ -2,19 +2,21 @@
 
 Runs the round loop: candidate-set evolution, Bernoulli activations,
 simultaneous arm commitment, environment resolution, and feedback delivery.
-Produces a GameTrace carrying every per-round quantity plus the ground truth
-needed to recompute counterfactual costs exactly (same fades, same outlier
-draws, congestion re-counted for the switched arm).
+Each round is one array step over all agents; costs come from the
+environment a block of rounds at a time.  Produces a GameTrace carrying
+every per-round quantity plus the ground truth needed to recompute
+counterfactual costs exactly (same fades, same outlier draws, congestion
+re-counted for the switched arm).
 """
 
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import bandit
-from .bandit import AgentState, LearningRates
 from .configio import GameConfig, parse_game
 from .env import Environment, ProtocolError
 from .streams import stream_rng
@@ -83,19 +85,49 @@ class GameTrace:
         return float(self.cf_norm[rnd, agent, self.arm_index(rnd, agent, alt_arm)])
 
 
-def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
-    """Play the configured game once; deterministic in (config, run_id)."""
-    config.validate()
-    env = Environment(config, run_id)
-    trace = GameTrace(config, run_id)
+# A block of rounds holds at most this many rounds and this many cells of
+# its table of normalized costs over every congestion degree, which bounds
+# the round loop's working memory whatever the horizon.
+_BLOCK_ROUNDS = 64
+_BLOCK_CELLS = 8192
 
+
+def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None) -> GameTrace:
+    """Play the configured game once; deterministic in (config, run_id).
+
+    ``env`` is the replication's Environment when the caller needs it too
+    (say, for its stage games); by default it is built here.  Everything that
+    play does not change -- activations, clocks, task sizes, demand
+    weights, learning rates and the selection uniforms -- is drawn before
+    the first round.  Each round is then one array step over its active
+    agents, and each block of rounds is filled into the trace from the
+    matrix of chosen arms.
+    """
+    config.validate()
+    env = env if env is not None else Environment(config, run_id)
+    trace = GameTrace(config, run_id)
+    uniforms = _predraw(config, run_id, env, trace)
+    state = bandit.LearnerState.fresh(config.learners, len(env.arm_ids))
+    used = 0
+    for epoch, (lo, hi) in enumerate(env.epoch_bounds):
+        used += _play_epoch(env, trace, state, uniforms[used:], epoch, lo, hi)
+    return trace
+
+
+def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace) -> np.ndarray:
+    """Fill the trace's play-independent columns; return the selection uniforms.
+
+    The uniforms come in the order of one scalar draw per selection: rounds
+    in order, agents in order within a round, only where the agent is
+    active on more than one arm.
+    """
+    shape = (config.horizon + 1, config.num_agents)  # row 0 unused
     act_rng = stream_rng(config.master_seed, run_id, "activation")
-    probs_act = np.array(config.activation_probs())
-    active = act_rng.random((config.horizon + 1, config.num_agents)) < probs_act
+    active = act_rng.random(shape) < np.array(config.activation_probs())
+    active[0] = False
 
     task_rng = stream_rng(config.master_seed, run_id, "task")
     ts = config.task_size
-    shape = (config.horizon + 1, config.num_agents)
     if ts.law == "fixed":
         fixed = ts.fixed or ((ts.q_lo + ts.q_hi) / 2.0,) * config.num_agents
         tasks = np.broadcast_to(np.array(fixed), shape).copy()
@@ -109,74 +141,156 @@ def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
             tasks[bad] = task_rng.normal(mu, sd, size=int(bad.sum()))
             bad = (tasks < ts.q_lo) | (tasks > ts.q_hi)
 
-    sel_rng = stream_rng(config.master_seed, run_id, "selection")
-    states = [AgentState(params=lp) for lp in config.learners]
-    agent_rates: list[LearningRates | None] = [None] * config.num_agents
-    agent_probs: list[np.ndarray | None] = [None] * config.num_agents
-
-    for rnd in range(1, config.horizon + 1):
-        sets = config.candidates.sets_at(rnd)
-        joint: dict[int, int] = {}
-        for n in range(config.num_agents):
-            if not active[rnd, n]:
-                continue
-            st = states[n]
-            st.activation_clock += 1
-            rates = bandit.learning_rates(
-                st.activation_clock, len(sets[n]), st.params.schedule_a, st.params.gamma_ratio
+    trace.active[:] = active
+    np.cumsum(active, axis=0, out=trace.clock)
+    # recorded traces carry clock 0 in rounds where no agent plays
+    trace.clock[~active.any(axis=1)] = 0
+    np.copyto(trace.task_size, tasks, where=active)
+    del tasks
+    draws = 0
+    for (lo, hi), pos in zip(env.epoch_bounds, env.slot_pos):
+        rounds = slice(lo, hi + 1)
+        for n, (lp, k) in enumerate(zip(config.learners, (pos >= 0).sum(axis=1))):
+            act = active[rounds, n]
+            draws += int(act.sum()) if k > 1 else 0
+            trace.zeta[rounds, n][act] = (
+                bandit.demand_weight(trace.task_size[rounds, n][act], ts.q_lo, ts.q_hi)
+                if lp.use_demand_weight else 1.0
             )
-            bandit.sync_candidates(st, sets[n])
-            arm, p = bandit.select_arm(
-                st, tasks[rnd, n], sets[n], sel_rng, q_lo=ts.q_lo, q_hi=ts.q_hi
+            rates = bandit.learning_rates(trace.clock[rounds, n][act], int(k), lp.schedule_a, lp.gamma_ratio)
+            trace.eta[rounds, n][act] = rates.eta
+            trace.gamma[rounds, n][act] = rates.gamma
+    return stream_rng(config.master_seed, run_id, "selection").random(draws)
+
+
+def _play_epoch(env, trace, state, uniforms, epoch, lo, hi) -> int:
+    """Rounds [lo, hi] of one candidate epoch, in blocks of rounds.
+
+    Agents are stepped in groups of equal candidate-set size.  A group's
+    idle agents are stepped too, with learning rate 0 and demand weight 1,
+    which leaves their scores unchanged; their choices count toward no
+    congestion and the fill drops them.  Returns the number of selection
+    uniforms used, taken from the front of ``uniforms``.
+    """
+    config = trace.config
+    n_agents = config.num_agents
+    pos = env.slot_pos[epoch]  # [agent, slot]
+    sizes = (pos >= 0).sum(axis=1)
+    sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)]
+    # a learner syncs to the epoch's sets at its first activation in it
+    syncs: dict[int, list[int]] = {}
+    for n in range(n_agents):
+        rounds = np.flatnonzero(trace.active[lo : hi + 1, n])
+        if rounds.size:
+            syncs.setdefault(lo + int(rounds[0]), []).append(n)
+    mix = np.array([lp.uniform_mix for lp in config.learners])
+    full = np.array([lp.feedback == "full" for lp in config.learners])
+    groups = []
+    for k in sorted(set(sizes.tolist())):
+        agents = np.flatnonzero(sizes == k)
+        groups.append(_Group(
+            int(k), agents, pos[agents, :k], mix[agents, None] if mix.any() else 0.0, full[agents]
+        ))
+    degrees = np.arange(n_agents + 1)
+    n_arms = len(env.arm_ids)
+    block = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (n_agents * pos.shape[1] * degrees.size)))
+    used = 0
+    for b_lo in range(lo, hi + 1, block):
+        b_hi = min(b_lo + block - 1, hi)
+        inputs = env.cost_inputs(b_lo, b_hi)
+        # normalized cost [round, agent, slot, congestion degree]
+        table = env.cost_vectors(inputs.per_level(), degrees)["normalized"]
+        drawn = trace.active[b_lo : b_hi + 1] & (sizes > 1)
+        count = int(drawn.sum())
+        u = np.full(drawn.shape, np.nan)
+        u[drawn] = uniforms[used : used + count]
+        used += count
+        blocks = [g.block(trace, u, b_lo, b_hi) for g in groups]
+        for r, rnd in enumerate(range(b_lo, b_hi + 1)):
+            if rnd in syncs:
+                bandit.sync_candidates(state, syncs[rnd], sets)
+            arms, playing = [], []  # chosen arm positions, of all and of active agents
+            for g, b in zip(groups, blocks):
+                b.slot[r], b.probs[r] = bandit.select_arm(
+                    state.scores[g.rows, g.cols], b.zeta[r], g.mix, b.u[r]
+                )
+                arms.append(g.cols[g.index, b.slot[r]])
+                playing.append(arms[-1] if b.everyone[r] else arms[-1][b.active[r]])
+            counts = np.bincount(
+                np.concatenate(playing) if len(playing) > 1 else playing[0], minlength=n_arms
             )
-            joint[n] = arm
-            agent_rates[n] = rates
-            agent_probs[n] = p
+            for g, b, arm in zip(groups, blocks, arms):
+                idx = b.slot[r]
+                est = bandit.estimate_cost(
+                    table[r, g.agents, idx, counts[arm]], idx, b.probs[r], b.gamma[r]
+                )
+                if g.any_full:  # the whole counterfactual vector is the estimate
+                    f = g.full
+                    degree = counts[g.cols[f]] + (np.arange(g.k) != idx[f, None])
+                    est[f] = table[r, g.rows[f], np.arange(g.k), degree]
+                bandit.update_scores(state, g.agents, g.cols, est, b.eta[r])
+                b.estimates[r] = est
+        _fill(env, trace, inputs, b_lo, b_hi, groups, blocks)
+    return used
 
-        if not joint:
-            continue
-        try:
-            vectors = env.cost_vectors(rnd, joint)
-        except ProtocolError as exc:
-            raise ProtocolError(f"round {rnd}: {exc}") from exc
 
-        for n, arm in joint.items():
-            st = states[n]
-            vec = vectors[n]
-            arms = sets[n]
-            k = len(arms)
-            i = arms.index(arm)
-            rates = agent_rates[n]
-            p = agent_probs[n]
-            if st.params.feedback == "full":
-                est = np.asarray(vec["normalized"], dtype=np.float64).copy()
-            else:
-                est = bandit.estimate_cost(float(vec["normalized"][i]), i, p, rates.gamma)
-            bandit.update_scores(st, est, rates.eta, arms)
+class _Group:
+    """Agents of one epoch that share a candidate-set size ``k``."""
 
-            trace.active[rnd, n] = True
-            trace.chosen[rnd, n] = arm
-            trace.congestion[rnd, n] = int(vec["congestion"][i])
-            trace.clock[rnd, n] = st.activation_clock
-            trace.zeta[rnd, n] = st.demand_weight
-            trace.task_size[rnd, n] = tasks[rnd, n]
-            trace.eta[rnd, n] = rates.eta
-            trace.gamma[rnd, n] = rates.gamma
-            trace.cost_a[rnd, n] = vec["adversary"][i]
-            trace.cost_c[rnd, n] = vec["collision"][i]
-            trace.outlier[rnd, n] = vec["outlier"][i]
-            trace.cost_real[rnd, n] = vec["realized"][i]
-            trace.cost_norm[rnd, n] = vec["normalized"][i]
-            trace.probs[rnd, n, :k] = p
-            trace.estimates[rnd, n, :k] = est
-            trace.cf_norm[rnd, n, :k] = vec["normalized"]
-            trace.cf_raw[rnd, n, :k] = vec["realized"]
-        # inactive agents keep frozen clocks in the trace for bookkeeping
-        for n in range(config.num_agents):
-            if not active[rnd, n]:
-                trace.clock[rnd, n] = states[n].activation_clock
+    def __init__(self, k, agents, cols, mix, full):
+        self.k, self.agents, self.cols, self.mix, self.full = k, agents, cols, mix, full
+        self.rows = agents[:, None]
+        self.index = np.arange(agents.size)
+        self.any_full = bool(full.any())
 
-    return trace
+    def block(self, trace, uniforms, lo, hi) -> SimpleNamespace:
+        """Per-round inputs and outputs of the group over rounds [lo, hi].
+
+        ``uniforms`` is the [round, agent] block of selection uniforms.
+        """
+        rounds, agents = slice(lo, hi + 1), self.agents
+        active = trace.active[rounds][:, agents]
+        shape = (hi - lo + 1, agents.size)
+
+        def per_slot(values):  # [round, agent] -> [round, agent, slot]
+            return np.repeat(values[:, :, None], self.k, axis=2)
+
+        return SimpleNamespace(
+            active=active,
+            everyone=active.all(axis=1).tolist(),
+            zeta=per_slot(np.where(active, trace.zeta[rounds][:, agents], 1.0)),
+            eta=per_slot(np.where(active, trace.eta[rounds][:, agents], 0.0)),
+            gamma=np.where(active, trace.gamma[rounds][:, agents], 1.0),
+            u=per_slot(uniforms[:, agents]),
+            slot=np.zeros(shape, dtype=np.int64),
+            probs=np.empty(shape + (self.k,)),
+            estimates=np.empty(shape + (self.k,)),
+        )
+
+
+def _fill(env, trace, inputs, lo, hi, groups, blocks) -> None:
+    """Fill rounds [lo, hi] of the trace from the groups' block outputs."""
+    rounds = slice(lo, hi + 1)
+    active = trace.active[rounds]
+    slots = np.zeros(active.shape, dtype=np.int64)
+    for g, b in zip(groups, blocks):
+        slots[:, g.agents] = b.slot
+        idle = ~b.active[:, :, None]
+        trace.probs[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.probs)
+        trace.estimates[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.estimates)
+    pos = env.slot_pos[env.epoch_index(lo)]
+    agents = np.arange(slots.shape[1])
+    trace.chosen[rounds] = np.where(active, np.asarray(env.arm_ids)[pos[agents, slots]], -1)
+    degree = env.congestion(lo, trace.chosen[rounds], active)
+    vec = env.cost_vectors(inputs, degree)
+    k = pos.shape[1]
+    trace.cf_norm[rounds, :, :k] = vec["normalized"]
+    trace.cf_raw[rounds, :, :k] = vec["realized"]
+    at_chosen = (np.arange(slots.shape[0])[:, None], agents, slots)
+    trace.congestion[rounds] = np.where(active, degree[at_chosen], 0)
+    for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"),
+                        ("cost_real", "realized"), ("cost_norm", "normalized")):
+        getattr(trace, column)[rounds] = np.where(active, vec[key][at_chosen], np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -403,11 +403,17 @@ def pota_bound_check(
     trace: "GameTrace",
     games: list[tuple[tuple[int, int], SmallGame]],
     tolerance: float = 1e-9,
+    smoothness: list[SmoothnessResult] | None = None,
 ) -> list[PotaBoundCheck]:
-    """Per-epoch check of PoTA <= rho + sum_n R_n / (T (1-mu') C*)."""
+    """Per-epoch check of PoTA <= rho + sum_n R_n / (T (1-mu') C*).
+
+    ``smoothness`` holds each game's ``smoothness_constants`` when the caller
+    checks many traces of the same games; they are fitted here otherwise.
+    """
+    if smoothness is None:
+        smoothness = [smoothness_constants(game) for _, game in games]
     checks = []
-    for (lo, hi), game in games:
-        smooth = smoothness_constants(game)
+    for ((lo, hi), _), smooth in zip(games, smoothness):
         if not smooth.feasible:
             checks.append(PotaBoundCheck((lo, hi), vacuous=True, smoothness=smooth))
             continue

@@ -18,7 +18,6 @@ import numpy as np
 from .env import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .configio import GameConfig
     from .game import GameTrace
 
 MAX_JOINT_ACTIONS = 10**6
@@ -75,9 +74,8 @@ class SmallGame:
         )
 
 
-def stage_games(config: "GameConfig", run_id: int = 0) -> list[tuple[tuple[int, int], SmallGame]]:
-    """One enumerable stage game per candidate epoch of a configuration."""
-    env = Environment(config, run_id)
+def stage_games(env: Environment) -> list[tuple[tuple[int, int], SmallGame]]:
+    """One enumerable stage game per candidate epoch of a replication."""
     return [
         ((lo, hi), SmallGame.from_environment(env, lo, hi))
         for lo, hi in env.epoch_bounds

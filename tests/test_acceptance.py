@@ -72,9 +72,10 @@ def test_criterion_02_ix_bias():
             p = rng.dirichlet(np.ones(arms))
             losses = rng.uniform(0.02, 1.0, size=arms)
             for gamma in (0.0, 0.01, 0.1, 0.4):
-                expect = np.zeros(arms)
-                for chosen in range(arms):
-                    expect += p[chosen] * estimate_cost(losses[chosen], chosen, p, gamma)
+                # row c: the estimate vector after a draw of slot c
+                est = estimate_cost(losses, np.arange(arms), np.tile(p, (arms, 1)),
+                                    np.full(arms, gamma))
+                expect = p @ est
                 assert (expect <= losses + 1e-12).all(), "bias direction violated"
                 if gamma == 0.0:
                     np.testing.assert_allclose(expect, losses, rtol=1e-12)
@@ -161,7 +162,7 @@ def _xi_instance(horizon: int, activation=(), seed: int = 55) -> GameConfig:
 def _xi_worker(args):
     config, run_id, window = args
     trace = run_game(config, run_id)
-    games = stage_games(config, run_id)
+    games = stage_games(Environment(config, run_id))
     cert = metrics.xi_certificate(trace, window, games[-1][1])
     return cert.certified, cert.max_gap, cert.xi_bound
 
@@ -183,7 +184,7 @@ def test_criterion_05_xi_certification():
 def _pota_worker(args):
     config, run_id = args
     trace = run_game(config, run_id)
-    games = stage_games(config, run_id)
+    games = stage_games(Environment(config, run_id))
     checks = metrics.pota_bound_check(trace, games)
     bad = sum((not c.vacuous) and (not c.holds) for c in checks)
     vac = sum(c.vacuous for c in checks)
@@ -230,7 +231,7 @@ def test_criterion_06_pota_bound():
 def _finals_worker(args):
     config, run_id = args
     trace = run_game(config, run_id)
-    games = stage_games(config, run_id)
+    games = stage_games(Environment(config, run_id))
     cost = float(metrics.social_cost_series(trace)[-1])
     pota = float(metrics.pota_series(trace, games)[-1])
     return cost, pota
@@ -331,7 +332,7 @@ def test_criterion_10_async_soundness():
     certs = {}
     for name, cfg in (("sync", sync_cfg), ("async", async_cfg)):
         trace = run_game(cfg, 3)
-        games = stage_games(cfg, 3)
+        games = stage_games(Environment(cfg, 3))
         certs[name] = metrics.xi_certificate(trace, 0.2, games[-1][1])
     same_bound = abs(certs["sync"].xi_bound - certs["async"].xi_bound) < 1e-12
     ok = conds and certs["sync"].certified and certs["async"].certified and same_bound

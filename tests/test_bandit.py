@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fogbandit.bandit import (
-    AgentState,
     LearnerParams,
+    LearnerState,
     choice_probabilities,
     demand_weight,
     estimate_cost,
@@ -124,76 +124,96 @@ def test_demand_weight_bounds():
     assert demand_weight(5.0e6, 0.2e6, 1.0e6) == 2.0  # clipped
 
 
+# Score rows below are indexed by arm position; arm ids equal positions.
+
+
+def _row(scores: dict[int, float], width: int = 10) -> np.ndarray:
+    row = np.zeros(width)
+    for k, v in scores.items():
+        row[k] = v
+    return row
+
+
 def test_patch_appearing_arm_takes_persisting_minimum():
-    st = AgentState(params=LearnerParams())
-    st.scores = {1: 3.0, 2: 5.0}
-    st.known_arms = (1, 2)
-    patch_scores(st, (1, 2, 3), appearing=(3,))
-    assert st.scores[3] == 3.0
-    assert st.scores[1] == 3.0 and st.scores[2] == 5.0
+    row = _row({1: 3.0, 2: 5.0})
+    patch_scores(row, (1, 2, 3), appearing=(3,))
+    assert row[3] == 3.0
+    assert row[1] == 3.0 and row[2] == 5.0
 
 
 def test_patch_keeps_own_higher_score_on_reappearance():
-    st = AgentState(params=LearnerParams())
-    st.scores = {1: 3.0, 2: 4.0, 9: 5.0}  # arm 9 vanished earlier with score 5
-    st.known_arms = (1, 2)
-    patch_scores(st, (1, 2, 9), appearing=(9,))
-    assert st.scores[9] == 5.0  # max branch: own memory beats the minimum
+    row = _row({1: 3.0, 2: 4.0, 9: 5.0})  # arm 9 vanished earlier with score 5
+    patch_scores(row, (1, 2, 9), appearing=(9,))
+    assert row[9] == 5.0  # max branch: own memory beats the minimum
     # and the mirrored case takes the minimum branch
-    st2 = AgentState(params=LearnerParams())
-    st2.scores = {1: 3.0, 2: 4.0, 9: 1.0}
-    st2.known_arms = (1, 2)
-    patch_scores(st2, (1, 2, 9), appearing=(9,))
-    assert st2.scores[9] == 3.0
+    row2 = _row({1: 3.0, 2: 4.0, 9: 1.0})
+    patch_scores(row2, (1, 2, 9), appearing=(9,))
+    assert row2[9] == 3.0
 
 
 def test_patch_no_appearing_is_noop():
-    st = AgentState(params=LearnerParams())
-    st.scores = {1: 1.0, 2: 2.0}
-    st.known_arms = (1, 2)
-    patch_scores(st, (1, 2), appearing=())
-    assert st.scores == {1: 1.0, 2: 2.0}
+    row = _row({1: 1.0, 2: 2.0})
+    patch_scores(row, (1, 2), appearing=())
+    np.testing.assert_array_equal(row, _row({1: 1.0, 2: 2.0}))
 
 
 def test_patch_all_new_falls_back_to_reset():
-    st = AgentState(params=LearnerParams())
-    st.scores = {1: 9.0}
-    st.known_arms = (1,)
-    patch_scores(st, (5, 6), appearing=(5, 6))
-    assert st.scores == {5: 0.0, 6: 0.0}
+    row = _row({1: 9.0})
+    patch_scores(row, (5, 6), appearing=(5, 6))
+    np.testing.assert_array_equal(row, np.zeros(10))  # cold storage wiped too
 
 
 def test_patch_rejects_foreign_appearing_arms():
-    st = AgentState(params=LearnerParams())
     with pytest.raises(ValueError):
-        patch_scores(st, (1, 2), appearing=(3,))
+        patch_scores(np.zeros(10), (1, 2), appearing=(3,))
+
+
+def _state(*params: LearnerParams, scores=(), known=()) -> LearnerState:
+    st = LearnerState.fresh(params, 10)
+    for n, s in enumerate(scores):
+        st.scores[n] = _row(s)
+    st.known = list(known) or st.known
+    return st
 
 
 def test_sync_candidates_reset_modes():
-    st = AgentState(params=LearnerParams(patch_mode="reset_all"))
-    st.scores = {1: 2.0, 2: 3.0}
-    st.known_arms = (1, 2)
-    sync_candidates(st, (1, 2, 3))
-    assert st.scores == {1: 0.0, 2: 0.0, 3: 0.0}
+    st = _state(LearnerParams(patch_mode="reset_all"), scores=[{1: 2.0, 2: 3.0, 7: 4.0}],
+                known=[(1, 2)])
+    assert sync_candidates(st, [0], [(1, 2, 3)]) == (0,)
+    np.testing.assert_array_equal(st.scores[0], np.zeros(10))  # cold storage wiped
+    assert st.known == [(1, 2, 3)]
 
-    st = AgentState(params=LearnerParams(patch_mode="reset_new"))
-    st.scores = {1: 2.0, 2: 3.0, 7: 9.0}
-    st.known_arms = (1, 2)
-    sync_candidates(st, (1, 2, 7))
-    assert st.scores == {1: 2.0, 2: 3.0, 7: 0.0}
+    st = _state(LearnerParams(patch_mode="reset_new"), scores=[{1: 2.0, 2: 3.0, 7: 9.0}],
+                known=[(1, 2)])
+    sync_candidates(st, [0], [(1, 2, 7)])
+    np.testing.assert_array_equal(st.scores[0], _row({1: 2.0, 2: 3.0, 7: 0.0}))
+
+    # rows are independent, and an unchanged set is no event
+    st = _state(LearnerParams(), LearnerParams(patch_mode="reset_all"),
+                scores=[{1: 2.0, 2: 3.0}, {1: 5.0}], known=[(1, 2), (1,)])
+    assert sync_candidates(st, [0, 1], [(1, 2, 3), (1,)]) == (0,)
+    np.testing.assert_array_equal(st.scores, [_row({1: 2.0, 2: 3.0, 3: 2.0}), _row({1: 5.0})])
+
+
+def _estimates(loss, chosen, probs, gamma) -> np.ndarray:
+    """One agent's estimate row through the batched API."""
+    return estimate_cost(np.array([loss]), np.array([chosen]), np.array([probs]),
+                         np.array([gamma]))[0]
 
 
 def test_estimate_cost_pointmass_and_zero_cases():
-    est = estimate_cost(0.5, 0, np.array([0.5, 0.5]), gamma=0.0)
+    est = _estimates(0.5, 0, [0.5, 0.5], gamma=0.0)
     np.testing.assert_array_equal(est, [1.0, 0.0])
-    np.testing.assert_array_equal(
-        estimate_cost(0.0, 1, np.array([0.4, 0.6]), gamma=0.2), [0.0, 0.0]
-    )
+    np.testing.assert_array_equal(_estimates(0.0, 1, [0.4, 0.6], gamma=0.2), [0.0, 0.0])
+    # a batch is the rows stacked
+    batch = estimate_cost(np.array([0.5, 0.0]), np.array([0, 1]),
+                          np.array([[0.5, 0.5], [0.4, 0.6]]), np.array([0.0, 0.2]))
+    np.testing.assert_array_equal(batch, [[1.0, 0.0], [0.0, 0.0]])
 
 
 def test_estimate_cost_rejects_unnormalized_losses():
     with pytest.raises(ValueError, match="outside"):
-        estimate_cost(1.5, 0, np.array([1.0]), gamma=0.1)
+        _estimates(1.5, 0, [1.0], gamma=0.1)
 
 
 def test_ix_bias_two_arm_enumeration():
@@ -201,7 +221,7 @@ def test_ix_bias_two_arm_enumeration():
     probs = np.array([0.6, 0.4])
     expect = np.zeros(2)
     for chosen in range(2):
-        expect += probs[chosen] * estimate_cost(0.5, chosen, probs, gamma=0.1)
+        expect += probs[chosen] * _estimates(0.5, chosen, probs, gamma=0.1)
     np.testing.assert_allclose(expect, [0.42857142857142855, 0.4], rtol=1e-12)
     assert (expect <= 0.5).all()
 
@@ -215,7 +235,7 @@ def test_ix_bias_exhaustive_expectation(arms):
         for gamma in (0.0, 0.05, 0.3):
             expect = np.zeros(arms)
             for chosen in range(arms):
-                expect += p[chosen] * estimate_cost(losses[chosen], chosen, p, gamma)
+                expect += p[chosen] * _estimates(losses[chosen], chosen, p, gamma)
             assert (expect <= losses + 1e-12).all()
             if gamma == 0.0:
                 np.testing.assert_allclose(expect, losses, rtol=1e-12)
@@ -224,37 +244,45 @@ def test_ix_bias_exhaustive_expectation(arms):
 
 
 def test_update_scores_zero_estimates_touch_nothing():
-    st = AgentState(params=LearnerParams())
-    st.scores = {1: 1.0, 2: 2.0}
-    update_scores(st, np.zeros(2), eta=0.3, candidate_set=(1, 2))
-    assert st.scores == {1: 1.0, 2: 2.0}
+    st = _state(LearnerParams(), scores=[{1: 1.0, 2: 2.0}])
+    update_scores(st, np.array([0]), np.array([[1, 2]]), np.zeros((1, 2)), eta=np.array([[0.3]]))
+    np.testing.assert_array_equal(st.scores[0], _row({1: 1.0, 2: 2.0}))
 
 
 def test_update_scores_single_step():
-    st = AgentState(params=LearnerParams())
-    update_scores(st, np.array([0.0, 0.0, 1.0]), eta=0.1, candidate_set=(1, 2, 3))
-    assert st.scores[3] == pytest.approx(0.1)
-    assert st.scores[1] == 0.0
+    st = _state(LearnerParams(), LearnerParams())
+    update_scores(st, np.array([1]), np.array([[1, 2, 3]]), np.array([[0.0, 0.0, 1.0]]),
+                  eta=np.array([[0.1]]))
+    assert st.scores[1, 3] == pytest.approx(0.1)
+    assert st.scores[1, 1] == 0.0
+    assert not st.scores[0].any()  # other agents untouched
 
 
 def test_select_arm_single_candidate_shortcircuit():
-    st = AgentState(params=LearnerParams())
-    arm, probs = select_arm(st, 0.5e6, (7,), np.random.default_rng(0))
-    assert arm == 7
-    np.testing.assert_array_equal(probs, [1.0])
+    u = np.array([[np.nan]])  # a single-arm agent consumes no uniform
+    idx, probs = select_arm(np.zeros((1, 1)), np.ones((1, 1)), 0.0, u)
+    np.testing.assert_array_equal(idx, [0])
+    np.testing.assert_array_equal(probs, [[1.0]])
 
 
 def test_select_arm_rejects_empty_candidates():
-    st = AgentState(params=LearnerParams())
     with pytest.raises(ValueError, match="empty"):
-        select_arm(st, 0.5e6, (), np.random.default_rng(0))
+        select_arm(np.zeros((1, 0)), np.ones((1, 1)), 0.0, np.array([[0.5]]))
 
 
 def test_select_arm_uniform_mix_floor():
-    st = AgentState(params=LearnerParams(gamma_ratio=0.0, uniform_mix=0.2))
-    st.scores = {1: 0.0, 2: 50.0}
-    _, probs = select_arm(st, 0.2e6, (1, 2), np.random.default_rng(0), q_lo=0.2e6, q_hi=1e6)
-    assert probs[1] >= 0.1  # mix keeps the bad arm above eps/K
+    zeta = demand_weight(np.array([[0.2e6]]), 0.2e6, 1e6)
+    _, probs = select_arm(np.array([[0.0, 50.0]]), zeta, np.array([[0.2]]), np.array([[0.5]]))
+    assert probs[0, 1] >= 0.1  # mix keeps the bad arm above eps/K
+
+
+def test_select_arm_draws_by_cumulative_probability():
+    # rows are independent draws: slot i wins when u falls in its cumulative band
+    scores = np.zeros((4, 4))  # uniform over four slots
+    u = np.array([[0.1], [0.3], [0.6], [0.99]])
+    idx, probs = select_arm(scores, np.ones((4, 1)), 0.0, u)
+    np.testing.assert_array_equal(idx, [0, 1, 2, 3])
+    np.testing.assert_array_equal(probs, np.full((4, 4), 0.25))
 
 
 def test_hundred_round_replay_matches_reference():

@@ -202,3 +202,41 @@ def test_benchmark_tracer_bindings_exist():
         [sys.executable, "-c", code, str(root / "perfbench")], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_oversized_game_rejected_at_load(mini_path, tmp_path, capsys):
+    # horizon * agents * arms past the pre-drawn block limit fails before any draw
+    doc = yaml.safe_load(mini_path.read_text())
+    doc["game"]["horizon"] = 30_000_000  # x 1 agent x 2 arms = 6e7 cells
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 30_000_000
+    big = tmp_path / "big.yaml"
+    big.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError) as exc:
+        load_config(big)
+    for part in ("game.horizon", "game.num_agents", "game.env.vfns", "60000000", "50000000"):
+        assert part in str(exc.value)
+    assert main(["run", str(big), "--out", str(tmp_path / "out")]) == 1
+    assert "game.horizon" in capsys.readouterr().err
+
+
+def test_benchmark_core_spans_fire(mini_path, tmp_path):
+    # the spans every benchmark workload must see fire do fire on a tiny
+    # run + verify, so an engine that bypasses a traced layer fails here
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import tracer, workloads\n"
+        "from fogbandit import cli\n"
+        "t = tracer.Tracer(); tracer.install(t)\n"
+        "codes = [cli.main([v, sys.argv[2], '--workers', '1', '--out', sys.argv[3]])"
+        " for v in ('run', 'verify')]\n"
+        "print(json.dumps({'codes': codes, 'calls': {n: len(t.durations[n]) for n in workloads._CORE}}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), str(mini_path), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0]
+    assert [name for name, calls in result["calls"].items() if not calls] == []

@@ -73,19 +73,37 @@ def test_allocation_monotone_in_congestion():
     assert all(a > b for a, b in zip(allocs, allocs[1:]))
 
 
-def _joint(env, rnd, arms_by_agent):
-    return {n: a for n, a in arms_by_agent.items()}
+def _round_costs(env, rnd, joint):
+    """Per-agent cost vectors of one round's joint action {agent: arm}."""
+    chosen = np.full((1, env.num_agents), -1)
+    active = np.zeros((1, env.num_agents), dtype=bool)
+    for n, arm in joint.items():
+        chosen[0, n], active[0, n] = arm, True
+    vec = env.cost_vectors(env.cost_inputs(rnd, rnd), env.congestion(rnd, chosen, active))
+    sets = env.candidates.sets_at(rnd)
+    return {
+        n: dict({key: v[0, n, : len(sets[n])] for key, v in vec.items()}, arms=np.array(sets[n]))
+        for n in joint
+    }
 
 
 def test_congestion_counts_and_conservation():
     cfg = synthetic_config({1: 0.2, 2: 0.5}, num_agents=3, horizon=10)
     env = Environment(cfg, 0)
-    vec = env.cost_vectors(1, {0: 1, 1: 1, 2: 1})
+    vec = _round_costs(env, 1, {0: 1, 1: 1, 2: 1})
     for n in range(3):
         i = list(vec[n]["arms"]).index(1)
         assert vec[n]["congestion"][i] == 3
-    counts = env.congestion_counts({0: 1, 1: 2, 2: 1})
-    assert sum(counts.values()) == 3
+    # every agent counted once on its own arm: 2 on arm 1, 1 on arm 2
+    vec = _round_costs(env, 1, {0: 1, 1: 2, 2: 1})
+    at_chosen = {n: vec[n]["congestion"][list(vec[n]["arms"]).index(a)]
+                 for n, a in {0: 1, 1: 2, 2: 1}.items()}
+    assert at_chosen == {0: 2, 1: 1, 2: 2}
+    assert sum(1 / c for c in at_chosen.values()) == 2  # two occupied arms, 3 agents
+    # idle agents count toward no congestion and get NaN vectors
+    chosen, active = np.array([[1, 1, 1]]), np.array([[True, False, True]])
+    degree = env.congestion(1, chosen, active)
+    assert degree[0, 0, 0] == 2 and np.isnan(degree[0, 1]).all()
 
 
 def test_blend_identity_and_normalization_bounds():
@@ -95,7 +113,7 @@ def test_blend_identity_and_normalization_bounds():
     arms = cfg.candidates.sets_at(1)[0]
     for rnd in range(1, 41):
         joint = {n: arms[rng.integers(len(arms))] for n in range(3)}
-        for vec in env.cost_vectors(rnd, joint).values():
+        for vec in _round_costs(env, rnd, joint).values():
             la, lc = vec["adversary"], vec["collision"]
             expect = la + (lc - la) * vec["outlier"]
             assert (np.abs(vec["realized"] - expect) <= 1e-12 * np.abs(expect)).all()
@@ -106,7 +124,7 @@ def test_single_agent_collision_free():
     cfg = synthetic_config({1: 0.3, 2: 0.6}, num_agents=1, horizon=20)
     env = Environment(cfg, 0)
     for rnd in range(1, 21):
-        vec = env.cost_vectors(rnd, {0: 1})[0]
+        vec = _round_costs(env, rnd, {0: 1})[0]
         # c == 1 on every arm, so the blend collapses to the adversary cost
         np.testing.assert_array_equal(vec["collision"], vec["adversary"])
         np.testing.assert_array_equal(vec["realized"], vec["adversary"])
@@ -116,8 +134,8 @@ def test_identical_seeds_identical_cost_streams():
     cfg = physical_config(horizon=30, num_agents=2)
     a, b = Environment(cfg, 3), Environment(cfg, 3)
     for rnd in range(1, 31):
-        va = a.cost_vectors(rnd, {0: 1, 1: 1})
-        vb = b.cost_vectors(rnd, {0: 1, 1: 1})
+        va = _round_costs(a, rnd, {0: 1, 1: 1})
+        vb = _round_costs(b, rnd, {0: 1, 1: 1})
         for n in range(2):
             assert np.array_equal(va[n]["realized"], vb[n]["realized"])
             assert np.array_equal(va[n]["normalized"], vb[n]["normalized"])
@@ -130,7 +148,7 @@ def test_cost_triples_match_reference_implementation():
     rng = np.random.default_rng(9)
     for rnd in range(1, 11):
         joint = {0: int(rng.integers(1, 3)), 1: int(rng.integers(1, 3))}
-        got = env.cost_vectors(rnd, joint)
+        got = _round_costs(env, rnd, joint)
         ref = ref_cost_vectors(env, rnd, joint)
         for n in joint:
             np.testing.assert_allclose(got[n]["adversary"], ref[n]["la"], rtol=1e-12)
@@ -143,7 +161,7 @@ def test_action_outside_candidate_set_raises():
     cfg = synthetic_config({1: 0.2, 2: 0.5}, num_agents=2, horizon=5)
     env = Environment(cfg, 0)
     with pytest.raises(ProtocolError, match="agent 1"):
-        env.cost_vectors(2, {0: 1, 1: 9})
+        _round_costs(env, 2, {0: 1, 1: 9})
 
 
 def test_adversary_schedule_validation():
@@ -238,6 +256,8 @@ def test_mean_table_rejects_cross_epoch_segments():
     env = Environment(cfg, 0)
     with pytest.raises(ValueError, match="spans candidate epochs"):
         env.mean_cost_table(5, 15)
+    with pytest.raises(ValueError, match="span candidate epochs"):
+        env.cost_inputs(5, 15)
 
 
 def test_default_cost_cap_is_analytic_worst_case():
@@ -246,5 +266,5 @@ def test_default_cost_cap_is_analytic_worst_case():
     # floored rate term dominates; every realized cost normalizes below 1
     assert env.cost_cap > 1.0
     for rnd in range(1, 11):
-        for vec in env.cost_vectors(rnd, {0: 1, 1: 2}).values():
+        for vec in _round_costs(env, rnd, {0: 1, 1: 2}).values():
             assert (vec["normalized"] < 1e-3).all()

@@ -7,6 +7,7 @@ from fogbandit import metrics
 from fogbandit.bandit import LearnerParams
 from fogbandit.configio import TaskSizeLaw
 from fogbandit.game import run_game
+from fogbandit.env import Environment
 from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
@@ -86,14 +87,14 @@ def test_pota_one_when_play_is_forced():
         {1: 0.3}, num_agents=3, horizon=50, coupling="linear", theta=0.0
     )
     trace = run_game(cfg, 0)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     series = metrics.pota_series(trace, games)
     np.testing.assert_allclose(series[1:], 1.0, rtol=1e-12)
 
 
 def test_pota_at_least_one_on_seed_average():
     cfg = synthetic_config({1: 0.32, 2: 0.42}, num_agents=2, horizon=400, master_seed=29)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     acc = np.zeros(400)
     runs = 60
     for rid in range(runs):
@@ -106,7 +107,7 @@ def test_xi_bound_formula_and_degenerate_case():
     assert math.log(10) / 1.0 == pytest.approx(GOLDEN_XI_10_ARMS, rel=1e-12)
     cfg = synthetic_config({1: 0.4}, num_agents=2, horizon=200)
     trace = run_game(cfg, 0)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     cert = metrics.xi_certificate(trace, 1.0, games[-1][1])
     assert cert.xi_bound == 0.0
     assert cert.max_gap == pytest.approx(0.0, abs=1e-12)
@@ -116,14 +117,14 @@ def test_xi_bound_formula_and_degenerate_case():
 def test_xi_small_window_errors():
     cfg = synthetic_config({1: 0.3, 2: 0.5}, num_agents=1, horizon=300)
     trace = run_game(cfg, 0)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     with pytest.raises(ValueError, match="samples"):
         metrics.xi_certificate(trace, 0.1, games[-1][1])
 
 
 def test_xi_gap_shrinks_for_later_windows():
     cfg = synthetic_config({1: 0.3, 2: 0.5}, num_agents=2, horizon=3000, master_seed=37)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     gaps_wide, gaps_tail = [], []
     for rid in range(10):
         trace = run_game(cfg, rid)
@@ -198,7 +199,7 @@ def test_async_with_bernoulli_activation():
 def test_pota_bound_single_agent_rho_one():
     cfg = synthetic_config({1: 0.2, 2: 0.5}, num_agents=1, horizon=300)
     trace = run_game(cfg, 0)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     checks = metrics.pota_bound_check(trace, games)
     assert len(checks) == 1
     chk = checks[0]
@@ -229,7 +230,7 @@ def test_pota_bound_perturbation_lowers_bound():
             means, num_agents=2, horizon=400, epochs=epochs,
             learner=lp, task=task, master_seed=43,
         )
-        games = stage_games(cfg, 0)
+        games = stage_games(Environment(cfg, 0))
         total = 0.0
         for rid in range(runs):
             checks = metrics.pota_bound_check(run_game(cfg, rid), games)
@@ -241,7 +242,7 @@ def test_pota_bound_perturbation_lowers_bound():
 def test_metric_series_shapes():
     cfg = synthetic_config({1: 0.32, 2: 0.42}, num_agents=2, horizon=600)
     trace = run_game(cfg, 0)
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     for n in range(2):
         assert metrics.regret_series(trace, n).normalized.shape == (601,)
     assert metrics.social_cost_series(trace).shape == (601,)

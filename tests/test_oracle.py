@@ -224,7 +224,7 @@ def test_stage_games_cover_epochs():
         horizon=60,
         epochs=((1, ((1, 2), (1, 2))), (31, ((1, 2, 3), (1, 2, 3)))),
     )
-    games = stage_games(cfg, 0)
+    games = stage_games(Environment(cfg, 0))
     assert [seg for seg, _ in games] == [(1, 30), (31, 60)]
     assert games[0][1].candidate_sets[0] == (1, 2)
     assert games[1][1].candidate_sets[0] == (1, 2, 3)
