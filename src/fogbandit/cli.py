@@ -181,6 +181,14 @@ def _sigma_band(values: np.ndarray) -> float:
     return 3.0 * values.std(axis=0, ddof=1).max() / math.sqrt(values.shape[0])
 
 
+def _stage_games(env: Environment) -> tuple[list | None, ValueError | None]:
+    """``(stage_games(env), None)``, or ``(None, error)`` when not enumerable."""
+    try:
+        return stage_games(env), None
+    except ValueError as exc:
+        return None, exc
+
+
 def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Re-derive every applicable check against the stored experiment."""
     out_root = out_root or default_out_root()
@@ -194,6 +202,13 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     v = _Verdicts()
     workers = workers or spec.workers
 
+    config = spec.game_for(spec.variants[0])
+    sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
+    # sample[0] is simulated once: its replay's Environment also gives the
+    # stage games, and the replayed trace is the first sample trace
+    first = staged = None
+    first_key = (sample[0], config.digest())
+
     # stored trace files parse and replay byte-identically
     ok = True
     for rel in manifest["files"]:
@@ -206,7 +221,15 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
             v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
             ok = False
             continue
-        fresh = run_game(stored.config, stored.run_id)
+        if staged is None and (stored.run_id, stored.config.digest()) == first_key:
+            env = Environment(stored.config, stored.run_id)
+            fresh = run_game(stored.config, stored.run_id, env)
+            staged = _stage_games(env)
+            del env
+            if staged[0]:
+                first = fresh
+        else:
+            fresh = run_game(stored.config, stored.run_id)
         buf_path = path.with_suffix(".replay")
         write_trace(fresh, buf_path)
         same = buf_path.read_bytes() == path.read_bytes()
@@ -217,17 +240,13 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 
-    variant = spec.variants[0]
-    config = spec.game_for(variant)
-    sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    try:
-        games = stage_games(Environment(config, sample[0]))
-    except ValueError as exc:
-        games = None
-        v.emit("SKIP", "stage-games", f"not enumerable: {exc}")
+    games, why = staged or _stage_games(Environment(config, sample[0]))
+    if why is not None:
+        v.emit("SKIP", "stage-games", f"not enumerable: {why}")
 
     if games:
-        traces = [run_game(config, rid) for rid in sample]
+        traces = [first if first is not None and rid == sample[0] else run_game(config, rid)
+                  for rid in sample]
 
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])

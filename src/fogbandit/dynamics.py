@@ -7,6 +7,7 @@ traces track the mean ODE on the learning-rate clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -19,6 +20,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .game import GameTrace
 
 SIMPLEX_TOL = 1e-9
+# local error allowed per step of integrate_to_rest; at 1e-4 its rest points
+# stay within 1e-3 of a fixed 1e-2 step's (tests/test_dynamics.py)
+STEP_ERROR_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -106,28 +110,22 @@ def _euler_step(
     return MixedProfile(tuple(vecs)), inside
 
 
-def replicator_step(
-    profile: MixedProfile,
-    field: MeanCostField,
-    weights: Sequence[float],
-    dt: float,
-) -> MixedProfile:
-    """One Euler step of the replicator field with a common step ``dt``."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    costs = field.expected_costs(profile)
-    return _euler_step(profile, costs, weights, [dt] * len(profile.vectors))[0]
+def _velocity(
+    profile: MixedProfile, costs: Sequence[np.ndarray], weights: Sequence[float]
+) -> list[np.ndarray]:
+    """Replicator vector field ``w * p * (p @ l - l)``, given the field l at p."""
+    return [w * p * (float(p @ l) - l) for p, l, w in zip(profile.vectors, costs, weights)]
+
+
+def _sup_norm(vectors) -> float:
+    return max(float(np.abs(v).max()) for v in vectors)
 
 
 def replicator_velocity(
     profile: MixedProfile, costs: Sequence[np.ndarray], weights: Sequence[float]
 ) -> float:
     """Sup-norm of the replicator vector field, given the field at the profile."""
-    v = 0.0
-    for p, l, w in zip(profile.vectors, costs, weights):
-        avg = float(p @ l)
-        v = max(v, float(np.abs(w * p * (avg - l)).max()))
-    return v
+    return _sup_norm(_velocity(profile, costs, weights))
 
 
 def integrate_to_rest(
@@ -138,25 +136,43 @@ def integrate_to_rest(
     tol: float = 1e-6,
     max_steps: int = 200_000,
 ) -> tuple[MixedProfile, bool]:
-    """Iterate Euler steps until the field's sup-norm velocity drops below tol.
+    """Error-controlled Euler steps until the sup-norm velocity drops below tol.
 
-    The field is evaluated once per step.  The step halves (locally, up to
-    30 times) whenever the raw Euler update would leave the simplex.
-    Hitting max_steps returns converged=False: limit cycles are a legal
-    outcome in general games, not an error.
+    ``dt`` is the initial step.  The field is evaluated once per iteration,
+    at the current point p, and ``max_steps`` bounds those evaluations.  The
+    same evaluation gives the local error of the step h that reached p,
+    ``h/2 * ||v(p) - v(p_prev)||_inf``.  Above ``STEP_ERROR_TOL`` the step is
+    rejected: p_prev (whose field is kept) is stepped again with h/2.
+    Otherwise the next step is ``h * min(2, 0.9 * sqrt(STEP_ERROR_TOL / err))``
+    and convergence is tested at p.  A step that would leave the simplex is
+    halved (locally, up to 30 times).  Hitting max_steps returns
+    converged=False: limit cycles are a legal outcome in general games, not
+    an error.
     """
-    p = profile0
-    n = len(p.vectors)
+    n = len(profile0.vectors)
+    p, h = profile0, dt
+    last = None  # (point, field, velocity) at the last accepted point
     for _ in range(max_steps):
         costs = field.expected_costs(p)
-        if replicator_velocity(p, costs, weights) < tol:
-            return p, True
-        step = dt
+        vel = _velocity(p, costs, weights)
+        rejected = False
+        if last is not None:
+            err = 0.5 * h * _sup_norm(a - b for a, b in zip(vel, last[2]))
+            rejected = err > STEP_ERROR_TOL
+            if rejected:
+                p, costs, vel = last
+                h /= 2.0
+            else:
+                h *= min(2.0, 0.9 * math.sqrt(STEP_ERROR_TOL / err)) if err > 0.0 else 2.0
+        if not rejected:
+            if _sup_norm(vel) < tol:
+                return p, True
+            last = (p, costs, vel)
         for _ in range(30):
-            nxt, inside = _euler_step(p, costs, weights, [step] * n)
+            nxt, inside = _euler_step(p, costs, weights, [h] * n)
             if inside:
                 break
-            step /= 2.0
+            h /= 2.0
         p = nxt
     return p, False
 

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from fogbandit.dynamics import _euler_step, replicator_velocity
 from fogbandit.streams import stream_rng
 
 FADE_FLOOR = 1e-9
@@ -187,3 +188,35 @@ def ref_run_game(config, run_id: int) -> dict:
         probs_log.append(round_probs)
         cost_log.append([vectors[n]["norm"][arms_per[n].index(joint[n])] for n in range(n_agents)])
     return {"chosen": chosen_log, "probs": probs_log, "norm": cost_log, "scores": scores}
+
+
+def ref_integrate_fixed_step(
+    profile0,
+    field,
+    weights,
+    dt: float = 1e-2,
+    tol: float = 1e-6,
+    max_steps: int = 200_000,
+):
+    """The fixed-step rest-point search ``integrate_to_rest`` used to run.
+
+    Iterate Euler steps until the field's sup-norm velocity drops below tol.
+    The field is evaluated once per step.  The step halves (locally, up to
+    30 times) whenever the raw Euler update would leave the simplex.
+    Hitting max_steps returns converged=False.  It shares the Euler kernel
+    with the package: the two searches differ only in step control.
+    """
+    p = profile0
+    n = len(p.vectors)
+    for _ in range(max_steps):
+        costs = field.expected_costs(p)
+        if replicator_velocity(p, costs, weights) < tol:
+            return p, True
+        step = dt
+        for _ in range(30):
+            nxt, inside = _euler_step(p, costs, weights, [step] * n)
+            if inside:
+                break
+            step /= 2.0
+        p = nxt
+    return p, False

@@ -10,7 +10,7 @@ import yaml
 
 from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
-from fogbandit.env import ConfigError
+from fogbandit.env import ConfigError, Environment
 
 MINIMAL = """
 name: mini
@@ -126,6 +126,23 @@ def test_verify_passes_on_fresh_outputs(mini_path, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "PASS  determinism" in out
     assert "xi-equilibrium" in out
+
+
+def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
+    # run 0's replay also yields the stage games and the first sample trace
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    built = []
+    init = Environment.__init__
+
+    def counting_init(self, config, run_id=0):
+        built.append(run_id)
+        init(self, config, run_id)
+
+    monkeypatch.setattr(Environment, "__init__", counting_init)
+    assert verify(spec, tmp_path) == 0
+    # the other replays are of stored traces, then each sample is simulated
+    assert sorted(built) == [0, 1, 1, 2, 2]
 
 
 def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):

@@ -3,27 +3,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogbandit.bandit import LearnerParams
 from fogbandit.dynamics import (
     ContractionReport,
     MeanCostField,
     MixedProfile,
+    _euler_step,
     check_contraction,
     discrete_probability_path,
     estimate_theta,
     integrate_to_rest,
     ode_path,
     path_deviation,
-    replicator_step,
     replicator_velocity,
     tracking_error,
 )
+from fogbandit.cli import bundled_config
+from fogbandit.configio import load_config
+from fogbandit.env import Environment
 from fogbandit.game import run_game
-from fogbandit.oracle import find_pure_nash
+from fogbandit.oracle import SmallGame, find_pure_nash, stage_games
 
 from conftest import synthetic_config, seed_mean_probs
+from reference_impls import ref_integrate_fixed_step
 from test_oracle import make_game
+
+
+def euler(prof, field, weights, dt):
+    """One Euler step of the replicator field with a common step ``dt``."""
+    costs = field.expected_costs(prof)
+    return _euler_step(prof, costs, weights, [dt] * len(prof.vectors))[0]
 
 
 def test_field_matches_exhaustive_enumeration():
@@ -54,7 +66,7 @@ def test_replicator_hand_step():
     # field for a single agent is just the mean vector [0.2, 0.8]
     field = MeanCostField(game)
     prof = MixedProfile((np.array([0.5, 0.5]),))
-    nxt = replicator_step(prof, field, [1.0], dt=0.1)
+    nxt = euler(prof, field, [1.0], dt=0.1)
     np.testing.assert_allclose(nxt.vectors[0], [0.515, 0.485], rtol=1e-12)
     assert nxt.vectors[0].sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -65,7 +77,7 @@ def test_symmetric_uniform_profile_is_fixed_point():
     prof = MixedProfile((np.array([0.5, 0.5]), np.array([0.5, 0.5])))
     costs = field.expected_costs(prof)
     assert replicator_velocity(prof, costs, [1.0, 1.0]) == pytest.approx(0.0, abs=1e-15)
-    nxt = replicator_step(prof, field, [1.0, 1.0], dt=0.05)
+    nxt = euler(prof, field, [1.0, 1.0], dt=0.05)
     np.testing.assert_allclose(nxt.vectors[0], [0.5, 0.5], atol=1e-15)
 
 
@@ -74,7 +86,7 @@ def test_faces_are_invariant():
     field = MeanCostField(game)
     prof = MixedProfile((np.array([0.0, 0.3, 0.7]),))
     for _ in range(200):
-        prof = replicator_step(prof, field, [1.0], dt=0.05)
+        prof = euler(prof, field, [1.0], dt=0.05)
         assert prof.vectors[0][0] == 0.0
 
 
@@ -84,7 +96,7 @@ def test_simplex_preserved_under_large_steps():
     field = MeanCostField(game)
     prof = MixedProfile.random(game, rng)
     for _ in range(100):
-        prof = replicator_step(prof, field, [3.0, 3.0], dt=0.7)
+        prof = euler(prof, field, [3.0, 3.0], dt=0.7)
         for v in prof.vectors:
             assert (v >= 0).all()
             assert v.sum() == pytest.approx(1.0, abs=1e-9)
@@ -274,3 +286,68 @@ def test_discrete_path_freezes_through_inactivity():
     for rnd in idle:
         if rnd > 1:
             np.testing.assert_array_equal(path[rnd, 0, :2], path[rnd - 1, 0, :2])
+
+
+class CountingField(MeanCostField):
+    """Mean field that records every evaluation."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.calls = 0
+
+    def expected_costs(self, profile):
+        self.calls += 1
+        return super().expected_costs(profile)
+
+
+@pytest.mark.parametrize("name, support", [
+    ("acceptance-small", [[0], [0]]),
+    ("paper-fig2", [[1], [7], [1]]),
+    ("paper-fig3", [[2], [1], [1]]),
+    ("paper-fig4", [[1], [1], [0]]),
+    ("paper-fig5", [[7], [6], [6]]),
+])
+def test_bundled_rest_points(name, support):
+    # verify's search: run 0's final-epoch stage game from the uniform profile
+    spec = load_config(bundled_config(name))
+    config = spec.game_for(spec.variants[0])
+    game = stage_games(Environment(config, spec.run_ids[0]))[-1][1]
+    field = CountingField(game)
+    rest, converged = integrate_to_rest(
+        MixedProfile.uniform(game), field, [1.0] * config.num_agents, tol=1e-5
+    )
+    assert converged
+    assert field.calls <= 1_000
+    assert [np.flatnonzero(v > 0.1).tolist() for v in rest.vectors] == support
+
+
+@st.composite
+def small_games(draw):
+    """2-3 agents on ragged subsets of 2-4 arms, costs rising with congestion."""
+    n = draw(st.integers(2, 3))
+    arms = list(range(1, draw(st.integers(2, 4)) + 1))
+    sets = [sorted(draw(st.lists(st.sampled_from(arms), min_size=1, unique=True)))
+            for _ in range(n)]
+    used = sorted({a for s in sets for a in s})
+    # continuous draws: ties between arms would make rest points non-isolated
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = np.cumsum(rng.uniform(0.0, 0.5, size=(n, len(used), n)), axis=2)
+    game = SmallGame(tuple(map(tuple, sets)), tuple(used), table)
+    weights = draw(st.lists(st.floats(0.5, 3.0), min_size=n, max_size=n))
+    start = MixedProfile.random(game, rng) if draw(st.booleans()) else MixedProfile.uniform(game)
+    return game, weights, start
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_games())
+def test_rest_point_matches_fixed_step_search(case):
+    game, weights, start = case
+    field = MeanCostField(game)
+    ref, ref_converged = ref_integrate_fixed_step(start, field, weights, tol=1e-5, max_steps=4_000)
+    if not ref_converged:
+        return
+    rest, converged = integrate_to_rest(start, field, weights, tol=1e-5)
+    assert converged
+    for a, b in zip(rest.vectors, ref.vectors):
+        np.testing.assert_array_equal(a > 0.1, b > 0.1)
+        assert np.abs(a - b).max() <= 1e-3
