@@ -3,7 +3,8 @@
 Verbs: ``run`` (replications -> traces + aggregated metric CSVs + manifest),
 ``verify`` (re-derives every applicable property/bound check and prints one
 verdict per line), ``oracle`` (dump equilibria / optimum / smoothness for
-each epoch's stage game), ``schema`` (config key reference).
+each epoch's stage game), ``inspect`` (a trace file as text), ``schema``
+(config key reference).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import run_game, write_trace, read_trace
+from .game import _fmt, format_trace, read_trace, run_game, write_trace
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 
 EXIT_OK = 0
@@ -68,10 +69,6 @@ def run_batch(fn, args: list, workers: int = 1) -> list:
         with Pool(processes=workers) as pool:
             return pool.map(fn, args, chunksize=1)
     return [fn(a) for a in args]
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _write_series_csv(path: Path, rows: np.ndarray) -> None:
@@ -189,7 +186,7 @@ def _stage_games(env: Environment) -> tuple[list | None, ValueError | None]:
         return None, exc
 
 
-def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
+def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
     """Re-derive every applicable check against the stored experiment."""
     out_root = out_root or default_out_root()
     out_dir = out_root / spec.name
@@ -200,7 +197,6 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     v = _Verdicts()
-    workers = workers or spec.workers
 
     config = spec.game_for(spec.variants[0])
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
@@ -414,14 +410,22 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(verb)
         sp.add_argument("config", help="config file path or bundled config name")
         sp.add_argument("--seeds", type=int, default=None, help="override replication count")
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument("--workers", type=int, default=None, help="replication processes (run only)")
         sp.add_argument("--out", type=Path, default=None, help="output root directory")
         sp.add_argument("--strict", action="store_true", help="reject unknown config keys")
+    sub.add_parser("inspect").add_argument("trace", type=Path, help="trace file written by run")
     sub.add_parser("schema")
     args = parser.parse_args(argv)
 
     if args.command == "schema":
         print(SCHEMA_TEXT)
+        return EXIT_OK
+    if args.command == "inspect":
+        try:
+            format_trace(read_trace(args.trace), sys.stdout)
+        except (OSError, ValueError) as exc:
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         return EXIT_OK
 
     try:
@@ -437,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_experiment(spec, args.out, args.workers)
         if args.command == "verify":
-            return verify(spec, args.out, args.workers)
+            return verify(spec, args.out)
         return oracle_dump(spec, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

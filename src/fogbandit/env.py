@@ -460,9 +460,6 @@ class Environment:
         )
         return 1.0 / worst_rate + self.w * s_max / f_min
 
-    def phase_index(self, rnd: int) -> int:
-        return int(self._phase_of_round[rnd])
-
     def epoch_index(self, rnd: int) -> int:
         return int(self._epoch_of_round[rnd])
 

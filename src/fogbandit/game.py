@@ -6,55 +6,58 @@ Each round is one array step over all agents; costs come from the
 environment a block of rounds at a time.  Produces a GameTrace carrying
 every per-round quantity plus the ground truth needed to recompute
 counterfactual costs exactly (same fades, same outlier draws, congestion
-re-counted for the switched arm).
+re-counted for the switched arm).  Trace files hold the trace's columns as
+raw little-endian bytes (``write_trace``/``read_trace``); ``format_trace``
+renders one as text, one agent-round per line.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import bandit
 from .configio import GameConfig, parse_game
-from .env import Environment, ProtocolError
+from .env import Environment
 from .streams import stream_rng
+
+
+# The trace columns in file order: name, dtype, fill before play.  The last
+# four are NaN-padded per candidate slot.
+_COLUMNS = (
+    ("active", "|b1", False),
+    ("chosen", "<i8", -1),
+    ("congestion", "<i8", 0),
+    ("clock", "<i8", 0),
+    *((name, "<f8", np.nan) for name in (
+        "zeta", "task_size", "eta", "gamma", "cost_a", "cost_c", "outlier", "cost_real",
+        "cost_norm", "probs", "estimates", "cf_norm", "cf_raw",
+    )),
+)
+_PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
 
 
 class GameTrace:
     """Full history of one replication plus counterfactual ground truth.
 
-    Column-major arrays indexed [round, agent] (1-based rounds; row 0 is
-    unused padding).  Ragged per-round vectors (probabilities, estimates,
-    counterfactual normalized costs) are NaN-padded to the largest candidate
-    set and aligned with the round's candidate tuple.
+    One array per ``_COLUMNS`` entry, indexed [round, agent] (1-based rounds;
+    row 0 is unused padding).  Ragged per-round vectors (probabilities,
+    estimates, counterfactual normalized and realized costs) are indexed
+    [round, agent, slot], NaN-padded to the largest candidate set and aligned
+    with the round's candidate tuple.
     """
 
     def __init__(self, config: GameConfig, run_id: int):
-        config_pad = config.horizon + 1
-        n = config.num_agents
-        kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
         self.config = config
         self.run_id = run_id
-        self.kmax = kmax
-        self.active = np.zeros((config_pad, n), dtype=bool)
-        self.chosen = np.full((config_pad, n), -1, dtype=np.int64)
-        self.congestion = np.zeros((config_pad, n), dtype=np.int64)
-        self.clock = np.zeros((config_pad, n), dtype=np.int64)
-        self.zeta = np.full((config_pad, n), np.nan)
-        self.task_size = np.full((config_pad, n), np.nan)
-        self.eta = np.full((config_pad, n), np.nan)
-        self.gamma = np.full((config_pad, n), np.nan)
-        self.cost_a = np.full((config_pad, n), np.nan)
-        self.cost_c = np.full((config_pad, n), np.nan)
-        self.outlier = np.full((config_pad, n), np.nan)
-        self.cost_real = np.full((config_pad, n), np.nan)
-        self.cost_norm = np.full((config_pad, n), np.nan)
-        self.probs = np.full((config_pad, n, kmax), np.nan)
-        self.estimates = np.full((config_pad, n, kmax), np.nan)
-        self.cf_norm = np.full((config_pad, n, kmax), np.nan)
-        self.cf_raw = np.full((config_pad, n, kmax), np.nan)
+        self.kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
+        shape = (config.horizon + 1, config.num_agents)
+        for name, dtype, fill in _COLUMNS:
+            dims = shape + (self.kmax,) if name in _PER_SLOT else shape
+            setattr(self, name, np.full(dims, fill, dtype=dtype))
 
     # -- structure ----------------------------------------------------------
 
@@ -68,21 +71,6 @@ class GameTrace:
 
     def candidate_set(self, rnd: int, agent: int) -> tuple[int, ...]:
         return self.config.candidates.sets_at(rnd)[agent]
-
-    def arm_index(self, rnd: int, agent: int, arm: int) -> int:
-        arms = self.candidate_set(rnd, agent)
-        try:
-            return arms.index(arm)
-        except ValueError:
-            raise ProtocolError(
-                f"arm {arm} not in agent {agent}'s candidate set at round {rnd}"
-            ) from None
-
-    def counterfactual_cost(self, rnd: int, agent: int, alt_arm: int) -> float:
-        """Normalized cost had the agent switched to alt_arm, others fixed."""
-        if not self.active[rnd, agent]:
-            raise ProtocolError(f"agent {agent} was inactive at round {rnd}")
-        return float(self.cf_norm[rnd, agent, self.arm_index(rnd, agent, alt_arm)])
 
 
 # A block of rounds holds at most this many rounds and this many cells of
@@ -294,10 +282,53 @@ def _fill(env, trace, inputs, lo, hi, groups, blocks) -> None:
 
 
 # ---------------------------------------------------------------------------
-# line-oriented trace serialization
+# trace files: raw columns, and their text form
 # ---------------------------------------------------------------------------
 
-_TRACE_MAGIC = "# fogbandit-trace v2"
+_TRACE_MAGIC = b"# fogbandit-trace v3\n"
+_TEXT_MAGIC = "# fogbandit-trace v2\n"
+
+
+def _header(trace: GameTrace) -> str:
+    header = {"config": trace.config.to_dict(), "run_id": trace.run_id,
+              "config_sha256": trace.config.digest()}
+    return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def write_trace(trace: GameTrace, path) -> None:
+    """The magic line, a JSON header line, then every column's raw bytes.
+
+    The header holds ``GameConfig.to_dict()``, the run id and the config
+    digest.  The columns follow in ``_COLUMNS`` order with their explicit
+    little-endian dtypes, C order, shaped [horizon + 1, agents] or, for the
+    last four, [horizon + 1, agents, largest candidate set].
+    """
+    with open(path, "wb") as fh:
+        fh.write(_TRACE_MAGIC + _header(trace).encode())
+        for name, dtype, _ in _COLUMNS:
+            fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
+
+
+def read_trace(path) -> GameTrace:
+    """Read a trace file's columns straight into a fresh GameTrace's arrays."""
+    with open(path, "rb") as fh:
+        if fh.readline() != _TRACE_MAGIC:
+            raise ValueError(f"{path}: not a fogbandit trace (bad magic line)")
+        try:
+            header = json.loads(fh.readline().removeprefix(b"# "))
+            trace = GameTrace(parse_game(header["config"]), header.get("run_id", 0))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: damaged trace header: {exc}") from None
+        columns = [getattr(trace, name) for name, _, _ in _COLUMNS]
+        size = os.fstat(fh.fileno()).st_size
+        expected = fh.tell() + sum(col.nbytes for col in columns)
+        if size != expected:
+            raise ValueError(
+                f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
+            )
+        for col in columns:
+            fh.readinto(memoryview(col).cast("B"))
+    return trace
 
 
 def _fmt(x: float) -> str:
@@ -308,67 +339,33 @@ def _fmt_vec(row: np.ndarray, k: int) -> str:
     return ",".join(_fmt(v) for v in row[:k])
 
 
-def write_trace(trace: GameTrace, path) -> None:
-    """One agent-round per line, fixed column order, full-precision floats.
+def format_trace(trace: GameTrace, fh) -> None:
+    """Write the trace as text: one agent-round per line, full-precision floats.
 
-    The header line holds ``GameConfig.to_dict()``, the run id and the config
-    digest.  Columns: round agent active clock zeta task_size eta gamma chosen
+    The magic line ``# fogbandit-trace v2`` and the header line come first.
+    Columns: round agent active clock zeta task_size eta gamma chosen
     congestion cost_a cost_c outlier cost_real cost_norm probs estimates
     cf_norm cf_raw -- the last four comma-joined over the round's candidate
     set.  Inactive agent-rounds carry "-" placeholders.
     """
-    with open(path, "w") as fh:
-        fh.write(_TRACE_MAGIC + "\n")
-        header = {"config": trace.config.to_dict(), "run_id": trace.run_id,
-                  "config_sha256": trace.config.digest()}
-        fh.write("# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
-        for rnd in range(1, trace.horizon + 1):
-            for n in range(trace.num_agents):
-                if not trace.active[rnd, n]:
-                    fh.write(f"{rnd} {n} 0 {trace.clock[rnd, n]}" + " -" * 15 + "\n")
-                    continue
-                k = len(trace.candidate_set(rnd, n))
-                cols = [
-                    str(rnd), str(n), "1", str(int(trace.clock[rnd, n])),
-                    _fmt(trace.zeta[rnd, n]), _fmt(trace.task_size[rnd, n]),
-                    _fmt(trace.eta[rnd, n]), _fmt(trace.gamma[rnd, n]),
-                    str(int(trace.chosen[rnd, n])), str(int(trace.congestion[rnd, n])),
-                    _fmt(trace.cost_a[rnd, n]), _fmt(trace.cost_c[rnd, n]),
-                    _fmt(trace.outlier[rnd, n]), _fmt(trace.cost_real[rnd, n]),
-                    _fmt(trace.cost_norm[rnd, n]),
-                    _fmt_vec(trace.probs[rnd, n], k),
-                    _fmt_vec(trace.estimates[rnd, n], k),
-                    _fmt_vec(trace.cf_norm[rnd, n], k),
-                    _fmt_vec(trace.cf_raw[rnd, n], k),
-                ]
-                fh.write(" ".join(cols) + "\n")
-
-
-def read_trace(path) -> GameTrace:
-    """Parse a trace file back into arrays (no re-simulation)."""
-    with open(path) as fh:
-        magic = fh.readline().rstrip("\n")
-        if magic != _TRACE_MAGIC:
-            raise ValueError(f"{path}: not a fogbandit trace (bad magic line)")
-        header = json.loads(fh.readline().lstrip("# ").rstrip("\n"))
-        config = parse_game(header["config"])
-        trace = GameTrace(config, header.get("run_id", 0))
-        for line in fh:
-            parts = line.split()
-            rnd, n, act = int(parts[0]), int(parts[1]), parts[2] == "1"
-            trace.clock[rnd, n] = int(parts[3])
-            if not act:
+    fh.write(_TEXT_MAGIC + _header(trace))
+    for rnd in range(1, trace.horizon + 1):
+        for n in range(trace.num_agents):
+            if not trace.active[rnd, n]:
+                fh.write(f"{rnd} {n} 0 {trace.clock[rnd, n]}" + " -" * 15 + "\n")
                 continue
-            trace.active[rnd, n] = True
-            (trace.zeta[rnd, n], trace.task_size[rnd, n], trace.eta[rnd, n],
-             trace.gamma[rnd, n]) = (float(parts[4]), float(parts[5]),
-                                     float(parts[6]), float(parts[7]))
-            trace.chosen[rnd, n] = int(parts[8])
-            trace.congestion[rnd, n] = int(parts[9])
-            (trace.cost_a[rnd, n], trace.cost_c[rnd, n], trace.outlier[rnd, n],
-             trace.cost_real[rnd, n], trace.cost_norm[rnd, n]) = map(float, parts[10:15])
-            for dest, col in ((trace.probs, 15), (trace.estimates, 16),
-                              (trace.cf_norm, 17), (trace.cf_raw, 18)):
-                vals = [float(v) for v in parts[col].split(",")]
-                dest[rnd, n, : len(vals)] = vals
-    return trace
+            k = len(trace.candidate_set(rnd, n))
+            cols = [
+                str(rnd), str(n), "1", str(int(trace.clock[rnd, n])),
+                _fmt(trace.zeta[rnd, n]), _fmt(trace.task_size[rnd, n]),
+                _fmt(trace.eta[rnd, n]), _fmt(trace.gamma[rnd, n]),
+                str(int(trace.chosen[rnd, n])), str(int(trace.congestion[rnd, n])),
+                _fmt(trace.cost_a[rnd, n]), _fmt(trace.cost_c[rnd, n]),
+                _fmt(trace.outlier[rnd, n]), _fmt(trace.cost_real[rnd, n]),
+                _fmt(trace.cost_norm[rnd, n]),
+                _fmt_vec(trace.probs[rnd, n], k),
+                _fmt_vec(trace.estimates[rnd, n], k),
+                _fmt_vec(trace.cf_norm[rnd, n], k),
+                _fmt_vec(trace.cf_raw[rnd, n], k),
+            ]
+            fh.write(" ".join(cols) + "\n")

@@ -22,7 +22,7 @@ FADE_FLOOR = 1e-9
 def ref_cost_entry(env, rnd: int, agent: int, arm: int, congestion: int) -> dict:
     """One (agent, arm, congestion) cost from the environment's raw draws."""
     cfg = env.config
-    phase = env.phase_index(rnd)
+    phase = next(i for i, (lo, hi, _) in enumerate(env.adversary.phases) if lo <= rnd <= hi)
     epoch = env.epoch_index(rnd)
     pos = env.arm_pos[arm]
     s = float(env.phase_means[phase][pos]) + float(env.adv_noise[rnd, pos])

@@ -1,4 +1,5 @@
 import filecmp
+import io
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import yaml
 from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
+from fogbandit.game import format_trace, read_trace
 
 MINIMAL = """
 name: mini
@@ -154,12 +156,38 @@ def test_verify_fails_on_corrupted_trace(mini_path, tmp_path, capsys):
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
     victim = tmp_path / "mini/default/traces/run_0001.trace"
-    text = victim.read_text().splitlines()
-    text[5] = text[5].replace("1", "2", 1)
-    victim.write_text("\n".join(text) + "\n")
+    data = bytearray(victim.read_bytes())
+    data[-1] ^= 0x01  # the last byte of the last realized counterfactual cost
+    victim.write_bytes(bytes(data))
     assert verify(spec, tmp_path) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "run_0001.trace" in out
+
+
+def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):
+    out_root = tmp_path / "out"
+    assert main(["run", str(mini_path), "--out", str(out_root)]) == 0
+    victim = out_root / "mini/default/traces/run_0001.trace"
+    victim.write_bytes(victim.read_bytes()[:-100])
+    capsys.readouterr()
+    assert main(["verify", str(mini_path), "--out", str(out_root)]) == 3
+    captured = capsys.readouterr()
+    assert "FAIL  trace-integrity" in captured.out and "run_0001.trace" in captured.out
+    assert "runtime error" not in captured.err
+
+
+def test_inspect_prints_the_text_form(mini_path, tmp_path, capsys):
+    out_root = tmp_path / "out"
+    assert main(["run", str(mini_path), "--out", str(out_root)]) == 0
+    path = out_root / "mini/default/traces/run_0000.trace"
+    expected = io.StringIO()
+    format_trace(read_trace(path), expected)
+    capsys.readouterr()
+    assert main(["inspect", str(path)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == expected.getvalue()
+    assert printed.startswith("# fogbandit-trace v2\n# {")
+    assert main(["inspect", str(tmp_path / "missing.trace")]) == 2
 
 
 def test_oracle_dump_writes_json(mini_path, tmp_path, capsys):

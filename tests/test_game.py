@@ -13,6 +13,16 @@ from conftest import physical_config, synthetic_config
 from reference_impls import ref_cost_entry, ref_run_game
 
 
+def counterfactual_cost(trace, rnd: int, agent: int, alt_arm: int) -> float:
+    """Normalized cost had the agent switched to alt_arm, others fixed."""
+    if not trace.active[rnd, agent]:
+        raise ProtocolError(f"agent {agent} was inactive at round {rnd}")
+    arms = trace.candidate_set(rnd, agent)
+    if alt_arm not in arms:
+        raise ProtocolError(f"arm {alt_arm} not in agent {agent}'s candidate set at round {rnd}")
+    return float(trace.cf_norm[rnd, agent, arms.index(alt_arm)])
+
+
 def test_degenerate_single_agent_single_arm():
     cfg = synthetic_config({1: 0.4}, num_agents=1, horizon=10)
     trace = run_game(cfg, 0)
@@ -126,7 +136,7 @@ def test_counterfactual_identity_at_realized_arm():
     for rnd in range(1, 51):
         for n in range(3):
             arm = int(trace.chosen[rnd, n])
-            assert trace.counterfactual_cost(rnd, n, arm) == trace.cost_norm[rnd, n]
+            assert counterfactual_cost(trace, rnd, n, arm) == trace.cost_norm[rnd, n]
 
 
 def test_counterfactual_matrix_against_resimulation():
@@ -144,7 +154,7 @@ def test_counterfactual_matrix_against_resimulation():
                     1 for u, a in others.items() if u != n and a == alt
                 )
                 expect = ref_cost_entry(env, rnd, n, alt, c)["norm"]
-                assert trace.counterfactual_cost(rnd, n, alt) == pytest.approx(
+                assert counterfactual_cost(trace, rnd, n, alt) == pytest.approx(
                     expect, rel=1e-12
                 )
 
@@ -161,7 +171,7 @@ def test_counterfactual_congestion_rises_when_joining_crowd():
             alt = 1 if chosen[n] != 1 else 2
             if other.count(alt) == 2:
                 expect = ref_cost_entry(env, rnd, n, alt, 3)["norm"]
-                assert trace.counterfactual_cost(rnd, n, alt) == pytest.approx(expect, rel=1e-12)
+                assert counterfactual_cost(trace, rnd, n, alt) == pytest.approx(expect, rel=1e-12)
                 seen = True
     assert seen, "instance never produced a 2-agent crowd to join"
 
@@ -173,7 +183,7 @@ def test_counterfactual_rejects_foreign_arm():
     )
     trace = run_game(cfg, 0)
     with pytest.raises(ProtocolError):
-        trace.counterfactual_cost(1, 0, 9)
+        counterfactual_cost(trace, 1, 0, 9)
 
 
 def test_epoch_structure_of_volatile_runs():

@@ -1,8 +1,11 @@
-"""Golden traces: SHA-256 of `write_trace` bytes for fixed (config, run id).
+"""Golden traces: SHA-256 of a trace's text form for fixed (config, run id).
 
-The digests were recorded from the per-agent round loop that preceded the
-array-native one, so any change to the draws, the learner arithmetic, the
-cost formula or the trace fill shows up here as a mismatch.  The cases cover
+Each trace goes through a trace file first (`write_trace` -> `read_trace`
+-> `format_trace`), so one digest pins both the simulation and a lossless
+file format.  The digests were recorded from the per-agent round loop that
+preceded the array-native one, as the bytes of the text trace files of that
+time, so any change to the draws, the learner arithmetic, the cost formula,
+the trace fill or the file columns shows up here as a mismatch.  The cases cover
 every bundled config and variant at run ids 0 and 1, plus edge cases the
 bundled configs never reach: an agent idle through a whole candidate epoch,
 candidate sets of unequal size (one arm, more than eight arms, reordered
@@ -13,6 +16,7 @@ linear coupling, and truncated-normal task sizes.
 import dataclasses
 import functools
 import hashlib
+import io
 
 import pytest
 
@@ -20,7 +24,7 @@ from fogbandit.bandit import LearnerParams
 from fogbandit.cli import bundled_config
 from fogbandit.configio import TaskSizeLaw, load_config
 from fogbandit.env import CandidateSchedule
-from fogbandit.game import run_game, write_trace
+from fogbandit.game import format_trace, read_trace, run_game, write_trace
 
 from conftest import physical_config, synthetic_config
 
@@ -98,7 +102,9 @@ def cases() -> dict:
 
 def trace_sha256(config, run_id, path) -> str:
     write_trace(run_game(config, run_id), path)
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    text = io.StringIO()
+    format_trace(read_trace(path), text)
+    return hashlib.sha256(text.getvalue().encode()).hexdigest()
 
 
 GOLDEN = {

@@ -5,6 +5,7 @@ adversary phases, shared and per-agent learners, scalar and per-agent
 activation, every task-size law and one to three candidate epochs.
 """
 
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES
 from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
-from fogbandit.game import read_trace, run_game, write_trace
+from fogbandit.game import format_trace, read_trace, run_game, write_trace
 
 from conftest import synthetic_config
 
@@ -133,9 +134,30 @@ def test_trace_write_read_write_is_byte_identical(doc, run_id):
 
 
 def test_v1_trace_is_rejected(tmp_path):
-    path = tmp_path / "old.trace"
+    # text trace files (v1, and v2, which is what format_trace prints) are not read
+    text = io.StringIO()
+    format_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), text)
+    lines = text.getvalue().splitlines(keepends=True)
+    assert lines[0] == "# fogbandit-trace v2\n"
+    for magic in ("# fogbandit-trace v1\n", lines[0]):
+        path = tmp_path / "old.trace"
+        path.write_text(magic + "".join(lines[1:]))
+        with pytest.raises(ValueError, match="bad magic"):
+            read_trace(path)
+
+
+DAMAGE = {
+    "short-by-one-float": lambda data: data[:-8],
+    "cut-in-header": lambda data: data[:60],
+    "one-trailing-byte": lambda data: data + b"\0",
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_damaged_trace_is_rejected(tmp_path, damage):
+    path = tmp_path / "run.trace"
     write_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("# fogbandit-trace v1\n" + "".join(lines[1:]))
-    with pytest.raises(ValueError, match="bad magic"):
+    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    with pytest.raises(ValueError, match="damaged trace") as exc:
         read_trace(path)
+    assert str(path) in str(exc.value)
