@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import _fmt, format_trace, read_trace, run_game, write_trace
+from .game import batches, format_trace, read_trace, run_game, run_games, write_trace
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 
 EXIT_OK = 0
@@ -41,26 +41,29 @@ def default_out_root() -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _run_one(args: tuple) -> dict:
-    """Worker: one replication -> per-run metric arrays (small, picklable).
+def _run_replications(args: tuple) -> list[dict]:
+    """Worker: a batch of replications -> per-run metric arrays (small, picklable).
 
-    Writes the replication's trace file too when given a path.
+    Writes a replication's trace file too when given a path for it.
     """
-    config, run_id, want_pota, want_regret, trace_path = args
-    env = Environment(config, run_id)
-    trace = run_game(config, run_id, env)
-    games = stage_games(env) if want_pota else None
-    del env  # its pre-drawn blocks are not needed past the stage games
-    if trace_path is not None:
-        write_trace(trace, trace_path)
-    out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
-    if want_pota:
-        out["pota"] = metrics.pota_series(trace, games)[1:]
-    if want_regret:
-        out["regret"] = np.stack(
-            [metrics.regret_series(trace, n).normalized[1:] for n in range(config.num_agents)]
-        )
-    return out
+    config, run_ids, want_pota, want_regret, trace_paths = args
+    envs = [Environment(config, rid) for rid in run_ids]
+    traces = run_games(config, run_ids, envs)
+    games = [stage_games(env) for env in envs] if want_pota else None
+    del envs  # their pre-drawn blocks are not needed past the stage games
+    results = []
+    for i, (trace, trace_path) in enumerate(zip(traces, trace_paths)):
+        if trace_path is not None:
+            write_trace(trace, trace_path)
+        out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
+        if want_pota:
+            out["pota"] = metrics.pota_series(trace, games[i])[1:]
+        if want_regret:
+            out["regret"] = np.stack(
+                [metrics.regret_series(trace, n).normalized[1:] for n in range(config.num_agents)]
+            )
+        results.append(out)
+    return results
 
 
 def run_batch(fn, args: list, workers: int = 1) -> list:
@@ -76,13 +79,12 @@ def _write_series_csv(path: Path, rows: np.ndarray) -> None:
     mean = rows.mean(axis=0)
     std = rows.std(axis=0, ddof=1) if rows.shape[0] > 1 else np.zeros(rows.shape[1])
     half = 1.96 * std / math.sqrt(rows.shape[0])
+    columns = zip(mean.tolist(), std.tolist(), (mean - half).tolist(), (mean + half).tolist())
     with open(path, "w") as fh:
         fh.write("round,mean,std,ci_lo,ci_hi\n")
-        for t in range(rows.shape[1]):
-            fh.write(
-                f"{t + 1},{_fmt(mean[t])},{_fmt(std[t])},"
-                f"{_fmt(mean[t] - half[t])},{_fmt(mean[t] + half[t])}\n"
-            )
+        fh.writelines(
+            f"{t},{m!r},{s!r},{lo!r},{hi!r}\n" for t, (m, s, lo, hi) in enumerate(columns, 1)
+        )
 
 
 def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
@@ -114,13 +116,14 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
             (vdir / "traces").mkdir(exist_ok=True)
         trace_paths = {rid: vdir / "traces" / f"run_{rid:04d}.trace" for rid in keep}
         manifest["files"].extend(str(t.relative_to(out_dir)) for t in trace_paths.values())
-        results = run_batch(
-            _run_one,
-            # the CSV statistics aggregate rows in ascending run-id order
-            [(config, rid, want_pota, want_regret, trace_paths.get(rid))
-             for rid in sorted(spec.run_ids)],
+        # the CSV statistics aggregate rows in ascending run-id order
+        parts = run_batch(
+            _run_replications,
+            [(config, ids, want_pota, want_regret, [trace_paths.get(rid) for rid in ids])
+             for ids in batches(config, sorted(spec.run_ids), workers)],
             workers,
         )
+        results = [r for part in parts for r in part]
 
         cost = np.stack([r["cost"] for r in results])
         _write_series_csv(vdir / "cost.csv", cost)
@@ -241,8 +244,8 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
         v.emit("SKIP", "stage-games", f"not enumerable: {why}")
 
     if games:
-        traces = [first if first is not None and rid == sample[0] else run_game(config, rid)
-                  for rid in sample]
+        traces = [] if first is None else [first]
+        traces += run_games(config, sample[len(traces):])
 
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])

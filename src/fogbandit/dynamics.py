@@ -262,18 +262,20 @@ def discrete_probability_path(trace: "GameTrace") -> np.ndarray:
     T, N = trace.horizon, trace.num_agents
     path = np.full((T + 1, N, trace.kmax), np.nan)
     for n in range(N):
-        last: np.ndarray | None = None
-        last_k = 0
-        for rnd in range(1, T + 1):
-            arms = trace.candidate_set(rnd, n)
-            k = len(arms)
-            if trace.active[rnd, n]:
-                last = trace.probs[rnd, n, :k].copy()
-                last_k = k
-            if last is None or last_k != k:
-                path[rnd, n, :k] = 1.0 / k
-            else:
-                path[rnd, n, :k] = last
+        last: np.ndarray | None = None  # at the latest active round so far
+        for lo, hi, sets in trace.epochs():
+            k = len(sets[n])
+            epoch = path[lo : hi + 1, n, :k]
+            # the latest active round up to each round of the epoch; 0 before the first
+            rounds = np.arange(lo, hi + 1)
+            seen = np.maximum.accumulate(np.where(trace.active[rounds, n], rounds, 0))
+            played = seen > 0
+            epoch[played] = trace.probs[seen[played], n, :k]
+            # before its first activation in the epoch an agent keeps what it
+            # last played on a set of the same size, else plays uniformly
+            epoch[~played] = last if last is not None and last.size == k else 1.0 / k
+            if played.any():
+                last = trace.probs[seen[-1], n, :k]
     return path
 
 

@@ -48,6 +48,11 @@ class GameTrace:
     estimates, counterfactual normalized and realized costs) are indexed
     [round, agent, slot], NaN-padded to the largest candidate set and aligned
     with the round's candidate tuple.
+
+    ``clock[t, n]`` is agent n's running count of activations through round
+    t, except in rounds where no agent is active: there every agent's clock
+    reads 0.  Recorded traces have always carried that 0, and the golden
+    digests pin it.
     """
 
     def __init__(self, config: GameConfig, run_id: int):
@@ -72,34 +77,80 @@ class GameTrace:
     def candidate_set(self, rnd: int, agent: int) -> tuple[int, ...]:
         return self.config.candidates.sets_at(rnd)[agent]
 
+    def epochs(self) -> list[tuple[int, int, tuple[tuple[int, ...], ...]]]:
+        """(first round, last round, per-agent candidate sets) of each epoch."""
+        schedule = self.config.candidates
+        return [(lo, hi, sets) for (lo, hi), (_, sets)
+                in zip(schedule.epoch_bounds(self.horizon), schedule.epochs)]
+
 
 # A block of rounds holds at most this many rounds and this many cells of
 # its table of normalized costs over every congestion degree, which bounds
 # the round loop's working memory whatever the horizon.
 _BLOCK_ROUNDS = 64
 _BLOCK_CELLS = 8192
+# A batch of replications stepped together holds at most this many trace
+# cells of replication x round x agent x candidate slot, which bounds the
+# memory of the traces one batch plays at once.
+_BATCH_CELLS = 2**17
+
+
+def batches(config: GameConfig, run_ids, parts: int = 1) -> list[list[int]]:
+    """``run_ids`` cut into contiguous batches for ``run_games``, in order.
+
+    A batch holds about ``len(run_ids) / parts`` ids (say, one batch per
+    worker), and never more than ``_BATCH_CELLS`` allows.
+    """
+    ids = list(run_ids)
+    kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
+    cap = max(1, _BATCH_CELLS // ((config.horizon + 1) * config.num_agents * kmax))
+    size = min(cap, max(1, -(-len(ids) // max(parts, 1))))
+    return [ids[i : i + size] for i in range(0, len(ids), size)]
 
 
 def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None) -> GameTrace:
     """Play the configured game once; deterministic in (config, run_id).
 
     ``env`` is the replication's Environment when the caller needs it too
-    (say, for its stage games); by default it is built here.  Everything that
-    play does not change -- activations, clocks, task sizes, demand
-    weights, learning rates and the selection uniforms -- is drawn before
-    the first round.  Each round is then one array step over its active
-    agents, and each block of rounds is filled into the trace from the
-    matrix of chosen arms.
+    (say, for its stage games); by default it is built here.
+    """
+    return run_games(config, [run_id], [env])[0]
+
+
+def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
+    """Play the configured game once per run id; the traces in the same order.
+
+    Replications never interact, so a batch of them (see ``batches``) is
+    played in lockstep: each (replication, agent) pair is one row of a
+    single learner state, and each round is one array step over the rows.
+    Every trace is byte-identical to the one its run id gives alone.
+    ``envs``, when given, holds each replication's Environment or None.
+    Everything that play does not change -- activations, clocks, task
+    sizes, demand weights, learning rates and the selection uniforms -- is
+    drawn before the first round, and each block of rounds is filled into
+    the traces from the matrix of chosen arms.
     """
     config.validate()
-    env = env if env is not None else Environment(config, run_id)
-    trace = GameTrace(config, run_id)
-    uniforms = _predraw(config, run_id, env, trace)
-    state = bandit.LearnerState.fresh(config.learners, len(env.arm_ids))
-    used = 0
-    for epoch, (lo, hi) in enumerate(env.epoch_bounds):
-        used += _play_epoch(env, trace, state, uniforms[used:], epoch, lo, hi)
-    return trace
+    run_ids = list(run_ids)
+    envs = [None] * len(run_ids) if envs is None else list(envs)
+    if len(envs) != len(run_ids):
+        raise ValueError(f"{len(envs)} environments for {len(run_ids)} run ids")
+    traces: list[GameTrace] = []
+    for ids in batches(config, run_ids):
+        done = len(traces)
+        batch_envs = [
+            env if env is not None else Environment(config, rid)
+            for rid, env in zip(ids, envs[done : done + len(ids)])
+        ]
+        traces += [GameTrace(config, rid) for rid in ids]
+        batch = traces[done:]
+        uniforms = [_predraw(config, rid, env, tr) for rid, env, tr in zip(ids, batch_envs, batch)]
+        # row i * num_agents + n holds agent n of the batch's replication i
+        state = bandit.LearnerState.fresh(config.learners * len(ids), len(batch_envs[0].arm_ids))
+        used = [0] * len(ids)
+        for epoch, (lo, hi) in enumerate(batch_envs[0].epoch_bounds):
+            _play_epoch(batch_envs, batch, state, uniforms, used, epoch, lo, hi)
+    return traces
 
 
 def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace) -> np.ndarray:
@@ -151,121 +202,151 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace
     return stream_rng(config.master_seed, run_id, "selection").random(draws)
 
 
-def _play_epoch(env, trace, state, uniforms, epoch, lo, hi) -> int:
-    """Rounds [lo, hi] of one candidate epoch, in blocks of rounds.
+def _play_epoch(envs, traces, state, uniforms, used, epoch, lo, hi) -> None:
+    """Rounds [lo, hi] of one candidate epoch for a batch, in blocks of rounds.
 
-    Agents are stepped in groups of equal candidate-set size.  A group's
-    idle agents are stepped too, with learning rate 0 and demand weight 1,
-    which leaves their scores unchanged; their choices count toward no
-    congestion and the fill drops them.  Returns the number of selection
-    uniforms used, taken from the front of ``uniforms``.
+    Agents are stepped in groups of equal candidate-set size, each group
+    one array step per round over every replication of the batch.  A
+    group's idle agents are stepped too, with learning rate 0 and demand
+    weight 1, which leaves their scores unchanged; their choices count
+    toward no congestion and the fill drops them.  ``used[i]`` counts the
+    selection uniforms replication i has taken from the front of
+    ``uniforms[i]``.
     """
-    config = trace.config
-    n_agents = config.num_agents
-    pos = env.slot_pos[epoch]  # [agent, slot]
+    config = traces[0].config
+    reps, n_agents = len(traces), config.num_agents
+    pos = envs[0].slot_pos[epoch]  # [agent, slot], the same in every replication
     sizes = (pos >= 0).sum(axis=1)
-    sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)]
+    sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)] * reps
     # a learner syncs to the epoch's sets at its first activation in it
     syncs: dict[int, list[int]] = {}
-    for n in range(n_agents):
-        rounds = np.flatnonzero(trace.active[lo : hi + 1, n])
-        if rounds.size:
-            syncs.setdefault(lo + int(rounds[0]), []).append(n)
+    for i, trace in enumerate(traces):
+        for n in range(n_agents):
+            rounds = np.flatnonzero(trace.active[lo : hi + 1, n])
+            if rounds.size:
+                syncs.setdefault(lo + int(rounds[0]), []).append(i * n_agents + n)
     mix = np.array([lp.uniform_mix for lp in config.learners])
     full = np.array([lp.feedback == "full" for lp in config.learners])
-    groups = []
-    for k in sorted(set(sizes.tolist())):
-        agents = np.flatnonzero(sizes == k)
-        groups.append(_Group(
-            int(k), agents, pos[agents, :k], mix[agents, None] if mix.any() else 0.0, full[agents]
-        ))
+    n_arms = len(envs[0].arm_ids)
+    groups = [
+        _Group(int(k), np.flatnonzero(sizes == k), pos, reps, n_arms, mix, full)
+        for k in sorted(set(sizes.tolist()))
+    ]
     degrees = np.arange(n_agents + 1)
-    n_arms = len(env.arm_ids)
     block = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (n_agents * pos.shape[1] * degrees.size)))
-    used = 0
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
-        inputs = env.cost_inputs(b_lo, b_hi)
-        # normalized cost [round, agent, slot, congestion degree]
-        table = env.cost_vectors(inputs.per_level(), degrees)["normalized"]
-        drawn = trace.active[b_lo : b_hi + 1] & (sizes > 1)
-        count = int(drawn.sum())
-        u = np.full(drawn.shape, np.nan)
-        u[drawn] = uniforms[used : used + count]
-        used += count
-        blocks = [g.block(trace, u, b_lo, b_hi) for g in groups]
+        rounds = slice(b_lo, b_hi + 1)
+        inputs = [env.cost_inputs(b_lo, b_hi) for env in envs]
+        # normalized cost [round, replication * agent, slot, congestion degree]
+        table = _side_by_side(
+            [env.cost_vectors(x.per_level(), degrees)["normalized"] for env, x in zip(envs, inputs)]
+        )
+        u = []  # per replication, the [round, agent] block of selection uniforms
+        for i, trace in enumerate(traces):
+            drawn = trace.active[rounds] & (sizes > 1)
+            count = int(drawn.sum())
+            u.append(np.full(drawn.shape, np.nan))
+            u[i][drawn] = uniforms[i][used[i] : used[i] + count]
+            used[i] += count
+        blocks = [g.block(traces, u, rounds) for g in groups]
         for r, rnd in enumerate(range(b_lo, b_hi + 1)):
             if rnd in syncs:
                 bandit.sync_candidates(state, syncs[rnd], sets)
-            arms, playing = [], []  # chosen arm positions, of all and of active agents
+            cells, playing = [], []  # replication * n_arms + chosen arm position
             for g, b in zip(groups, blocks):
                 b.slot[r], b.probs[r] = bandit.select_arm(
                     state.scores[g.rows, g.cols], b.zeta[r], g.mix, b.u[r]
                 )
-                arms.append(g.cols[g.index, b.slot[r]])
-                playing.append(arms[-1] if b.everyone[r] else arms[-1][b.active[r]])
+                cells.append(g.cells[g.index, b.slot[r]])
+                playing.append(cells[-1] if b.everyone[r] else cells[-1][b.active[r]])
             counts = np.bincount(
-                np.concatenate(playing) if len(playing) > 1 else playing[0], minlength=n_arms
+                np.concatenate(playing) if len(playing) > 1 else playing[0],
+                minlength=reps * n_arms,
             )
-            for g, b, arm in zip(groups, blocks, arms):
+            for g, b, cell in zip(groups, blocks, cells):
                 idx = b.slot[r]
                 est = bandit.estimate_cost(
-                    table[r, g.agents, idx, counts[arm]], idx, b.probs[r], b.gamma[r]
+                    table[r, g.flat, idx, counts[cell]], idx, b.probs[r], b.gamma[r]
                 )
                 if g.any_full:  # the whole counterfactual vector is the estimate
                     f = g.full
-                    degree = counts[g.cols[f]] + (np.arange(g.k) != idx[f, None])
+                    degree = counts[g.cells[f]] + (np.arange(g.k) != idx[f, None])
                     est[f] = table[r, g.rows[f], np.arange(g.k), degree]
-                bandit.update_scores(state, g.agents, g.cols, est, b.eta[r])
+                bandit.update_scores(state, g.flat, g.cols, est, b.eta[r])
                 b.estimates[r] = est
-        _fill(env, trace, inputs, b_lo, b_hi, groups, blocks)
-    return used
+        for i in range(reps):
+            _fill(envs[i], traces[i], inputs[i], b_lo, b_hi, groups, blocks, i)
 
 
 class _Group:
-    """Agents of one epoch that share a candidate-set size ``k``."""
+    """Agents of one epoch that share a candidate-set size ``k``.
 
-    def __init__(self, k, agents, cols, mix, full):
-        self.k, self.agents, self.cols, self.mix, self.full = k, agents, cols, mix, full
-        self.rows = agents[:, None]
-        self.index = np.arange(agents.size)
-        self.any_full = bool(full.any())
+    A group array has one row per (replication, agent) pair of the batch,
+    replication-major: row ``i * agents.size + j`` is agent ``agents[j]``
+    of replication i.
+    """
 
-    def block(self, trace, uniforms, lo, hi) -> SimpleNamespace:
-        """Per-round inputs and outputs of the group over rounds [lo, hi].
+    def __init__(self, k, agents, pos, reps, n_arms, mix, full):
+        n_agents = pos.shape[0]
+        rep = np.repeat(np.arange(reps), agents.size)
+        self.k, self.agents = k, agents
+        self.flat = rep * n_agents + np.tile(agents, reps)  # learner-state rows
+        self.rows = self.flat[:, None]
+        self.cols = np.tile(pos[agents, :k], (reps, 1))  # arm positions
+        self.cells = (rep * n_arms)[:, None] + self.cols  # in the batch's congestion counts
+        self.index = np.arange(self.flat.size)
+        self.mix = np.tile(mix[agents], reps)[:, None] if mix.any() else 0.0
+        self.full = np.tile(full[agents], reps)
+        self.any_full = bool(self.full.any())
 
-        ``uniforms`` is the [round, agent] block of selection uniforms.
+    def block(self, traces, uniforms, rounds) -> SimpleNamespace:
+        """Per-round inputs and outputs of the group over one block of rounds.
+
+        ``uniforms`` holds each replication's [round, agent] block of
+        selection uniforms.
         """
-        rounds, agents = slice(lo, hi + 1), self.agents
-        active = trace.active[rounds][:, agents]
-        shape = (hi - lo + 1, agents.size)
 
-        def per_slot(values):  # [round, agent] -> [round, agent, slot]
+        def pick(blocks):  # per replication [round, agent] -> [round, group row]
+            return _side_by_side([b[:, self.agents] for b in blocks])
+
+        def column(name):
+            return pick([getattr(trace, name)[rounds] for trace in traces])
+
+        def per_slot(values):  # [round, row] -> [round, row, slot]
             return np.repeat(values[:, :, None], self.k, axis=2)
 
+        active = column("active")
+        shape = active.shape
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
-            zeta=per_slot(np.where(active, trace.zeta[rounds][:, agents], 1.0)),
-            eta=per_slot(np.where(active, trace.eta[rounds][:, agents], 0.0)),
-            gamma=np.where(active, trace.gamma[rounds][:, agents], 1.0),
-            u=per_slot(uniforms[:, agents]),
+            zeta=per_slot(np.where(active, column("zeta"), 1.0)),
+            eta=per_slot(np.where(active, column("eta"), 0.0)),
+            gamma=np.where(active, column("gamma"), 1.0),
+            u=per_slot(pick(uniforms)),
             slot=np.zeros(shape, dtype=np.int64),
             probs=np.empty(shape + (self.k,)),
             estimates=np.empty(shape + (self.k,)),
         )
 
 
-def _fill(env, trace, inputs, lo, hi, groups, blocks) -> None:
-    """Fill rounds [lo, hi] of the trace from the groups' block outputs."""
+def _side_by_side(arrays: list[np.ndarray]) -> np.ndarray:
+    """Per-replication arrays joined along axis 1, replication-major; one as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+
+
+def _fill(env, trace, inputs, lo, hi, groups, blocks, rep) -> None:
+    """Fill rounds [lo, hi] of replication ``rep``'s trace from the block outputs."""
     rounds = slice(lo, hi + 1)
     active = trace.active[rounds]
     slots = np.zeros(active.shape, dtype=np.int64)
     for g, b in zip(groups, blocks):
-        slots[:, g.agents] = b.slot
-        idle = ~b.active[:, :, None]
-        trace.probs[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.probs)
-        trace.estimates[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.estimates)
+        part = slice(rep * g.agents.size, (rep + 1) * g.agents.size)
+        slots[:, g.agents] = b.slot[:, part]
+        idle = ~b.active[:, part, None]
+        trace.probs[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.probs[:, part])
+        trace.estimates[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.estimates[:, part])
     pos = env.slot_pos[env.epoch_index(lo)]
     agents = np.arange(slots.shape[1])
     trace.chosen[rounds] = np.where(active, np.asarray(env.arm_ids)[pos[agents, slots]], -1)
@@ -349,23 +430,24 @@ def format_trace(trace: GameTrace, fh) -> None:
     set.  Inactive agent-rounds carry "-" placeholders.
     """
     fh.write(_TEXT_MAGIC + _header(trace))
-    for rnd in range(1, trace.horizon + 1):
-        for n in range(trace.num_agents):
-            if not trace.active[rnd, n]:
-                fh.write(f"{rnd} {n} 0 {trace.clock[rnd, n]}" + " -" * 15 + "\n")
-                continue
-            k = len(trace.candidate_set(rnd, n))
-            cols = [
-                str(rnd), str(n), "1", str(int(trace.clock[rnd, n])),
-                _fmt(trace.zeta[rnd, n]), _fmt(trace.task_size[rnd, n]),
-                _fmt(trace.eta[rnd, n]), _fmt(trace.gamma[rnd, n]),
-                str(int(trace.chosen[rnd, n])), str(int(trace.congestion[rnd, n])),
-                _fmt(trace.cost_a[rnd, n]), _fmt(trace.cost_c[rnd, n]),
-                _fmt(trace.outlier[rnd, n]), _fmt(trace.cost_real[rnd, n]),
-                _fmt(trace.cost_norm[rnd, n]),
-                _fmt_vec(trace.probs[rnd, n], k),
-                _fmt_vec(trace.estimates[rnd, n], k),
-                _fmt_vec(trace.cf_norm[rnd, n], k),
-                _fmt_vec(trace.cf_raw[rnd, n], k),
-            ]
-            fh.write(" ".join(cols) + "\n")
+    for lo, hi, sets in trace.epochs():
+        sizes = [len(arms) for arms in sets]
+        for rnd in range(lo, hi + 1):
+            for n, k in enumerate(sizes):
+                if not trace.active[rnd, n]:
+                    fh.write(f"{rnd} {n} 0 {trace.clock[rnd, n]}" + " -" * 15 + "\n")
+                    continue
+                cols = [
+                    str(rnd), str(n), "1", str(int(trace.clock[rnd, n])),
+                    _fmt(trace.zeta[rnd, n]), _fmt(trace.task_size[rnd, n]),
+                    _fmt(trace.eta[rnd, n]), _fmt(trace.gamma[rnd, n]),
+                    str(int(trace.chosen[rnd, n])), str(int(trace.congestion[rnd, n])),
+                    _fmt(trace.cost_a[rnd, n]), _fmt(trace.cost_c[rnd, n]),
+                    _fmt(trace.outlier[rnd, n]), _fmt(trace.cost_real[rnd, n]),
+                    _fmt(trace.cost_norm[rnd, n]),
+                    _fmt_vec(trace.probs[rnd, n], k),
+                    _fmt_vec(trace.estimates[rnd, n], k),
+                    _fmt_vec(trace.cf_norm[rnd, n], k),
+                    _fmt_vec(trace.cf_raw[rnd, n], k),
+                ]
+                fh.write(" ".join(cols) + "\n")

@@ -270,7 +270,7 @@ def convergence_rate_check(
     dominant, delta_l = strict_gap(trace.config, agent)
     if dominant < 0:
         return ConvergenceRateReport(True, "no strict-gap dominant arm in config")
-    sets = {trace.candidate_set(r, agent) for r in range(1, trace.horizon + 1)}
+    sets = {s[agent] for _, _, s in trace.epochs()}
     if len(sets) != 1:
         return ConvergenceRateReport(True, "candidate set changes over horizon")
     arms = sets.pop()

@@ -132,7 +132,7 @@ def best_fixed_arm(
     lo, hi = segment
     if not (1 <= lo <= hi <= trace.horizon):
         raise ValueError(f"segment {segment} outside [1, {trace.horizon}]")
-    sets = {trace.candidate_set(r, agent) for r in range(lo, hi + 1)}
+    sets = {s[agent] for e_lo, e_hi, s in trace.epochs() if e_lo <= hi and e_hi >= lo}
     if len(sets) != 1:
         raise ValueError(
             f"segment {segment} spans candidate-set changes for agent {agent}"

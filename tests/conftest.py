@@ -11,7 +11,7 @@ from fogbandit.env import (
 )
 from fogbandit.cli import run_batch
 from fogbandit.configio import GameConfig, TaskSizeLaw
-from fogbandit.game import run_game
+from fogbandit.game import batches, run_games
 
 
 def synthetic_config(
@@ -95,20 +95,33 @@ def physical_config(
 # -- parallel helpers (top-level functions so they pickle) -------------------
 
 
+def map_runs(fn, config: GameConfig, runs: int, *extra, workers: int = 2) -> list:
+    """One result per run id in range(runs), in order.
+
+    ``fn((config, run_ids, *extra))`` returns a list of results for one
+    ``run_games`` batch of ids; the batches are spread over ``workers``.
+    """
+    parts = run_batch(
+        fn, [(config, ids, *extra) for ids in batches(config, range(runs), workers)], workers
+    )
+    return [row for part in parts for row in part]
+
+
 def _probs_worker(args):
-    config, run_id, agent, pos = args
-    return run_game(config, run_id).probs[1:, agent, pos].copy()
+    config, run_ids, agent, pos = args
+    return [trace.probs[1:, agent, pos].copy() for trace in run_games(config, run_ids)]
 
 
 def _regret_worker(args):
     from fogbandit import metrics
 
-    config, run_id = args
-    trace = run_game(config, run_id)
-    return np.array([metrics.regret_series(trace, i).final() for i in range(trace.num_agents)])
+    config, run_ids = args
+    return [
+        np.array([metrics.regret_series(trace, i).final() for i in range(trace.num_agents)])
+        for trace in run_games(config, run_ids)
+    ]
 
 
 def seed_mean_probs(config: GameConfig, runs: int, agent: int, pos: int, workers: int = 2):
-    rows = run_batch(_probs_worker, [(config, r, agent, pos) for r in range(runs)], workers)
-    stack = np.stack(rows)
+    stack = np.stack(map_runs(_probs_worker, config, runs, agent, pos, workers=workers))
     return stack.mean(axis=0), stack.std(axis=0, ddof=1) / np.sqrt(runs)

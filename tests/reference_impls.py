@@ -220,3 +220,20 @@ def ref_integrate_fixed_step(
             step /= 2.0
         p = nxt
     return p, False
+
+
+def ref_discrete_probability_path(trace) -> np.ndarray:
+    """``discrete_probability_path`` one agent-round at a time.
+
+    Each round takes the agent's probabilities when it plays, else the ones
+    it last played on a candidate set of the same size, else uniform.
+    """
+    path = np.full((trace.horizon + 1, trace.num_agents, trace.kmax), np.nan)
+    for n in range(trace.num_agents):
+        last, last_k = None, 0
+        for rnd in range(1, trace.horizon + 1):
+            k = len(trace.candidate_set(rnd, n))
+            if trace.active[rnd, n]:
+                last, last_k = trace.probs[rnd, n, :k].copy(), k
+            path[rnd, n, :k] = last if last is not None and last_k == k else 1.0 / k
+    return path

@@ -14,10 +14,10 @@ import pytest
 from fogbandit import dynamics, metrics
 from fogbandit.bandit import LearnerParams, estimate_cost
 from fogbandit.configio import GameConfig, TaskSizeLaw, load_config
-from fogbandit.cli import bundled_config, run_batch, run_experiment
+from fogbandit.cli import bundled_config, run_experiment
 from fogbandit.dynamics import MeanCostField, MixedProfile
 from fogbandit.env import Environment
-from fogbandit.game import run_game
+from fogbandit.game import run_game, run_games
 from fogbandit.oracle import (
     SmallGame,
     find_pure_nash,
@@ -26,7 +26,7 @@ from fogbandit.oracle import (
     stage_games,
 )
 
-from conftest import synthetic_config, seed_mean_probs
+from conftest import map_runs, synthetic_config, seed_mean_probs
 from test_oracle import make_game, ref_nash, ref_social_optimum
 
 WORKERS = 2
@@ -160,16 +160,18 @@ def _xi_instance(horizon: int, activation=(), seed: int = 55) -> GameConfig:
 
 
 def _xi_worker(args):
-    config, run_id, window = args
-    trace = run_game(config, run_id)
-    games = stage_games(Environment(config, run_id))
-    cert = metrics.xi_certificate(trace, window, games[-1][1])
-    return cert.certified, cert.max_gap, cert.xi_bound
+    config, run_ids, window = args
+    envs = [Environment(config, r) for r in run_ids]
+    rows = []
+    for trace, env in zip(run_games(config, run_ids, envs), envs):
+        cert = metrics.xi_certificate(trace, window, stage_games(env)[-1][1])
+        rows.append((cert.certified, cert.max_gap, cert.xi_bound))
+    return rows
 
 
 def test_criterion_05_xi_certification():
     cfg = _xi_instance(5000)
-    rows = run_batch(_xi_worker, [(cfg, r, 0.2) for r in range(50)], WORKERS)
+    rows = map_runs(_xi_worker, cfg, 50, 0.2, workers=WORKERS)
     certified = sum(r[0] for r in rows)
     worst = max(r[1] for r in rows)
     bound = rows[0][2]
@@ -182,13 +184,15 @@ def test_criterion_05_xi_certification():
 
 
 def _pota_worker(args):
-    config, run_id = args
-    trace = run_game(config, run_id)
-    games = stage_games(Environment(config, run_id))
-    checks = metrics.pota_bound_check(trace, games)
-    bad = sum((not c.vacuous) and (not c.holds) for c in checks)
-    vac = sum(c.vacuous for c in checks)
-    return bad, vac, len(checks)
+    config, run_ids = args
+    envs = [Environment(config, r) for r in run_ids]
+    rows = []
+    for trace, env in zip(run_games(config, run_ids, envs), envs):
+        checks = metrics.pota_bound_check(trace, stage_games(env))
+        bad = sum((not c.vacuous) and (not c.holds) for c in checks)
+        vac = sum(c.vacuous for c in checks)
+        rows.append((bad, vac, len(checks)))
+    return rows
 
 
 def test_criterion_06_pota_bound():
@@ -215,7 +219,7 @@ def test_criterion_06_pota_bound():
     details = []
     all_ok = True
     for name, cfg in instances.items():
-        rows = run_batch(_pota_worker, [(cfg, r) for r in range(200)], WORKERS)
+        rows = map_runs(_pota_worker, cfg, 200, workers=WORKERS)
         violations = sum(r[0] for r in rows)
         vacuous = sum(r[1] for r in rows)
         epochs = rows[0][2]
@@ -229,12 +233,13 @@ def test_criterion_06_pota_bound():
 
 
 def _finals_worker(args):
-    config, run_id = args
-    trace = run_game(config, run_id)
-    games = stage_games(Environment(config, run_id))
-    cost = float(metrics.social_cost_series(trace)[-1])
-    pota = float(metrics.pota_series(trace, games)[-1])
-    return cost, pota
+    config, run_ids = args
+    envs = [Environment(config, r) for r in run_ids]
+    return [
+        (float(metrics.social_cost_series(trace)[-1]),
+         float(metrics.pota_series(trace, stage_games(env))[-1]))
+        for trace, env in zip(run_games(config, run_ids, envs), envs)
+    ]
 
 
 @pytest.mark.slow
@@ -245,7 +250,7 @@ def test_criterion_07_benchmark_direction():
         if variant.name not in ("perturbed", "vanilla-ix"):
             continue
         cfg = spec.game_for(variant)
-        rows = run_batch(_finals_worker, [(cfg, r) for r in range(200)], WORKERS)
+        rows = map_runs(_finals_worker, cfg, 200, workers=WORKERS)
         finals[variant.name] = np.array(rows)  # [200, 2] cost, pota
     msgs = []
     ok = True
@@ -284,7 +289,7 @@ def test_criterion_08_patching_beats_reset():
     finals = {}
     for mode in ("patch", "reset_all"):
         cfg = _volatile_instance(mode)
-        rows = run_batch(_regret_worker, [(cfg, r) for r in range(200)], WORKERS)
+        rows = map_runs(_regret_worker, cfg, 200, workers=WORKERS)
         finals[mode] = np.stack(rows).mean(axis=1)  # per-seed mean over agents
     a, b = finals["patch"], finals["reset_all"]
     band3 = 3.0 * (a.std(ddof=1) + b.std(ddof=1)) / math.sqrt(len(a))

@@ -12,7 +12,7 @@ import yaml
 from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
-from fogbandit.game import format_trace, read_trace
+from fogbandit.game import batches, format_trace, read_trace
 
 MINIMAL = """
 name: mini
@@ -100,6 +100,28 @@ def test_run_experiment_idempotent(mini_path, tmp_path):
                 "mini/default/regret_agent0.csv", "mini/manifest.json",
                 "mini/default/traces/run_0000.trace"):
         assert filecmp.cmp(out1 / rel, out2 / rel, shallow=False), rel
+
+
+def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path):
+    # long enough that a batch holds 4 replications: 6 run ids make batches
+    # of 4 + 2 with one worker and 3 + 3 with two
+    doc = yaml.safe_load(mini_path.read_text())
+    doc["replications"] = 6
+    doc["game"].update(num_agents=2, horizon=7000)
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 7000
+    path = tmp_path / "long.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    spec = load_config(path)
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1)] == [4, 2]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2)] == [3, 3]
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        trees.append({rel: (out / rel).read_bytes() for rel in files})
+    assert len(trees[0]) == 6 + 4 + 2  # traces, CSVs, summary and manifest
+    assert trees[0] == trees[1]
 
 
 def test_csv_schema(mini_path, tmp_path):

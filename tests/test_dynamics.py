@@ -28,7 +28,7 @@ from fogbandit.game import run_game
 from fogbandit.oracle import SmallGame, find_pure_nash, stage_games
 
 from conftest import synthetic_config, seed_mean_probs
-from reference_impls import ref_integrate_fixed_step
+from reference_impls import ref_discrete_probability_path, ref_integrate_fixed_step
 from test_oracle import make_game
 
 
@@ -286,6 +286,19 @@ def test_discrete_path_freezes_through_inactivity():
     for rnd in idle:
         if rnd > 1:
             np.testing.assert_array_equal(path[rnd, 0, :2], path[rnd - 1, 0, :2])
+
+
+@pytest.mark.parametrize("case", ["idle-epoch", "ragged-patch", "physical-ragged"])
+def test_discrete_path_matches_round_by_round_reference(case):
+    # agents idle through whole epochs, and epochs whose sets share a size
+    from test_golden import edge_cases
+
+    config = edge_cases()[case]
+    for run_id in (0, 1):
+        trace = run_game(config, run_id)
+        np.testing.assert_array_equal(
+            discrete_probability_path(trace), ref_discrete_probability_path(trace)
+        )
 
 
 class CountingField(MeanCostField):

@@ -10,7 +10,9 @@ every bundled config and variant at run ids 0 and 1, plus edge cases the
 bundled configs never reach: an agent idle through a whole candidate epoch,
 candidate sets of unequal size (one arm, more than eight arms, reordered
 sets), every patch mode, full feedback and uniform mixing on ragged sets,
-linear coupling, and truncated-normal task sizes.
+linear coupling, and truncated-normal task sizes.  Every case is also
+played inside a batch of replications (``run_games``) and must give the
+same digest there.
 """
 
 import dataclasses
@@ -20,6 +22,7 @@ import io
 
 import pytest
 
+from fogbandit import game
 from fogbandit.bandit import LearnerParams
 from fogbandit.cli import bundled_config
 from fogbandit.configio import TaskSizeLaw, load_config
@@ -100,8 +103,8 @@ def cases() -> dict:
     return out
 
 
-def trace_sha256(config, run_id, path) -> str:
-    write_trace(run_game(config, run_id), path)
+def trace_sha256(trace, path) -> str:
+    write_trace(trace, path)
     text = io.StringIO()
     format_trace(read_trace(path), text)
     return hashlib.sha256(text.getvalue().encode()).hexdigest()
@@ -166,4 +169,17 @@ def test_edge_cases_reach_their_edges():
 @pytest.mark.parametrize("key", sorted(cases()))
 def test_golden_trace(key, tmp_path):
     config, run_id = cases()[key]
-    assert trace_sha256(config, run_id, tmp_path / "run.trace") == GOLDEN[key]
+    assert trace_sha256(run_game(config, run_id), tmp_path / "run.trace") == GOLDEN[key]
+
+
+@pytest.mark.parametrize("name", sorted({key.rsplit("/", 1)[0] for key in GOLDEN}))
+def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
+    # run ids 0 and 1 stepped together as one batch give the same bytes; the
+    # batch bound is lifted so that the long bundled games batch too
+    monkeypatch.setattr(game, "_BATCH_CELLS", 2**40)
+    config, _ = cases()[f"{name}/0"]
+    assert game.batches(config, [0, 1]) == [[0, 1]]
+    traces = game.run_games(config, [0, 1])
+    assert [t.run_id for t in traces] == [0, 1]
+    for trace in traces:
+        assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]

@@ -167,6 +167,22 @@ def test_best_fixed_arm_rejects_cross_epoch_segment():
     assert best_fixed_arm(trace, 0, (31, 60))[0] in (1, 2, 3)
 
 
+def test_best_fixed_arm_spans_epochs_with_the_same_set():
+    # agent 0 keeps its set across the epoch boundary, agent 1 does not
+    cfg = synthetic_config(
+        {1: 0.3, 2: 0.5, 3: 0.4},
+        horizon=60,
+        epochs=((1, ((1, 2), (1, 2))), (31, ((1, 2), (2, 3)))),
+    )
+    trace = run_game(cfg, 0)
+    arm, total = best_fixed_arm(trace, 0, (20, 40))
+    act = trace.active[20:41, 0]
+    sums = np.where(act[:, None], trace.cf_norm[20:41, 0, :2], 0.0).sum(axis=0)
+    assert (arm, total) == ((1, 2)[int(np.argmin(sums))], float(sums.min()))
+    with pytest.raises(ValueError, match="spans"):
+        best_fixed_arm(trace, 1, (20, 40))
+
+
 def test_smoothness_single_agent_is_one():
     game = make_game([(1, 2)], {1: 0.3, 2: 0.6})
     res = smoothness_constants(game)

@@ -2,7 +2,9 @@
 
 Generated YAML documents cover both cost models, explicit and generated
 adversary phases, shared and per-agent learners, scalar and per-agent
-activation, every task-size law and one to three candidate epochs.
+activation, every task-size law and one to three candidate epochs.  A
+batch of replications played together must equal the same replications
+played one at a time.
 """
 
 import io
@@ -10,6 +12,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES
 from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
-from fogbandit.game import format_trace, read_trace, run_game, write_trace
+from fogbandit.game import _COLUMNS, format_trace, read_trace, run_game, run_games, write_trace
 
 from conftest import synthetic_config
 
@@ -161,3 +164,30 @@ def test_damaged_trace_is_rejected(tmp_path, damage):
     with pytest.raises(ValueError, match="damaged trace") as exc:
         read_trace(path)
     assert str(path) in str(exc.value)
+
+
+@st.composite
+def ragged_games(draw):
+    """Generated games with per-agent epoch sets, per-agent learners and
+    activation below 1, over up to five epochs, so that some are short
+    enough for an agent to sit through idle."""
+    doc = draw(config_docs())
+    game = doc["game"]
+    n, horizon = game["num_agents"], game["horizon"]
+    subsets = st.lists(st.sampled_from([v["id"] for v in game["env"]["vfns"]]), min_size=1, unique=True)
+    starts = [1] + sorted(draw(st.sets(st.integers(2, horizon), min_size=1, max_size=4)))
+    game["candidates"] = [{"start": s, "sets": [draw(subsets) for _ in range(n)]} for s in starts]
+    game["activation"] = [draw(st.floats(0.05, 0.95)) for _ in range(n)]
+    game["learners"] = [draw(LEARNER) for _ in range(n)]
+    return parse_spec(doc).base
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_games(), st.lists(st.integers(0, 40), min_size=1, max_size=5))
+def test_batched_replications_equal_single_runs(config, run_ids):
+    batched = run_games(config, run_ids)
+    assert [t.run_id for t in batched] == run_ids
+    for trace, run_id in zip(batched, run_ids):
+        alone = run_game(config, run_id)
+        for name, dtype, _ in _COLUMNS:
+            assert np.array_equal(getattr(trace, name), getattr(alone, name), equal_nan=dtype == "<f8"), name
