@@ -228,16 +228,12 @@ def estimate_cost(
     return est
 
 
-def update_scores(
-    state: LearnerState,
-    agents: np.ndarray,
-    positions: np.ndarray,
-    estimates: np.ndarray,
-    eta: np.ndarray,
-) -> None:
-    """Accumulate eta-weighted estimates into the agents' current arms.
+def update_scores(scores: np.ndarray, estimates: np.ndarray, eta) -> None:
+    """Accumulate eta-weighted estimates into [agent, slot] scores, in place.
 
-    ``positions`` and ``estimates`` are [agent, slot] and ``eta`` broadcasts
-    against them; a zero estimate leaves its score unchanged.
+    ``scores`` holds the agents' scores on their current candidate slots
+    (the round loop keeps them apart from ``LearnerState.scores`` through a
+    candidate epoch); ``eta`` broadcasts against ``estimates``.  A zero
+    estimate leaves its score unchanged.
     """
-    state.scores[agents[:, None], positions] += eta * estimates
+    scores += eta * estimates

@@ -203,10 +203,11 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
 
     config = spec.game_for(spec.variants[0])
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    # sample[0] is simulated once: its replay's Environment also gives the
-    # stage games, and the replayed trace is the first sample trace
-    first = staged = None
-    first_key = (sample[0], config.digest())
+    # sample[0]'s Environment gives the stage games and plays sample[0] once:
+    # as the replay of its stored trace if there is one, else as a sample run
+    env0 = Environment(config, sample[0])
+    games, why = _stage_games(env0)
+    first = None
 
     # stored trace files parse and replay byte-identically
     ok = True
@@ -220,13 +221,8 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
             v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
             ok = False
             continue
-        if staged is None and (stored.run_id, stored.config.digest()) == first_key:
-            env = Environment(stored.config, stored.run_id)
-            fresh = run_game(stored.config, stored.run_id, env)
-            staged = _stage_games(env)
-            del env
-            if staged[0]:
-                first = fresh
+        if first is None and (stored.run_id, stored.config.digest()) == (sample[0], config.digest()):
+            fresh = first = run_game(config, sample[0], env0)
         else:
             fresh = run_game(stored.config, stored.run_id)
         buf_path = path.with_suffix(".replay")
@@ -239,13 +235,14 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 
-    games, why = staged or _stage_games(Environment(config, sample[0]))
     if why is not None:
         v.emit("SKIP", "stage-games", f"not enumerable: {why}")
 
     if games:
         traces = [] if first is None else [first]
-        traces += run_games(config, sample[len(traces):])
+        envs = None if first is not None else [env0] + [None] * (len(sample) - 1)
+        traces += run_games(config, sample[len(traces):], envs)
+        del env0, envs  # their pre-drawn blocks are not needed past the sample runs
 
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])

@@ -342,10 +342,6 @@ class CostInputs(NamedTuple):
     load: np.ndarray | None = None
     cpu: np.ndarray | None = None
 
-    def per_level(self) -> "CostInputs":
-        """The same ingredients with a trailing axis for the congestion degree."""
-        return CostInputs(*(None if a is None else a[..., None] for a in self))
-
 
 class Environment:
     """Deterministic cost ground truth for one replication.
@@ -503,33 +499,35 @@ class Environment:
         return inputs
 
     def congestion(self, lo: int, chosen: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Counterfactual congestion degrees [round - lo, agent, slot].
+        """Counterfactual congestion degrees [..., round - lo, agent, slot].
 
         ``chosen`` holds the arm ids played in rounds lo, lo + 1, ... as a
-        [rounds, agent] array, read where ``active`` is set.  Entry
-        (r, n, i) is the number of agents on slot i's arm had agent n sat
-        there while every other agent kept its arm: the realized degree at
-        the chosen slot.  NaN for inactive agents and past the end of a set.
+        [..., rounds, agent] array, read where ``active`` is set; each
+        index of the leading axes (say, a replication) is a separate game.
+        Entry (r, n, i) is the number of agents on slot i's arm had agent n
+        sat there while every other agent kept its arm: the realized degree
+        at the chosen slot.  NaN for inactive agents and past the end of a set.
         """
         chosen = np.asarray(chosen)
         active = np.asarray(active, dtype=bool)
-        rounds = chosen.shape[0]
-        epoch = self._block_epoch(lo, lo + rounds - 1)
+        epoch = self._block_epoch(lo, lo + chosen.shape[-2] - 1)
         valid = self.slot_pos[epoch] >= 0
         pos = np.where(valid, self.slot_pos[epoch], 0)
-        here = valid & (np.asarray(self.arm_ids)[pos] == chosen[:, :, None])  # [round, agent, slot]
-        stray = active & ~here.any(axis=2)
+        here = valid & (np.asarray(self.arm_ids)[pos] == chosen[..., None])  # [..., round, agent, slot]
+        stray = active & ~here.any(axis=-1)
         if stray.any():
-            r, n = np.argwhere(stray)[0]
+            at = tuple(np.argwhere(stray)[0])
             raise ProtocolError(
-                f"agent {n} chose arm {chosen[r, n]} outside its candidate set at round {lo + r}"
+                f"agent {at[-1]} chose arm {chosen[at]} outside its candidate set"
+                f" at round {lo + at[-2]}"
             )
         n_arms = len(self.arm_ids)
-        on = np.where(here, pos, 0).sum(axis=2)  # chosen arm position [round, agent]
-        cells = (np.arange(rounds)[:, None] * n_arms + on)[active]
-        counts = np.bincount(cells, minlength=rounds * n_arms).reshape(rounds, n_arms)
-        degree = 1 + counts[:, pos] - here
-        return np.where(active[:, :, None] & valid, degree, np.nan)
+        on = np.where(here, pos, 0).sum(axis=-1)  # chosen arm position [..., round, agent]
+        games = on.shape[:-1]
+        cells = (np.arange(math.prod(games)).reshape(games)[..., None] * n_arms + on)[active]
+        counts = np.bincount(cells, minlength=math.prod(games) * n_arms).reshape(games + (n_arms,))
+        degree = 1 + counts[..., pos] - here
+        return np.where(active[..., None] & valid, degree, np.nan)
 
     def cost_vectors(self, inputs: CostInputs, congestion) -> dict[str, np.ndarray]:
         """Costs at the given congestion degrees: the one cost formula.
@@ -538,7 +536,7 @@ class Environment:
         ``Environment.congestion`` degrees entry (r, n, i) is what agent n
         pays (or would pay) on its i-th candidate arm holding every other
         agent's arm fixed; the round loop looks the chosen arm's cost up in
-        a table over every degree (``CostInputs.per_level``).
+        a table over every degree (inputs with a trailing axis of length 1).
         """
         c = np.asarray(congestion, dtype=np.float64)
         env = self.config.env

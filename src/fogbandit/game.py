@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bandit
 from .configio import GameConfig, parse_game
-from .env import Environment
+from .env import CostInputs, Environment
 from .streams import stream_rng
 
 
@@ -47,7 +47,9 @@ class GameTrace:
     row 0 is unused padding).  Ragged per-round vectors (probabilities,
     estimates, counterfactual normalized and realized costs) are indexed
     [round, agent, slot], NaN-padded to the largest candidate set and aligned
-    with the round's candidate tuple.
+    with the round's candidate tuple.  The traces of one ``run_games``
+    batch share storage: each column is a view of one stacked
+    [replication, round, agent(, slot)] array (see ``_stacked``).
 
     ``clock[t, n]`` is agent n's running count of activations through round
     t, except in rounds where no agent is active: there every agent's clock
@@ -55,14 +57,11 @@ class GameTrace:
     digests pin it.
     """
 
-    def __init__(self, config: GameConfig, run_id: int):
+    def __init__(self, config: GameConfig, run_id: int, columns: dict | None = None):
         self.config = config
         self.run_id = run_id
-        self.kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
-        shape = (config.horizon + 1, config.num_agents)
-        for name, dtype, fill in _COLUMNS:
-            dims = shape + (self.kmax,) if name in _PER_SLOT else shape
-            setattr(self, name, np.full(dims, fill, dtype=dtype))
+        vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
+        self.kmax = self.probs.shape[-1]
 
     # -- structure ----------------------------------------------------------
 
@@ -84,11 +83,18 @@ class GameTrace:
                 in zip(schedule.epoch_bounds(self.horizon), schedule.epochs)]
 
 
-# A block of rounds holds at most this many rounds and this many cells of
-# its table of normalized costs over every congestion degree, which bounds
-# the round loop's working memory whatever the horizon.
-_BLOCK_ROUNDS = 64
-_BLOCK_CELLS = 8192
+def _stacked(config: GameConfig, reps: int) -> dict[str, np.ndarray]:
+    """Blank trace columns of ``reps`` replications, [replication, round, agent(, slot)]."""
+    shape = (reps, config.horizon + 1, config.num_agents)
+    kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
+    return {name: np.full(shape + (kmax,) if name in _PER_SLOT else shape, fill, dtype=dtype)
+            for name, dtype, fill in _COLUMNS}
+
+
+# A block of rounds holds at most this many cells of replication x round x
+# agent x candidate slot x congestion degree in its table of normalized costs,
+# which bounds the round loop's working memory whatever the horizon and batch.
+_BLOCK_CELLS = 2**15
 # A batch of replications stepped together holds at most this many trace
 # cells of replication x round x agent x candidate slot, which bounds the
 # memory of the traces one batch plays at once.
@@ -122,13 +128,13 @@ def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
 
     Replications never interact, so a batch of them (see ``batches``) is
     played in lockstep: each (replication, agent) pair is one row of a
-    single learner state, and each round is one array step over the rows.
-    Every trace is byte-identical to the one its run id gives alone.
-    ``envs``, when given, holds each replication's Environment or None.
-    Everything that play does not change -- activations, clocks, task
-    sizes, demand weights, learning rates and the selection uniforms -- is
-    drawn before the first round, and each block of rounds is filled into
-    the traces from the matrix of chosen arms.
+    single learner state, each round is one array step over the rows, and
+    each block of rounds takes its costs and fills the traces in one step
+    over the batch.  Every trace is byte-identical to the one its run id
+    gives alone.  ``envs``, when given, holds each replication's
+    Environment or None.  What play does not change (activations, clocks,
+    task sizes, demand weights, learning rates, selection uniforms) is
+    drawn before the first round.
     """
     config.validate()
     run_ids = list(run_ids)
@@ -142,23 +148,26 @@ def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
             env if env is not None else Environment(config, rid)
             for rid, env in zip(ids, envs[done : done + len(ids)])
         ]
-        traces += [GameTrace(config, rid) for rid in ids]
-        batch = traces[done:]
-        uniforms = [_predraw(config, rid, env, tr) for rid, env, tr in zip(ids, batch_envs, batch)]
+        columns = _stacked(config, len(ids))
+        traces += [GameTrace(config, rid, {name: col[i] for name, col in columns.items()})
+                   for i, rid in enumerate(ids)]
+        stack = SimpleNamespace(**columns, uniforms=np.stack(
+            [_predraw(config, rid, env, tr) for rid, env, tr in zip(ids, batch_envs, traces[done:])]
+        ))
         # row i * num_agents + n holds agent n of the batch's replication i
         state = bandit.LearnerState.fresh(config.learners * len(ids), len(batch_envs[0].arm_ids))
-        used = [0] * len(ids)
         for epoch, (lo, hi) in enumerate(batch_envs[0].epoch_bounds):
-            _play_epoch(batch_envs, batch, state, uniforms, used, epoch, lo, hi)
+            _play_epoch(batch_envs, stack, state, epoch, lo, hi)
     return traces
 
 
 def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace) -> np.ndarray:
     """Fill the trace's play-independent columns; return the selection uniforms.
 
-    The uniforms come in the order of one scalar draw per selection: rounds
-    in order, agents in order within a round, only where the agent is
-    active on more than one arm.
+    The uniforms come as a [round, agent] array, NaN where no draw is made:
+    one scalar draw per selection, taken in row-major order (rounds in
+    order, agents in order within a round) where the agent is active on
+    more than one arm.
     """
     shape = (config.horizon + 1, config.num_agents)  # row 0 unused
     act_rng = stream_rng(config.master_seed, run_id, "activation")
@@ -186,12 +195,12 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace
     trace.clock[~active.any(axis=1)] = 0
     np.copyto(trace.task_size, tasks, where=active)
     del tasks
-    draws = 0
+    drawn = np.zeros(shape, dtype=bool)
     for (lo, hi), pos in zip(env.epoch_bounds, env.slot_pos):
         rounds = slice(lo, hi + 1)
         for n, (lp, k) in enumerate(zip(config.learners, (pos >= 0).sum(axis=1))):
             act = active[rounds, n]
-            draws += int(act.sum()) if k > 1 else 0
+            drawn[rounds, n] = act & (k > 1)
             trace.zeta[rounds, n][act] = (
                 bandit.demand_weight(trace.task_size[rounds, n][act], ts.q_lo, ts.q_hi)
                 if lp.use_demand_weight else 1.0
@@ -199,65 +208,61 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace
             rates = bandit.learning_rates(trace.clock[rounds, n][act], int(k), lp.schedule_a, lp.gamma_ratio)
             trace.eta[rounds, n][act] = rates.eta
             trace.gamma[rounds, n][act] = rates.gamma
-    return stream_rng(config.master_seed, run_id, "selection").random(draws)
+    uniforms = np.full(shape, np.nan)
+    uniforms[drawn] = stream_rng(config.master_seed, run_id, "selection").random(int(drawn.sum()))
+    return uniforms
 
 
-def _play_epoch(envs, traces, state, uniforms, used, epoch, lo, hi) -> None:
+def _play_epoch(envs, stack, state, epoch, lo, hi) -> None:
     """Rounds [lo, hi] of one candidate epoch for a batch, in blocks of rounds.
 
-    Agents are stepped in groups of equal candidate-set size, each group
-    one array step per round over every replication of the batch.  A
-    group's idle agents are stepped too, with learning rate 0 and demand
+    ``stack`` holds the batch's stacked trace columns and selection
+    uniforms, [replication, round, agent(, slot)].  Agents are stepped in
+    groups of equal candidate-set size, each group one array step per round
+    over every replication of the batch, on scores it holds for the epoch.
+    A group's idle agents are stepped too, with learning rate 0 and demand
     weight 1, which leaves their scores unchanged; their choices count
-    toward no congestion and the fill drops them.  ``used[i]`` counts the
-    selection uniforms replication i has taken from the front of
-    ``uniforms[i]``.
+    toward no congestion and the fill drops them.
     """
-    config = traces[0].config
-    reps, n_agents = len(traces), config.num_agents
+    config = envs[0].config
+    reps, n_agents = len(envs), config.num_agents
     pos = envs[0].slot_pos[epoch]  # [agent, slot], the same in every replication
     sizes = (pos >= 0).sum(axis=1)
     sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)] * reps
     # a learner syncs to the epoch's sets at its first activation in it
+    active = stack.active[:, lo : hi + 1]
     syncs: dict[int, list[int]] = {}
-    for i, trace in enumerate(traces):
-        for n in range(n_agents):
-            rounds = np.flatnonzero(trace.active[lo : hi + 1, n])
-            if rounds.size:
-                syncs.setdefault(lo + int(rounds[0]), []).append(i * n_agents + n)
-    mix = np.array([lp.uniform_mix for lp in config.learners])
-    full = np.array([lp.feedback == "full" for lp in config.learners])
+    for i, n in np.argwhere(active.any(axis=1)).tolist():
+        syncs.setdefault(lo + int(active[i, :, n].argmax()), []).append(i * n_agents + n)
     n_arms = len(envs[0].arm_ids)
-    groups = [
-        _Group(int(k), np.flatnonzero(sizes == k), pos, reps, n_arms, mix, full)
-        for k in sorted(set(sizes.tolist()))
-    ]
+    groups = [_Group(k, sizes, pos, reps, n_arms, config.learners, state) for k in sorted(set(sizes.tolist()))]
     degrees = np.arange(n_agents + 1)
-    block = max(1, min(_BLOCK_ROUNDS, _BLOCK_CELLS // (n_agents * pos.shape[1] * degrees.size)))
+    k_max = pos.shape[1]
+    block = max(1, _BLOCK_CELLS // (reps * n_agents * k_max * degrees.size))
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
         rounds = slice(b_lo, b_hi + 1)
-        inputs = [env.cost_inputs(b_lo, b_hi) for env in envs]
-        # normalized cost [round, replication * agent, slot, congestion degree]
-        table = _side_by_side(
-            [env.cost_vectors(x.per_level(), degrees)["normalized"] for env, x in zip(envs, inputs)]
-        )
-        u = []  # per replication, the [round, agent] block of selection uniforms
-        for i, trace in enumerate(traces):
-            drawn = trace.active[rounds] & (sizes > 1)
-            count = int(drawn.sum())
-            u.append(np.full(drawn.shape, np.nan))
-            u[i][drawn] = uniforms[i][used[i] : used[i] + count]
-            used[i] += count
-        blocks = [g.block(traces, u, rounds) for g in groups]
+        # cost ingredients [replication, round, agent, slot] and normalized cost [round,
+        # replication * agent, slot, congestion degree]; replications share cost_cap
+        inputs = CostInputs(*(
+            None if parts[0] is None else np.stack(parts)
+            for parts in zip(*(env.cost_inputs(b_lo, b_hi) for env in envs))
+        ))
+        table = envs[0].cost_vectors(CostInputs(*(
+            None if a is None else a.swapaxes(0, 1).reshape(b_hi - b_lo + 1, -1, k_max, 1)
+            for a in inputs
+        )), degrees)["normalized"]
+        blocks = [g.block(stack, rounds) for g in groups]
         for r, rnd in enumerate(range(b_lo, b_hi + 1)):
             if rnd in syncs:
+                for g in groups:
+                    g.store(state)
                 bandit.sync_candidates(state, syncs[rnd], sets)
+                for g in groups:
+                    g.load(state)
             cells, playing = [], []  # replication * n_arms + chosen arm position
             for g, b in zip(groups, blocks):
-                b.slot[r], b.probs[r] = bandit.select_arm(
-                    state.scores[g.rows, g.cols], b.zeta[r], g.mix, b.u[r]
-                )
+                b.slot[r], b.probs[r] = bandit.select_arm(g.scores, b.zeta[r], g.mix, b.u[r])
                 cells.append(g.cells[g.index, b.slot[r]])
                 playing.append(cells[-1] if b.everyone[r] else cells[-1][b.active[r]])
             counts = np.bincount(
@@ -273,10 +278,11 @@ def _play_epoch(envs, traces, state, uniforms, used, epoch, lo, hi) -> None:
                     f = g.full
                     degree = counts[g.cells[f]] + (np.arange(g.k) != idx[f, None])
                     est[f] = table[r, g.rows[f], np.arange(g.k), degree]
-                bandit.update_scores(state, g.flat, g.cols, est, b.eta[r])
+                bandit.update_scores(g.scores, est, b.eta[r])
                 b.estimates[r] = est
-        for i in range(reps):
-            _fill(envs[i], traces[i], inputs[i], b_lo, b_hi, groups, blocks, i)
+        _fill(envs[0], stack, inputs, b_lo, b_hi, groups, blocks)
+    for g in groups:
+        g.store(state)
 
 
 class _Group:
@@ -284,11 +290,14 @@ class _Group:
 
     A group array has one row per (replication, agent) pair of the batch,
     replication-major: row ``i * agents.size + j`` is agent ``agents[j]``
-    of replication i.
+    of replication i.  ``scores`` holds the rows' [row, slot] scores through
+    the epoch; ``store`` writes them back to the learner state.
     """
 
-    def __init__(self, k, agents, pos, reps, n_arms, mix, full):
-        n_agents = pos.shape[0]
+    def __init__(self, k, sizes, pos, reps, n_arms, learners, state):
+        n_agents, agents = pos.shape[0], np.flatnonzero(sizes == k)
+        mix = np.array([learners[n].uniform_mix for n in agents])
+        full = np.array([learners[n].feedback == "full" for n in agents])
         rep = np.repeat(np.arange(reps), agents.size)
         self.k, self.agents = k, agents
         self.flat = rep * n_agents + np.tile(agents, reps)  # learner-state rows
@@ -296,70 +305,70 @@ class _Group:
         self.cols = np.tile(pos[agents, :k], (reps, 1))  # arm positions
         self.cells = (rep * n_arms)[:, None] + self.cols  # in the batch's congestion counts
         self.index = np.arange(self.flat.size)
-        self.mix = np.tile(mix[agents], reps)[:, None] if mix.any() else 0.0
-        self.full = np.tile(full[agents], reps)
+        self.mix = np.tile(mix, reps)[:, None] if mix.any() else 0.0
+        self.full = np.tile(full, reps)
         self.any_full = bool(self.full.any())
+        self.load(state)
 
-    def block(self, traces, uniforms, rounds) -> SimpleNamespace:
-        """Per-round inputs and outputs of the group over one block of rounds.
+    def load(self, state) -> None:
+        self.scores = state.scores[self.rows, self.cols]
 
-        ``uniforms`` holds each replication's [round, agent] block of
-        selection uniforms.
-        """
+    def store(self, state) -> None:
+        state.scores[self.rows, self.cols] = self.scores
 
-        def pick(blocks):  # per replication [round, agent] -> [round, group row]
-            return _side_by_side([b[:, self.agents] for b in blocks])
+    def rows_of(self, stacked: np.ndarray, rounds) -> np.ndarray:  # [rep, round, agent] -> [round, row]
+        part = stacked[:, rounds, self.agents]
+        return part.swapaxes(0, 1).reshape(part.shape[1], -1)
 
-        def column(name):
-            return pick([getattr(trace, name)[rounds] for trace in traces])
+    def stacked(self, rows: np.ndarray) -> np.ndarray:  # [round, row, ...] -> [rep, round, agent, ...]
+        return rows.reshape(rows.shape[0], -1, self.agents.size, *rows.shape[2:]).swapaxes(0, 1)
+
+    def block(self, stack, rounds) -> SimpleNamespace:
+        """Per-round inputs and outputs of the group over one block of rounds."""
 
         def per_slot(values):  # [round, row] -> [round, row, slot]
             return np.repeat(values[:, :, None], self.k, axis=2)
 
-        active = column("active")
+        active = self.rows_of(stack.active, rounds)
         shape = active.shape
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
-            zeta=per_slot(np.where(active, column("zeta"), 1.0)),
-            eta=per_slot(np.where(active, column("eta"), 0.0)),
-            gamma=np.where(active, column("gamma"), 1.0),
-            u=per_slot(pick(uniforms)),
+            zeta=per_slot(np.where(active, self.rows_of(stack.zeta, rounds), 1.0)),
+            eta=per_slot(np.where(active, self.rows_of(stack.eta, rounds), 0.0)),
+            gamma=np.where(active, self.rows_of(stack.gamma, rounds), 1.0),
+            u=per_slot(self.rows_of(stack.uniforms, rounds)),
             slot=np.zeros(shape, dtype=np.int64),
             probs=np.empty(shape + (self.k,)),
             estimates=np.empty(shape + (self.k,)),
         )
 
 
-def _side_by_side(arrays: list[np.ndarray]) -> np.ndarray:
-    """Per-replication arrays joined along axis 1, replication-major; one as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=1)
+def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
+    """Fill rounds [lo, hi] of every trace of the batch from the block outputs.
 
-
-def _fill(env, trace, inputs, lo, hi, groups, blocks, rep) -> None:
-    """Fill rounds [lo, hi] of replication ``rep``'s trace from the block outputs."""
+    ``inputs`` holds the cost ingredients [replication, round, agent, slot];
+    ``env`` is any replication's Environment.
+    """
     rounds = slice(lo, hi + 1)
-    active = trace.active[rounds]
+    active = stack.active[:, rounds]  # [replication, round, agent]
     slots = np.zeros(active.shape, dtype=np.int64)
     for g, b in zip(groups, blocks):
-        part = slice(rep * g.agents.size, (rep + 1) * g.agents.size)
-        slots[:, g.agents] = b.slot[:, part]
-        idle = ~b.active[:, part, None]
-        trace.probs[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.probs[:, part])
-        trace.estimates[rounds, g.agents, : g.k] = np.where(idle, np.nan, b.estimates[:, part])
+        slots[:, :, g.agents] = g.stacked(b.slot)
+        idle = ~b.active[:, :, None]
+        stack.probs[:, rounds, g.agents, : g.k] = g.stacked(np.where(idle, np.nan, b.probs))
+        stack.estimates[:, rounds, g.agents, : g.k] = g.stacked(np.where(idle, np.nan, b.estimates))
     pos = env.slot_pos[env.epoch_index(lo)]
-    agents = np.arange(slots.shape[1])
-    trace.chosen[rounds] = np.where(active, np.asarray(env.arm_ids)[pos[agents, slots]], -1)
-    degree = env.congestion(lo, trace.chosen[rounds], active)
-    vec = env.cost_vectors(inputs, degree)
-    k = pos.shape[1]
-    trace.cf_norm[rounds, :, :k] = vec["normalized"]
-    trace.cf_raw[rounds, :, :k] = vec["realized"]
-    at_chosen = (np.arange(slots.shape[0])[:, None], agents, slots)
-    trace.congestion[rounds] = np.where(active, degree[at_chosen], 0)
+    chosen = stack.chosen[:, rounds]
+    chosen[...] = np.where(active, np.asarray(env.arm_ids)[pos[np.arange(pos.shape[0]), slots]], -1)
+    vec = env.cost_vectors(inputs, env.congestion(lo, chosen, active))
+    stack.cf_norm[:, rounds, :, : pos.shape[1]] = vec["normalized"]
+    stack.cf_raw[:, rounds, :, : pos.shape[1]] = vec["realized"]
+    at = {key: np.take_along_axis(v, slots[..., None], -1)[..., 0] for key, v in vec.items()}
+    stack.congestion[:, rounds] = np.where(active, at["congestion"], 0)
     for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"),
                         ("cost_real", "realized"), ("cost_norm", "normalized")):
-        getattr(trace, column)[rounds] = np.where(active, vec[key][at_chosen], np.nan)
+        getattr(stack, column)[:, rounds] = np.where(active, at[key], np.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -244,18 +244,18 @@ def test_ix_bias_exhaustive_expectation(arms):
 
 
 def test_update_scores_zero_estimates_touch_nothing():
-    st = _state(LearnerParams(), scores=[{1: 1.0, 2: 2.0}])
-    update_scores(st, np.array([0]), np.array([[1, 2]]), np.zeros((1, 2)), eta=np.array([[0.3]]))
-    np.testing.assert_array_equal(st.scores[0], _row({1: 1.0, 2: 2.0}))
+    scores = np.array([[1.0, 2.0]])
+    update_scores(scores, np.zeros((1, 2)), eta=np.array([[0.3]]))
+    np.testing.assert_array_equal(scores, [[1.0, 2.0]])
 
 
 def test_update_scores_single_step():
-    st = _state(LearnerParams(), LearnerParams())
-    update_scores(st, np.array([1]), np.array([[1, 2, 3]]), np.array([[0.0, 0.0, 1.0]]),
-                  eta=np.array([[0.1]]))
-    assert st.scores[1, 3] == pytest.approx(0.1)
-    assert st.scores[1, 1] == 0.0
-    assert not st.scores[0].any()  # other agents untouched
+    # agent 1's [slot] scores on arms (1, 2, 3), updated in place through a view
+    scores = np.zeros((2, 3))
+    update_scores(scores[1:], np.array([[0.0, 0.0, 1.0]]), eta=np.array([[0.1]]))
+    assert scores[1, 2] == pytest.approx(0.1)
+    assert scores[1, 0] == 0.0
+    assert not scores[0].any()  # other agents untouched
 
 
 def test_select_arm_single_candidate_shortcircuit():

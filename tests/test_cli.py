@@ -169,6 +169,23 @@ def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
     assert sorted(built) == [0, 1, 1, 2, 2]
 
 
+def test_verify_without_stored_traces_builds_each_environment_once(mini_path, tmp_path, monkeypatch):
+    # with no trace of run 0 to replay, the stage games' Environment plays run 0
+    mini_path.write_text(MINIMAL.replace("traces: all", "traces: none"))
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    built = []
+    init = Environment.__init__
+
+    def counting_init(self, config, run_id=0):
+        built.append(run_id)
+        init(self, config, run_id)
+
+    monkeypatch.setattr(Environment, "__init__", counting_init)
+    assert verify(spec, tmp_path) == 0
+    assert sorted(built) == [0, 1, 2]
+
+
 def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):
     spec = load_config(mini_path)
     assert verify(spec, tmp_path) == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from fogbandit.bandit import LearnerParams
+from fogbandit.cli import bundled_config
+from fogbandit.configio import load_config
 from fogbandit.env import (
     AdversaryPhaseSchedule,
     CandidateSchedule,
@@ -268,3 +270,25 @@ def test_default_cost_cap_is_analytic_worst_case():
     for rnd in range(1, 11):
         for vec in _round_costs(env, rnd, {0: 1, 1: 2}).values():
             assert (vec["normalized"] < 1e-3).all()
+
+
+def _cap_configs() -> dict:
+    configs = {}
+    for path in sorted(bundled_config("acceptance-small").parent.glob("*.yaml")):
+        spec = load_config(path)
+        for variant in spec.variants:
+            configs[f"{path.stem}/{variant.name}"] = spec.game_for(variant)
+    configs["physical-analytic-cap"] = physical_config(cost_cap=None, num_phases=3)
+    return configs
+
+
+@pytest.mark.parametrize("name", sorted(_cap_configs()))
+def test_cost_cap_equal_across_run_ids(name):
+    # the round loop evaluates one batch-wide cost table with any replication's
+    # Environment, which needs the same cost_cap in every replication
+    config = _cap_configs()[name]
+    envs = [Environment(config, run_id) for run_id in (0, 1, 7, 123456)]
+    assert len({env.cost_cap for env in envs}) == 1
+    if name == "physical-analytic-cap":  # drawn phases differ, the analytic cap does not
+        assert config.env.cost_cap is None and config.env.adversary is None
+        assert len({env.phase_means.tobytes() for env in envs}) == len(envs)

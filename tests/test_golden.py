@@ -12,7 +12,8 @@ candidate sets of unequal size (one arm, more than eight arms, reordered
 sets), every patch mode, full feedback and uniform mixing on ragged sets,
 linear coupling, and truncated-normal task sizes.  Every case is also
 played inside a batch of replications (``run_games``) and must give the
-same digest there.
+same digest there, and a few cases also at both extremes of the block size
+(one round per block, one block per epoch).
 """
 
 import dataclasses
@@ -183,3 +184,18 @@ def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
     assert [t.run_id for t in traces] == [0, 1]
     for trace in traces:
         assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
+
+
+@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize(
+    "name", ["acceptance-small/perturbed", "idle-epoch", "ragged-mixed-learners", "truncnorm"]
+)
+def test_golden_traces_at_block_extremes(name, cells, tmp_path, monkeypatch):
+    # block edges move with the batch size; one round per block and one block
+    # per epoch give the same bytes, alone and in a batch of two
+    monkeypatch.setattr(game, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(game, "_BATCH_CELLS", 2**40)
+    config, _ = cases()[f"{name}/0"]
+    for ids in ([0], [1], [0, 1]):
+        for trace in game.run_games(config, ids):
+            assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
