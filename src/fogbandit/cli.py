@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -41,29 +42,35 @@ def default_out_root() -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _run_replications(args: tuple) -> list[dict]:
-    """Worker: a batch of replications -> per-run metric arrays (small, picklable).
+def _run_replications(args: tuple) -> list[list[dict]]:
+    """Worker: a batch of run ids, played by every variant -> per variant, per-run metric arrays.
 
-    Writes a replication's trace file too when given a path for it.
+    Variants differ only in learners, which an Environment does not read, so
+    each run id's Environment and stage games are built once for every variant.
+    The variants play in order; each one's traces are written (where given a
+    path) and reduced to small picklable series before the next one plays.
     """
-    config, run_ids, want_pota, want_regret, trace_paths = args
-    envs = [Environment(config, rid) for rid in run_ids]
-    traces = run_games(config, run_ids, envs)
+    configs, run_ids, want_pota, want_regret, trace_paths = args
+    envs = [Environment(configs[0], rid) for rid in run_ids]
     games = [stage_games(env) for env in envs] if want_pota else None
-    del envs  # their pre-drawn blocks are not needed past the stage games
-    results = []
-    for i, (trace, trace_path) in enumerate(zip(traces, trace_paths)):
-        if trace_path is not None:
-            write_trace(trace, trace_path)
-        out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
-        if want_pota:
-            out["pota"] = metrics.pota_series(trace, games[i])[1:]
-        if want_regret:
-            out["regret"] = np.stack(
-                [metrics.regret_series(trace, n).normalized[1:] for n in range(config.num_agents)]
-            )
-        results.append(out)
-    return results
+    parts = []
+    for config, paths in zip(configs, trace_paths):
+        traces = run_games(config, run_ids, envs)
+        results = []
+        for i, (trace, trace_path) in enumerate(zip(traces, paths)):
+            if trace_path is not None:
+                write_trace(trace, trace_path)
+            out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
+            if want_pota:
+                out["pota"] = metrics.pota_series(trace, games[i])[1:]
+            if want_regret:
+                out["regret"] = np.stack(
+                    [metrics.regret_series(trace, n).normalized[1:] for n in range(config.num_agents)]
+                )
+            results.append(out)
+        del traces  # a worker never holds two variants' traces
+        parts.append(results)
+    return parts
 
 
 def run_batch(fn, args: list, workers: int = 1) -> list:
@@ -106,24 +113,24 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
         "files": [],
     }
     summary: dict = {}
+    configs = [spec.game_for(variant) for variant in spec.variants]
+    keep = {"none": (), "all": spec.run_ids}.get(spec.trace_policy, spec.run_ids[:1])
+    trace_paths = [{rid: out_dir / v.name / "traces" / f"run_{rid:04d}.trace" for rid in keep}
+                   for v in spec.variants]
     for variant in spec.variants:
-        config = spec.game_for(variant)
+        (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
+    # one task per batch of run ids plays every variant (variants share horizon,
+    # agents and candidate sets); the CSVs aggregate rows in ascending run-id order
+    parts = run_batch(
+        _run_replications,
+        [(configs, ids, want_pota, want_regret, [[paths.get(rid) for rid in ids] for paths in trace_paths])
+         for ids in batches(configs[0], sorted(spec.run_ids), workers)],
+        workers,
+    )
+    for v, (variant, config, paths) in enumerate(zip(spec.variants, configs, trace_paths)):
         vdir = out_dir / variant.name
-        vdir.mkdir(parents=True, exist_ok=True)
-        keep = ()
-        if spec.trace_policy != "none":
-            keep = spec.run_ids if spec.trace_policy == "all" else spec.run_ids[:1]
-            (vdir / "traces").mkdir(exist_ok=True)
-        trace_paths = {rid: vdir / "traces" / f"run_{rid:04d}.trace" for rid in keep}
-        manifest["files"].extend(str(t.relative_to(out_dir)) for t in trace_paths.values())
-        # the CSV statistics aggregate rows in ascending run-id order
-        parts = run_batch(
-            _run_replications,
-            [(config, ids, want_pota, want_regret, [trace_paths.get(rid) for rid in ids])
-             for ids in batches(config, sorted(spec.run_ids), workers)],
-            workers,
-        )
-        results = [r for part in parts for r in part]
+        manifest["files"].extend(str(t.relative_to(out_dir)) for t in paths.values())
+        results = [r for part in parts for r in part[v]]
 
         cost = np.stack([r["cost"] for r in results])
         _write_series_csv(vdir / "cost.csv", cost)
@@ -209,29 +216,32 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
     games, why = _stage_games(env0)
     first = None
 
-    # stored trace files parse and replay byte-identically
+    # stored trace files parse and replay byte-identically, written outside the
+    # output tree; env0 serves any variant's sample[0], as Environments read no learner
     ok = True
-    for rel in manifest["files"]:
-        if not rel.endswith(".trace"):
-            continue
-        path = out_dir / rel
-        try:
-            stored = read_trace(path)
-        except Exception as exc:
-            v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
-            ok = False
-            continue
-        if first is None and (stored.run_id, stored.config.digest()) == (sample[0], config.digest()):
-            fresh = first = run_game(config, sample[0], env0)
-        else:
-            fresh = run_game(stored.config, stored.run_id)
-        buf_path = path.with_suffix(".replay")
-        write_trace(fresh, buf_path)
-        same = buf_path.read_bytes() == path.read_bytes()
-        buf_path.unlink()
-        if not same:
-            v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
-            ok = False
+    with tempfile.TemporaryDirectory() as scratch:
+        buf_path = Path(scratch) / "replay.trace"
+        for rel in manifest["files"]:
+            if not rel.endswith(".trace"):
+                continue
+            path = out_dir / rel
+            try:
+                stored = read_trace(path)
+            except Exception as exc:
+                v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
+                ok = False
+                continue
+            shares_env0 = (stored.run_id == sample[0] and config.digest()
+                           == dataclasses.replace(stored.config, learners=config.learners).digest())
+            fresh = run_game(stored.config, stored.run_id, env0 if shares_env0 else None)
+            if first is None and shares_env0 and stored.config.digest() == config.digest():
+                first = fresh
+            write_trace(fresh, buf_path)
+            same = buf_path.read_bytes() == path.read_bytes()
+            buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
+            if not same:
+                v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
+                ok = False
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 

@@ -132,9 +132,11 @@ def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
     each block of rounds takes its costs and fills the traces in one step
     over the batch.  Every trace is byte-identical to the one its run id
     gives alone.  ``envs``, when given, holds each replication's
-    Environment or None.  What play does not change (activations, clocks,
-    task sizes, demand weights, learning rates, selection uniforms) is
-    drawn before the first round.
+    Environment or None; it may come from a config that differs from
+    ``config`` only in ``learners``, which an Environment does not read: the
+    learners are always taken from ``config``.  What play does not change
+    (activations, clocks, task sizes, demand weights, learning rates,
+    selection uniforms) is drawn before the first round.
     """
     config.validate()
     run_ids = list(run_ids)
@@ -157,7 +159,7 @@ def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
         # row i * num_agents + n holds agent n of the batch's replication i
         state = bandit.LearnerState.fresh(config.learners * len(ids), len(batch_envs[0].arm_ids))
         for epoch, (lo, hi) in enumerate(batch_envs[0].epoch_bounds):
-            _play_epoch(batch_envs, stack, state, epoch, lo, hi)
+            _play_epoch(config, batch_envs, stack, state, epoch, lo, hi)
     return traces
 
 
@@ -213,7 +215,7 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace
     return uniforms
 
 
-def _play_epoch(envs, stack, state, epoch, lo, hi) -> None:
+def _play_epoch(config, envs, stack, state, epoch, lo, hi) -> None:
     """Rounds [lo, hi] of one candidate epoch for a batch, in blocks of rounds.
 
     ``stack`` holds the batch's stacked trace columns and selection
@@ -224,7 +226,6 @@ def _play_epoch(envs, stack, state, epoch, lo, hi) -> None:
     weight 1, which leaves their scores unchanged; their choices count
     toward no congestion and the fill drops them.
     """
-    config = envs[0].config
     reps, n_agents = len(envs), config.num_agents
     pos = envs[0].slot_pos[epoch]  # [agent, slot], the same in every replication
     sizes = (pos >= 0).sum(axis=1)

@@ -107,17 +107,31 @@ def _is_pure_nash(game: SmallGame, joint: tuple[int, ...], eps: float) -> bool:
     return True
 
 
+def _joints(game: SmallGame) -> np.ndarray:
+    """Every joint action as [joint, agent] arm positions, in ``joint_actions`` order."""
+    pos = [[game.arm_pos(a) for a in s] for s in game.candidate_sets]
+    return np.stack([g.ravel() for g in np.meshgrid(*pos, indexing="ij")], axis=1)
+
+
+def _total_costs(game: SmallGame, joints: np.ndarray, seats: np.ndarray) -> np.ndarray:
+    """Per joint, sum over agents n of n's cost on arm ``seats[:, n]`` while each
+    other agent m stays on ``joints[:, m]`` (``seats = joints``: the social cost).
+    Agents add up in index order from 0, as in ``SmallGame.social_cost``, bit for bit.
+    """
+    total = np.zeros(joints.shape[0])
+    for n in range(game.num_agents):
+        seat = seats[:, n]
+        others = (joints == seat[:, None]).sum(axis=1) - (joints[:, n] == seat)
+        total += game.table[n, seat, others]
+    return total
+
+
 def social_optimum(game: SmallGame) -> tuple[tuple[int, ...], float]:
     """Exhaustive minimizer of total cost; ties break lexicographically."""
-    best_joint: tuple[int, ...] | None = None
-    best_cost = math.inf
-    for joint in game.joint_actions():
-        c = game.social_cost(joint)
-        if c < best_cost:
-            best_cost = c
-            best_joint = tuple(joint)
-    assert best_joint is not None
-    return best_joint, best_cost
+    joints = _joints(game)
+    social = _total_costs(game, joints, joints)
+    best = int(np.argmin(social))  # the first minimum in joint_actions order
+    return tuple(game.arm_ids[p] for p in joints[best].tolist()), float(social[best])
 
 
 def best_fixed_arm(
@@ -169,17 +183,10 @@ def smoothness_constants(game: SmallGame) -> SmoothnessResult:
     k_star, c_star = social_optimum(game)
     if c_star <= 0:
         return SmoothnessResult(False, math.nan, math.nan, math.nan, k_star, c_star)
-    joints = [tuple(j) for j in game.joint_actions()]
-    deviation = np.array(
-        [
-            sum(
-                game.cost(n, j[:n] + (k_star[n],) + j[n + 1 :])
-                for n in range(game.num_agents)
-            )
-            for j in joints
-        ]
-    )
-    social = np.array([game.social_cost(j) for j in joints])
+    joints = _joints(game)
+    star = np.array([game.arm_pos(a) for a in k_star])
+    deviation = _total_costs(game, joints, np.broadcast_to(star, joints.shape))
+    social = _total_costs(game, joints, joints)
 
     lam_lo, lam_hi, lam_step = LAMBDA_GRID
     mu_lo, mu_hi, mu_step = MU_GRID
@@ -195,7 +202,7 @@ def smoothness_constants(game: SmallGame) -> SmoothnessResult:
         # snap upward onto the grid without float fuzz
         lam = max(lam_lo, math.ceil((lam_req - 1e-12) / lam_step) * lam_step)
         if lam_req > worst_lam:
-            worst_lam, worst_joint = lam_req, joints[j]
+            worst_lam, worst_joint = lam_req, tuple(game.arm_ids[p] for p in joints[j].tolist())
         if lam > lam_hi + 1e-12:
             continue
         rho = lam / (1.0 - mu)

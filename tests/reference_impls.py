@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from fogbandit.dynamics import _euler_step, replicator_velocity
+from fogbandit.oracle import LAMBDA_GRID, MU_GRID, SmoothnessResult
 from fogbandit.streams import stream_rng
 
 FADE_FLOOR = 1e-9
@@ -237,3 +238,62 @@ def ref_discrete_probability_path(trace) -> np.ndarray:
                 last, last_k = trace.probs[rnd, n, :k].copy(), k
             path[rnd, n, :k] = last if last is not None and last_k == k else 1.0 / k
     return path
+
+
+def ref_social_optimum(game) -> tuple[tuple[int, ...], float]:
+    """``oracle.social_optimum`` as a loop over joint actions: the first
+    strict minimum of ``game.social_cost`` in ``joint_actions`` order."""
+    best_joint = None
+    best_cost = math.inf
+    for joint in game.joint_actions():
+        c = game.social_cost(joint)
+        if c < best_cost:
+            best_cost = c
+            best_joint = tuple(joint)
+    assert best_joint is not None
+    return best_joint, best_cost
+
+
+def ref_smoothness_constants(game) -> SmoothnessResult:
+    """``oracle.smoothness_constants`` with its deviation and social-cost
+    sums taken one joint action at a time through ``game.cost``."""
+    k_star, c_star = ref_social_optimum(game)
+    if c_star <= 0:
+        return SmoothnessResult(False, math.nan, math.nan, math.nan, k_star, c_star)
+    joints = [tuple(j) for j in game.joint_actions()]
+    deviation = np.array(
+        [
+            sum(
+                game.cost(n, j[:n] + (k_star[n],) + j[n + 1 :])
+                for n in range(game.num_agents)
+            )
+            for j in joints
+        ]
+    )
+    social = np.array([game.social_cost(j) for j in joints])
+
+    lam_lo, lam_hi, lam_step = LAMBDA_GRID
+    mu_lo, mu_hi, mu_step = MU_GRID
+    best = None
+    worst_lam = -math.inf
+    worst_joint = None
+    n_mu = int(round((mu_hi - mu_lo) / mu_step)) + 1
+    for i in range(n_mu):
+        mu = mu_lo + i * mu_step
+        required = (deviation - mu * social) / c_star
+        j = int(np.argmax(required))
+        lam_req = float(required[j])
+        lam = max(lam_lo, math.ceil((lam_req - 1e-12) / lam_step) * lam_step)
+        if lam_req > worst_lam:
+            worst_lam, worst_joint = lam_req, joints[j]
+        if lam > lam_hi + 1e-12:
+            continue
+        rho = lam / (1.0 - mu)
+        if best is None or rho < best.rho:
+            best = SmoothnessResult(True, lam, mu, rho, k_star, c_star)
+    if best is None:
+        return SmoothnessResult(
+            False, math.nan, math.nan, math.inf, k_star, c_star,
+            worst_joint=worst_joint, worst_required_lambda=worst_lam,
+        )
+    return best

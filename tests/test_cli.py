@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from multiprocessing import Pool
 from pathlib import Path
 
 import pytest
 import yaml
 
+from fogbandit import cli
 from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
@@ -41,11 +43,39 @@ game:
 """
 
 
+TWO_VARIANTS = [{"name": "perturbed"}, {"name": "full-feedback", "baseline": "full-feedback"}]
+
+
 @pytest.fixture
 def mini_path(tmp_path):
     p = tmp_path / "mini.yaml"
     p.write_text(MINIMAL)
     return p
+
+
+def _with_variants(mini_path, variants, name):
+    doc = yaml.safe_load(mini_path.read_text())
+    doc["variants"] = variants
+    path = mini_path.with_name(name)
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _count_environments(monkeypatch) -> list:
+    """The run ids of the Environments built from now on, in build order."""
+    built = []
+    init = Environment.__init__
+
+    def counting_init(self, config, run_id=0):
+        built.append(run_id)
+        init(self, config, run_id)
+
+    monkeypatch.setattr(Environment, "__init__", counting_init)
+    return built
 
 
 def test_minimal_config_valid_with_defaults(mini_path):
@@ -118,10 +148,40 @@ def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path):
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
         assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
-        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
-        trees.append({rel: (out / rel).read_bytes() for rel in files})
+        trees.append(_tree(out))
     assert len(trees[0]) == 6 + 4 + 2  # traces, CSVs, summary and manifest
     assert trees[0] == trees[1]
+
+
+def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_path, monkeypatch):
+    # each run task plays every variant on shared Environments; the output
+    # must not depend on the worker count or on which variants run together
+    path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return Pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Pool", counting_pool)
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
+        trees.append(_tree(out))
+    assert len(pools) == 1  # one pool for the whole --workers 2 run
+    assert trees[0] == trees[1]
+    summary = json.loads(trees[0][Path("mini/summary.json")])
+    for variant in TWO_VARIANTS:
+        alone = tmp_path / variant["name"]
+        one = _with_variants(mini_path, [variant], f"{variant['name']}.yaml")
+        assert main(["run", str(one), "--workers", "1", "--out", str(alone)]) == 0
+        mine = {rel: data for rel, data in trees[0].items() if rel.parts[1] == variant["name"]}
+        assert len(mine) == 3 + 3  # traces: all, and the cost, pota and regret CSVs
+        assert mine == {rel: data for rel, data in _tree(alone).items() if len(rel.parts) > 2}
+        assert json.loads((alone / "mini/summary.json").read_text()) == {
+            variant["name"]: summary[variant["name"]]
+        }
 
 
 def test_csv_schema(mini_path, tmp_path):
@@ -156,14 +216,7 @@ def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
     # run 0's replay also yields the stage games and the first sample trace
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
-    built = []
-    init = Environment.__init__
-
-    def counting_init(self, config, run_id=0):
-        built.append(run_id)
-        init(self, config, run_id)
-
-    monkeypatch.setattr(Environment, "__init__", counting_init)
+    built = _count_environments(monkeypatch)
     assert verify(spec, tmp_path) == 0
     # the other replays are of stored traces, then each sample is simulated
     assert sorted(built) == [0, 1, 1, 2, 2]
@@ -174,16 +227,40 @@ def test_verify_without_stored_traces_builds_each_environment_once(mini_path, tm
     mini_path.write_text(MINIMAL.replace("traces: all", "traces: none"))
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
-    built = []
-    init = Environment.__init__
-
-    def counting_init(self, config, run_id=0):
-        built.append(run_id)
-        init(self, config, run_id)
-
-    monkeypatch.setattr(Environment, "__init__", counting_init)
+    built = _count_environments(monkeypatch)
     assert verify(spec, tmp_path) == 0
     assert sorted(built) == [0, 1, 2]
+
+
+def test_verify_shares_the_first_environment_across_variants(mini_path, tmp_path, monkeypatch):
+    # every variant's replay of run 0 uses the one Environment of run 0
+    path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
+    spec = load_config(path)
+    run_experiment(spec, tmp_path)
+    built = _count_environments(monkeypatch)
+    assert verify(spec, tmp_path) == 0
+    # runs 1 and 2: each variant's replay, then the sample run
+    assert sorted(built) == [0, 1, 1, 1, 2, 2, 2]
+
+
+def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monkeypatch):
+    # concurrent or interrupted verifies must not meet scratch files in <out>
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    out_dir = (tmp_path / spec.name).resolve()
+    before = _tree(out_dir)
+    written = []
+    write = cli.write_trace
+
+    def recording_write(trace, path):
+        written.append(Path(path).resolve())
+        write(trace, path)
+
+    monkeypatch.setattr(cli, "write_trace", recording_write)
+    assert verify(spec, tmp_path) == 0
+    assert len(written) == len(spec.run_ids)  # one replay per stored trace
+    assert not [p for p in written if out_dir in p.parents]
+    assert _tree(out_dir) == before
 
 
 def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):

@@ -19,6 +19,7 @@ from fogbandit.env import (
     link_rate,
     pathloss_db,
 )
+from fogbandit.oracle import stage_games
 
 from conftest import physical_config, synthetic_config
 from reference_impls import ref_cost_vectors
@@ -292,3 +293,21 @@ def test_cost_cap_equal_across_run_ids(name):
     if name == "physical-analytic-cap":  # drawn phases differ, the analytic cap does not
         assert config.env.cost_cap is None and config.env.adversary is None
         assert len({env.phase_means.tobytes() for env in envs}) == len(envs)
+
+
+@pytest.mark.parametrize("path", sorted(bundled_config("acceptance-small").parent.glob("*.yaml")),
+                         ids=lambda p: p.stem)
+def test_environment_is_the_same_for_every_variant(path):
+    # run fans a run id's one Environment and stage games out to every
+    # variant, which holds because variants differ only in their learners
+    spec = load_config(path)
+    for run_id in (0, 1):
+        envs = [Environment(spec.game_for(v), run_id) for v in spec.variants]
+        games = [stage_games(env) for env in envs]
+        for env, game in zip(envs[1:], games[1:]):
+            assert env.cost_cap == envs[0].cost_cap
+            for name in ("fading", "outliers", "adv_noise", "distances", "fractions"):
+                assert np.array_equal(getattr(env, name), getattr(envs[0], name)), name
+            assert [seg for seg, _ in game] == [seg for seg, _ in games[0]]
+            for (_, g), (_, g0) in zip(game, games[0]):
+                assert (g.candidate_sets, g.table.tobytes()) == (g0.candidate_sets, g0.table.tobytes())

@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fogbandit import oracle
 from fogbandit.bandit import LearnerParams
 from fogbandit.env import Environment
 from fogbandit.game import run_game
@@ -16,6 +19,7 @@ from fogbandit.oracle import (
     stage_games,
 )
 
+import reference_impls
 from conftest import synthetic_config
 
 
@@ -181,6 +185,35 @@ def test_best_fixed_arm_spans_epochs_with_the_same_set():
     assert (arm, total) == ((1, 2)[int(np.argmin(sums))], float(sums.min()))
     with pytest.raises(ValueError, match="spans"):
         best_fixed_arm(trace, 1, (20, 40))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sets=st.lists(
+        st.lists(st.integers(1, 6), min_size=1, max_size=6, unique=True),
+        min_size=1, max_size=4,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    levels=st.sampled_from([0, 3]),
+)
+def test_array_oracles_equal_the_loops(sets, seed, levels):
+    # exact equality with the per-joint loops: optimum, its cost, the fitted
+    # constants and the worst joint; coarse tables (levels > 0) force ties
+    arm_ids = tuple(sorted({a for s in sets for a in s}))
+    rng = np.random.default_rng(seed)
+    shape = (len(sets), len(arm_ids), len(sets))
+    table = rng.integers(0, levels + 1, shape) / levels if levels else rng.random(shape)
+    game = SmallGame(tuple(map(tuple, sets)), arm_ids, table)
+    # every joint's social cost, not only the optimum's, sums in the loops' order
+    joints = oracle._joints(game)
+    assert [tuple(arm_ids[p] for p in j) for j in joints.tolist()] == list(game.joint_actions())
+    assert oracle._total_costs(game, joints, joints).tolist() == [
+        game.social_cost(j) for j in game.joint_actions()
+    ]
+    assert social_optimum(game) == reference_impls.ref_social_optimum(game)
+    fit, ref = smoothness_constants(game), reference_impls.ref_smoothness_constants(game)
+    # repr compares floats exactly, NaN included, and the types of the arm ids
+    assert repr(fit) == repr(ref)
 
 
 def test_smoothness_single_agent_is_one():
