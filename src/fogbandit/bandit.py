@@ -84,14 +84,15 @@ class LearnerState:
 def learning_rates(
     activation_clock,
     num_arms: int,
-    schedule_a: float,
-    gamma_ratio: float,
+    schedule_a,
+    gamma_ratio,
 ) -> LearningRates:
     """Inverse-sqrt schedule sqrt(a * log K / (K * clock)), gamma = ratio * eta.
 
     ``activation_clock`` is one clock or an array of clocks played on
-    candidate sets of the same size.  ``log K`` is floored at log 2 so a
-    single-arm candidate set stays defined.
+    candidate sets of the same size; ``schedule_a`` and ``gamma_ratio`` may
+    be per-agent arrays that broadcast against it.  ``log K`` is floored at
+    log 2 so a single-arm candidate set stays defined.
     """
     clock = np.asarray(activation_clock)
     if clock.size and clock.min() < 1:

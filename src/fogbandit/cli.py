@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from multiprocessing import Pool
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import batches, format_trace, read_trace, run_game, run_games, write_trace
+from .game import batches, format_trace, iter_games, read_trace, run_game, run_games, write_trace
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 
 EXIT_OK = 0
@@ -46,30 +47,30 @@ def _run_replications(args: tuple) -> list[list[dict]]:
     """Worker: a batch of run ids, played by every variant -> per variant, per-run metric arrays.
 
     Variants differ only in learners, which an Environment does not read, so
-    each run id's Environment and stage games are built once for every variant.
-    The variants play in order; each one's traces are written (where given a
-    path) and reduced to small picklable series before the next one plays.
+    each run id's Environment and stage games are built once for every
+    variant, and every (variant, run id) game plays in lockstep, in as few
+    ``iter_games`` batches as the memory bound allows (one, unless a run
+    id's games alone exceed it).  Only the games whose traces are written
+    keep full traces; each game is written (where given a path) and reduced
+    to small picklable series as its batch ends.
     """
     configs, run_ids, want_pota, want_regret, trace_paths = args
     envs = [Environment(configs[0], rid) for rid in run_ids]
     games = [stage_games(env) for env in envs] if want_pota else None
-    parts = []
-    for config, paths in zip(configs, trace_paths):
-        traces = run_games(config, run_ids, envs)
-        results = []
-        for i, (trace, trace_path) in enumerate(zip(traces, paths)):
-            if trace_path is not None:
-                write_trace(trace, trace_path)
-            out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
-            if want_pota:
-                out["pota"] = metrics.pota_series(trace, games[i])[1:]
-            if want_regret:
-                out["regret"] = np.stack(
-                    [metrics.regret_series(trace, n).normalized[1:] for n in range(config.num_agents)]
-                )
-            results.append(out)
-        del traces  # a worker never holds two variants' traces
-        parts.append(results)
+    keep = {(v, rid) for v, paths in enumerate(trace_paths)
+            for rid, path in zip(run_ids, paths) if path is not None}
+    parts: list[list] = [[None] * len(run_ids) for _ in configs]
+    for v, i, trace in iter_games(configs, run_ids, envs, keep):
+        if trace_paths[v][i] is not None:
+            write_trace(trace, trace_paths[v][i])
+        out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
+        if want_pota:
+            out["pota"] = metrics.pota_series(trace, games[i])[1:]
+        if want_regret:
+            out["regret"] = np.stack(
+                [metrics.regret_series(trace, n).normalized[1:] for n in range(trace.num_agents)]
+            )
+        parts[v][i] = out
     return parts
 
 
@@ -121,10 +122,11 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
         (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
     # one task per batch of run ids plays every variant (variants share horizon,
     # agents and candidate sets); the CSVs aggregate rows in ascending run-id order
+    kept = {(v, rid) for v, paths in enumerate(trace_paths) for rid in paths}
     parts = run_batch(
         _run_replications,
         [(configs, ids, want_pota, want_regret, [[paths.get(rid) for rid in ids] for paths in trace_paths])
-         for ids in batches(configs[0], sorted(spec.run_ids), workers)],
+         for ids in batches(configs, sorted(spec.run_ids), workers, kept)],
         workers,
     )
     for v, (variant, config, paths) in enumerate(zip(spec.variants, configs, trace_paths)):
@@ -210,38 +212,44 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
 
     config = spec.game_for(spec.variants[0])
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    # sample[0]'s Environment gives the stage games and plays sample[0] once:
-    # as the replay of its stored trace if there is one, else as a sample run
+    # stored traces by the run id in their file names; each run id's Environment
+    # is built once and replays every variant's trace of it (Environments read
+    # no learner).  sample[0]'s comes first and also gives the stage games; a
+    # sampled run id's replay under ``config`` is its sample trace
+    by_run: dict = {}
+    for rel in manifest["files"]:
+        if rel.endswith(".trace"):
+            named = re.fullmatch(r"run_(\d+)\.trace", Path(rel).name)
+            by_run.setdefault(int(named[1]) if named else None, []).append(out_dir / rel)
     env0 = Environment(config, sample[0])
     games, why = _stage_games(env0)
-    first = None
+    replayed: dict = {}
 
-    # stored trace files parse and replay byte-identically, written outside the
-    # output tree; env0 serves any variant's sample[0], as Environments read no learner
+    # stored trace files parse and replay byte-identically, written outside the output tree
     ok = True
     with tempfile.TemporaryDirectory() as scratch:
         buf_path = Path(scratch) / "replay.trace"
-        for rel in manifest["files"]:
-            if not rel.endswith(".trace"):
-                continue
-            path = out_dir / rel
-            try:
-                stored = read_trace(path)
-            except Exception as exc:
-                v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
-                ok = False
-                continue
-            shares_env0 = (stored.run_id == sample[0] and config.digest()
-                           == dataclasses.replace(stored.config, learners=config.learners).digest())
-            fresh = run_game(stored.config, stored.run_id, env0 if shares_env0 else None)
-            if first is None and shares_env0 and stored.config.digest() == config.digest():
-                first = fresh
-            write_trace(fresh, buf_path)
-            same = buf_path.read_bytes() == path.read_bytes()
-            buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
-            if not same:
-                v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
-                ok = False
+        for rid in [sample[0]] + [rid for rid in by_run if rid != sample[0]]:
+            env = env0 if rid == sample[0] else None if rid is None else Environment(config, rid)
+            for path in by_run.get(rid, []):
+                try:
+                    stored = read_trace(path)
+                except Exception as exc:
+                    v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
+                    ok = False
+                    continue
+                shares_env = (stored.run_id == rid and config.digest()
+                              == dataclasses.replace(stored.config, learners=config.learners).digest())
+                fresh = run_game(stored.config, stored.run_id, env if shares_env else None)
+                if games and shares_env and rid in sample and stored.config.digest() == config.digest():
+                    replayed.setdefault(rid, fresh)
+                write_trace(fresh, buf_path)
+                same = buf_path.read_bytes() == path.read_bytes()
+                buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
+                if not same:
+                    v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
+                    ok = False
+            del env
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 
@@ -249,10 +257,12 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
         v.emit("SKIP", "stage-games", f"not enumerable: {why}")
 
     if games:
-        traces = [] if first is None else [first]
-        envs = None if first is not None else [env0] + [None] * (len(sample) - 1)
-        traces += run_games(config, sample[len(traces):], envs)
-        del env0, envs  # their pre-drawn blocks are not needed past the sample runs
+        missing = [rid for rid in sample if rid not in replayed]
+        played = dict(zip(missing, run_games(
+            config, missing, [env0 if rid == sample[0] else None for rid in missing]
+        )))
+        traces = [replayed[rid] if rid in replayed else played[rid] for rid in sample]
+        del env0, played  # the pre-drawn blocks are not needed past the sample runs
 
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])

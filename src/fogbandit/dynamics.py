@@ -121,13 +121,6 @@ def _sup_norm(vectors) -> float:
     return max(float(np.abs(v).max()) for v in vectors)
 
 
-def replicator_velocity(
-    profile: MixedProfile, costs: Sequence[np.ndarray], weights: Sequence[float]
-) -> float:
-    """Sup-norm of the replicator vector field, given the field at the profile."""
-    return _sup_norm(_velocity(profile, costs, weights))
-
-
 def integrate_to_rest(
     profile0: MixedProfile,
     field: MeanCostField,

@@ -13,6 +13,7 @@ renders one as text, one agent-round per line.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from types import SimpleNamespace
@@ -40,6 +41,15 @@ _COLUMNS = (
 _PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
 
 
+# Every variant of a run id shares the columns drawn before play.  A game
+# whose full trace is not wanted stores, besides the shared ``active``, only
+# the columns the metrics read (``metrics.social_cost_series``,
+# ``pota_series`` and ``regret_series``); a kept game stores all the others.
+_SHARED = ("active", "clock", "task_size")
+_METRIC = ("cost_norm", "cf_norm")
+_OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED + _METRIC)
+
+
 class GameTrace:
     """Full history of one replication plus counterfactual ground truth.
 
@@ -49,7 +59,10 @@ class GameTrace:
     [round, agent, slot], NaN-padded to the largest candidate set and aligned
     with the round's candidate tuple.  The traces of one ``run_games``
     batch share storage: each column is a view of one stacked
-    [replication, round, agent(, slot)] array (see ``_stacked``).
+    [game, round, agent(, slot)] array (see ``_stacked``), and the games of
+    one run id share their ``_SHARED`` columns.  A trace that ``run_games``
+    was not asked to keep holds only ``active``, ``cost_norm`` and
+    ``cf_norm``.
 
     ``clock[t, n]`` is agent n's running count of activations through round
     t, except in rounds where no agent is active: there every agent's clock
@@ -61,7 +74,7 @@ class GameTrace:
         self.config = config
         self.run_id = run_id
         vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
-        self.kmax = self.probs.shape[-1]
+        self.kmax = self.cf_norm.shape[-1]
 
     # -- structure ----------------------------------------------------------
 
@@ -83,35 +96,79 @@ class GameTrace:
                 in zip(schedule.epoch_bounds(self.horizon), schedule.epochs)]
 
 
-def _stacked(config: GameConfig, reps: int) -> dict[str, np.ndarray]:
-    """Blank trace columns of ``reps`` replications, [replication, round, agent(, slot)]."""
-    shape = (reps, config.horizon + 1, config.num_agents)
-    kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
+def _kmax(config: GameConfig) -> int:
+    return max(len(s) for _, sets in config.candidates.epochs for s in sets)
+
+
+def _stacked(config: GameConfig, games: int, names=None) -> dict[str, np.ndarray]:
+    """Blank trace columns (all, or the named) of ``games`` games, [game, round, agent(, slot)]."""
+    shape = (games, config.horizon + 1, config.num_agents)
+    kmax = _kmax(config)
     return {name: np.full(shape + (kmax,) if name in _PER_SLOT else shape, fill, dtype=dtype)
-            for name, dtype, fill in _COLUMNS}
+            for name, dtype, fill in _COLUMNS if names is None or name in names}
 
 
-# A block of rounds holds at most this many cells of replication x round x
-# agent x candidate slot x congestion degree in its table of normalized costs,
-# which bounds the round loop's working memory whatever the horizon and batch.
+def _bytes(config: GameConfig, names, extra: int = 0) -> int:
+    """Bytes of one trace's named columns, plus ``extra`` bytes per [round, agent] cell."""
+    kmax = _kmax(config)
+    per_cell = extra + sum(np.dtype(dtype).itemsize * (kmax if name in _PER_SLOT else 1)
+                           for name, dtype, _ in _COLUMNS if name in names)
+    return (config.horizon + 1) * config.num_agents * per_cell
+
+
+# A block of rounds holds at most this many cells of run id x round x agent x
+# candidate slot x congestion degree in its table of normalized costs, and of
+# game x round x agent x candidate slot in each array of its fill, which
+# bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# A batch of replications stepped together holds at most this many trace
-# cells of replication x round x agent x candidate slot, which bounds the
-# memory of the traces one batch plays at once.
-_BATCH_CELLS = 2**17
+# The batches of games stepped at once (one per worker) stack at most this
+# many bytes of trace columns and selection uniforms together (see
+# ``batches``), which bounds the memory they play in.  At 10 MiB, two workers
+# each play one run id of a fully written 6-agent, 12-arm, 1000-round game,
+# and one process plays 7 full acceptance-small traces in one batch.
+_BATCH_BYTES = 10 * 2**20
 
 
-def batches(config: GameConfig, run_ids, parts: int = 1) -> list[list[int]]:
+def _variants(configs) -> list[GameConfig]:
+    return [configs] if isinstance(configs, GameConfig) else list(configs)
+
+
+def _game_bytes(configs, run_ids, keep) -> list[list[int]]:
+    """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
+    full, metric = _bytes(configs[0], _OWN + _METRIC), _bytes(configs[0], _METRIC)
+    return [[full if keep is None or (v, rid) in keep else metric for v in range(len(configs))]
+            for rid in run_ids]
+
+
+def _cuts(weights, bound, most=None) -> list[range]:
+    """Contiguous ranges over ``weights``, each of at most ``most`` items
+    summing to at most ``bound``; an item heavier than the bound stands alone."""
+    cuts, lo, total = [], 0, 0
+    for i, w in enumerate(weights):
+        if i > lo and (total + w > bound or i - lo == most):
+            cuts.append(range(lo, i))
+            lo, total = i, 0
+        total += w
+    return cuts + [range(lo, len(weights))] if weights else []
+
+
+def batches(configs, run_ids, parts: int = 1, keep=None) -> list[list[int]]:
     """``run_ids`` cut into contiguous batches for ``run_games``, in order.
 
-    A batch holds about ``len(run_ids) / parts`` ids (say, one batch per
-    worker), and never more than ``_BATCH_CELLS`` allows.
+    ``configs`` and ``keep`` are as in ``run_games``: a batch plays every
+    config on its run ids.  A batch holds about ``len(run_ids) / parts`` ids
+    (say, one batch per worker), and the ``parts`` batches that play at once
+    share ``_BATCH_BYTES``: each stacks at most its part of it, counting a
+    run id's shared columns and selection uniforms, a kept game's other
+    columns and an unkept game's metric columns.  A run id whose games alone
+    take more is a batch of its own; ``run_games`` plays its variants a few
+    at a time if they exceed the whole bound.
     """
-    ids = list(run_ids)
-    kmax = max(len(s) for _, sets in config.candidates.epochs for s in sets)
-    cap = max(1, _BATCH_CELLS // ((config.horizon + 1) * config.num_agents * kmax))
-    size = min(cap, max(1, -(-len(ids) // max(parts, 1))))
-    return [ids[i : i + size] for i in range(0, len(ids), size)]
+    configs, ids = _variants(configs), list(run_ids)
+    shared = _bytes(configs[0], _SHARED, extra=8)
+    weights = [shared + sum(games) for games in _game_bytes(configs, ids, keep)]
+    parts = max(parts, 1)
+    return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
 
 def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None) -> GameTrace:
@@ -123,53 +180,98 @@ def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None
     return run_games(config, [run_id], [env])[0]
 
 
-def run_games(config: GameConfig, run_ids, envs=None) -> list[GameTrace]:
-    """Play the configured game once per run id; the traces in the same order.
+def run_games(configs, run_ids, envs=None, keep=None) -> list[GameTrace]:
+    """Play every (config, run id) game once; the traces config-major.
 
-    Replications never interact, so a batch of them (see ``batches``) is
-    played in lockstep: each (replication, agent) pair is one row of a
-    single learner state, each round is one array step over the rows, and
-    each block of rounds takes its costs and fills the traces in one step
-    over the batch.  Every trace is byte-identical to the one its run id
-    gives alone.  ``envs``, when given, holds each replication's
-    Environment or None; it may come from a config that differs from
-    ``config`` only in ``learners``, which an Environment does not read: the
-    learners are always taken from ``config``.  What play does not change
-    (activations, clocks, task sizes, demand weights, learning rates,
-    selection uniforms) is drawn before the first round.
+    ``configs`` is one GameConfig or a sequence of configs that differ only
+    in ``learners`` (the variants of an experiment).  Games never interact,
+    so a batch of them (see ``batches``) is played in lockstep: each (game,
+    agent) pair is one row of a single learner state, each round is one
+    array step over the rows, and each block of rounds takes its costs and
+    fills the traces in one step over the batch.  Each run id's
+    Environment, activations, clocks, task sizes, selection uniforms and
+    cost table serve every variant; each game counts its own congestion.
+    Every trace is byte-identical to the one its (config, run id) gives
+    alone.
+
+    ``envs``, when given, holds each run id's Environment or None; it may
+    come from any of the configs, as an Environment does not read learners.
+    ``keep`` holds the (config index, run id) pairs whose full trace is
+    wanted; by default (None) every game's is.  The trace of any other game
+    holds only the columns the metrics read (see ``GameTrace``), which
+    lets far more games share a batch.
     """
-    config.validate()
-    run_ids = list(run_ids)
+    traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep))
+    return [traces[key] for key in sorted(traces)]
+
+
+def iter_games(configs, run_ids, envs=None, keep=None):
+    """``run_games`` one batch at a time: yield (config index, run id
+    position, trace) as each batch ends, so a caller that reduces the traces
+    as they come holds one batch's at most."""
+    configs, run_ids = _variants(configs), list(run_ids)
+    base = configs[0]
+    for config in configs:
+        config.validate()
+        if dataclasses.replace(config, learners=base.learners).digest() != base.digest():
+            raise ValueError("the configs of one batch may differ only in learners")
     envs = [None] * len(run_ids) if envs is None else list(envs)
     if len(envs) != len(run_ids):
         raise ValueError(f"{len(envs)} environments for {len(run_ids)} run ids")
-    traces: list[GameTrace] = []
-    for ids in batches(config, run_ids):
-        done = len(traces)
-        batch_envs = [
-            env if env is not None else Environment(config, rid)
-            for rid, env in zip(ids, envs[done : done + len(ids)])
-        ]
-        columns = _stacked(config, len(ids))
-        traces += [GameTrace(config, rid, {name: col[i] for name, col in columns.items()})
-                   for i, rid in enumerate(ids)]
-        stack = SimpleNamespace(**columns, uniforms=np.stack(
-            [_predraw(config, rid, env, tr) for rid, env, tr in zip(ids, batch_envs, traces[done:])]
-        ))
-        # row i * num_agents + n holds agent n of the batch's replication i
-        state = bandit.LearnerState.fresh(config.learners * len(ids), len(batch_envs[0].arm_ids))
-        for epoch, (lo, hi) in enumerate(batch_envs[0].epoch_bounds):
-            _play_epoch(config, batch_envs, stack, state, epoch, lo, hi)
+    weights = _game_bytes(configs, run_ids, keep)
+    done = 0
+    for ids in batches(configs, run_ids, keep=keep):
+        at = range(done, done + len(ids))
+        done += len(ids)
+        batch_envs = [Environment(base, run_ids[i]) if envs[i] is None else envs[i] for i in at]
+        # every variant in one batch, unless the run ids' games exceed the bound
+        room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED, extra=8)
+        for vs in _cuts([sum(weights[i][v] for i in at) for v in range(len(configs))], room):
+            kept = [keep is None or (v, run_ids[i]) in keep for v in vs for i in at]
+            traces = _play([configs[v] for v in vs], ids, batch_envs, kept)
+            yield from ((v, i, traces[j * len(ids) + r]) for j, v in enumerate(vs) for r, i in enumerate(at))
+            del traces
+
+
+def _play(configs, run_ids, envs, kept) -> list[GameTrace]:
+    """One lockstep batch: every config on every run id; the traces config-major.
+
+    ``kept`` says, per game, whether its full trace is stacked.
+    """
+    config, runs = configs[0], len(run_ids)
+    shared = _stacked(config, runs, _SHARED)
+    uniforms = np.full(shared["active"].shape, np.nan)
+    for r, (rid, env) in enumerate(zip(run_ids, envs)):
+        _predraw(config, rid, env, SimpleNamespace(uniforms=uniforms[r], **{n: col[r] for n, col in shared.items()}))
+    metric = _stacked(config, len(kept), _METRIC)
+    own_at = np.flatnonzero(kept)
+    own = _stacked(config, own_at.size, _OWN)
+    traces = []
+    for g in range(len(kept)):
+        v, r = divmod(g, runs)
+        columns = {"active": shared["active"][r], **{name: col[g] for name, col in metric.items()}}
+        if kept[g]:
+            j = int(np.searchsorted(own_at, g))
+            columns.update({name: col[r] for name, col in shared.items()})
+            columns.update({name: col[j] for name, col in own.items()})
+        traces.append(GameTrace(configs[v], run_ids[r], columns))
+    stack = SimpleNamespace(**shared, **metric, **own, uniforms=uniforms, runs=runs, own_at=own_at)
+    # game g = variant * runs + run; row g * num_agents + n holds its agent n
+    learners = [c.learners for c in configs for _ in run_ids]
+    state = bandit.LearnerState.fresh(sum(learners, ()), len(envs[0].arm_ids))
+    for epoch, (lo, hi) in enumerate(envs[0].epoch_bounds):
+        _play_epoch(config, envs, stack, state, learners, epoch, lo, hi)
     return traces
 
 
-def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace) -> np.ndarray:
-    """Fill the trace's play-independent columns; return the selection uniforms.
+def _predraw(config: GameConfig, run_id: int, env: Environment, columns) -> None:
+    """Fill a run id's shared columns and selection uniforms.
 
-    The uniforms come as a [round, agent] array, NaN where no draw is made:
-    one scalar draw per selection, taken in row-major order (rounds in
-    order, agents in order within a round) where the agent is active on
-    more than one arm.
+    ``columns`` holds the run id's [round, agent] ``active``, ``clock``,
+    ``task_size`` and ``uniforms`` arrays; the uniforms stay NaN where no
+    draw is made.  There is one scalar draw per selection, taken in
+    row-major order (rounds in order, agents in order within a round) where
+    the agent is active on more than one arm.
     """
     shape = (config.horizon + 1, config.num_agents)  # row 0 unused
     act_rng = stream_rng(config.master_seed, run_id, "activation")
@@ -191,60 +293,51 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, trace: GameTrace
             tasks[bad] = task_rng.normal(mu, sd, size=int(bad.sum()))
             bad = (tasks < ts.q_lo) | (tasks > ts.q_hi)
 
-    trace.active[:] = active
-    np.cumsum(active, axis=0, out=trace.clock)
+    columns.active[:] = active
+    np.copyto(columns.task_size, tasks, where=active)
+    np.cumsum(active, axis=0, out=columns.clock)
     # recorded traces carry clock 0 in rounds where no agent plays
-    trace.clock[~active.any(axis=1)] = 0
-    np.copyto(trace.task_size, tasks, where=active)
-    del tasks
+    columns.clock[~active.any(axis=1)] = 0
     drawn = np.zeros(shape, dtype=bool)
     for (lo, hi), pos in zip(env.epoch_bounds, env.slot_pos):
-        rounds = slice(lo, hi + 1)
-        for n, (lp, k) in enumerate(zip(config.learners, (pos >= 0).sum(axis=1))):
-            act = active[rounds, n]
-            drawn[rounds, n] = act & (k > 1)
-            trace.zeta[rounds, n][act] = (
-                bandit.demand_weight(trace.task_size[rounds, n][act], ts.q_lo, ts.q_hi)
-                if lp.use_demand_weight else 1.0
-            )
-            rates = bandit.learning_rates(trace.clock[rounds, n][act], int(k), lp.schedule_a, lp.gamma_ratio)
-            trace.eta[rounds, n][act] = rates.eta
-            trace.gamma[rounds, n][act] = rates.gamma
-    uniforms = np.full(shape, np.nan)
-    uniforms[drawn] = stream_rng(config.master_seed, run_id, "selection").random(int(drawn.sum()))
-    return uniforms
+        drawn[lo : hi + 1] = active[lo : hi + 1] & ((pos >= 0).sum(axis=1) > 1)
+    columns.uniforms[drawn] = stream_rng(config.master_seed, run_id, "selection").random(int(drawn.sum()))
 
 
-def _play_epoch(config, envs, stack, state, epoch, lo, hi) -> None:
+def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     """Rounds [lo, hi] of one candidate epoch for a batch, in blocks of rounds.
 
-    ``stack`` holds the batch's stacked trace columns and selection
-    uniforms, [replication, round, agent(, slot)].  Agents are stepped in
-    groups of equal candidate-set size, each group one array step per round
-    over every replication of the batch, on scores it holds for the epoch.
-    A group's idle agents are stepped too, with learning rate 0 and demand
-    weight 1, which leaves their scores unchanged; their choices count
-    toward no congestion and the fill drops them.
+    ``stack`` holds the batch's stacked columns: the shared ones and the
+    selection uniforms per run id, [run, round, agent], the others per game,
+    [game, round, agent(, slot)].  ``learners`` holds each game's learners.
+    Agents are stepped in groups of equal candidate-set size, each group one
+    array step per round over every game of the batch, on scores it holds
+    for the epoch.  A group's idle agents are stepped too, with learning
+    rate 0 and demand weight 1, which leaves their scores unchanged; their
+    choices count toward no congestion and the fill drops them.
     """
-    reps, n_agents = len(envs), config.num_agents
-    pos = envs[0].slot_pos[epoch]  # [agent, slot], the same in every replication
+    runs, games, n_agents = len(envs), len(learners), config.num_agents
+    pos = envs[0].slot_pos[epoch]  # [agent, slot], the same for every run id
     sizes = (pos >= 0).sum(axis=1)
-    sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)] * reps
-    # a learner syncs to the epoch's sets at its first activation in it
+    sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)] * games
+    # a learner syncs to the epoch's sets at its first activation in it; game g
+    # plays run g % runs
     active = stack.active[:, lo : hi + 1]
     syncs: dict[int, list[int]] = {}
-    for i, n in np.argwhere(active.any(axis=1)).tolist():
-        syncs.setdefault(lo + int(active[i, :, n].argmax()), []).append(i * n_agents + n)
-    n_arms = len(envs[0].arm_ids)
-    groups = [_Group(k, sizes, pos, reps, n_arms, config.learners, state) for k in sorted(set(sizes.tolist()))]
+    for r, n in np.argwhere(active.any(axis=1)).tolist():
+        syncs.setdefault(lo + int(active[r, :, n].argmax()), []).extend(
+            g * n_agents + n for g in range(r, games, runs)
+        )
+    groups = [_Group(k, pos, learners, state, stack, config.task_size, lo, hi) for k in sorted(set(sizes.tolist()))]
+    n_arms = state.scores.shape[1]
     degrees = np.arange(n_agents + 1)
     k_max = pos.shape[1]
-    block = max(1, _BLOCK_CELLS // (reps * n_agents * k_max * degrees.size))
+    block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, games) * n_agents * k_max))
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
         rounds = slice(b_lo, b_hi + 1)
-        # cost ingredients [replication, round, agent, slot] and normalized cost [round,
-        # replication * agent, slot, congestion degree]; replications share cost_cap
+        # cost ingredients [run, round, agent, slot] and normalized cost [round,
+        # run * agent, slot, congestion degree]; run ids share cost_cap
         inputs = CostInputs(*(
             None if parts[0] is None else np.stack(parts)
             for parts in zip(*(env.cost_inputs(b_lo, b_hi) for env in envs))
@@ -261,24 +354,24 @@ def _play_epoch(config, envs, stack, state, epoch, lo, hi) -> None:
                 bandit.sync_candidates(state, syncs[rnd], sets)
                 for g in groups:
                     g.load(state)
-            cells, playing = [], []  # replication * n_arms + chosen arm position
+            cells, playing = [], []  # game * n_arms + chosen arm position
             for g, b in zip(groups, blocks):
                 b.slot[r], b.probs[r] = bandit.select_arm(g.scores, b.zeta[r], g.mix, b.u[r])
                 cells.append(g.cells[g.index, b.slot[r]])
                 playing.append(cells[-1] if b.everyone[r] else cells[-1][b.active[r]])
             counts = np.bincount(
                 np.concatenate(playing) if len(playing) > 1 else playing[0],
-                minlength=reps * n_arms,
+                minlength=games * n_arms,
             )
             for g, b, cell in zip(groups, blocks, cells):
                 idx = b.slot[r]
                 est = bandit.estimate_cost(
-                    table[r, g.flat, idx, counts[cell]], idx, b.probs[r], b.gamma[r]
+                    table[r, g.table_rows, idx, counts[cell]], idx, b.probs[r], b.gamma[r]
                 )
                 if g.any_full:  # the whole counterfactual vector is the estimate
                     f = g.full
                     degree = counts[g.cells[f]] + (np.arange(g.k) != idx[f, None])
-                    est[f] = table[r, g.rows[f], np.arange(g.k), degree]
+                    est[f] = table[r, g.table_rows[f, None], np.arange(g.k), degree]
                 bandit.update_scores(g.scores, est, b.eta[r])
                 b.estimates[r] = est
         _fill(envs[0], stack, inputs, b_lo, b_hi, groups, blocks)
@@ -289,27 +382,51 @@ def _play_epoch(config, envs, stack, state, epoch, lo, hi) -> None:
 class _Group:
     """Agents of one epoch that share a candidate-set size ``k``.
 
-    A group array has one row per (replication, agent) pair of the batch,
-    replication-major: row ``i * agents.size + j`` is agent ``agents[j]``
-    of replication i.  ``scores`` holds the rows' [row, slot] scores through
-    the epoch; ``store`` writes them back to the learner state.
+    A group array has one row per (game, agent) pair of the batch,
+    game-major: row ``g * agents.size + j`` is agent ``agents[j]`` of game
+    g, which plays run id ``g % runs`` (games are variant-major).  Each
+    row carries its own learner's parameters.  ``scores`` holds the rows'
+    [row, slot] scores through the epoch; ``store`` writes them back to the
+    learner state.  ``zeta``, ``eta`` and ``gamma`` hold the rows' [round,
+    row] demand weights and learning rates through the epoch, from each
+    learner and its run id's clocks and task sizes; an idle row steps with
+    zeta 1, eta 0 and gamma 1.  The kept games' trace columns get them too.
     """
 
-    def __init__(self, k, sizes, pos, reps, n_arms, learners, state):
-        n_agents, agents = pos.shape[0], np.flatnonzero(sizes == k)
-        mix = np.array([learners[n].uniform_mix for n in agents])
-        full = np.array([learners[n].feedback == "full" for n in agents])
-        rep = np.repeat(np.arange(reps), agents.size)
-        self.k, self.agents = k, agents
-        self.flat = rep * n_agents + np.tile(agents, reps)  # learner-state rows
+    def __init__(self, k, pos, learners, state, stack, task_size, lo, hi):
+        n_agents, agents = pos.shape[0], np.flatnonzero((pos >= 0).sum(axis=1) == k)
+        game_runs = np.arange(len(learners)) % stack.runs
+        game = np.repeat(np.arange(game_runs.size), agents.size)
+        agent = np.tile(agents, game_runs.size)
+        params = [learners[g][n] for g, n in zip(game.tolist(), agent.tolist())]
+        self.k, self.agents, self.variants, self.lo = k, agents, game_runs.size // stack.runs, lo
+        self.flat = game * n_agents + agent  # learner-state rows
         self.rows = self.flat[:, None]
-        self.cols = np.tile(pos[agents, :k], (reps, 1))  # arm positions
-        self.cells = (rep * n_arms)[:, None] + self.cols  # in the batch's congestion counts
+        self.table_rows = game_runs[game] * n_agents + agent  # in the run ids' cost table
+        self.cols = np.tile(pos[agents, :k], (game_runs.size, 1))  # arm positions
+        self.cells = (game * state.scores.shape[1])[:, None] + self.cols  # in the batch's congestion counts
         self.index = np.arange(self.flat.size)
-        self.mix = np.tile(mix, reps)[:, None] if mix.any() else 0.0
-        self.full = np.tile(full, reps)
+        mix = np.array([p.uniform_mix for p in params])
+        self.mix = mix[:, None] if mix.any() else 0.0
+        self.full = np.array([p.feedback == "full" for p in params])
         self.any_full = bool(self.full.any())
         self.load(state)
+
+        epoch = slice(lo, hi + 1)
+        self.active = self.rows_of(stack.active, epoch)
+        rates = bandit.learning_rates(
+            np.where(self.active, self.rows_of(stack.clock, epoch), 1), k,
+            np.array([p.schedule_a for p in params]), np.array([p.gamma_ratio for p in params]),
+        )
+        weight = bandit.demand_weight(self.rows_of(stack.task_size, epoch), task_size.q_lo, task_size.q_hi)
+        weighted = np.array([p.use_demand_weight for p in params])
+        self.zeta = np.where(self.active & weighted, weight, 1.0)
+        self.eta = np.where(self.active, rates.eta, 0.0)
+        self.gamma = np.where(self.active, rates.gamma, 1.0)
+        if stack.own_at.size:
+            for column in ("zeta", "eta", "gamma"):
+                values = self.stacked(np.where(self.active, getattr(self, column), np.nan))
+                getattr(stack, column)[:, epoch, agents] = values[stack.own_at]
 
     def load(self, state) -> None:
         self.scores = state.scores[self.rows, self.cols]
@@ -317,11 +434,11 @@ class _Group:
     def store(self, state) -> None:
         state.scores[self.rows, self.cols] = self.scores
 
-    def rows_of(self, stacked: np.ndarray, rounds) -> np.ndarray:  # [rep, round, agent] -> [round, row]
-        part = stacked[:, rounds, self.agents]
-        return part.swapaxes(0, 1).reshape(part.shape[1], -1)
+    def rows_of(self, per_run: np.ndarray, rounds) -> np.ndarray:  # [run, round, agent] -> [round, row]
+        part = per_run[:, rounds, self.agents].swapaxes(0, 1)[:, None]  # [round, 1, run, agent]
+        return np.broadcast_to(part, (part.shape[0], self.variants) + part.shape[2:]).reshape(part.shape[0], -1)
 
-    def stacked(self, rows: np.ndarray) -> np.ndarray:  # [round, row, ...] -> [rep, round, agent, ...]
+    def stacked(self, rows: np.ndarray) -> np.ndarray:  # [round, row, ...] -> [game, round, agent, ...]
         return rows.reshape(rows.shape[0], -1, self.agents.size, *rows.shape[2:]).swapaxes(0, 1)
 
     def block(self, stack, rounds) -> SimpleNamespace:
@@ -330,14 +447,15 @@ class _Group:
         def per_slot(values):  # [round, row] -> [round, row, slot]
             return np.repeat(values[:, :, None], self.k, axis=2)
 
-        active = self.rows_of(stack.active, rounds)
+        at = slice(rounds.start - self.lo, rounds.stop - self.lo)
+        active = self.active[at]
         shape = active.shape
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
-            zeta=per_slot(np.where(active, self.rows_of(stack.zeta, rounds), 1.0)),
-            eta=per_slot(np.where(active, self.rows_of(stack.eta, rounds), 0.0)),
-            gamma=np.where(active, self.rows_of(stack.gamma, rounds), 1.0),
+            zeta=per_slot(self.zeta[at]),
+            eta=per_slot(self.eta[at]),
+            gamma=self.gamma[at],
             u=per_slot(self.rows_of(stack.uniforms, rounds)),
             slot=np.zeros(shape, dtype=np.int64),
             probs=np.empty(shape + (self.k,)),
@@ -346,30 +464,54 @@ class _Group:
 
 
 def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
-    """Fill rounds [lo, hi] of every trace of the batch from the block outputs.
+    """Fill rounds [lo, hi] of the batch's columns from the block outputs.
 
-    ``inputs`` holds the cost ingredients [replication, round, agent, slot];
-    ``env`` is any replication's Environment.
+    Every game gets its metric columns; the kept games (``stack.own_at``)
+    get the others too.  ``inputs`` holds the cost ingredients [run, round,
+    agent, slot]; ``env`` is any run id's Environment.
     """
     rounds = slice(lo, hi + 1)
-    active = stack.active[:, rounds]  # [replication, round, agent]
-    slots = np.zeros(active.shape, dtype=np.int64)
+    active = stack.active[:, rounds]  # [run, round, agent]
+    games, own = stack.cf_norm.shape[0], stack.own_at
+    shape = (games // stack.runs,) + active.shape  # [variant, run, round, agent]
+    slots = np.zeros((games,) + active.shape[1:], dtype=np.int64)  # [game, round, agent]
+
+    def kept(values):  # the kept games' rows of [game, ...] values
+        return values if own.size == games else values[own]
+
     for g, b in zip(groups, blocks):
         slots[:, :, g.agents] = g.stacked(b.slot)
-        idle = ~b.active[:, :, None]
-        stack.probs[:, rounds, g.agents, : g.k] = g.stacked(np.where(idle, np.nan, b.probs))
-        stack.estimates[:, rounds, g.agents, : g.k] = g.stacked(np.where(idle, np.nan, b.estimates))
+        if own.size:
+            idle = ~b.active[:, :, None]
+            for column, values in (("probs", b.probs), ("estimates", b.estimates)):
+                getattr(stack, column)[:, rounds, g.agents, : g.k] = kept(g.stacked(np.where(idle, np.nan, values)))
     pos = env.slot_pos[env.epoch_index(lo)]
-    chosen = stack.chosen[:, rounds]
-    chosen[...] = np.where(active, np.asarray(env.arm_ids)[pos[np.arange(pos.shape[0]), slots]], -1)
-    vec = env.cost_vectors(inputs, env.congestion(lo, chosen, active))
-    stack.cf_norm[:, rounds, :, : pos.shape[1]] = vec["normalized"]
-    stack.cf_raw[:, rounds, :, : pos.shape[1]] = vec["realized"]
-    at = {key: np.take_along_axis(v, slots[..., None], -1)[..., 0] for key, v in vec.items()}
-    stack.congestion[:, rounds] = np.where(active, at["congestion"], 0)
-    for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"),
-                        ("cost_real", "realized"), ("cost_norm", "normalized")):
-        getattr(stack, column)[:, rounds] = np.where(active, at[key], np.nan)
+    k = pos.shape[1]
+    played = np.broadcast_to(active, shape)
+    chosen = np.where(played, np.asarray(env.arm_ids)[pos[np.arange(pos.shape[0]), slots.reshape(shape)]], -1)
+    vec = env.cost_vectors(inputs, env.congestion(lo, chosen, played))
+
+    def per_game(values):  # [variant, run, ...] values or [run, ...] inputs -> [game, ...]
+        if values.ndim == len(shape):
+            values = np.broadcast_to(values, shape + (k,))
+        return values.reshape(slots.shape + (k,))
+
+    def at_chosen(values, slots, played, fill):  # [game, ..., slot] -> [game, ...]
+        picked = values.reshape(-1)[np.arange(slots.size) * k + slots.reshape(-1)]
+        return np.where(played, picked.reshape(slots.shape), fill)
+
+    norm, played = per_game(vec["normalized"]), played.reshape(slots.shape)
+    stack.cf_norm[:, rounds, :, :k] = norm
+    stack.cost_norm[:, rounds] = at_chosen(norm, slots, played, np.nan)
+    if not own.size:
+        return
+    stack.chosen[:, rounds] = kept(chosen.reshape(slots.shape))
+    stack.cf_raw[:, rounds, :, :k] = kept(per_game(vec["realized"]))
+    own_slots, own_played = kept(slots), kept(played)
+    for column, key, fill in (("congestion", "congestion", 0), ("cost_a", "adversary", np.nan),
+                              ("cost_c", "collision", np.nan), ("outlier", "outlier", np.nan),
+                              ("cost_real", "realized", np.nan)):
+        getattr(stack, column)[:, rounds] = at_chosen(kept(per_game(vec[key])), own_slots, own_played, fill)
 
 
 # ---------------------------------------------------------------------------

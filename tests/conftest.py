@@ -95,14 +95,16 @@ def physical_config(
 # -- parallel helpers (top-level functions so they pickle) -------------------
 
 
-def map_runs(fn, config: GameConfig, runs: int, *extra, workers: int = 2) -> list:
+def map_runs(fn, configs, runs: int, *extra, workers: int = 2, keep=None) -> list:
     """One result per run id in range(runs), in order.
 
-    ``fn((config, run_ids, *extra))`` returns a list of results for one
+    ``fn((configs, run_ids, *extra))`` returns a list of results for one
     ``run_games`` batch of ids; the batches are spread over ``workers``.
+    ``configs`` is one config or the variants a worker plays together, and
+    ``keep`` says which games it keeps whole, as in ``run_games``.
     """
     parts = run_batch(
-        fn, [(config, ids, *extra) for ids in batches(config, range(runs), workers)], workers
+        fn, [(configs, ids, *extra) for ids in batches(configs, range(runs), workers, keep)], workers
     )
     return [row for part in parts for row in part]
 
@@ -113,12 +115,15 @@ def _probs_worker(args):
 
 
 def _regret_worker(args):
+    """Per run id, each variant's final regret per agent; only the metric columns are kept."""
     from fogbandit import metrics
 
-    config, run_ids = args
+    configs, run_ids = args
+    traces = run_games(configs, run_ids, keep=set())
     return [
-        np.array([metrics.regret_series(trace, i).final() for i in range(trace.num_agents)])
-        for trace in run_games(config, run_ids)
+        [np.array([metrics.regret_series(trace, i).final() for i in range(trace.num_agents)])
+         for trace in traces[i :: len(run_ids)]]
+        for i in range(len(run_ids))
     ]
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from fogbandit.dynamics import _euler_step, replicator_velocity
+from fogbandit.dynamics import _euler_step
 from fogbandit.oracle import LAMBDA_GRID, MU_GRID, SmoothnessResult
 from fogbandit.streams import stream_rng
 
@@ -189,6 +189,12 @@ def ref_run_game(config, run_id: int) -> dict:
         probs_log.append(round_probs)
         cost_log.append([vectors[n]["norm"][arms_per[n].index(joint[n])] for n in range(n_agents)])
     return {"chosen": chosen_log, "probs": probs_log, "norm": cost_log, "scores": scores}
+
+
+def replicator_velocity(profile, costs, weights) -> float:
+    """Sup-norm of the replicator field ``w * p * (p @ l - l)``, given the field l at the profile."""
+    return max(float(np.abs(w * p * (float(p @ l) - l)).max())
+               for p, l, w in zip(profile.vectors, costs, weights))
 
 
 def ref_integrate_fixed_step(

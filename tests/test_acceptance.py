@@ -233,25 +233,25 @@ def test_criterion_06_pota_bound():
 
 
 def _finals_worker(args):
-    config, run_ids = args
-    envs = [Environment(config, r) for r in run_ids]
+    """Per run id, each variant's final (cost, pota); only the metric columns are kept."""
+    configs, run_ids = args
+    envs = [Environment(configs[0], r) for r in run_ids]
+    games = [stage_games(env) for env in envs]
+    traces = run_games(configs, run_ids, envs, keep=set())
     return [
-        (float(metrics.social_cost_series(trace)[-1]),
-         float(metrics.pota_series(trace, stage_games(env))[-1]))
-        for trace, env in zip(run_games(config, run_ids, envs), envs)
+        [(float(metrics.social_cost_series(trace)[-1]), float(metrics.pota_series(trace, games[i])[-1]))
+         for trace in traces[i :: len(run_ids)]]
+        for i in range(len(run_ids))
     ]
 
 
 @pytest.mark.slow
 def test_criterion_07_benchmark_direction():
     spec = load_config(bundled_config("paper-fig2"))
-    finals = {}
-    for variant in spec.variants:
-        if variant.name not in ("perturbed", "vanilla-ix"):
-            continue
-        cfg = spec.game_for(variant)
-        rows = map_runs(_finals_worker, cfg, 200, workers=WORKERS)
-        finals[variant.name] = np.array(rows)  # [200, 2] cost, pota
+    names = ("perturbed", "vanilla-ix")
+    cfgs = [spec.game_for(next(v for v in spec.variants if v.name == name)) for name in names]
+    rows = map_runs(_finals_worker, cfgs, 200, workers=WORKERS, keep=set())
+    finals = {name: np.array([row[v] for row in rows]) for v, name in enumerate(names)}  # [200, 2] cost, pota
     msgs = []
     ok = True
     for i, metric in enumerate(("cumulative-cost", "pota")):
@@ -286,12 +286,11 @@ def _volatile_instance(patch_mode: str) -> GameConfig:
 def test_criterion_08_patching_beats_reset():
     from conftest import _regret_worker
 
-    finals = {}
-    for mode in ("patch", "reset_all"):
-        cfg = _volatile_instance(mode)
-        rows = map_runs(_regret_worker, cfg, 200, workers=WORKERS)
-        finals[mode] = np.stack(rows).mean(axis=1)  # per-seed mean over agents
-    a, b = finals["patch"], finals["reset_all"]
+    modes = ("patch", "reset_all")
+    rows = map_runs(_regret_worker, [_volatile_instance(mode) for mode in modes], 200,
+                    workers=WORKERS, keep=set())
+    # per-seed mean over agents
+    a, b = (np.stack([row[v] for row in rows]).mean(axis=1) for v in range(len(modes)))
     band3 = 3.0 * (a.std(ddof=1) + b.std(ddof=1)) / math.sqrt(len(a))
     delta = b.mean() - a.mean()
     ok = delta > band3

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from multiprocessing import Pool
 from pathlib import Path
 
@@ -134,7 +135,7 @@ def test_run_experiment_idempotent(mini_path, tmp_path):
 
 def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path):
     # long enough that a batch holds 4 replications: 6 run ids make batches
-    # of 4 + 2 with one worker and 3 + 3 with two
+    # of 4 + 2 with one worker and 2 + 2 + 2 with two, which share the bound
     doc = yaml.safe_load(mini_path.read_text())
     doc["replications"] = 6
     doc["game"].update(num_agents=2, horizon=7000)
@@ -143,7 +144,7 @@ def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path):
     path.write_text(yaml.safe_dump(doc))
     spec = load_config(path)
     assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1)] == [4, 2]
-    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2)] == [3, 3]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2)] == [2, 2, 2]
     trees = []
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"
@@ -184,6 +185,36 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
         }
 
 
+# tracemalloc peak of the task below in ``cli._run_replications`` when each
+# variant played its full traces in turn (Python 3.11.7, numpy 2.4.6)
+PER_VARIANT_TASK_PEAK = 11_284_061
+
+
+def test_run_task_of_four_variants_peaks_below_the_per_variant_loop(mini_path):
+    # with traces: none every game keeps only the metric columns, so playing
+    # all four variants at once takes less memory than playing them one after
+    # another with full traces did
+    doc = yaml.safe_load(mini_path.read_text())
+    doc.update(traces="none", variants=[{"name": "perturbed"}, {"name": "vanilla-ix", "baseline": "vanilla-ix"},
+                                        {"name": "explicit", "baseline": "explicit"},
+                                        {"name": "full-feedback", "baseline": "full-feedback"}])
+    doc["game"].update(num_agents=2, horizon=3000)
+    doc["game"]["candidates"] = [{"start": 1, "all": [1, 2]}, {"start": 1501, "all": [1, 2, 3]}]
+    doc["game"]["env"]["vfns"].append({"id": 3, "max_cpu_freq": 1.0e9})
+    doc["game"]["env"]["adversary"]["phases"] = [{"start": 1, "end": 3000, "means": {1: 0.3, 2: 0.5, 3: 0.4}}]
+    spec = parse_spec(doc)
+    configs = [spec.game_for(v) for v in spec.variants]
+    run_ids = list(spec.run_ids)
+    assert batches(configs, run_ids, keep=set()) == [run_ids]
+    tracemalloc.start()
+    try:
+        cli._run_replications((configs, run_ids, True, True, [[None] * len(run_ids) for _ in configs]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PER_VARIANT_TASK_PEAK
+
+
 def test_csv_schema(mini_path, tmp_path):
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
@@ -218,8 +249,8 @@ def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
     run_experiment(spec, tmp_path)
     built = _count_environments(monkeypatch)
     assert verify(spec, tmp_path) == 0
-    # the other replays are of stored traces, then each sample is simulated
-    assert sorted(built) == [0, 1, 1, 2, 2]
+    # each run id's Environment replays its stored trace, which is its sample
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_verify_without_stored_traces_builds_each_environment_once(mini_path, tmp_path, monkeypatch):
@@ -239,8 +270,9 @@ def test_verify_shares_the_first_environment_across_variants(mini_path, tmp_path
     run_experiment(spec, tmp_path)
     built = _count_environments(monkeypatch)
     assert verify(spec, tmp_path) == 0
-    # runs 1 and 2: each variant's replay, then the sample run
-    assert sorted(built) == [0, 1, 1, 1, 2, 2, 2]
+    # runs 1 and 2 too: one Environment replays both variants' traces, and the
+    # first variant's replay is the sample trace
+    assert sorted(built) == [0, 1, 2]
 
 
 def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monkeypatch):

@@ -18,7 +18,6 @@ from fogbandit.dynamics import (
     integrate_to_rest,
     ode_path,
     path_deviation,
-    replicator_velocity,
     tracking_error,
 )
 from fogbandit.cli import bundled_config
@@ -28,7 +27,7 @@ from fogbandit.game import run_game
 from fogbandit.oracle import SmallGame, find_pure_nash, stage_games
 
 from conftest import synthetic_config, seed_mean_probs
-from reference_impls import ref_discrete_probability_path, ref_integrate_fixed_step
+from reference_impls import ref_discrete_probability_path, ref_integrate_fixed_step, replicator_velocity
 from test_oracle import make_game
 
 

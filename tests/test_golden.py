@@ -12,8 +12,9 @@ candidate sets of unequal size (one arm, more than eight arms, reordered
 sets), every patch mode, full feedback and uniform mixing on ragged sets,
 linear coupling, and truncated-normal task sizes.  Every case is also
 played inside a batch of replications (``run_games``) and must give the
-same digest there, and a few cases also at both extremes of the block size
-(one round per block, one block per epoch).
+same digest there, also next to a second variant of its game (whose
+trace must equal the one it gives alone), and a few cases also at both
+extremes of the block size (one round per block, one block per epoch).
 """
 
 import dataclasses
@@ -173,17 +174,51 @@ def test_golden_trace(key, tmp_path):
     assert trace_sha256(run_game(config, run_id), tmp_path / "run.trace") == GOLDEN[key]
 
 
+# the learners of a second variant batched with each case: every parameter
+# differs from the defaults
+OTHER_LEARNER = LearnerParams(schedule_a=2.0, gamma_ratio=0.3, use_demand_weight=False,
+                              patch_mode="reset_all", uniform_mix=0.1, feedback="full")
+
+
+def partner(config):
+    return dataclasses.replace(config, learners=(OTHER_LEARNER,) * config.num_agents)
+
+
+def raw_bytes(trace, path) -> bytes:
+    write_trace(trace, path)
+    return path.read_bytes()
+
+
+def _alone(name, path) -> dict:
+    """The trace file bytes of case ``name``'s partner at run ids 0 and 1, played alone."""
+    other = partner(cases()[f"{name}/0"][0])
+    return {rid: raw_bytes(run_game(other, rid), path) for rid in (0, 1)}
+
+
+def _two_variants(name, ids, path, alone) -> None:
+    """Case ``name`` and its partner played as one batch: the case's traces
+    give their golden digests, the partner's the bytes it gives alone."""
+    config, _ = cases()[f"{name}/0"]
+    traces = game.run_games([config, partner(config)], ids)
+    assert [(t.config.learners, t.run_id) for t in traces] == [
+        (learners, rid) for learners in (config.learners, (OTHER_LEARNER,) * config.num_agents) for rid in ids
+    ]
+    for trace in traces[: len(ids)]:
+        assert trace_sha256(trace, path) == GOLDEN[f"{name}/{trace.run_id}"]
+    for trace in traces[len(ids) :]:
+        assert raw_bytes(trace, path) == alone[trace.run_id]
+
+
 @pytest.mark.parametrize("name", sorted({key.rsplit("/", 1)[0] for key in GOLDEN}))
 def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
-    # run ids 0 and 1 stepped together as one batch give the same bytes; the
-    # batch bound is lifted so that the long bundled games batch too
-    monkeypatch.setattr(game, "_BATCH_CELLS", 2**40)
+    # run ids 0 and 1 of two variants stepped together as one batch give the
+    # same bytes; the batch bound is lifted so that the long bundled games
+    # batch too
+    alone = _alone(name, tmp_path / "run.trace")
+    monkeypatch.setattr(game, "_BATCH_BYTES", 2**40)
     config, _ = cases()[f"{name}/0"]
-    assert game.batches(config, [0, 1]) == [[0, 1]]
-    traces = game.run_games(config, [0, 1])
-    assert [t.run_id for t in traces] == [0, 1]
-    for trace in traces:
-        assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
+    assert game.batches([config, partner(config)], [0, 1]) == [[0, 1]]
+    _two_variants(name, [0, 1], tmp_path / "run.trace", alone)
 
 
 @pytest.mark.parametrize("cells", [1, 2**40])
@@ -192,10 +227,13 @@ def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
 )
 def test_golden_traces_at_block_extremes(name, cells, tmp_path, monkeypatch):
     # block edges move with the batch size; one round per block and one block
-    # per epoch give the same bytes, alone and in a batch of two
+    # per epoch give the same bytes, alone and in a batch of two run ids, also
+    # with a second variant in the batch
+    alone = _alone(name, tmp_path / "run.trace")
     monkeypatch.setattr(game, "_BLOCK_CELLS", cells)
-    monkeypatch.setattr(game, "_BATCH_CELLS", 2**40)
+    monkeypatch.setattr(game, "_BATCH_BYTES", 2**40)
     config, _ = cases()[f"{name}/0"]
     for ids in ([0], [1], [0, 1]):
         for trace in game.run_games(config, ids):
             assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
+    _two_variants(name, [0, 1], tmp_path / "run.trace", alone)

@@ -4,9 +4,11 @@ Generated YAML documents cover both cost models, explicit and generated
 adversary phases, shared and per-agent learners, scalar and per-agent
 activation, every task-size law and one to three candidate epochs.  A
 batch of replications played together must equal the same replications
-played one at a time.
+played one at a time, and so must a batch that mixes variants and keeps
+only some of its games whole.
 """
 
+import dataclasses
 import io
 import json
 import tempfile
@@ -18,9 +20,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES
+from fogbandit import game
+from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES, LearnerParams
 from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
+from fogbandit.env import Environment
 from fogbandit.game import _COLUMNS, format_trace, read_trace, run_game, run_games, write_trace
+from fogbandit.metrics import pota_series, regret_series, social_cost_series
+from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
 
@@ -191,3 +197,59 @@ def test_batched_replications_equal_single_runs(config, run_ids):
         alone = run_game(config, run_id)
         for name, dtype, _ in _COLUMNS:
             assert np.array_equal(getattr(trace, name), getattr(alone, name), equal_nan=dtype == "<f8"), name
+
+
+
+@st.composite
+def variant_batches(draw):
+    """Two or three variants of one generated ragged game, each with its own
+    per-agent learners (patch modes, bandit and full feedback, uniform
+    mixing, demand weights), a few run ids, the games kept whole, and a
+    batch bound that is lifted or that forces one game per batch."""
+    base = draw(ragged_games())
+    configs = [base] + [
+        dataclasses.replace(base, learners=tuple(LearnerParams(**draw(LEARNER)) for _ in base.learners))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    run_ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True))
+    games = [(v, rid) for v in range(len(configs)) for rid in run_ids]
+    keep = set(draw(st.lists(st.sampled_from(games), unique=True)))
+    return configs, run_ids, keep, draw(st.sampled_from([1, game._BATCH_BYTES, 2**40]))
+
+
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(variant_batches())
+def test_mixed_variant_batches_keep_what_is_asked(batch):
+    configs, run_ids, keep, bound = batch
+    lifted, game._BATCH_BYTES = game._BATCH_BYTES, bound
+    try:
+        traces = run_games(configs, run_ids, keep=keep)
+    finally:
+        game._BATCH_BYTES = lifted
+    assert [(t.config, t.run_id) for t in traces] == [(c, rid) for c in configs for rid in run_ids]
+    with tempfile.TemporaryDirectory() as tmp:
+        mine, theirs = Path(tmp) / "batched.trace", Path(tmp) / "alone.trace"
+        for g, trace in enumerate(traces):
+            v = g // len(run_ids)
+            alone = run_game(configs[v], trace.run_id)
+            if (v, trace.run_id) in keep:
+                write_trace(trace, mine)
+                write_trace(alone, theirs)
+                assert mine.read_bytes() == theirs.read_bytes()
+                continue
+            # a metric-only game: its three columns and three series, bit for bit
+            assert sorted(name for name, _, _ in _COLUMNS if hasattr(trace, name)) == [
+                "active", "cf_norm", "cost_norm"]
+            for name in ("active", "cost_norm", "cf_norm"):
+                assert _bits(getattr(trace, name)) == _bits(getattr(alone, name)), name
+            assert _bits(social_cost_series(trace)) == _bits(social_cost_series(alone))
+            for n in range(trace.num_agents):
+                ours, full = regret_series(trace, n), regret_series(alone, n)
+                assert _bits(ours.normalized) == _bits(full.normalized)
+                assert _bits(ours.per_round) == _bits(full.per_round)
+            games = stage_games(Environment(configs[v], trace.run_id))
+            assert _bits(pota_series(trace, games)) == _bits(pota_series(alone, games))
