@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 import os
-import re
 import sys
 import tempfile
 from multiprocessing import Pool
@@ -95,6 +94,11 @@ def _write_series_csv(path: Path, rows: np.ndarray) -> None:
         )
 
 
+def _trace_name(variant: Variant, rid: int) -> str:
+    """Where ``run`` writes a variant's trace of run ``rid``, within the output directory."""
+    return f"{variant.name}/traces/run_{rid:04d}.trace"
+
+
 def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Run all replications of all variants; write traces, CSVs, manifest."""
     out_root = out_root or default_out_root()
@@ -116,8 +120,7 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
     summary: dict = {}
     configs = [spec.game_for(variant) for variant in spec.variants]
     keep = {"none": (), "all": spec.run_ids}.get(spec.trace_policy, spec.run_ids[:1])
-    trace_paths = [{rid: out_dir / v.name / "traces" / f"run_{rid:04d}.trace" for rid in keep}
-                   for v in spec.variants]
+    trace_paths = [{rid: out_dir / _trace_name(v, rid) for rid in keep} for v in spec.variants]
     for variant in spec.variants:
         (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
     # one task per batch of run ids plays every variant (variants share horizon,
@@ -212,25 +215,28 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
 
     config = spec.game_for(spec.variants[0])
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    # stored traces by the run id in their file names; each run id's Environment
-    # is built once and replays every variant's trace of it (Environments read
-    # no learner).  sample[0]'s comes first and also gives the stage games; a
-    # sampled run id's replay under ``config`` is its sample trace
+    # stored traces by the run id ``run`` names them after; each run id's
+    # Environment is built once and replays every variant's trace of it
+    # (Environments read no learner).  sample[0]'s comes first and also gives
+    # the stage games; a sampled run id's replay under ``config`` is its sample trace
+    ok = True
+    named = {_trace_name(variant, rid): rid for rid in spec.run_ids for variant in spec.variants}
     by_run: dict = {}
     for rel in manifest["files"]:
-        if rel.endswith(".trace"):
-            named = re.fullmatch(r"run_(\d+)\.trace", Path(rel).name)
-            by_run.setdefault(int(named[1]) if named else None, []).append(out_dir / rel)
+        if rel in named:
+            by_run.setdefault(named[rel], []).append(out_dir / rel)
+        elif rel.endswith(".trace"):
+            v.emit("FAIL", "trace-integrity", f"{out_dir / rel}: not a trace this experiment writes")
+            ok = False
     env0 = Environment(config, sample[0])
     games, why = _stage_games(env0)
     replayed: dict = {}
 
     # stored trace files parse and replay byte-identically, written outside the output tree
-    ok = True
     with tempfile.TemporaryDirectory() as scratch:
         buf_path = Path(scratch) / "replay.trace"
         for rid in [sample[0]] + [rid for rid in by_run if rid != sample[0]]:
-            env = env0 if rid == sample[0] else None if rid is None else Environment(config, rid)
+            env = env0 if rid == sample[0] else Environment(config, rid)
             for path in by_run.get(rid, []):
                 try:
                     stored = read_trace(path)

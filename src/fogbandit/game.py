@@ -121,11 +121,13 @@ def _bytes(config: GameConfig, names, extra: int = 0) -> int:
 # game x round x agent x candidate slot in each array of its fill, which
 # bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# The batches of games stepped at once (one per worker) stack at most this
-# many bytes of trace columns and selection uniforms together (see
-# ``batches``), which bounds the memory they play in.  At 10 MiB, two workers
-# each play one run id of a fully written 6-agent, 12-arm, 1000-round game,
-# and one process plays 7 full acceptance-small traces in one batch.
+# Trace columns and selection uniforms a batch of games stacks: ``batches``
+# gives each of the batches played at once (one per worker) its share, and a
+# run id over its share plays alone in batches of up to the whole bound (see
+# ``iter_games``).  The learner state's per-epoch arrays are not counted.  At
+# 10 MiB, two workers each play one run id of a fully written 6-agent,
+# 12-arm, 1000-round game, and one process plays 7 full acceptance-small
+# traces in one batch.
 _BATCH_BYTES = 10 * 2**20
 
 

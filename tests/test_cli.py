@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fogbandit import cli
+from fogbandit import cli, metrics
 from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
-from fogbandit.game import batches, format_trace, read_trace
+from fogbandit.game import batches, format_trace, read_trace, run_games
+from fogbandit.oracle import stage_games
 
 MINIMAL = """
 name: mini
@@ -185,15 +186,33 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
         }
 
 
-# tracemalloc peak of the task below in ``cli._run_replications`` when each
-# variant played its full traces in turn (Python 3.11.7, numpy 2.4.6)
-PER_VARIANT_TASK_PEAK = 11_284_061
+def _per_variant_task(configs, run_ids) -> None:
+    """``cli._run_replications`` with the variants played in turn, each with
+    full traces, on Environments and stage games shared by every variant."""
+    envs = [Environment(configs[0], rid) for rid in run_ids]
+    games = [stage_games(env) for env in envs]
+    for config in configs:
+        traces = run_games(config, run_ids, envs)
+        for trace, game in zip(traces, games):
+            metrics.social_cost_series(trace)
+            metrics.pota_series(trace, game)
+            [metrics.regret_series(trace, n) for n in range(config.num_agents)]
+        del traces
+
+
+def _traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_run_task_of_four_variants_peaks_below_the_per_variant_loop(mini_path):
     # with traces: none every game keeps only the metric columns, so playing
     # all four variants at once takes less memory than playing them one after
-    # another with full traces did
+    # another with full traces
     doc = yaml.safe_load(mini_path.read_text())
     doc.update(traces="none", variants=[{"name": "perturbed"}, {"name": "vanilla-ix", "baseline": "vanilla-ix"},
                                         {"name": "explicit", "baseline": "explicit"},
@@ -206,13 +225,10 @@ def test_run_task_of_four_variants_peaks_below_the_per_variant_loop(mini_path):
     configs = [spec.game_for(v) for v in spec.variants]
     run_ids = list(spec.run_ids)
     assert batches(configs, run_ids, keep=set()) == [run_ids]
-    tracemalloc.start()
-    try:
-        cli._run_replications((configs, run_ids, True, True, [[None] * len(run_ids) for _ in configs]))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < PER_VARIANT_TASK_PEAK
+    lockstep = _traced_peak(
+        cli._run_replications, (configs, run_ids, True, True, [[None] * len(run_ids) for _ in configs])
+    )
+    assert lockstep < _traced_peak(_per_variant_task, configs, run_ids)
 
 
 def test_csv_schema(mini_path, tmp_path):
@@ -322,6 +338,18 @@ def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL  trace-integrity" in captured.out and "run_0001.trace" in captured.out
     assert "runtime error" not in captured.err
+
+
+def test_verify_fails_on_a_listed_trace_the_experiment_does_not_write(mini_path, tmp_path, capsys):
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    manifest_path = tmp_path / "mini/manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["files"].append("default/traces/run_0001-copy.trace")
+    manifest_path.write_text(json.dumps(manifest))
+    assert verify(spec, tmp_path) == 3
+    out = capsys.readouterr().out
+    assert "FAIL  trace-integrity" in out and "run_0001-copy.trace" in out
 
 
 def test_inspect_prints_the_text_form(mini_path, tmp_path, capsys):

@@ -211,12 +211,17 @@ def _two_variants(name, ids, path, alone) -> None:
 
 @pytest.mark.parametrize("name", sorted({key.rsplit("/", 1)[0] for key in GOLDEN}))
 def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
-    # run ids 0 and 1 of two variants stepped together as one batch give the
-    # same bytes; the batch bound is lifted so that the long bundled games
-    # batch too
+    # run ids 0 and 1 stepped together as one batch give the same bytes, also
+    # next to a second variant; the batch bound is lifted so that the long
+    # bundled games batch too
     alone = _alone(name, tmp_path / "run.trace")
     monkeypatch.setattr(game, "_BATCH_BYTES", 2**40)
     config, _ = cases()[f"{name}/0"]
+    assert game.batches(config, [0, 1]) == [[0, 1]]
+    traces = game.run_games(config, [0, 1])
+    assert [t.run_id for t in traces] == [0, 1]
+    for trace in traces:
+        assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
     assert game.batches([config, partner(config)], [0, 1]) == [[0, 1]]
     _two_variants(name, [0, 1], tmp_path / "run.trace", alone)
 
