@@ -86,31 +86,30 @@ def find_pure_nash(game: SmallGame, eps: float = 0.0) -> list[tuple[int, ...]]:
     """All joint actions where no unilateral deviation strictly improves.
 
     ``eps`` relaxes the improvement test: a deviation counts only if it
-    lowers the deviator's cost by more than eps.
+    lowers the deviator's cost by more than eps.  Equilibria come in
+    ``joint_actions`` order.
     """
-    equilibria = []
-    for joint in game.joint_actions():
-        joint = tuple(joint)
-        if _is_pure_nash(game, joint, eps):
-            equilibria.append(joint)
-    return equilibria
-
-
-def _is_pure_nash(game: SmallGame, joint: tuple[int, ...], eps: float) -> bool:
-    for n in range(game.num_agents):
-        here = game.cost(n, joint)
-        for alt in game.candidate_sets[n]:
-            if alt == joint[n]:
-                continue
-            if game.cost(n, joint[:n] + (alt,) + joint[n + 1 :]) < here - eps:
-                return False
-    return True
+    joints = _joints(game)
+    stable = np.ones(joints.shape[0], dtype=bool)
+    for n, arms in enumerate(game.candidate_sets):
+        here = _seat_costs(game, joints, n, joints[:, n]) - eps
+        for alt in map(game.arm_pos, arms):
+            there = _seat_costs(game, joints, n, np.full(joints.shape[0], alt))
+            stable &= (joints[:, n] == alt) | ~(there < here)
+    return [tuple(game.arm_ids[p] for p in j) for j in joints[stable].tolist()]
 
 
 def _joints(game: SmallGame) -> np.ndarray:
     """Every joint action as [joint, agent] arm positions, in ``joint_actions`` order."""
     pos = [[game.arm_pos(a) for a in s] for s in game.candidate_sets]
     return np.stack([g.ravel() for g in np.meshgrid(*pos, indexing="ij")], axis=1)
+
+
+def _seat_costs(game: SmallGame, joints: np.ndarray, n: int, seat: np.ndarray) -> np.ndarray:
+    """Per joint, agent n's cost on arm position ``seat`` while every other
+    agent m stays on ``joints[:, m]``."""
+    others = (joints == seat[:, None]).sum(axis=1) - (joints[:, n] == seat)
+    return game.table[n, seat, others]
 
 
 def _total_costs(game: SmallGame, joints: np.ndarray, seats: np.ndarray) -> np.ndarray:
@@ -120,9 +119,7 @@ def _total_costs(game: SmallGame, joints: np.ndarray, seats: np.ndarray) -> np.n
     """
     total = np.zeros(joints.shape[0])
     for n in range(game.num_agents):
-        seat = seats[:, n]
-        others = (joints == seat[:, None]).sum(axis=1) - (joints[:, n] == seat)
-        total += game.table[n, seat, others]
+        total += _seat_costs(game, joints, n, seats[:, n])
     return total
 
 

@@ -191,6 +191,66 @@ def ref_run_game(config, run_id: int) -> dict:
     return {"chosen": chosen_log, "probs": probs_log, "norm": cost_log, "scores": scores}
 
 
+def ref_expected_costs(game, profile) -> tuple[np.ndarray, ...]:
+    """``MeanCostField.expected_costs`` with one ``np.convolve`` per opponent.
+
+    Every opponent widens the pmf, with probability zero on arms outside its
+    candidate set, and the dot product runs over the whole pmf.
+    """
+    out = []
+    for n, arms in enumerate(game.candidate_sets):
+        costs = np.empty(len(arms))
+        for i, arm in enumerate(arms):
+            pmf = np.array([1.0])
+            for u, arms_u in enumerate(game.candidate_sets):
+                if u == n:
+                    continue
+                q = 0.0
+                if arm in arms_u:
+                    q = float(profile.vectors[u][arms_u.index(arm)])
+                pmf = np.convolve(pmf, [1.0 - q, q])
+            row = game.table[n, game.arm_pos(arm), : len(pmf)]
+            costs[i] = float(pmf @ row)
+        out.append(costs)
+    return tuple(out)
+
+
+class RefMeanCostField:
+    """``MeanCostField``'s ``expected_costs`` interface over ``ref_expected_costs``."""
+
+    def __init__(self, game):
+        self.game = game
+
+    def expected_costs(self, profile) -> tuple[np.ndarray, ...]:
+        return ref_expected_costs(self.game, profile)
+
+
+def ref_ode_path(game, weights, dt_matrix, profile0) -> np.ndarray:
+    """``dynamics.ode_path`` on arrays: the convolution field and one
+    ``_euler_step`` per round over every agent."""
+    field = RefMeanCostField(game)
+    T, n_agents = dt_matrix.shape[0] - 1, dt_matrix.shape[1]
+    kmax = max(len(v) for v in profile0.vectors)
+    out = np.full((T + 1, n_agents, kmax), np.nan)
+    prof = profile0
+    for rnd in range(1, T + 1):
+        for n, v in enumerate(prof.vectors):
+            out[rnd, n, : len(v)] = v
+        costs = field.expected_costs(prof)
+        prof = _euler_step(prof, costs, weights, dt_matrix[rnd].tolist())[0]
+    return out
+
+
+def ref_estimate_theta(game) -> float:
+    """``dynamics.estimate_theta`` one candidate (agent, arm) row at a time."""
+    diffs = np.abs(np.diff(game.table, axis=2))
+    worst = 0.0
+    for n, arms in enumerate(game.candidate_sets):
+        for arm in arms:
+            worst = max(worst, float(diffs[n, game.arm_pos(arm)].max()) if diffs.shape[2] else 0.0)
+    return worst
+
+
 def replicator_velocity(profile, costs, weights) -> float:
     """Sup-norm of the replicator field ``w * p * (p @ l - l)``, given the field l at the profile."""
     return max(float(np.abs(w * p * (float(p @ l) - l)).max())
@@ -260,6 +320,22 @@ def ref_social_optimum(game) -> tuple[tuple[int, ...], float]:
     return best_joint, best_cost
 
 
+def ref_find_pure_nash(game, eps: float = 0.0) -> list[tuple[int, ...]]:
+    """``oracle.find_pure_nash`` as a loop over joint actions, agents and
+    their alternative arms through ``game.cost``."""
+    equilibria = []
+    for joint in game.joint_actions():
+        joint = tuple(joint)
+        if all(
+            not game.cost(n, joint[:n] + (alt,) + joint[n + 1 :]) < game.cost(n, joint) - eps
+            for n in range(game.num_agents)
+            for alt in game.candidate_sets[n]
+            if alt != joint[n]
+        ):
+            equilibria.append(joint)
+    return equilibria
+
+
 def ref_smoothness_constants(game) -> SmoothnessResult:
     """``oracle.smoothness_constants`` with its deviation and social-cost
     sums taken one joint action at a time through ``game.cost``."""
@@ -303,3 +379,4 @@ def ref_smoothness_constants(game) -> SmoothnessResult:
             worst_joint=worst_joint, worst_required_lambda=worst_lam,
         )
     return best
+

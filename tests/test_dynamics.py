@@ -27,7 +27,15 @@ from fogbandit.game import run_game
 from fogbandit.oracle import SmallGame, find_pure_nash, stage_games
 
 from conftest import synthetic_config, seed_mean_probs
-from reference_impls import ref_discrete_probability_path, ref_integrate_fixed_step, replicator_velocity
+from reference_impls import (
+    RefMeanCostField,
+    ref_discrete_probability_path,
+    ref_estimate_theta,
+    ref_expected_costs,
+    ref_integrate_fixed_step,
+    ref_ode_path,
+    replicator_velocity,
+)
 from test_oracle import make_game
 
 
@@ -110,23 +118,27 @@ def test_pure_profile_is_rest_point():
     np.testing.assert_array_equal(rest.vectors[0], [1.0, 0.0])
 
 
+class CountingField(MeanCostField):
+    """Mean field that records every evaluation."""
+
+    def __init__(self, game):
+        super().__init__(game)
+        self.calls = 0
+
+    def expected_costs(self, profile):
+        self.calls += 1
+        return super().expected_costs(profile)
+
+
 def test_field_evaluated_once_per_integration_step():
     # the velocity test and every step-halving try reuse one field value
-    calls = []
-
-    class CountingField(MeanCostField):
-        def expected_costs(self, profile):
-            calls.append(profile)
-            return super().expected_costs(profile)
-
     game = make_game([(1, 2, 3), (1, 2, 3)], {1: 0.1, 2: 0.9, 3: 0.5})
     prof = MixedProfile.random(game, np.random.default_rng(3))
+    field = CountingField(game)
     # steps this large leave the simplex and get halved; tol 0 never converges
-    _, converged = integrate_to_rest(
-        prof, CountingField(game), [3.0, 3.0], dt=5.0, tol=0.0, max_steps=40
-    )
+    _, converged = integrate_to_rest(prof, field, [3.0, 3.0], dt=5.0, tol=0.0, max_steps=40)
     assert not converged
-    assert len(calls) == 40
+    assert field.calls == 40
 
 
 def test_single_arm_agents_converge_immediately():
@@ -300,18 +312,6 @@ def test_discrete_path_matches_round_by_round_reference(case):
         )
 
 
-class CountingField(MeanCostField):
-    """Mean field that records every evaluation."""
-
-    def __init__(self, game):
-        super().__init__(game)
-        self.calls = 0
-
-    def expected_costs(self, profile):
-        self.calls += 1
-        return super().expected_costs(profile)
-
-
 @pytest.mark.parametrize("name, support", [
     ("acceptance-small", [[0], [0]]),
     ("paper-fig2", [[1], [7], [1]]),
@@ -334,12 +334,20 @@ def test_bundled_rest_points(name, support):
 
 
 @st.composite
-def small_games(draw):
-    """2-3 agents on ragged subsets of 2-4 arms, costs rising with congestion."""
+def small_games(draw, disjoint=False):
+    """2-3 agents on ragged subsets of 2-4 arms, costs rising with congestion.
+
+    With ``disjoint`` no two agents share an arm.
+    """
     n = draw(st.integers(2, 3))
-    arms = list(range(1, draw(st.integers(2, 4)) + 1))
-    sets = [sorted(draw(st.lists(st.sampled_from(arms), min_size=1, unique=True)))
-            for _ in range(n)]
+    arms = list(range(1, draw(st.integers(n if disjoint else 2, 4)) + 1))
+    if disjoint:
+        order = draw(st.permutations(arms))
+        cuts = sorted(draw(st.sets(st.integers(1, len(arms) - 1), min_size=n - 1, max_size=n - 1)))
+        sets = [sorted(order[lo:hi]) for lo, hi in zip([0] + cuts, cuts + [len(arms)])]
+    else:
+        sets = [sorted(draw(st.lists(st.sampled_from(arms), min_size=1, unique=True)))
+                for _ in range(n)]
     used = sorted({a for s in sets for a in s})
     # continuous draws: ties between arms would make rest points non-isolated
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -363,3 +371,60 @@ def test_rest_point_matches_fixed_step_search(case):
     for a, b in zip(rest.vectors, ref.vectors):
         np.testing.assert_array_equal(a > 0.1, b > 0.1)
         assert np.abs(a - b).max() <= 1e-3
+
+
+@st.composite
+def field_cases(draw):
+    """A small game (overlapping or disjoint candidate sets), a profile with
+    zero entries, and a step matrix of 1-30 rounds in which agents idle."""
+    game, weights, _ = draw(small_games(disjoint=draw(st.booleans())))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vecs = []
+    for arms in game.candidate_sets:
+        keep = np.array(draw(st.lists(st.booleans(), min_size=len(arms), max_size=len(arms))))
+        keep[draw(st.integers(0, len(arms) - 1))] = True
+        v = np.where(keep, rng.dirichlet(np.ones(len(arms))), 0.0)
+        vecs.append(v / v.sum())
+    rounds = draw(st.integers(1, 30))
+    # steps up to 4 often overshoot the simplex, so the clip at zero is exercised
+    dt = rng.uniform(0.0, 4.0, size=(rounds + 1, game.num_agents))
+    dt[rng.random(dt.shape) < draw(st.floats(0.1, 0.9))] = 0.0
+    return game, weights, MixedProfile(tuple(vecs)), dt
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_cases())
+def test_field_matches_convolution_reference(case):
+    game, _, profile, _ = case
+    got = MeanCostField(game).expected_costs(profile)
+    for a, b in zip(got, ref_expected_costs(game, profile)):
+        assert a.shape == b.shape
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(field_cases())
+def test_ode_path_matches_array_reference(case):
+    game, weights, profile, dt = case
+    got = ode_path(MeanCostField(game), weights, dt, profile)
+    np.testing.assert_allclose(got, ref_ode_path(game, weights, dt, profile), rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_cases())
+def test_rest_point_matches_convolution_field(case):
+    game, weights, profile, _ = case
+    rest, converged = integrate_to_rest(profile, MeanCostField(game), weights, tol=1e-5)
+    ref, ref_converged = integrate_to_rest(profile, RefMeanCostField(game), weights, tol=1e-5)
+    assert converged == ref_converged
+    for a, b in zip(rest.vectors, ref.vectors):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.booleans().flatmap(lambda disjoint: small_games(disjoint=disjoint)))
+def test_theta_matches_row_by_row_reference(case):
+    game = case[0]
+    assert estimate_theta(game) == ref_estimate_theta(game)
+    flat = SmallGame(game.candidate_sets, game.arm_ids, game.table[:, :, :1])
+    assert estimate_theta(flat) == ref_estimate_theta(flat) == 0.0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from fogbandit import oracle
 from fogbandit.bandit import LearnerParams
+from fogbandit.cli import bundled_config
+from fogbandit.configio import load_config
 from fogbandit.env import Environment
 from fogbandit.game import run_game
 from fogbandit.oracle import (
@@ -111,11 +113,21 @@ def test_optimum_matches_second_enumeration_2x3():
         assert social_optimum(game) == ref_social_optimum(game)
 
 
+BUNDLED = ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5")
+
+
 def test_nash_pass_independent_recheck_randomized():
     rng = np.random.default_rng(6)
+    games = []
     for _ in range(20):
         means = {k: float(rng.uniform(0.1, 0.9)) for k in (1, 2, 3)}
-        game = make_game([(1, 2, 3)] * 3, means)
+        games.append(make_game([(1, 2, 3)] * 3, means))
+    # every epoch's stage game of run 0 under each bundled config's first variant
+    for name in BUNDLED:
+        spec = load_config(bundled_config(name))
+        env = Environment(spec.game_for(spec.variants[0]), spec.run_ids[0])
+        games.extend(game for _, game in stage_games(env))
+    for game in games:
         assert find_pure_nash(game) == ref_nash(game)
 
 
@@ -287,3 +299,14 @@ def test_enumeration_guard():
             arm_ids=tuple(range(100)),
             table=np.zeros((4, 100, 4)),
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.2, -0.05]))
+def test_nash_honours_eps(seed, eps):
+    # a deviation counts only if it saves more than eps; staying put never
+    # counts, even with a negative eps
+    rng = np.random.default_rng(seed)
+    means = {k: float(rng.uniform(0.1, 0.9)) for k in (1, 2, 3)}
+    game = make_game([(1, 2), (1, 2, 3), (2, 3)], means)
+    assert find_pure_nash(game, eps) == reference_impls.ref_find_pure_nash(game, eps)
