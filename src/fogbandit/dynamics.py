@@ -83,6 +83,9 @@ class MeanCostField:
     def __init__(self, game: SmallGame):
         self.game = game
         sets = game.candidate_sets
+        # per (agent, slot): its table row, the first (opponent, opponent
+        # slot) pair on the slot's arm, whose [1 - q, q] starts the pmf (one
+        # fold fewer halves a 2-agent evaluation), and the other pairs
         plan = []
         for n, arms in enumerate(sets):
             slots = []
@@ -91,8 +94,6 @@ class MeanCostField:
                 row = game.table[n, game.arm_pos(arm)].tolist()
                 slots.append((row, sharers[0] if sharers else None, tuple(sharers[1:])))
             plan.append(tuple(slots))
-        # per (agent, slot): its table row, then the first and the other
-        # (opponent, opponent slot) pairs on the slot's arm
         self._plan = tuple(plan)
 
     def evaluate(self, probs: Sequence[Sequence[float]]) -> list[list[float]]:
