@@ -74,11 +74,28 @@ def _run_replications(args: tuple) -> list[list[dict]]:
 
 
 def run_batch(fn, args: list, workers: int = 1) -> list:
-    """``[fn(a) for a in args]``, in a process pool when workers > 1; order kept."""
-    if workers > 1 and len(args) > 1:
-        with Pool(processes=workers) as pool:
-            return pool.map(fn, args, chunksize=1)
-    return [fn(a) for a in args]
+    """``[fn(a) for a in args]`` on up to ``workers`` processes, the caller included.
+
+    With w = min(workers, len(args)) > 1, a pool of w - 1 child processes
+    plays every task whose index is not a multiple of w, one task at a time,
+    while the caller plays tasks 0, w, 2w, ... itself.  Results keep task
+    order.  An exception on either side propagates, and the pool is
+    terminated first, so no child outlives the call.
+    """
+    workers = min(workers, len(args))
+    if workers <= 1:
+        return [fn(a) for a in args]
+    out = [None] * len(args)
+    theirs = [i for i in range(len(args)) if i % workers]
+    with Pool(processes=workers - 1) as pool:
+        pending = pool.map_async(fn, [args[i] for i in theirs], chunksize=1)
+        for i in range(0, len(args), workers):
+            out[i] = fn(args[i])
+        for i, result in zip(theirs, pending.get()):
+            out[i] = result
+        pool.close()
+        pool.join()
+    return out
 
 
 def _write_series_csv(path: Path, rows: np.ndarray) -> None:
@@ -102,7 +119,7 @@ def _trace_name(variant: Variant, rid: int) -> str:
 def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Run all replications of all variants; write traces, CSVs, manifest."""
     out_root = out_root or default_out_root()
-    workers = workers or spec.workers
+    workers = spec.workers if workers is None else workers
     out_dir = out_root / spec.name
     out_dir.mkdir(parents=True, exist_ok=True)
     want_pota = "pota" in spec.metrics
@@ -124,12 +141,17 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
     for variant in spec.variants:
         (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
     # one task per batch of run ids plays every variant (variants share horizon,
-    # agents and candidate sets); the CSVs aggregate rows in ascending run-id order
+    # agents and candidate sets); the CSVs aggregate rows in ascending run-id order.
+    # A run that fits fewer lockstep batches than workers starts only as many
+    # processes, so one that fits a single batch plays in this process
     kept = {(v, rid) for v, paths in enumerate(trace_paths) for rid in paths}
+    ids = sorted(spec.run_ids)
+    plan = batches(configs, ids, 1, kept)
+    workers = min(workers, len(plan))
     parts = run_batch(
         _run_replications,
-        [(configs, ids, want_pota, want_regret, [[paths.get(rid) for rid in ids] for paths in trace_paths])
-         for ids in batches(configs, sorted(spec.run_ids), workers, kept)],
+        [(configs, task, want_pota, want_regret, [[paths.get(rid) for rid in task] for paths in trace_paths])
+         for task in (plan if workers <= 1 else batches(configs, ids, workers, kept))],
         workers,
     )
     for v, (variant, config, paths) in enumerate(zip(spec.variants, configs, trace_paths)):
@@ -436,7 +458,11 @@ def main(argv: list[str] | None = None) -> int:
         sp = sub.add_parser(verb)
         sp.add_argument("config", help="config file path or bundled config name")
         sp.add_argument("--seeds", type=int, default=None, help="override replication count")
-        sp.add_argument("--workers", type=int, default=None, help="replication processes (run only)")
+        sp.add_argument(
+            "--workers", type=int, default=None,
+            help="most processes run plays on, this one included; it starts "
+                 "no more than its batches can use (run only; >= 1)",
+        )
         sp.add_argument("--out", type=Path, default=None, help="output root directory")
         sp.add_argument("--strict", action="store_true", help="reject unknown config keys")
     sub.add_parser("inspect").add_argument("trace", type=Path, help="trace file written by run")
@@ -455,6 +481,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         spec = load_config(_resolve_config(args.config), strict=args.strict)
         if args.seeds is not None:
             spec = dataclasses.replace(spec, run_ids=tuple(range(args.seeds)))

@@ -506,7 +506,8 @@ Top level:
   metrics: [cost|pota|regret]   CSV series to aggregate (default cost,regret)
   xi_window: float              tail fraction for equilibrium certification
   traces: none|first|all        per-run trace retention (default first)
-  workers: int                  parallel replication workers (default 1)
+  workers: int                  most processes run plays on, itself included;
+                                capped at its batch count (default 1)
   variants:                     learner variants to compare
     - name: str                 [required]
       baseline: str             one of perturbed|vanilla-ix|explicit|

@@ -297,6 +297,9 @@ def convergence_rate_check(
 # ---------------------------------------------------------------------------
 
 
+_ASYNC_CHUNK = 2**14  # rounds per chunk of async_condition_check's partial sums
+
+
 @dataclass(frozen=True)
 class AsyncConditionReport:
     horizon: int
@@ -319,6 +322,15 @@ class AsyncConditionReport:
         )
 
 
+def _carry_cumsum(last: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """``chunk``'s running sums along axis 0, continuing from the row ``last``.
+
+    ``add.accumulate`` adds one row at a time, so chained chunks give the
+    full-length cumsum bit for bit.
+    """
+    return np.add.accumulate(np.concatenate([last[None], chunk]), axis=0)[1:]
+
+
 def async_condition_check(
     schedules: list[tuple[float, int]],
     horizon: int,
@@ -332,41 +344,52 @@ def async_condition_check(
     partial sums: every agent's rate sum passes ``threshold`` within the
     horizon (closed-form sqrt growth), square sums stay under the analytic
     a*logK/K * (1 + log t) tail bound, and both derived conditions for the
-    per-round max rate across active agents.
+    per-round max rate across active agents.  The partial sums stream over
+    ``_ASYNC_CHUNK`` rounds at a time, so memory does not grow with the horizon.
     """
     n_agents = len(schedules)
-    if activations is None:
-        activations = np.ones((horizon, n_agents), dtype=bool)
+    rounds = horizon if activations is None else activations.shape[0]
     coeff = np.array(
         [
             math.sqrt(a * max(math.log(k), math.log(2.0)) / k)
             for a, k in schedules
         ]
     )
-    clocks = activations.cumsum(axis=0)  # theta_n(t)
-    with np.errstate(divide="ignore"):
-        rates = np.where(activations, coeff[None, :] / np.sqrt(np.maximum(clocks, 1)), 0.0)
-    rate_sums = rates.cumsum(axis=0)
-    # closed-form: sum_{v<=V} c/sqrt(v) >= 2c(sqrt(V+1)-1)
-    lower = 2.0 * coeff[None, :] * (np.sqrt(clocks + 1.0) - 1.0)
-    diverge = bool((rate_sums[-1] >= threshold).all()) and bool(
-        (rate_sums >= lower - 1e-9).all()
-    )
-    t_thresh = int(np.argmax((rate_sums >= threshold).all(axis=1))) + 1 if diverge else horizon
+    # running sums carried across chunks: theta_n(t), each agent's rate and
+    # square sums, and the max rate's sum and square sum
+    clock = np.zeros(n_agents, dtype=np.int64)
+    rate_sum, sq_sum = np.zeros(n_agents), np.zeros(n_agents)
+    ref_sum = ref_sq_sum = np.zeros(())
+    above_lower = squares_ok = ref_squares_ok = True
+    first_past = None
+    for lo in range(0, rounds, _ASYNC_CHUNK):
+        hi = min(lo + _ASYNC_CHUNK, rounds)
+        act = np.ones((hi - lo, n_agents), dtype=bool) if activations is None else activations[lo:hi]
+        clocks = _carry_cumsum(clock, act)
+        with np.errstate(divide="ignore"):
+            rates = np.where(act, coeff[None, :] / np.sqrt(np.maximum(clocks, 1)), 0.0)
+        rate_sums = _carry_cumsum(rate_sum, rates)
+        # closed-form: sum_{v<=V} c/sqrt(v) >= 2c(sqrt(V+1)-1)
+        lower = 2.0 * coeff[None, :] * (np.sqrt(clocks + 1.0) - 1.0)
+        above_lower = above_lower and bool((rate_sums >= lower - 1e-9).all())
+        past = (rate_sums >= threshold).all(axis=1)
+        if first_past is None and past.any():
+            first_past = lo + int(np.argmax(past)) + 1
 
-    sq_sums = (rates**2).cumsum(axis=0)
-    sq_bound = (coeff**2)[None, :] * (1.0 + np.log(np.maximum(clocks, 1)))
-    squares_ok = bool((sq_sums <= sq_bound + 1e-9).all())
+        sq_sums = _carry_cumsum(sq_sum, rates**2)
+        sq_bound = (coeff**2)[None, :] * (1.0 + np.log(np.maximum(clocks, 1)))
+        squares_ok = squares_ok and bool((sq_sums <= sq_bound + 1e-9).all())
 
-    ref = rates.max(axis=1)
-    ref_sums = ref.cumsum()
-    ref_diverges = bool(ref_sums[-1] >= threshold) and bool(
-        ref_sums[-1] >= rate_sums[-1].max() - 1e-9
-    )
-    ref_sq = (ref**2).cumsum()
-    ref_sq_bound = sq_sums.sum(axis=1)  # max^2 <= sum of squares
-    ref_squares_ok = bool((ref_sq <= ref_sq_bound + 1e-9).all())
+        ref = rates.max(axis=1)
+        ref_sums = _carry_cumsum(ref_sum, ref)
+        ref_sq = _carry_cumsum(ref_sq_sum, ref**2)
+        ref_sq_bound = sq_sums.sum(axis=1)  # max^2 <= sum of squares
+        ref_squares_ok = ref_squares_ok and bool((ref_sq <= ref_sq_bound + 1e-9).all())
+        clock, rate_sum, sq_sum = clocks[-1], rate_sums[-1], sq_sums[-1]
+        ref_sum, ref_sq_sum = ref_sums[-1], ref_sq[-1]
 
+    diverge = bool((rate_sum >= threshold).all()) and above_lower
+    ref_diverges = bool(ref_sum >= threshold) and bool(ref_sum >= rate_sum.max() - 1e-9)
     return AsyncConditionReport(
         horizon=horizon,
         rate_sums_diverge=diverge,
@@ -374,10 +397,10 @@ def async_condition_check(
         reference_diverges=ref_diverges,
         reference_squares_bounded=ref_squares_ok,
         threshold=threshold,
-        threshold_round=t_thresh,
-        final_rate_sums=tuple(float(x) for x in rate_sums[-1]),
-        final_reference_sum=float(ref_sums[-1]),
-        final_reference_square_sum=float(ref_sq[-1]),
+        threshold_round=first_past if diverge else horizon,
+        final_rate_sums=tuple(float(x) for x in rate_sum),
+        final_reference_sum=float(ref_sum),
+        final_reference_square_sum=float(ref_sq_sum),
     )
 
 

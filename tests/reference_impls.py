@@ -380,3 +380,47 @@ def ref_smoothness_constants(game) -> SmoothnessResult:
         )
     return best
 
+
+
+def ref_async_condition_check(schedules, horizon, activations=None, threshold=50.0):
+    """``metrics.async_condition_check`` on whole [horizon, N] arrays of partial sums."""
+    from fogbandit.metrics import AsyncConditionReport
+
+    n_agents = len(schedules)
+    if activations is None:
+        activations = np.ones((horizon, n_agents), dtype=bool)
+    coeff = np.array([math.sqrt(a * max(math.log(k), math.log(2.0)) / k) for a, k in schedules])
+    clocks = activations.cumsum(axis=0)
+    with np.errstate(divide="ignore"):
+        rates = np.where(activations, coeff[None, :] / np.sqrt(np.maximum(clocks, 1)), 0.0)
+    rate_sums = rates.cumsum(axis=0)
+    lower = 2.0 * coeff[None, :] * (np.sqrt(clocks + 1.0) - 1.0)
+    diverge = bool((rate_sums[-1] >= threshold).all()) and bool(
+        (rate_sums >= lower - 1e-9).all()
+    )
+    t_thresh = int(np.argmax((rate_sums >= threshold).all(axis=1))) + 1 if diverge else horizon
+
+    sq_sums = (rates**2).cumsum(axis=0)
+    sq_bound = (coeff**2)[None, :] * (1.0 + np.log(np.maximum(clocks, 1)))
+    squares_ok = bool((sq_sums <= sq_bound + 1e-9).all())
+
+    ref = rates.max(axis=1)
+    ref_sums = ref.cumsum()
+    ref_diverges = bool(ref_sums[-1] >= threshold) and bool(
+        ref_sums[-1] >= rate_sums[-1].max() - 1e-9
+    )
+    ref_sq = (ref**2).cumsum()
+    ref_squares_ok = bool((ref_sq <= sq_sums.sum(axis=1) + 1e-9).all())
+
+    return AsyncConditionReport(
+        horizon=horizon,
+        rate_sums_diverge=diverge,
+        square_sums_bounded=squares_ok,
+        reference_diverges=ref_diverges,
+        reference_squares_bounded=ref_squares_ok,
+        threshold=threshold,
+        threshold_round=t_thresh,
+        final_rate_sums=tuple(float(x) for x in rate_sums[-1]),
+        final_reference_sum=float(ref_sums[-1]),
+        final_reference_square_sum=float(ref_sq[-1]),
+    )

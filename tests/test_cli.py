@@ -1,6 +1,7 @@
 import filecmp
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 from fogbandit import cli, metrics
-from fogbandit.cli import bundled_config, main, oracle_dump, run_experiment, verify
+from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
 from fogbandit.game import batches, format_trace, read_trace, run_games
@@ -134,23 +135,51 @@ def test_run_experiment_idempotent(mini_path, tmp_path):
         assert filecmp.cmp(out1 / rel, out2 / rel, shallow=False), rel
 
 
-def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path):
-    # long enough that a batch holds 4 replications: 6 run ids make batches
-    # of 4 + 2 with one worker and 2 + 2 + 2 with two, which share the bound
+def _count_pools(monkeypatch) -> list:
+    """The keyword arguments of each process pool ``cli`` starts from now on."""
+    pools = []
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs)
+        return Pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "Pool", counting_pool)
+    return pools
+
+
+def _long(mini_path, name, variants=None, replications=3):
+    """The mini config at 2 agents and 7,000 rounds, which plans several batches."""
     doc = yaml.safe_load(mini_path.read_text())
-    doc["replications"] = 6
+    doc["replications"] = replications
+    doc["variants"] = variants or doc["variants"]
     doc["game"].update(num_agents=2, horizon=7000)
     doc["game"]["env"]["adversary"]["phases"][0]["end"] = 7000
-    path = tmp_path / "long.yaml"
+    path = mini_path.with_name(name)
     path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def _run_trees(path, tmp_path) -> list:
+    """The output trees of ``run`` with ``--workers 1`` and ``--workers 2``."""
+    trees = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"{path.stem}-w{workers}"
+        assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
+        trees.append(_tree(out))
+    return trees
+
+
+def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path, monkeypatch):
+    # long enough that a batch holds 4 replications: 6 run ids make batches
+    # of 4 + 2 with one worker and 2 + 2 + 2 with two, which share the bound;
+    # the --workers 2 run plays tasks 0 and 2 itself and task 1 in one child
+    path = _long(mini_path, "long.yaml", replications=6)
     spec = load_config(path)
     assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1)] == [4, 2]
     assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2)] == [2, 2, 2]
-    trees = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
-        trees.append(_tree(out))
+    pools = _count_pools(monkeypatch)
+    trees = _run_trees(path, tmp_path)
+    assert pools == [{"processes": 1}]  # only the --workers 2 run, with one child
     assert len(trees[0]) == 6 + 4 + 2  # traces, CSVs, summary and manifest
     assert trees[0] == trees[1]
 
@@ -159,20 +188,19 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
     # each run task plays every variant on shared Environments; the output
     # must not depend on the worker count or on which variants run together
     path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
-    pools = []
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs)
-        return Pool(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "Pool", counting_pool)
-    trees = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}"
-        assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
-        trees.append(_tree(out))
-    assert len(pools) == 1  # one pool for the whole --workers 2 run
+    pools = _count_pools(monkeypatch)
+    trees = _run_trees(path, tmp_path)
+    assert pools == []  # both runs fit one lockstep batch and play in-process
     assert trees[0] == trees[1]
+    # a run that plans more than one batch starts one pool, not one per variant
+    long_path = _long(mini_path, "two-long.yaml", TWO_VARIANTS)
+    spec = load_config(long_path)
+    configs = [spec.game_for(variant) for variant in spec.variants]
+    kept = {(v, rid) for v in range(len(configs)) for rid in spec.run_ids}
+    assert [len(ids) for ids in batches(configs, spec.run_ids, 1, kept)] == [2, 1]
+    long_trees = _run_trees(long_path, tmp_path)
+    assert pools == [{"processes": 1}]
+    assert long_trees[0] == long_trees[1]
     summary = json.loads(trees[0][Path("mini/summary.json")])
     for variant in TWO_VARIANTS:
         alone = tmp_path / variant["name"]
@@ -184,6 +212,33 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
         assert json.loads((alone / "mini/summary.json").read_text()) == {
             variant["name"]: summary[variant["name"]]
         }
+
+
+def _pid_of(task):
+    if task == "boom":
+        raise ValueError("boom")
+    return task, os.getpid()
+
+
+def test_run_batch_caller_plays_every_wth_task(monkeypatch):
+    pools = _count_pools(monkeypatch)
+    for workers in (2, 3):
+        out = run_batch(_pid_of, list(range(7)), workers)
+        assert [task for task, _ in out] == list(range(7))  # task order kept
+        mine = [task for task, pid in out if pid == os.getpid()]
+        assert mine == list(range(0, 7, workers))
+        assert multiprocessing.active_children() == []
+    assert pools == [{"processes": 1}, {"processes": 2}]
+    # no more processes than tasks, and none for one task or one worker
+    assert run_batch(_pid_of, [0, 1], 5)[1][1] != os.getpid()
+    assert run_batch(_pid_of, [0], 3) == run_batch(_pid_of, [0], 1) == [(0, os.getpid())]
+    assert pools[2:] == [{"processes": 1}]
+    for bad in (0, 1, 4):  # in the caller's share, a child's, and the caller's again
+        tasks = list(range(5))
+        tasks[bad] = "boom"
+        with pytest.raises(ValueError, match="boom"):
+            run_batch(_pid_of, tasks, 2)
+        assert multiprocessing.active_children() == []
 
 
 def _per_variant_task(configs, run_ids) -> None:
@@ -381,6 +436,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad.write_text("name: [broken\n")
     assert main(["run", str(bad)]) == 1
     assert main(["run", "no-such-config"]) == 1
+    for workers in ("0", "-2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", "acceptance-small", "--workers", workers, "--out", str(out)]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["schema"]) == 0
     assert "fogbandit experiment config" in capsys.readouterr().out
 

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogbandit import metrics
 from fogbandit.bandit import LearnerParams
@@ -11,6 +14,7 @@ from fogbandit.env import Environment
 from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
+from reference_impls import ref_async_condition_check
 
 # frozen by an independent high-precision (mpmath, 40 digits) evaluation
 GOLDEN_PROP2_BOUND = 0.77686983985157017107  # K=2, zeta=1, dbeta=0, sum=5, gap=0.3
@@ -194,6 +198,35 @@ def test_async_with_bernoulli_activation():
     rep = metrics.async_condition_check([(1.0, 2), (1.0, 3), (0.5, 2)], 50_000, acts)
     assert rep.all_hold()
     assert rep.threshold_round < 50_000
+
+
+@st.composite
+def async_cases(draw):
+    """Schedules, a horizon within one round of a multiple of the chunk,
+    always-on or Bernoulli activations and a threshold the sums can pass in
+    any chunk, with the chunk itself drawn too."""
+    chunk = draw(st.sampled_from([1, 3, 7, 64, metrics._ASYNC_CHUNK]))
+    horizon = max(1, draw(st.integers(1, 3)) * chunk + draw(st.integers(-1, 1)))
+    schedules = draw(st.lists(
+        st.tuples(st.floats(0.05, 4.0), st.integers(1, 12)), min_size=1, max_size=6
+    ))
+    acts = None
+    if draw(st.booleans()):
+        p = draw(st.lists(st.floats(0.0, 1.0), min_size=len(schedules), max_size=len(schedules)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        acts = rng.random((horizon, len(schedules))) < np.array(p)
+    # an always-on rate sum grows like 2c sqrt(t), c in [0.13, 1.2]: cross it anywhere
+    threshold = draw(st.floats(0.01, 1.0)) * math.sqrt(horizon)
+    return chunk, schedules, horizon, acts, threshold
+
+
+@settings(max_examples=80, deadline=None)
+@given(async_cases())
+def test_async_check_streams_to_the_whole_array_report(case):
+    chunk, schedules, horizon, acts, threshold = case
+    with mock.patch.object(metrics, "_ASYNC_CHUNK", chunk):
+        rep = metrics.async_condition_check(schedules, horizon, acts, threshold)
+    assert rep == ref_async_condition_check(schedules, horizon, acts, threshold)
 
 
 def test_pota_bound_single_agent_rho_one():
