@@ -223,8 +223,32 @@ def _stage_games(env: Environment) -> tuple[list | None, ValueError | None]:
         return None, exc
 
 
+_COMPARE_CHUNK = 1 << 20  # bytes of each file a replay comparison holds at once
+
+
+def _same_bytes(a: Path, b: Path) -> bool:
+    """Whether two files hold the same bytes, read ``_COMPARE_CHUNK`` at a time."""
+    size = a.stat().st_size
+    if b.stat().st_size != size:
+        return False
+    with open(a, "rb") as fa, open(b, "rb") as fb:
+        for lo in range(0, size, _COMPARE_CHUNK):
+            n = min(_COMPARE_CHUNK, size - lo)  # read(n) allocates n bytes up front
+            if fa.read(n) != fb.read(n):
+                return False
+    return True
+
+
 def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
-    """Re-derive every applicable check against the stored experiment."""
+    """Re-derive every applicable check against the stored experiment.
+
+    Replays hold one trace at a time: of each stored trace only its config
+    and run id are kept, the replay is written to a temporary file, the two
+    files are compared ``_COMPARE_CHUNK`` bytes at a time, and the replay is
+    dropped unless it is a sample trace.  ``async-rates`` runs without
+    activations, so of its conditions only the threshold can fail (see
+    ``metrics.async_condition_check``).
+    """
     out_root = out_root or default_out_root()
     out_dir = out_root / spec.name
     manifest_path = out_dir / "manifest.json"
@@ -266,18 +290,23 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
                     v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
                     ok = False
                     continue
-                shares_env = (stored.run_id == rid and config.digest()
-                              == dataclasses.replace(stored.config, learners=config.learners).digest())
-                fresh = run_game(stored.config, stored.run_id, env if shares_env else None)
-                if games and shares_env and rid in sample and stored.config.digest() == config.digest():
+                stored_config, stored_rid = stored.config, stored.run_id
+                del stored  # the stored bytes are compared from the file
+                shares_env = (stored_rid == rid and config.digest()
+                              == dataclasses.replace(stored_config, learners=config.learners).digest())
+                fresh = run_game(stored_config, stored_rid, env if shares_env else None)
+                if games and shares_env and rid in sample and stored_config.digest() == config.digest():
                     replayed.setdefault(rid, fresh)
                 write_trace(fresh, buf_path)
-                same = buf_path.read_bytes() == path.read_bytes()
+                del fresh
+                same = _same_bytes(buf_path, path)
                 buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
                 if not same:
                     v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
                     ok = False
             del env
+    if not games:
+        del env0  # only the stage games' checks and sample runs read it
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 

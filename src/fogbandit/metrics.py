@@ -346,25 +346,41 @@ def async_condition_check(
     a*logK/K * (1 + log t) tail bound, and both derived conditions for the
     per-round max rate across active agents.  The partial sums stream over
     ``_ASYNC_CHUNK`` rounds at a time, so memory does not grow with the horizon.
+    Always-on agents whose schedules give the same rate coefficient (those
+    sharing (schedule_a, K), in particular) have the same rate sequence, so
+    each distinct coefficient is summed once and ``final_rate_sums`` is
+    expanded back to one entry per agent.
+
+    Only the threshold can fail: the sqrt lower bound, the square-sum bound,
+    max^2 <= sum of squares and sum of max >= max of sums hold for every
+    input.  With always-on activations -- ``cli.verify`` passes none, so the
+    config's activation probabilities are not checked -- the verdict
+    depends only on the coefficients, the horizon and the threshold.
     """
-    n_agents = len(schedules)
-    rounds = horizon if activations is None else activations.shape[0]
     coeff = np.array(
         [
             math.sqrt(a * max(math.log(k), math.log(2.0)) / k)
             for a, k in schedules
         ]
     )
-    # running sums carried across chunks: theta_n(t), each agent's rate and
-    # square sums, and the max rate's sum and square sum
-    clock = np.zeros(n_agents, dtype=np.int64)
-    rate_sum, sq_sum = np.zeros(n_agents), np.zeros(n_agents)
+    if activations is None:
+        rounds = horizon
+        coeff, agent_column, weight = np.unique(coeff, return_inverse=True, return_counts=True)
+    else:
+        rounds = activations.shape[0]
+        agent_column, weight = np.arange(len(schedules)), np.ones(len(schedules), dtype=np.int64)
+    n_cols = coeff.shape[0]
+    # running sums carried across chunks, one column per agent (per distinct
+    # coefficient when always on): theta(t), rate and square sums, and the
+    # max rate's sum and square sum
+    clock = np.zeros(n_cols, dtype=np.int64)
+    rate_sum, sq_sum = np.zeros(n_cols), np.zeros(n_cols)
     ref_sum = ref_sq_sum = np.zeros(())
     above_lower = squares_ok = ref_squares_ok = True
     first_past = None
     for lo in range(0, rounds, _ASYNC_CHUNK):
         hi = min(lo + _ASYNC_CHUNK, rounds)
-        act = np.ones((hi - lo, n_agents), dtype=bool) if activations is None else activations[lo:hi]
+        act = np.ones((hi - lo, n_cols), dtype=bool) if activations is None else activations[lo:hi]
         clocks = _carry_cumsum(clock, act)
         with np.errstate(divide="ignore"):
             rates = np.where(act, coeff[None, :] / np.sqrt(np.maximum(clocks, 1)), 0.0)
@@ -383,7 +399,7 @@ def async_condition_check(
         ref = rates.max(axis=1)
         ref_sums = _carry_cumsum(ref_sum, ref)
         ref_sq = _carry_cumsum(ref_sq_sum, ref**2)
-        ref_sq_bound = sq_sums.sum(axis=1)  # max^2 <= sum of squares
+        ref_sq_bound = (sq_sums * weight).sum(axis=1)  # max^2 <= sum of squares
         ref_squares_ok = ref_squares_ok and bool((ref_sq <= ref_sq_bound + 1e-9).all())
         clock, rate_sum, sq_sum = clocks[-1], rate_sums[-1], sq_sums[-1]
         ref_sum, ref_sq_sum = ref_sums[-1], ref_sq[-1]
@@ -398,7 +414,7 @@ def async_condition_check(
         reference_squares_bounded=ref_squares_ok,
         threshold=threshold,
         threshold_round=first_past if diverge else horizon,
-        final_rate_sums=tuple(float(x) for x in rate_sum),
+        final_rate_sums=tuple(float(x) for x in rate_sum[agent_column]),
         final_reference_sum=float(ref_sum),
         final_reference_square_sum=float(ref_sq_sum),
     )

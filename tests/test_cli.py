@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from fogbandit import cli, metrics
+from fogbandit import cli, game, metrics
 from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
-from fogbandit.game import batches, format_trace, read_trace, run_games
+from fogbandit.game import _COLUMNS, batches, format_trace, read_trace, run_games
 from fogbandit.oracle import stage_games
 
 MINIMAL = """
@@ -371,16 +371,86 @@ def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):
     assert verify(spec, tmp_path) == 2
 
 
-def test_verify_fails_on_corrupted_trace(mini_path, tmp_path, capsys):
+SMALL_CHUNK = 7  # bytes: the replay comparison crosses many chunk boundaries
+
+
+@pytest.mark.parametrize("where, chunk", [
+    (lambda data: data.index(b"\n", data.index(b"\n") + 1) + 1, None),  # after the header line
+    (lambda data: len(data) // 2 // SMALL_CHUNK * SMALL_CHUNK, SMALL_CHUNK),  # a chunk's first byte
+    (lambda data: len(data) - 1, None),  # the last byte of the last realized counterfactual cost
+], ids=["first-column-byte", "chunk-boundary", "last-byte"])
+def test_verify_fails_on_corrupted_trace(mini_path, tmp_path, capsys, monkeypatch, where, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_COMPARE_CHUNK", chunk)
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
     victim = tmp_path / "mini/default/traces/run_0001.trace"
     data = bytearray(victim.read_bytes())
-    data[-1] ^= 0x01  # the last byte of the last realized counterfactual cost
+    data[where(data)] ^= 0x01
     victim.write_bytes(bytes(data))
     assert verify(spec, tmp_path) == 3
     out = capsys.readouterr().out
     assert "FAIL" in out and "run_0001.trace" in out
+
+
+def test_verify_passes_with_a_small_comparison_chunk(mini_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_COMPARE_CHUNK", SMALL_CHUNK)
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    assert verify(spec, tmp_path) == 0
+    assert "PASS  determinism" in capsys.readouterr().out
+
+
+class _ReplaysDone(Exception):
+    pass
+
+
+def test_verify_replays_hold_one_trace_at_a_time(mini_path, tmp_path, monkeypatch):
+    # of each stored trace only the config and run id outlive the read, the
+    # replay and stored files are compared a chunk at a time, and a replay
+    # that is not a sample trace is dropped: each replay peaks below two
+    # traces' column bytes above the memory at its start, and the loop
+    # leaves only the sample trace behind.  Small blocks of rounds and small
+    # comparison chunks keep the round loop's working set and the two chunks
+    # well under one trace.
+    monkeypatch.setattr(game, "_BLOCK_CELLS", 2**12)
+    monkeypatch.setattr(cli, "_COMPARE_CHUNK", 2**16)
+    path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
+    doc = yaml.safe_load(path.read_text())
+    doc["replications"] = 1
+    doc["game"].update(num_agents=2, horizon=3000)
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 3000
+    spec = parse_spec(doc)
+    run_experiment(spec, tmp_path)
+    stored = read_trace(tmp_path / "mini" / cli._trace_name(spec.variants[0], 0))
+    columns = sum(getattr(stored, name).nbytes for name, _, _ in _COLUMNS)
+    del stored
+    excess, starts, left = [], [], []
+    read = cli.read_trace
+
+    def close_window():
+        if starts:
+            excess.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+
+    def windowed_read(path):  # one window per stored trace, from its read to the next
+        close_window()
+        starts.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return read(path)
+
+    def stop_after_replays(self, status, name, detail):
+        assert (status, name) == ("PASS", "determinism"), detail
+        close_window()
+        left.append(tracemalloc.get_traced_memory()[0] - starts[0])
+        raise _ReplaysDone
+
+    monkeypatch.setattr(cli, "read_trace", windowed_read)
+    monkeypatch.setattr(cli._Verdicts, "emit", stop_after_replays)
+    with pytest.raises(_ReplaysDone):
+        _traced_peak(verify, spec, tmp_path)
+    assert len(excess) == 2
+    assert max(excess) < 2 * columns
+    assert left[0] < 1.5 * columns
 
 
 def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):

@@ -204,12 +204,17 @@ def test_async_with_bernoulli_activation():
 def async_cases(draw):
     """Schedules, a horizon within one round of a multiple of the chunk,
     always-on or Bernoulli activations and a threshold the sums can pass in
-    any chunk, with the chunk itself drawn too."""
+    any chunk, with the chunk itself drawn too.  Half the schedule lists
+    repeat entries: agents drawn as indices into a few distinct schedules."""
     chunk = draw(st.sampled_from([1, 3, 7, 64, metrics._ASYNC_CHUNK]))
     horizon = max(1, draw(st.integers(1, 3)) * chunk + draw(st.integers(-1, 1)))
-    schedules = draw(st.lists(
-        st.tuples(st.floats(0.05, 4.0), st.integers(1, 12)), min_size=1, max_size=6
-    ))
+    schedule = st.tuples(st.floats(0.05, 4.0), st.integers(1, 12))
+    if draw(st.booleans()):
+        schedules = draw(st.lists(schedule, min_size=1, max_size=6))
+    else:
+        distinct = draw(st.lists(schedule, min_size=1, max_size=3))
+        picks = st.integers(0, len(distinct) - 1)
+        schedules = [distinct[i] for i in draw(st.lists(picks, min_size=2, max_size=6))]
     acts = None
     if draw(st.booleans()):
         p = draw(st.lists(st.floats(0.0, 1.0), min_size=len(schedules), max_size=len(schedules)))
