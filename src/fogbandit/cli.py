@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import batches, format_trace, iter_games, read_trace, run_game, run_games, write_trace
+from .game import batches, format_trace, iter_games, read_trace, run_game, write_trace
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 
 EXIT_OK = 0
@@ -216,11 +217,14 @@ def _sigma_band(values: np.ndarray) -> float:
 
 
 def _stage_games(env: Environment) -> tuple[list | None, ValueError | None]:
-    """``(stage_games(env), None)``, or ``(None, error)`` when not enumerable."""
+    """``(stage_games(env), None)``, or ``(None, error)`` when not enumerable.
+
+    The error keeps no traceback, whose frames would keep ``env`` alive.
+    """
     try:
         return stage_games(env), None
     except ValueError as exc:
-        return None, exc
+        return None, exc.with_traceback(None)
 
 
 _COMPARE_CHUNK = 1 << 20  # bytes of each file a replay comparison holds at once
@@ -239,17 +243,103 @@ def _same_bytes(a: Path, b: Path) -> bool:
     return True
 
 
-def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
+@dataclasses.dataclass(frozen=True)
+class _SampleChecks:
+    """What ``verify`` keeps of a sample trace: its part of each check, small and picklable.
+
+    ``pos`` is the dominant arm's slot in agent 0's first candidate set when
+    ``convergence-rate`` applies, else None.  Run ``first`` (``sample[0]``)
+    also gives the convergence-rate bounds and, with one candidate epoch,
+    the ODE tracking deviation.
+    """
+
+    games: list
+    fits: list
+    xi_window: float | None
+    pos: int | None
+    first: int
+
+    def __call__(self, trace) -> dict:
+        out: dict = {"pota": metrics.pota_bound_check(trace, self.games, smoothness=self.fits)}
+        if self.xi_window:
+            try:
+                cert = metrics.xi_certificate(trace, self.xi_window, self.games[-1][1])
+            except ValueError as exc:
+                out["xi"] = str(exc)
+            else:
+                out["xi"] = (cert.certified, cert.max_gap - cert.xi_bound)
+        if self.pos is not None:
+            out["probs"] = dynamics.discrete_probability_path(trace)[1:, 0, self.pos].copy()
+            if trace.run_id == self.first:
+                out["bounds"] = metrics.convergence_rate_check(trace, 0).bounds
+        if trace.run_id == self.first and len(trace.config.candidates.epochs) == 1:
+            dev = dynamics.tracking_error(trace, dynamics.MeanCostField(self.games[0][1]))
+            out["ode"] = float(np.nanmax(dev))
+        return out
+
+
+def _verify_task(args: tuple) -> tuple[list, dict]:
+    """Worker: a contiguous share of ``verify``'s round loops -> (failures, sample reductions).
+
+    ``replays`` holds stored traces as (run id, path, whether its replay is
+    the run id's sample trace), each run id's together; ``missing`` holds
+    sampled run ids with no stored sample trace, played in lockstep after
+    them.  Each run id's Environment is built once (``envs`` holds those
+    built already and gives each up to its run id's replays) and dropped
+    after them.  Each replay is written to ``buf_path`` and compared with
+    the stored file, and each sample trace is reduced by ``checks`` and
+    dropped as soon as it is played.  Failures come back as (check,
+    detail) in file order, reductions by run id.
+    """
+    config, replays, missing, checks, buf_path, envs = args
+    failures, reduced = [], {}
+    for rid, group in itertools.groupby(replays, key=lambda replay: replay[0]):
+        env = envs.pop(rid) if rid in envs else Environment(config, rid)
+        for _, path, is_sample in group:
+            try:
+                stored = read_trace(path)
+            except Exception as exc:
+                failures.append(("trace-integrity", f"{path}: {exc}"))
+                continue
+            stored_config, stored_rid = stored.config, stored.run_id
+            del stored  # the stored bytes are compared from the file
+            shares_env = (stored_rid == rid and config.digest()
+                          == dataclasses.replace(stored_config, learners=config.learners).digest())
+            fresh = run_game(stored_config, stored_rid, env if shares_env else None)
+            write_trace(fresh, buf_path)
+            if is_sample and shares_env and stored_config.digest() == config.digest():
+                reduced[rid] = checks(fresh)
+            del fresh
+            same = _same_bytes(buf_path, path)
+            buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
+            if not same:
+                failures.append(("determinism", f"replay of {path} differs from stored bytes"))
+        del env
+    for _, i, trace in iter_games(config, missing, [envs.get(rid) for rid in missing]):
+        reduced[missing[i]] = checks(trace)
+        del trace
+    return failures, reduced
+
+
+def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Re-derive every applicable check against the stored experiment.
 
-    Replays hold one trace at a time: of each stored trace only its config
-    and run id are kept, the replay is written to a temporary file, the two
-    files are compared ``_COMPARE_CHUNK`` bytes at a time, and the replay is
-    dropped unless it is a sample trace.  ``async-rates`` runs without
-    activations, so of its conditions only the threshold can fail (see
-    ``metrics.async_condition_check``).
+    The round loops, one replay per stored trace and one lockstep batch of
+    the sampled run ids with no stored trace, are cut into at most
+    ``workers`` contiguous tasks of about equal loop counts and played by
+    ``run_batch``: the caller plays the first, on run ``sample[0]``'s
+    Environment from the stage games, and each other task starts one child
+    process.  A task builds each run id's Environment once, holds one trace
+    at a time and reduces each sample trace to its part of the checks as
+    it is played; the verdicts are emitted from those parts, in the same
+    order and with the same text for any ``workers``.  A replay keeps only
+    the stored trace's config and run id, is written to a temporary file
+    and compared with the stored file ``_COMPARE_CHUNK`` bytes at a time.
+    ``async-rates`` runs without activations, so of its conditions only the
+    threshold can fail (see ``metrics.async_condition_check``).
     """
     out_root = out_root or default_out_root()
+    workers = spec.workers if workers is None else workers
     out_dir = out_root / spec.name
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
@@ -261,10 +351,8 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
 
     config = spec.game_for(spec.variants[0])
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    # stored traces by the run id ``run`` names them after; each run id's
-    # Environment is built once and replays every variant's trace of it
-    # (Environments read no learner).  sample[0]'s comes first and also gives
-    # the stage games; a sampled run id's replay under ``config`` is its sample trace
+    # stored traces by the run id ``run`` names them after; a sampled run id's
+    # replay under ``config`` (its first variant's trace) is its sample trace
     ok = True
     named = {_trace_name(variant, rid): rid for rid in spec.run_ids for variant in spec.variants}
     by_run: dict = {}
@@ -274,39 +362,42 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
         elif rel.endswith(".trace"):
             v.emit("FAIL", "trace-integrity", f"{out_dir / rel}: not a trace this experiment writes")
             ok = False
-    env0 = Environment(config, sample[0])
-    games, why = _stage_games(env0)
-    replayed: dict = {}
+    envs = {sample[0]: Environment(config, sample[0])}  # the first task's
+    games, why = _stage_games(envs[sample[0]])
+    checks = None
+    if games:
+        dom, _ = metrics.strict_gap(config, 0)
+        rated = dom >= 0 and config.learners[0].feedback == "full"
+        checks = _SampleChecks(games, [smoothness_constants(game) for _, game in games], spec.xi_window,
+                               games[0][1].candidate_sets[0].index(dom) if rated else None, sample[0])
+    firsts = {out_dir / _trace_name(spec.variants[0], rid) for rid in sample} if checks else set()
+    replays = [(rid, path, path in firsts)
+               for rid in [sample[0]] + [rid for rid in by_run if rid != sample[0]]
+               for path in by_run.get(rid, [])]
+    covered = {rid for rid, _, is_sample in replays if is_sample}
+    missing = [rid for rid in sample if rid not in covered] if checks else []
 
     # stored trace files parse and replay byte-identically, written outside the output tree
+    loops = len(replays) + bool(missing)
+    size = max(1, -(-loops // max(workers, 1)))
     with tempfile.TemporaryDirectory() as scratch:
-        buf_path = Path(scratch) / "replay.trace"
-        for rid in [sample[0]] + [rid for rid in by_run if rid != sample[0]]:
-            env = env0 if rid == sample[0] else Environment(config, rid)
-            for path in by_run.get(rid, []):
-                try:
-                    stored = read_trace(path)
-                except Exception as exc:
-                    v.emit("FAIL", "trace-integrity", f"{path}: {exc}")
-                    ok = False
-                    continue
-                stored_config, stored_rid = stored.config, stored.run_id
-                del stored  # the stored bytes are compared from the file
-                shares_env = (stored_rid == rid and config.digest()
-                              == dataclasses.replace(stored_config, learners=config.learners).digest())
-                fresh = run_game(stored_config, stored_rid, env if shares_env else None)
-                if games and shares_env and rid in sample and stored_config.digest() == config.digest():
-                    replayed.setdefault(rid, fresh)
-                write_trace(fresh, buf_path)
-                del fresh
-                same = _same_bytes(buf_path, path)
-                buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
-                if not same:
-                    v.emit("FAIL", "determinism", f"replay of {path} differs from stored bytes")
-                    ok = False
-            del env
-    if not games:
-        del env0  # only the stage games' checks and sample runs read it
+        parts = run_batch(_verify_task, [
+            (config, replays[lo:lo + size], missing if lo + size > len(replays) else [], checks,
+             Path(scratch) / f"replay-{lo}.trace", envs if lo == 0 else {})
+            for lo in range(0, loops, size)
+        ], workers)
+    reduced: dict = {}
+    for failures, part in parts:
+        for name, detail in failures:
+            v.emit("FAIL", name, detail)
+            ok = False
+        reduced.update(part)
+    # a stored sample trace that did not replay as one (unreadable, or a
+    # header naming another game) is played afresh
+    unplayed = [rid for rid in sample if rid not in reduced] if checks else []
+    if unplayed:
+        reduced.update(_verify_task((config, [], unplayed, checks, None, envs))[1])
+    del envs
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 
@@ -314,12 +405,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
         v.emit("SKIP", "stage-games", f"not enumerable: {why}")
 
     if games:
-        missing = [rid for rid in sample if rid not in replayed]
-        played = dict(zip(missing, run_games(
-            config, missing, [env0 if rid == sample[0] else None for rid in missing]
-        )))
-        traces = [replayed[rid] if rid in replayed else played[rid] for rid in sample]
-        del env0, played  # the pre-drawn blocks are not needed past the sample runs
+        sampled = [reduced[rid] for rid in sample]
 
         # replicator integration reaches a rest point with equal support costs
         field = dynamics.MeanCostField(games[-1][1])
@@ -349,65 +435,50 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None) -> int:
             )
 
         if spec.xi_window:
-            try:
-                certified = 0
-                worst = -math.inf
-                for tr in traces:
-                    cert = metrics.xi_certificate(tr, spec.xi_window, games[-1][1])
-                    certified += cert.certified
-                    worst = max(worst, cert.max_gap - cert.xi_bound)
-            except ValueError as exc:
-                v.emit("SKIP", "xi-equilibrium", str(exc))
+            errors = [r["xi"] for r in sampled if isinstance(r["xi"], str)]
+            if errors:
+                v.emit("SKIP", "xi-equilibrium", errors[0])
             else:
-                if certified == len(traces):
-                    v.emit("PASS", "xi-equilibrium", f"certified on {certified}/{len(traces)} seeds")
+                certified = sum(r["xi"][0] for r in sampled)
+                if certified == len(sampled):
+                    v.emit("PASS", "xi-equilibrium", f"certified on {certified}/{len(sampled)} seeds")
                 else:
+                    worst = max(r["xi"][1] for r in sampled)
                     v.emit(
                         "NOTE", "xi-equilibrium",
-                        f"not certified on {len(traces) - certified}/{len(traces)} seeds "
+                        f"not certified on {len(sampled) - certified}/{len(sampled)} seeds "
                         f"(worst excess {worst:.3g})",
                     )
 
-        dom, gap = metrics.strict_gap(config, 0)
         if dom < 0:
             v.emit("SKIP", "convergence-rate", "no strict-gap dominant arm in config")
-        elif config.learners[0].feedback != "full":
+        elif checks.pos is None:
             v.emit(
                 "SKIP", "convergence-rate",
                 "bound presumes per-round score gaps >= the cost gap, which only "
                 "full feedback guarantees; IX estimates void it beyond early rounds",
             )
         else:
-            arms = games[0][1].candidate_sets[0]
-            pos = arms.index(dom)
-            probs = np.stack([dynamics.discrete_probability_path(t)[1:, 0, pos] for t in traces])
-            rep = metrics.convergence_rate_check(traces[0], 0)
+            probs = np.stack([r["probs"] for r in sampled])
             band = _sigma_band(probs)
-            bad = int((probs.mean(axis=0) < rep.bounds - band - 1e-12).sum())
+            bad = int((probs.mean(axis=0) < sampled[0]["bounds"] - band - 1e-12).sum())
             if bad:
                 v.emit("FAIL", "convergence-rate", f"{bad} rounds below the bound (3-sigma)")
             else:
                 v.emit("PASS", "convergence-rate", "seed-mean prob >= bound at every round")
 
-        violations = 0
-        vacuous = 0
-        fits = [smoothness_constants(game) for _, game in games]
-        for tr in traces:
-            for check in metrics.pota_bound_check(tr, games, smoothness=fits):
-                if check.vacuous:
-                    vacuous += 1
-                elif not check.holds:
-                    violations += 1
+        checked = [check for r in sampled for check in r["pota"]]
+        violations = sum(not check.vacuous and not check.holds for check in checked)
+        vacuous = sum(check.vacuous for check in checked)
         if violations:
             v.emit("FAIL", "pota-bound", f"{violations} per-epoch violations across seeds")
         elif vacuous:
             v.emit("NOTE", "pota-bound", f"holds where feasible; {vacuous} vacuous epochs")
         else:
-            v.emit("PASS", "pota-bound", f"holds on every epoch of {len(traces)} seeds")
+            v.emit("PASS", "pota-bound", f"holds on every epoch of {len(sampled)} seeds")
 
-        if len(config.candidates.epochs) == 1 and games:
-            dev = dynamics.tracking_error(traces[0], dynamics.MeanCostField(games[0][1]))
-            v.emit("NOTE", "ode-tracking", f"sup deviation {float(np.nanmax(dev)):.3f} (reported, no bound)")
+        if "ode" in sampled[0]:
+            v.emit("NOTE", "ode-tracking", f"sup deviation {sampled[0]['ode']:.3f} (reported, no bound)")
 
     schedules = [(lp.schedule_a, len(config.candidates.epochs[0][1][n]))
                  for n, lp in enumerate(config.learners)]
@@ -489,8 +560,8 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--seeds", type=int, default=None, help="override replication count")
         sp.add_argument(
             "--workers", type=int, default=None,
-            help="most processes run plays on, this one included; it starts "
-                 "no more than its batches can use (run only; >= 1)",
+            help="most processes run and verify play on, this one included; "
+                 "neither starts more than its tasks can use (>= 1)",
         )
         sp.add_argument("--out", type=Path, default=None, help="output root directory")
         sp.add_argument("--strict", action="store_true", help="reject unknown config keys")
@@ -524,7 +595,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_experiment(spec, args.out, args.workers)
         if args.command == "verify":
-            return verify(spec, args.out)
+            return verify(spec, args.out, args.workers)
         return oracle_dump(spec, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -506,8 +506,9 @@ Top level:
   metrics: [cost|pota|regret]   CSV series to aggregate (default cost,regret)
   xi_window: float              tail fraction for equilibrium certification
   traces: none|first|all        per-run trace retention (default first)
-  workers: int                  most processes run plays on, itself included;
-                                capped at its batch count (default 1)
+  workers: int                  most processes run and verify play on, each
+                                itself included and capped at its task count
+                                (default 1)
   variants:                     learner variants to compare
     - name: str                 [required]
       baseline: str             one of perturbed|vanilla-ix|explicit|

@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import io
 import json
 import multiprocessing
@@ -6,13 +7,14 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from multiprocessing import Pool
 from pathlib import Path
 
 import pytest
 import yaml
 
-from fogbandit import cli, game, metrics
+from fogbandit import cli, game, metrics, oracle
 from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
@@ -319,7 +321,7 @@ def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
     built = _count_environments(monkeypatch)
-    assert verify(spec, tmp_path) == 0
+    assert verify(spec, tmp_path, workers=1) == 0
     # each run id's Environment replays its stored trace, which is its sample
     assert sorted(built) == [0, 1, 2]
 
@@ -330,7 +332,7 @@ def test_verify_without_stored_traces_builds_each_environment_once(mini_path, tm
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
     built = _count_environments(monkeypatch)
-    assert verify(spec, tmp_path) == 0
+    assert verify(spec, tmp_path, workers=1) == 0
     assert sorted(built) == [0, 1, 2]
 
 
@@ -340,7 +342,7 @@ def test_verify_shares_the_first_environment_across_variants(mini_path, tmp_path
     spec = load_config(path)
     run_experiment(spec, tmp_path)
     built = _count_environments(monkeypatch)
-    assert verify(spec, tmp_path) == 0
+    assert verify(spec, tmp_path, workers=1) == 0
     # runs 1 and 2 too: one Environment replays both variants' traces, and the
     # first variant's replay is the sample trace
     assert sorted(built) == [0, 1, 2]
@@ -360,10 +362,23 @@ def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monk
         write(trace, path)
 
     monkeypatch.setattr(cli, "write_trace", recording_write)
-    assert verify(spec, tmp_path) == 0
+    assert verify(spec, tmp_path, workers=1) == 0
     assert len(written) == len(spec.run_ids)  # one replay per stored trace
     assert not [p for p in written if out_dir in p.parents]
     assert _tree(out_dir) == before
+
+
+def test_stage_games_error_keeps_no_environment_alive(mini_path, monkeypatch):
+    # verify keeps the error for its stage-games SKIP and hands run
+    # sample[0]'s Environment to its replays, which drop it
+    monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 1)
+    env = Environment(load_config(mini_path).base, 0)
+    games, why = cli._stage_games(env)
+    assert games is None and "too large to enumerate" in str(why)
+    ref = weakref.ref(env)
+    del env
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):
@@ -407,10 +422,10 @@ class _ReplaysDone(Exception):
 
 def test_verify_replays_hold_one_trace_at_a_time(mini_path, tmp_path, monkeypatch):
     # of each stored trace only the config and run id outlive the read, the
-    # replay and stored files are compared a chunk at a time, and a replay
-    # that is not a sample trace is dropped: each replay peaks below two
+    # replay and stored files are compared a chunk at a time, and each replay
+    # is dropped (a sample trace once reduced): each replay peaks below two
     # traces' column bytes above the memory at its start, and the loop
-    # leaves only the sample trace behind.  Small blocks of rounds and small
+    # leaves less than 1.5 traces behind.  Small blocks of rounds and small
     # comparison chunks keep the round loop's working set and the two chunks
     # well under one trace.
     monkeypatch.setattr(game, "_BLOCK_CELLS", 2**12)
@@ -447,10 +462,45 @@ def test_verify_replays_hold_one_trace_at_a_time(mini_path, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "read_trace", windowed_read)
     monkeypatch.setattr(cli._Verdicts, "emit", stop_after_replays)
     with pytest.raises(_ReplaysDone):
-        _traced_peak(verify, spec, tmp_path)
+        _traced_peak(verify, spec, tmp_path, 1)
     assert len(excess) == 2
     assert max(excess) < 2 * columns
     assert left[0] < 1.5 * columns
+
+
+def test_verify_reduces_each_sample_trace_as_it_is_played(mini_path, tmp_path, monkeypatch):
+    # run 0's replay and the lockstep batch of runs 1-3 are the sample
+    # traces; each is reduced to its part of the checks as it is played and
+    # then dropped, so the first verdict after determinism finds less than
+    # one trace's column bytes above the memory at the start of the replays
+    monkeypatch.setattr(game, "_BLOCK_CELLS", 2**12)
+    doc = yaml.safe_load(mini_path.read_text())
+    doc.update(replications=4, traces="first")
+    doc["game"].update(num_agents=2, horizon=3000)
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 3000
+    spec = parse_spec(doc)
+    run_experiment(spec, tmp_path)
+    stored = read_trace(tmp_path / "mini" / cli._trace_name(spec.variants[0], 0))
+    columns = sum(getattr(stored, name).nbytes for name, _, _ in _COLUMNS)
+    del stored
+    starts, left = [], []
+    read = cli.read_trace
+
+    def marked_read(path):
+        starts.append(tracemalloc.get_traced_memory()[0])
+        return read(path)
+
+    def stop_after_determinism(self, status, name, detail):
+        if name != "determinism":
+            left.append(tracemalloc.get_traced_memory()[0] - starts[0])
+            raise _ReplaysDone
+
+    monkeypatch.setattr(cli, "read_trace", marked_read)
+    monkeypatch.setattr(cli._Verdicts, "emit", stop_after_determinism)
+    with pytest.raises(_ReplaysDone):
+        _traced_peak(verify, spec, tmp_path, 1)
+    assert len(starts) == 1
+    assert left[0] < columns
 
 
 def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):
@@ -463,6 +513,70 @@ def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert "FAIL  trace-integrity" in captured.out and "run_0001.trace" in captured.out
     assert "runtime error" not in captured.err
+
+
+def _verify_outputs(path, out, capsys) -> set:
+    """The distinct (exit code, stdout) of ``verify`` with ``--workers`` 1, 2 and 3."""
+    capsys.readouterr()
+    seen = set()
+    for workers in ("1", "2", "3"):
+        code = main(["verify", str(path), "--workers", workers, "--out", str(out)])
+        seen.add((code, capsys.readouterr().out))
+    return seen
+
+
+def test_verify_prints_the_same_for_any_workers(mini_path, tmp_path, capsys):
+    # six replays play as one task, as 3 + 3 (run 1's two traces in two
+    # processes) and as 2 + 2 + 2; full feedback first gives the
+    # convergence-rate check a dominant arm
+    path = _with_variants(mini_path, TWO_VARIANTS[::-1], "two.yaml")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    (code, clean), = _verify_outputs(path, out, capsys)
+    assert code == 0
+    for verdict in ("determinism", "xi-equilibrium", "convergence-rate", "pota-bound"):
+        assert f"PASS  {verdict}:" in clean
+    # a truncated sample trace and a corrupted trace of another task fail in
+    # file order; the truncated one's sample trace is played afresh
+    truncated = out / "mini/full-feedback/traces/run_0001.trace"
+    truncated.write_bytes(truncated.read_bytes()[:-100])
+    corrupted = out / "mini/perturbed/traces/run_0002.trace"
+    data = bytearray(corrupted.read_bytes())
+    data[-1] ^= 0x01
+    corrupted.write_bytes(bytes(data))
+    (code, text), = _verify_outputs(path, out, capsys)
+    assert code == 3
+    lines = text.splitlines()
+    assert lines[0].startswith("FAIL  trace-integrity") and "run_0001.trace" in lines[0]
+    assert lines[1] == f"FAIL  determinism: replay of {corrupted} differs from stored bytes"
+    assert lines[2:] == clean.splitlines()[1:]
+    # 24 tail rounds are too few to certify the xi-equilibrium
+    xi_path = mini_path.with_name("xi.yaml")
+    xi_path.write_text(MINIMAL.replace("xi_window: 0.5", "xi_window: 0.1"))
+    assert main(["run", str(xi_path), "--out", str(tmp_path / "xi")]) == 0
+    (code, text), = _verify_outputs(xi_path, tmp_path / "xi", capsys)
+    assert code == 0 and "SKIP  xi-equilibrium: window [217,240] has 24 samples" in text
+
+
+def test_verify_reports_an_error_in_a_child_task(mini_path, tmp_path, capsys, monkeypatch):
+    # with two workers the child plays the last three replays, among them run 2's
+    path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    replay = cli.run_game
+
+    def failing_replay(config, run_id=0, env=None):
+        if run_id == 2:
+            raise RuntimeError(f"replay of run 2 failed in process {os.getpid()}")
+        return replay(config, run_id, env)
+
+    monkeypatch.setattr(cli, "run_game", failing_replay)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--workers", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: replay of run 2 failed in process ")
+    assert int(err.split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
 
 
 def test_verify_fails_on_a_listed_trace_the_experiment_does_not_write(mini_path, tmp_path, capsys):
