@@ -166,19 +166,22 @@ def demand_weight(task_size, q_lo: float, q_hi: float):
     return 1.0 + np.clip((np.asarray(task_size) - q_lo) / (q_hi - q_lo), 0.0, 1.0)
 
 
-def choice_probabilities(scores: np.ndarray, zeta, uniform_mix=0.0) -> np.ndarray:
+def choice_probabilities(scores: np.ndarray, zeta, uniform_mix=0.0, out=None) -> np.ndarray:
     """Softmin of zeta * scores along the last axis, computed shift-invariantly.
 
     ``zeta`` and ``uniform_mix`` broadcast against ``scores`` (per-agent
     values of a batch come as [agent, 1] columns).  Subtracting the row
     minimum before exponentiation keeps the map stable as scores grow
-    linearly with the horizon.
+    linearly with the horizon.  ``out``, when given, receives the
+    probabilities and serves as the work array.
     """
-    w = zeta * scores
-    e = np.exp(np.minimum.reduce(w, axis=-1, keepdims=True) - w)
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    p = np.multiply(zeta, scores, out=out)
+    np.subtract(np.minimum.reduce(p, axis=-1, keepdims=True), p, out=p)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     if isinstance(uniform_mix, np.ndarray) or uniform_mix > 0.0:
-        p = (1.0 - uniform_mix) * p + uniform_mix / scores.shape[-1]
+        p *= 1.0 - uniform_mix
+        p += uniform_mix / scores.shape[-1]
     return p
 
 
@@ -187,6 +190,7 @@ def select_arm(
     zeta: np.ndarray,
     uniform_mix,
     u: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one candidate slot per agent from the softmin over its scores.
 
@@ -194,18 +198,35 @@ def select_arm(
     ``uniform_mix`` and the selection-stream uniforms ``u`` broadcast
     against it.  Agent n takes the first slot whose cumulative probability
     exceeds its uniform (the last slot if rounding leaves none).  Returns
-    the chosen slots and the [agent, slot] probabilities.  A single-arm
-    candidate set short-circuits to probability one and consumes no uniform.
+    the chosen slots and the [agent, slot] probabilities, written to
+    ``out`` when it is given.  A single-arm candidate set short-circuits to
+    probability one and consumes no uniform.
     """
     m, k = scores.shape
     if k == 0:
         raise ValueError("candidate set is empty (non-empty supply is assumed)")
     if k == 1:
-        return np.zeros(m, dtype=np.int64), np.ones((m, 1))
-    probs = choice_probabilities(scores, zeta, uniform_mix)
+        probs = np.empty((m, 1)) if out is None else out
+        probs.fill(1.0)
+        return np.zeros(m, dtype=np.int64), probs
+    probs = choice_probabilities(scores, zeta, uniform_mix, out)
     beyond = np.add.accumulate(probs, axis=1) > u
     beyond[:, -1] = True
     return beyond.argmax(axis=1), probs
+
+
+def check_losses(loss: np.ndarray) -> None:
+    """Raise ValueError unless every normalized cost lies in [0, 1]."""
+    if not (np.minimum.reduce(loss, axis=None) >= 0.0 and np.maximum.reduce(loss, axis=None) <= 1.0):
+        raise ValueError(
+            f"normalized cost outside [0, 1] in {loss}; normalization upstream is broken"
+        )
+
+
+def check_gamma(gamma: np.ndarray) -> None:
+    """Raise ValueError if an implicit-exploration rate is negative."""
+    if np.minimum.reduce(gamma, axis=None) < 0.0:
+        raise ValueError("gamma must be >= 0")
 
 
 def estimate_cost(
@@ -213,20 +234,25 @@ def estimate_cost(
     chosen_index: np.ndarray,
     probs: np.ndarray,
     gamma: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Implicit-exploration estimates, one [agent, slot] row per agent:
-    l / (p + gamma) at the agent's chosen slot, 0 elsewhere."""
+    l / (p + gamma) at the agent's chosen slot, 0 elsewhere.
+
+    Without ``out`` the losses and ``gamma`` are checked here
+    (``check_losses``, ``check_gamma``).  A caller that passes ``out``, the
+    array to write the estimates to, checks them itself: the round loop
+    checks a block's losses at once and each group's rates once per epoch.
+    """
     loss = np.asarray(realized_normalized)
-    if not (np.minimum.reduce(loss) >= 0.0 and np.maximum.reduce(loss) <= 1.0):
-        raise ValueError(
-            f"normalized cost outside [0, 1] in {loss}; normalization upstream is broken"
-        )
-    if np.minimum.reduce(gamma) < 0.0:
-        raise ValueError("gamma must be >= 0")
+    if out is None:
+        check_losses(loss)
+        check_gamma(gamma)
+        out = np.empty(probs.shape)
     rows = np.arange(len(loss))
-    est = np.zeros(probs.shape)
-    est[rows, chosen_index] = loss / (probs[rows, chosen_index] + gamma)
-    return est
+    out.fill(0.0)
+    out[rows, chosen_index] = loss / (probs[rows, chosen_index] + gamma)
+    return out
 
 
 def update_scores(scores: np.ndarray, estimates: np.ndarray, eta) -> None:

@@ -23,6 +23,7 @@ import numpy as np
 from . import bandit
 from .configio import GameConfig, parse_game
 from .env import CostInputs, Environment
+from .metrics import running_best_sums
 from .streams import stream_rng
 
 
@@ -43,10 +44,12 @@ _PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
 
 # Every variant of a run id shares the columns drawn before play.  A game
 # whose full trace is not wanted stores, besides the shared ``active``, only
-# the columns the metrics read (``metrics.social_cost_series``,
-# ``pota_series`` and ``regret_series``); a kept game stores all the others.
+# ``cost_norm``, which ``metrics.social_cost_series``, ``pota_series`` and
+# ``regret_series`` read, and the [round, agent] series ``cf_best`` that
+# ``regret_series`` reads in place of ``cf_norm``; a kept game stores all the
+# other columns.
 _SHARED = ("active", "clock", "task_size")
-_METRIC = ("cost_norm", "cf_norm")
+_METRIC = ("cost_norm",)
 _OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED + _METRIC)
 
 
@@ -62,7 +65,10 @@ class GameTrace:
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
     one run id share their ``_SHARED`` columns.  A trace that ``run_games``
     was not asked to keep holds only ``active``, ``cost_norm`` and
-    ``cf_norm``.
+    ``cf_best``: ``cf_best[t, n]`` is the least, over agent n's candidate
+    slots, of its counterfactual normalized costs summed over its active
+    rounds from the start of its segment (see ``metrics.agent_segments``)
+    through round t, as ``metrics.running_best_sums`` takes it.
 
     ``clock[t, n]`` is agent n's running count of activations through round
     t, except in rounds where no agent is active: there every agent's clock
@@ -74,7 +80,7 @@ class GameTrace:
         self.config = config
         self.run_id = run_id
         vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
-        self.kmax = self.cf_norm.shape[-1]
+        self.kmax = _kmax(config)
 
     # -- structure ----------------------------------------------------------
 
@@ -121,13 +127,14 @@ def _bytes(config: GameConfig, names, extra: int = 0) -> int:
 # game x round x agent x candidate slot in each array of its fill, which
 # bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# Trace columns and selection uniforms a batch of games stacks: ``batches``
-# gives each of the batches played at once (one per worker) its share, and a
-# run id over its share plays alone in batches of up to the whole bound (see
-# ``iter_games``).  The learner state's per-epoch arrays are not counted.  At
-# 10 MiB, two workers each play one run id of a fully written 6-agent,
-# 12-arm, 1000-round game, and one process plays 7 full acceptance-small
-# traces in one batch.
+# Trace columns, unkept games' ``cf_best`` and selection uniforms a batch of
+# games stacks: ``batches`` gives each of the batches played at once (one per
+# worker) its share, and a run id over its share plays alone in batches of up
+# to the whole bound (see ``iter_games``).  The learner state's per-epoch
+# arrays are not counted.  At 10 MiB, two workers each play one run id of a
+# fully written 6-agent, 12-arm, 1000-round game, one process plays 7 full
+# acceptance-small traces in one batch, and one process plays 4 variants of
+# a 1500-round paper-fig2 game on 4 run ids, the first run id's traces kept.
 _BATCH_BYTES = 10 * 2**20
 
 
@@ -137,7 +144,7 @@ def _variants(configs) -> list[GameConfig]:
 
 def _game_bytes(configs, run_ids, keep) -> list[list[int]]:
     """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
-    full, metric = _bytes(configs[0], _OWN + _METRIC), _bytes(configs[0], _METRIC)
+    full, metric = _bytes(configs[0], _OWN + _METRIC), _bytes(configs[0], _METRIC, extra=8)  # 8: cf_best
     return [[full if keep is None or (v, rid) in keep else metric for v in range(len(configs))]
             for rid in run_ids]
 
@@ -162,9 +169,9 @@ def batches(configs, run_ids, parts: int = 1, keep=None) -> list[list[int]]:
     (say, one batch per worker), and the ``parts`` batches that play at once
     share ``_BATCH_BYTES``: each stacks at most its part of it, counting a
     run id's shared columns and selection uniforms, a kept game's other
-    columns and an unkept game's metric columns.  A run id whose games alone
-    take more is a batch of its own; ``run_games`` plays its variants a few
-    at a time if they exceed the whole bound.
+    columns and an unkept game's metric columns and ``cf_best``.  A run id
+    whose games alone take more is a batch of its own; ``run_games`` plays
+    its variants a few at a time if they exceed the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
     shared = _bytes(configs[0], _SHARED, extra=8)
@@ -246,8 +253,11 @@ def _play(configs, run_ids, envs, kept) -> list[GameTrace]:
     for r, (rid, env) in enumerate(zip(run_ids, envs)):
         _predraw(config, rid, env, SimpleNamespace(uniforms=uniforms[r], **{n: col[r] for n, col in shared.items()}))
     metric = _stacked(config, len(kept), _METRIC)
-    own_at = np.flatnonzero(kept)
+    own_at, free_at = np.flatnonzero(kept), np.flatnonzero(np.logical_not(kept))
     own = _stacked(config, own_at.size, _OWN)
+    # unkept games' running best-arm sums, and the per-slot sums they continue from
+    cf_best = np.zeros((free_at.size,) + shared["active"].shape[1:])
+    best_carry = np.zeros(cf_best.shape[:1] + (config.num_agents, _kmax(config)))
     traces = []
     for g in range(len(kept)):
         v, r = divmod(g, runs)
@@ -256,8 +266,11 @@ def _play(configs, run_ids, envs, kept) -> list[GameTrace]:
             j = int(np.searchsorted(own_at, g))
             columns.update({name: col[r] for name, col in shared.items()})
             columns.update({name: col[j] for name, col in own.items()})
+        else:
+            columns["cf_best"] = cf_best[np.searchsorted(free_at, g)]
         traces.append(GameTrace(configs[v], run_ids[r], columns))
-    stack = SimpleNamespace(**shared, **metric, **own, uniforms=uniforms, runs=runs, own_at=own_at)
+    stack = SimpleNamespace(**shared, **metric, **own, uniforms=uniforms, runs=runs, own_at=own_at,
+                            free_at=free_at, cf_best=cf_best, best_carry=best_carry)
     # game g = variant * runs + run; row g * num_agents + n holds its agent n
     learners = [c.learners for c in configs for _ in run_ids]
     state = bandit.LearnerState.fresh(sum(learners, ()), len(envs[0].arm_ids))
@@ -316,10 +329,15 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     array step per round over every game of the batch, on scores it holds
     for the epoch.  A group's idle agents are stepped too, with learning
     rate 0 and demand weight 1, which leaves their scores unchanged; their
-    choices count toward no congestion and the fill drops them.
+    choices count toward no congestion and the fill drops them.  The
+    normalized costs a block's learners see are checked to lie in [0, 1]
+    once the block is played.
     """
     runs, games, n_agents = len(envs), len(learners), config.num_agents
     pos = envs[0].slot_pos[epoch]  # [agent, slot], the same for every run id
+    if epoch:  # an agent whose candidate set changes starts a new segment
+        before, now = (config.candidates.epochs[e][1] for e in (epoch - 1, epoch))
+        stack.best_carry[:, [n for n in range(n_agents) if before[n] != now[n]]] = 0.0
     sizes = (pos >= 0).sum(axis=1)
     sets = [tuple(int(a) for a in row[:k]) for row, k in zip(pos, sizes)] * games
     # a learner syncs to the epoch's sets at its first activation in it; game g
@@ -330,11 +348,12 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
         syncs.setdefault(lo + int(active[r, :, n].argmax()), []).extend(
             g * n_agents + n for g in range(r, games, runs)
         )
-    groups = [_Group(k, pos, learners, state, stack, config.task_size, lo, hi) for k in sorted(set(sizes.tolist()))]
     n_arms = state.scores.shape[1]
     degrees = np.arange(n_agents + 1)
     k_max = pos.shape[1]
     block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, games) * n_agents * k_max))
+    groups = [_Group(k, pos, learners, state, stack, config.task_size, lo, hi, block)
+              for k in sorted(set(sizes.tolist()))]
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
         rounds = slice(b_lo, b_hi + 1)
@@ -358,7 +377,7 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
                     g.load(state)
             cells, playing = [], []  # game * n_arms + chosen arm position
             for g, b in zip(groups, blocks):
-                b.slot[r], b.probs[r] = bandit.select_arm(g.scores, b.zeta[r], g.mix, b.u[r])
+                b.slot[r] = bandit.select_arm(g.scores, b.zeta[r], g.mix, b.u[r], b.probs[r])[0]
                 cells.append(g.cells[g.index, b.slot[r]])
                 playing.append(cells[-1] if b.everyone[r] else cells[-1][b.active[r]])
             counts = np.bincount(
@@ -367,15 +386,15 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
             )
             for g, b, cell in zip(groups, blocks, cells):
                 idx = b.slot[r]
-                est = bandit.estimate_cost(
-                    table[r, g.table_rows, idx, counts[cell]], idx, b.probs[r], b.gamma[r]
-                )
+                b.loss[r] = table[r, g.table_rows, idx, counts[cell]]
+                est = bandit.estimate_cost(b.loss[r], idx, b.probs[r], b.gamma[r], b.estimates[r])
                 if g.any_full:  # the whole counterfactual vector is the estimate
                     f = g.full
                     degree = counts[g.cells[f]] + (np.arange(g.k) != idx[f, None])
                     est[f] = table[r, g.table_rows[f, None], np.arange(g.k), degree]
                 bandit.update_scores(g.scores, est, b.eta[r])
-                b.estimates[r] = est
+        for b in blocks:
+            bandit.check_losses(b.loss)
         _fill(envs[0], stack, inputs, b_lo, b_hi, groups, blocks)
     for g in groups:
         g.store(state)
@@ -393,9 +412,11 @@ class _Group:
     row] demand weights and learning rates through the epoch, from each
     learner and its run id's clocks and task sizes; an idle row steps with
     zeta 1, eta 0 and gamma 1.  The kept games' trace columns get them too.
+    ``out`` holds the [round, row(, slot)] outputs of up to ``block`` rounds,
+    reused by every block of the epoch.
     """
 
-    def __init__(self, k, pos, learners, state, stack, task_size, lo, hi):
+    def __init__(self, k, pos, learners, state, stack, task_size, lo, hi, block):
         n_agents, agents = pos.shape[0], np.flatnonzero((pos >= 0).sum(axis=1) == k)
         game_runs = np.arange(len(learners)) % stack.runs
         game = np.repeat(np.arange(game_runs.size), agents.size)
@@ -425,6 +446,10 @@ class _Group:
         self.zeta = np.where(self.active & weighted, weight, 1.0)
         self.eta = np.where(self.active, rates.eta, 0.0)
         self.gamma = np.where(self.active, rates.gamma, 1.0)
+        bandit.check_gamma(self.gamma)
+        shape = (min(block, hi - lo + 1), self.flat.size)
+        self.out = SimpleNamespace(slot=np.zeros(shape, dtype=np.int64), loss=np.empty(shape),
+                                   probs=np.empty(shape + (k,)), estimates=np.empty(shape + (k,)))
         if stack.own_at.size:
             for column in ("zeta", "eta", "gamma"):
                 values = self.stacked(np.where(self.active, getattr(self, column), np.nan))
@@ -451,7 +476,6 @@ class _Group:
 
         at = slice(rounds.start - self.lo, rounds.stop - self.lo)
         active = self.active[at]
-        shape = active.shape
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
@@ -459,9 +483,7 @@ class _Group:
             eta=per_slot(self.eta[at]),
             gamma=self.gamma[at],
             u=per_slot(self.rows_of(stack.uniforms, rounds)),
-            slot=np.zeros(shape, dtype=np.int64),
-            probs=np.empty(shape + (self.k,)),
-            estimates=np.empty(shape + (self.k,)),
+            **{name: out[: active.shape[0]] for name, out in vars(self.out).items()},
         )
 
 
@@ -469,17 +491,22 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     """Fill rounds [lo, hi] of the batch's columns from the block outputs.
 
     Every game gets its metric columns; the kept games (``stack.own_at``)
-    get the others too.  ``inputs`` holds the cost ingredients [run, round,
-    agent, slot]; ``env`` is any run id's Environment.
+    get the others too, and the others (``stack.free_at``) their
+    ``cf_best``, continued per slot from ``stack.best_carry``.  ``inputs``
+    holds the cost ingredients [run, round, agent, slot]; ``env`` is any run
+    id's Environment.
     """
     rounds = slice(lo, hi + 1)
     active = stack.active[:, rounds]  # [run, round, agent]
-    games, own = stack.cf_norm.shape[0], stack.own_at
+    games, own, free = stack.cost_norm.shape[0], stack.own_at, stack.free_at
     shape = (games // stack.runs,) + active.shape  # [variant, run, round, agent]
     slots = np.zeros((games,) + active.shape[1:], dtype=np.int64)  # [game, round, agent]
 
     def kept(values):  # the kept games' rows of [game, ...] values
         return values if own.size == games else values[own]
+
+    def unkept(values):  # the other games' rows
+        return values if free.size == games else values[free]
 
     for g, b in zip(groups, blocks):
         slots[:, :, g.agents] = g.stacked(b.slot)
@@ -503,10 +530,17 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
         return np.where(played, picked.reshape(slots.shape), fill)
 
     norm, played = per_game(vec["normalized"]), played.reshape(slots.shape)
-    stack.cf_norm[:, rounds, :, :k] = norm
     stack.cost_norm[:, rounds] = at_chosen(norm, slots, played, np.nan)
+    if free.size:
+        free_norm, free_played = unkept(norm).swapaxes(0, 1), unkept(played).swapaxes(0, 1)  # round first
+        for g in groups:
+            carry = stack.best_carry[:, g.agents, : g.k]
+            best = running_best_sums(free_played[:, :, g.agents], free_norm[:, :, g.agents, : g.k], carry)
+            stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
+            stack.best_carry[:, g.agents, : g.k] = carry
     if not own.size:
         return
+    stack.cf_norm[:, rounds, :, :k] = kept(norm)
     stack.chosen[:, rounds] = kept(chosen.reshape(slots.shape))
     stack.cf_raw[:, rounds, :, :k] = kept(per_game(vec["realized"]))
     own_slots, own_played = kept(slots), kept(played)

@@ -57,17 +57,42 @@ class RegretSeries:
         return float(self.normalized[-1])
 
 
+def running_best_sums(active: np.ndarray, cf: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Per round, the least over slots of the running counterfactual cost sums.
+
+    ``cf`` is [round, ..., slot] normalized counterfactual costs and
+    ``active`` the matching [round, ...] activations; an inactive round or
+    a NaN cost adds 0.  ``carry`` [..., slot] holds the sums before the
+    first round and is advanced past the last one.  The sums grow one round
+    at a time from the carry, so consecutive blocks chained through one
+    carry give the sums of a single call bit for bit.
+    """
+    sums = np.where(active[..., None], np.nan_to_num(cf), 0.0)
+    sums[0] += carry
+    np.cumsum(sums, axis=0, out=sums)
+    carry[...] = sums[-1]
+    return sums.min(axis=-1)
+
+
 def regret_series(trace: "GameTrace", agent: int) -> RegretSeries:
+    """The agent's regret against its best fixed arm of each segment.
+
+    A trace holding ``cf_norm`` (a full trace) gives the best arm's running
+    sums through ``running_best_sums`` per segment; a metric-only trace
+    carries them, per round, as ``cf_best``.
+    """
     T = trace.horizon
     cum_norm = np.zeros(T + 1)
     base_norm = 0.0
     for lo, hi in agent_segments(trace, agent):
-        arms = trace.candidate_set(lo, agent)
-        k = len(arms)
         act = trace.active[lo : hi + 1, agent]
         real_n = np.where(act, np.nan_to_num(trace.cost_norm[lo : hi + 1, agent]), 0.0).cumsum()
-        cf_n = np.where(act[:, None], np.nan_to_num(trace.cf_norm[lo : hi + 1, agent, :k]), 0.0).cumsum(axis=0)
-        cum_norm[lo : hi + 1] = base_norm + real_n - cf_n.min(axis=1)
+        if hasattr(trace, "cf_norm"):
+            k = len(trace.candidate_set(lo, agent))
+            best = running_best_sums(act, trace.cf_norm[lo : hi + 1, agent, :k], np.zeros(k))
+        else:
+            best = trace.cf_best[lo : hi + 1, agent]
+        cum_norm[lo : hi + 1] = base_norm + real_n - best
         base_norm = cum_norm[hi]
     plays = np.concatenate(([1.0], np.maximum(trace.active[1:, agent].cumsum(), 1.0)))
     return RegretSeries(

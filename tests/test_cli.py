@@ -216,6 +216,28 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
         }
 
 
+def test_fig2_shaped_run_fits_one_batch_and_starts_no_pool(tmp_path, monkeypatch):
+    # games whose traces are not written carry [round, agent] best-arm sums,
+    # not the [round, agent, slot] counterfactual table, so the 16 games of
+    # a 1500-round paper-fig2 run with 4 run ids and one trace written per
+    # variant fit one lockstep batch, and --workers 2 plays it in-process
+    doc = yaml.safe_load(bundled_config("paper-fig2").read_text())
+    doc.update(replications=4, traces="first")
+    doc["game"]["horizon"] = 1500
+    for i, epoch in enumerate(doc["game"]["candidates"]):
+        epoch["start"] = 1 + i * 500
+    path = tmp_path / "fig2.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    spec = load_config(path)
+    configs = [spec.game_for(variant) for variant in spec.variants]
+    kept = {(v, spec.run_ids[0]) for v in range(len(configs))}
+    assert batches(configs, spec.run_ids, 1, kept) == [list(spec.run_ids)]
+    pools = _count_pools(monkeypatch)
+    trees = _run_trees(path, tmp_path)
+    assert pools == []
+    assert trees[0] == trees[1]
+
+
 def _pid_of(task):
     if task == "boom":
         raise ValueError("boom")

@@ -1,13 +1,17 @@
+import dataclasses
 import filecmp
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from fogbandit import game
 from fogbandit.bandit import LearnerParams
-from fogbandit.cli import run_batch
-from fogbandit.configio import TaskSizeLaw
+from fogbandit.cli import bundled_config, run_batch
+from fogbandit.configio import BASELINES, TaskSizeLaw, load_config
 from fogbandit.env import ConfigError, Environment, ProtocolError
-from fogbandit.game import read_trace, run_game, write_trace
+from fogbandit.game import iter_games, read_trace, run_game, run_games, write_trace
+from fogbandit.metrics import agent_segments, regret_series
 
 from conftest import physical_config, synthetic_config
 from reference_impls import ref_cost_entry, ref_run_game
@@ -237,3 +241,80 @@ def test_full_feedback_updates_every_arm():
     est = trace.estimates[1:, 0, :2]
     assert (est > 0).all()  # both arms receive their realized cost
     np.testing.assert_allclose(est, trace.cf_norm[1:, 0, :2], rtol=0, atol=0)
+
+
+def test_loop_rejects_a_cost_outside_the_unit_interval(monkeypatch):
+    cost_vectors = Environment.cost_vectors
+
+    def overpriced(self, inputs, degrees):
+        out = cost_vectors(self, inputs, degrees)
+        out["normalized"] = np.where(np.isnan(out["normalized"]), np.nan, 1.5)
+        return out
+
+    monkeypatch.setattr(Environment, "cost_vectors", overpriced)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        run_game(synthetic_config({1: 0.3, 2: 0.4}, horizon=40), 0)
+
+
+def _two_variants(config):
+    """The bundled config's first two variants; a one-variant config gets its full-feedback form."""
+    spec = load_config(bundled_config(config))
+    configs = [spec.game_for(v) for v in spec.variants[:2]]
+    full = BASELINES["full-feedback"]
+    return configs + [dataclasses.replace(configs[0], learners=tuple(
+        dataclasses.replace(lp, **full) for lp in configs[0].learners))][: 2 - len(configs)]
+
+
+def _ragged():
+    """Agent 0 keeps its set across the first boundary, agent 1 keeps it across the second."""
+    return [synthetic_config(
+        {1: 0.3, 2: 0.5, 3: 0.4}, num_agents=2, horizon=120, activation=(0.7, 0.9),
+        epochs=((1, ((1, 2), (1, 3))), (41, ((1, 2), (1, 2, 3))), (81, ((2, 3), (1, 2, 3)))),
+        learners=(LearnerParams(), LearnerParams(feedback="full")),
+    )]
+
+
+@pytest.mark.parametrize("configs", [
+    *(pytest.param(name, id=name) for name in
+      ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5")),
+    pytest.param(None, id="ragged"),
+])
+def test_best_arm_sums_equal_the_counterfactual_table(configs, monkeypatch):
+    # an unkept game's cf_best is, bit for bit, the least per-slot running
+    # sum regret_series took from cf_norm over each agent's segment, for
+    # blocks of one round, of the default size and of a whole epoch
+    configs = _ragged() if configs is None else _two_variants(configs)
+    if len(configs) == 1:
+        segments = [agent_segments(run_game(configs[0]), n) for n in range(2)]
+        assert segments == [[(1, 80), (81, 120)], [(1, 40), (41, 120)]]
+    full = run_games(configs, [0, 1])
+    for cells in (1, 2**15, 2**40):
+        monkeypatch.setattr(game, "_BLOCK_CELLS", cells)
+        for ours, theirs in zip(run_games(configs, [0, 1], keep=set()), full):
+            assert not hasattr(ours, "cf_norm")
+            for n in range(ours.num_agents):
+                for lo, hi in agent_segments(theirs, n):
+                    k = len(theirs.candidate_set(lo, n))
+                    act = theirs.active[lo : hi + 1, n]
+                    sums = np.where(act[:, None], np.nan_to_num(theirs.cf_norm[lo : hi + 1, n, :k]), 0.0)
+                    best = sums.cumsum(axis=0).min(axis=1)
+                    assert best.tobytes() == ours.cf_best[lo : hi + 1, n].tobytes(), (cells, n, lo)
+                assert regret_series(ours, n).normalized.tobytes() == regret_series(theirs, n).normalized.tobytes()
+
+
+def test_unkept_game_stacks_no_counterfactual_table(monkeypatch):
+    # with small blocks, whose working memory the block bound caps whatever
+    # the horizon, a game nobody keeps peaks below its [round, agent, slot]
+    # cf_norm table: it stacks [round, agent] columns only
+    monkeypatch.setattr(game, "_BLOCK_CELLS", 2**10)
+    cfg = synthetic_config({k: 0.2 + 0.03 * k for k in range(1, 21)}, num_agents=2, horizon=3000)
+    envs = [Environment(cfg, 0)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        [trace] = [trace for _, _, trace in iter_games(cfg, [0], envs, keep=set())]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3001 * 2 * 20 * 8
+    assert trace.cf_best.shape == (3001, 2)

@@ -241,10 +241,11 @@ def test_mixed_variant_batches_keep_what_is_asked(batch):
                 write_trace(alone, theirs)
                 assert mine.read_bytes() == theirs.read_bytes()
                 continue
-            # a metric-only game: its three columns and three series, bit for bit
-            assert sorted(name for name, _, _ in _COLUMNS if hasattr(trace, name)) == [
-                "active", "cf_norm", "cost_norm"]
-            for name in ("active", "cost_norm", "cf_norm"):
+            # a metric-only game: its two columns, its best-arm sums and three
+            # series, bit for bit
+            assert sorted(name for name, _, _ in _COLUMNS if hasattr(trace, name)) == ["active", "cost_norm"]
+            assert trace.cf_best.shape == trace.active.shape
+            for name in ("active", "cost_norm"):
                 assert _bits(getattr(trace, name)) == _bits(getattr(alone, name)), name
             assert _bits(social_cost_series(trace)) == _bits(social_cost_series(alone))
             for n in range(trace.num_agents):
