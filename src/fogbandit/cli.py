@@ -51,8 +51,9 @@ def _run_replications(args: tuple) -> list[list[dict]]:
     variant, and every (variant, run id) game plays in lockstep, in as few
     ``iter_games`` batches as the memory bound allows (one, unless a run
     id's games alone exceed it).  Only the games whose traces are written
-    keep full traces; each game is written (where given a path) and reduced
-    to small picklable series as its batch ends.
+    keep full traces, and the others stack only what the metrics read; each
+    game is written (where given a path) and reduced to small picklable
+    series as its batch ends.
     """
     configs, run_ids, want_pota, want_regret, trace_paths = args
     envs = [Environment(configs[0], rid) for rid in run_ids]
@@ -60,7 +61,7 @@ def _run_replications(args: tuple) -> list[list[dict]]:
     keep = {(v, rid) for v, paths in enumerate(trace_paths)
             for rid, path in zip(run_ids, paths) if path is not None}
     parts: list[list] = [[None] * len(run_ids) for _ in configs]
-    for v, i, trace in iter_games(configs, run_ids, envs, keep):
+    for v, i, trace in iter_games(configs, run_ids, envs, keep, _run_columns(want_regret)):
         if trace_paths[v][i] is not None:
             write_trace(trace, trace_paths[v][i])
         out: dict = {"cost": metrics.social_cost_series(trace)[1:]}
@@ -72,6 +73,12 @@ def _run_replications(args: tuple) -> list[list[dict]]:
             )
         parts[v][i] = out
     return parts
+
+
+def _run_columns(want_regret: bool) -> tuple[str, ...]:
+    """What ``run`` reads of a game whose trace it does not write: ``cost_norm``
+    for every metric, and ``cf_best`` for regret."""
+    return ("cost_norm", "cf_best") if want_regret else ("cost_norm",)
 
 
 def run_batch(fn, args: list, workers: int = 1) -> list:
@@ -146,13 +153,14 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
     # A run that fits fewer lockstep batches than workers starts only as many
     # processes, so one that fits a single batch plays in this process
     kept = {(v, rid) for v, paths in enumerate(trace_paths) for rid in paths}
+    columns = _run_columns(want_regret)
     ids = sorted(spec.run_ids)
-    plan = batches(configs, ids, 1, kept)
+    plan = batches(configs, ids, 1, kept, columns)
     workers = min(workers, len(plan))
     parts = run_batch(
         _run_replications,
         [(configs, task, want_pota, want_regret, [[paths.get(rid) for rid in task] for paths in trace_paths])
-         for task in (plan if workers <= 1 else batches(configs, ids, workers, kept))],
+         for task in (plan if workers <= 1 else batches(configs, ids, workers, kept, columns))],
         workers,
     )
     for v, (variant, config, paths) in enumerate(zip(spec.variants, configs, trace_paths)):
@@ -250,7 +258,8 @@ class _SampleChecks:
     ``pos`` is the dominant arm's slot in agent 0's first candidate set when
     ``convergence-rate`` applies, else None.  Run ``first`` (``sample[0]``)
     also gives the convergence-rate bounds and, with one candidate epoch,
-    the ODE tracking deviation.
+    the ODE tracking deviation, so its game is played whole (``keep``); of
+    any other sample game only ``columns`` are stacked.
     """
 
     games: list
@@ -258,6 +267,16 @@ class _SampleChecks:
     xi_window: float | None
     pos: int | None
     first: int
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The trace columns the checks read of a sample trace other than run ``first``'s."""
+        return (("cost_norm", "cf_norm") + (("chosen", "zeta") if self.xi_window else ())
+                + (("probs",) if self.pos is not None else ()))
+
+    @property
+    def keep(self) -> set:
+        return {(0, self.first)}
 
     def __call__(self, trace) -> dict:
         out: dict = {"pota": metrics.pota_bound_check(trace, self.games, smoothness=self.fits)}
@@ -286,10 +305,11 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
     sampled run ids with no stored sample trace, played in lockstep after
     them.  Each run id's Environment is built once (``envs`` holds those
     built already and gives each up to its run id's replays) and dropped
-    after them.  Each replay is written to ``buf_path`` and compared with
-    the stored file, and each sample trace is reduced by ``checks`` and
-    dropped as soon as it is played.  Failures come back as (check,
-    detail) in file order, reductions by run id.
+    after them; the missing games stack only what ``checks`` reads.  Each
+    replay is written to ``buf_path`` and compared with the stored file,
+    and each sample trace is reduced by ``checks`` and dropped as soon as
+    it is played.  Failures come back as (check, detail) in file order,
+    reductions by run id.
     """
     config, replays, missing, checks, buf_path, envs = args
     failures, reduced = [], {}
@@ -315,24 +335,26 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
             if not same:
                 failures.append(("determinism", f"replay of {path} differs from stored bytes"))
         del env
-    for _, i, trace in iter_games(config, missing, [envs.get(rid) for rid in missing]):
-        reduced[missing[i]] = checks(trace)
-        del trace
+    if missing:
+        for _, i, trace in iter_games(config, missing, [envs.get(rid) for rid in missing],
+                                      checks.keep, checks.columns):
+            reduced[missing[i]] = checks(trace)
+            del trace
     return failures, reduced
 
 
 def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Re-derive every applicable check against the stored experiment.
 
-    The round loops, one replay per stored trace and one lockstep batch of
-    the sampled run ids with no stored trace, are cut into at most
-    ``workers`` contiguous tasks of about equal loop counts and played by
-    ``run_batch``: the caller plays the first, on run ``sample[0]``'s
-    Environment from the stage games, and each other task starts one child
-    process.  A task builds each run id's Environment once, holds one trace
-    at a time and reduces each sample trace to its part of the checks as
-    it is played; the verdicts are emitted from those parts, in the same
-    order and with the same text for any ``workers``.  A replay keeps only
+    The round loops, one replay per stored trace and the lockstep batches of
+    the sampled run ids with no stored trace (one, when they fit one), are
+    cut into at most ``workers`` contiguous tasks of about equal loop counts
+    and played by ``run_batch``: the caller plays the first, on run
+    ``sample[0]``'s Environment from the stage games, and each other task
+    starts one child process.  A task builds each run id's Environment
+    once, holds one trace at a time and reduces each sample trace to its
+    part of the checks as it is played; the verdicts are emitted from those
+    parts, in the same order and with the same text for any ``workers``.  A replay keeps only
     the stored trace's config and run id, is written to a temporary file
     and compared with the stored file ``_COMPARE_CHUNK`` bytes at a time.
     ``async-rates`` runs without activations, so of its conditions only the
@@ -377,12 +399,18 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     covered = {rid for rid, _, is_sample in replays if is_sample}
     missing = [rid for rid in sample if rid not in covered] if checks else []
 
+    # sample ids that take more than one batch are planned as the batches
+    # that play alongside the replays, each a loop of its own
+    plan = batches(config, missing, 1, checks.keep, checks.columns) if missing else []
+    if len(plan) > 1:
+        plan = batches(config, missing, workers, checks.keep, checks.columns)
+
     # stored trace files parse and replay byte-identically, written outside the output tree
-    loops = len(replays) + bool(missing)
+    n, loops = len(replays), len(replays) + len(plan)
     size = max(1, -(-loops // max(workers, 1)))
     with tempfile.TemporaryDirectory() as scratch:
         parts = run_batch(_verify_task, [
-            (config, replays[lo:lo + size], missing if lo + size > len(replays) else [], checks,
+            (config, replays[lo:lo + size], sum(plan[max(lo - n, 0):max(lo + size - n, 0)], []), checks,
              Path(scratch) / f"replay-{lo}.trace", envs if lo == 0 else {})
             for lo in range(0, loops, size)
         ], workers)

@@ -42,15 +42,15 @@ _COLUMNS = (
 _PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
 
 
-# Every variant of a run id shares the columns drawn before play.  A game
-# whose full trace is not wanted stores, besides the shared ``active``, only
+# Every variant of a run id shares the columns drawn before play.  A kept game
+# stacks every other column too; any other game stacks only the columns its
+# caller asks for (see ``run_games``).  By default those are ``_METRIC``:
 # ``cost_norm``, which ``metrics.social_cost_series``, ``pota_series`` and
 # ``regret_series`` read, and the [round, agent] series ``cf_best`` that
-# ``regret_series`` reads in place of ``cf_norm``; a kept game stores all the
-# other columns.
+# ``regret_series`` reads in place of ``cf_norm``.
 _SHARED = ("active", "clock", "task_size")
-_METRIC = ("cost_norm",)
-_OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED + _METRIC)
+_OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED)
+_METRIC = ("cost_norm", "cf_best")
 
 
 class GameTrace:
@@ -64,11 +64,13 @@ class GameTrace:
     batch share storage: each column is a view of one stacked
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
     one run id share their ``_SHARED`` columns.  A trace that ``run_games``
-    was not asked to keep holds only ``active``, ``cost_norm`` and
-    ``cf_best``: ``cf_best[t, n]`` is the least, over agent n's candidate
-    slots, of its counterfactual normalized costs summed over its active
-    rounds from the start of its segment (see ``metrics.agent_segments``)
-    through round t, as ``metrics.running_best_sums`` takes it.
+    was not asked to keep whole holds ``active`` plus the columns its caller
+    asked for, and reading any other column raises ``AttributeError``.
+    Among those may be ``cf_best``, which no trace file holds:
+    ``cf_best[t, n]`` is the least, over agent n's candidate slots, of its
+    counterfactual normalized costs summed over its active rounds from the
+    start of its segment (see ``metrics.agent_segments``) through round t,
+    as ``metrics.running_best_sums`` takes it.
 
     ``clock[t, n]`` is agent n's running count of activations through round
     t, except in rounds where no agent is active: there every agent's clock
@@ -127,14 +129,14 @@ def _bytes(config: GameConfig, names, extra: int = 0) -> int:
 # game x round x agent x candidate slot in each array of its fill, which
 # bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# Trace columns, unkept games' ``cf_best`` and selection uniforms a batch of
-# games stacks: ``batches`` gives each of the batches played at once (one per
-# worker) its share, and a run id over its share plays alone in batches of up
-# to the whole bound (see ``iter_games``).  The learner state's per-epoch
-# arrays are not counted.  At 10 MiB, two workers each play one run id of a
-# fully written 6-agent, 12-arm, 1000-round game, one process plays 7 full
-# acceptance-small traces in one batch, and one process plays 4 variants of
-# a 1500-round paper-fig2 game on 4 run ids, the first run id's traces kept.
+# Trace columns, ``cf_best``, selection uniforms and learner epoch arrays a
+# batch of games stacks: ``batches`` gives each of the batches played at once
+# (one per worker) its share, and a run id over its share plays alone in
+# batches of up to the whole bound (see ``iter_games``).  At 10 MiB, two
+# workers each play one run id of a fully written 6-agent, 12-arm,
+# 1000-round game, one process plays 7 full acceptance-small traces in one
+# batch, and one process plays 4 variants of a 1500-round paper-fig2 game on
+# 4 run ids, the first run id's traces kept.
 _BATCH_BYTES = 10 * 2**20
 
 
@@ -142,10 +144,23 @@ def _variants(configs) -> list[GameConfig]:
     return [configs] if isinstance(configs, GameConfig) else list(configs)
 
 
-def _game_bytes(configs, run_ids, keep) -> list[list[int]]:
-    """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
-    full, metric = _bytes(configs[0], _OWN + _METRIC), _bytes(configs[0], _METRIC, extra=8)  # 8: cf_best
-    return [[full if keep is None or (v, rid) in keep else metric for v in range(len(configs))]
+# What ``_Group`` holds per game, agent and round of the epoch it plays:
+# ``active`` and the learners' ``zeta``, ``eta`` and ``gamma``.
+_EPOCH_BYTES = 1 + 3 * 8
+
+
+def _game_bytes(configs, run_ids, keep, columns) -> list[list[int]]:
+    """Bytes each game stacks beyond its run id's shared columns, [run id][variant].
+
+    A game holds its learners' epoch arrays for one epoch at a time, so they
+    count over the longest epoch.
+    """
+    config = configs[0]
+    longest = max(hi - lo + 1 for lo, hi in config.candidates.epoch_bounds(config.horizon))
+    epoch = _EPOCH_BYTES * longest * config.num_agents
+    full = _bytes(config, _OWN) + epoch
+    part = _bytes(config, set(_OWN) & set(columns), extra=8 * ("cf_best" in columns)) + epoch
+    return [[full if keep is None or (v, rid) in keep else part for v in range(len(configs))]
             for rid in run_ids]
 
 
@@ -161,21 +176,22 @@ def _cuts(weights, bound, most=None) -> list[range]:
     return cuts + [range(lo, len(weights))] if weights else []
 
 
-def batches(configs, run_ids, parts: int = 1, keep=None) -> list[list[int]]:
+def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> list[list[int]]:
     """``run_ids`` cut into contiguous batches for ``run_games``, in order.
 
-    ``configs`` and ``keep`` are as in ``run_games``: a batch plays every
-    config on its run ids.  A batch holds about ``len(run_ids) / parts`` ids
-    (say, one batch per worker), and the ``parts`` batches that play at once
-    share ``_BATCH_BYTES``: each stacks at most its part of it, counting a
-    run id's shared columns and selection uniforms, a kept game's other
-    columns and an unkept game's metric columns and ``cf_best``.  A run id
-    whose games alone take more is a batch of its own; ``run_games`` plays
-    its variants a few at a time if they exceed the whole bound.
+    ``configs``, ``keep`` and ``columns`` are as in ``run_games``: a batch
+    plays every config on its run ids.  A batch holds about
+    ``len(run_ids) / parts`` ids (say, one batch per worker), and the
+    ``parts`` batches that play at once share ``_BATCH_BYTES``: each stacks
+    at most its part of it, counting a run id's shared columns and
+    selection uniforms, a kept game's other columns, any other game's
+    requested columns, and each game's learner epoch arrays.  A run id whose
+    games alone take more is a batch of its own; ``run_games`` plays its
+    variants a few at a time if they exceed the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
     shared = _bytes(configs[0], _SHARED, extra=8)
-    weights = [shared + sum(games) for games in _game_bytes(configs, ids, keep)]
+    weights = [shared + sum(games) for games in _game_bytes(configs, ids, keep, columns)]
     parts = max(parts, 1)
     return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
@@ -189,7 +205,7 @@ def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None
     return run_games(config, [run_id], [env])[0]
 
 
-def run_games(configs, run_ids, envs=None, keep=None) -> list[GameTrace]:
+def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[GameTrace]:
     """Play every (config, run id) game once; the traces config-major.
 
     ``configs`` is one GameConfig or a sequence of configs that differ only
@@ -207,18 +223,24 @@ def run_games(configs, run_ids, envs=None, keep=None) -> list[GameTrace]:
     come from any of the configs, as an Environment does not read learners.
     ``keep`` holds the (config index, run id) pairs whose full trace is
     wanted; by default (None) every game's is.  The trace of any other game
-    holds only the columns the metrics read (see ``GameTrace``), which
-    lets far more games share a batch.
+    holds ``active`` and only the ``columns`` its caller reads (see
+    ``GameTrace``), which lets far more games share a batch.  ``columns``
+    names trace columns, and ``cf_best`` for ``metrics.regret_series``; by
+    default they are what ``run`` reads, ``cost_norm`` and ``cf_best``.
+    Each requested column holds the values a whole trace holds.
     """
-    traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep))
+    traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep, columns))
     return [traces[key] for key in sorted(traces)]
 
 
-def iter_games(configs, run_ids, envs=None, keep=None):
+def iter_games(configs, run_ids, envs=None, keep=None, columns=_METRIC):
     """``run_games`` one batch at a time: yield (config index, run id
     position, trace) as each batch ends, so a caller that reduces the traces
     as they come holds one batch's at most."""
     configs, run_ids = _variants(configs), list(run_ids)
+    unknown = set(columns).difference(_SHARED, _OWN, ["cf_best"])
+    if unknown:
+        raise ValueError(f"no trace column {', '.join(sorted(unknown))}")
     base = configs[0]
     for config in configs:
         config.validate()
@@ -227,9 +249,9 @@ def iter_games(configs, run_ids, envs=None, keep=None):
     envs = [None] * len(run_ids) if envs is None else list(envs)
     if len(envs) != len(run_ids):
         raise ValueError(f"{len(envs)} environments for {len(run_ids)} run ids")
-    weights = _game_bytes(configs, run_ids, keep)
+    weights = _game_bytes(configs, run_ids, keep, columns)
     done = 0
-    for ids in batches(configs, run_ids, keep=keep):
+    for ids in batches(configs, run_ids, keep=keep, columns=columns):
         at = range(done, done + len(ids))
         done += len(ids)
         batch_envs = [Environment(base, run_ids[i]) if envs[i] is None else envs[i] for i in at]
@@ -237,39 +259,42 @@ def iter_games(configs, run_ids, envs=None, keep=None):
         room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED, extra=8)
         for vs in _cuts([sum(weights[i][v] for i in at) for v in range(len(configs))], room):
             kept = [keep is None or (v, run_ids[i]) in keep for v in vs for i in at]
-            traces = _play([configs[v] for v in vs], ids, batch_envs, kept)
+            traces = _play([configs[v] for v in vs], ids, batch_envs, kept, columns)
             yield from ((v, i, traces[j * len(ids) + r]) for j, v in enumerate(vs) for r, i in enumerate(at))
             del traces
 
 
-def _play(configs, run_ids, envs, kept) -> list[GameTrace]:
+def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
     """One lockstep batch: every config on every run id; the traces config-major.
 
-    ``kept`` says, per game, whether its full trace is stacked.
+    ``kept`` says, per game, whether it stacks every column; the others
+    stack ``columns``.
     """
     config, runs = configs[0], len(run_ids)
     shared = _stacked(config, runs, _SHARED)
     uniforms = np.full(shared["active"].shape, np.nan)
     for r, (rid, env) in enumerate(zip(run_ids, envs)):
         _predraw(config, rid, env, SimpleNamespace(uniforms=uniforms[r], **{n: col[r] for n, col in shared.items()}))
-    metric = _stacked(config, len(kept), _METRIC)
-    own_at, free_at = np.flatnonzero(kept), np.flatnonzero(np.logical_not(kept))
-    own = _stacked(config, own_at.size, _OWN)
-    # unkept games' running best-arm sums, and the per-slot sums they continue from
+    # the games that stack each column: every game if it was requested, else the kept ones
+    own_at = np.flatnonzero(kept)
+    at = {name: np.arange(len(kept)) if name in columns else own_at for name in _OWN}
+    own = {name: _stacked(config, at[name].size, [name])[name] for name in _OWN}
+    # running best-arm sums of the games not kept, and the per-slot sums they continue from
+    free_at = np.flatnonzero(np.logical_not(kept)) if "cf_best" in columns else own_at[:0]
     cf_best = np.zeros((free_at.size,) + shared["active"].shape[1:])
     best_carry = np.zeros(cf_best.shape[:1] + (config.num_agents, _kmax(config)))
     traces = []
     for g in range(len(kept)):
         v, r = divmod(g, runs)
-        columns = {"active": shared["active"][r], **{name: col[g] for name, col in metric.items()}}
-        if kept[g]:
-            j = int(np.searchsorted(own_at, g))
-            columns.update({name: col[r] for name, col in shared.items()})
-            columns.update({name: col[j] for name, col in own.items()})
-        else:
-            columns["cf_best"] = cf_best[np.searchsorted(free_at, g)]
-        traces.append(GameTrace(configs[v], run_ids[r], columns))
-    stack = SimpleNamespace(**shared, **metric, **own, uniforms=uniforms, runs=runs, own_at=own_at,
+        j = int(np.searchsorted(own_at, g))  # the game's row among the kept ones
+        trace = {name: col[r] for name, col in shared.items()
+                 if kept[g] or name == "active" or name in columns}
+        trace.update({name: col[g] if name in columns else col[j]
+                      for name, col in own.items() if kept[g] or name in columns})
+        if g in free_at:
+            trace["cf_best"] = cf_best[np.searchsorted(free_at, g)]
+        traces.append(GameTrace(configs[v], run_ids[r], trace))
+    stack = SimpleNamespace(**shared, **own, uniforms=uniforms, runs=runs, games=len(kept), at=at,
                             free_at=free_at, cf_best=cf_best, best_carry=best_carry)
     # game g = variant * runs + run; row g * num_agents + n holds its agent n
     learners = [c.learners for c in configs for _ in run_ids]
@@ -411,7 +436,7 @@ class _Group:
     learner state.  ``zeta``, ``eta`` and ``gamma`` hold the rows' [round,
     row] demand weights and learning rates through the epoch, from each
     learner and its run id's clocks and task sizes; an idle row steps with
-    zeta 1, eta 0 and gamma 1.  The kept games' trace columns get them too.
+    zeta 1, eta 0 and gamma 1.  The games that stack those columns get them too.
     ``out`` holds the [round, row(, slot)] outputs of up to ``block`` rounds,
     reused by every block of the epoch.
     """
@@ -441,19 +466,21 @@ class _Group:
             np.where(self.active, self.rows_of(stack.clock, epoch), 1), k,
             np.array([p.schedule_a for p in params]), np.array([p.gamma_ratio for p in params]),
         )
+        self.eta = np.where(self.active, rates.eta, 0.0)
+        self.gamma = np.where(self.active, rates.gamma, 1.0)
+        del rates  # each [round, row] temporary spans the epoch: free it once used
+        bandit.check_gamma(self.gamma)
         weight = bandit.demand_weight(self.rows_of(stack.task_size, epoch), task_size.q_lo, task_size.q_hi)
         weighted = np.array([p.use_demand_weight for p in params])
         self.zeta = np.where(self.active & weighted, weight, 1.0)
-        self.eta = np.where(self.active, rates.eta, 0.0)
-        self.gamma = np.where(self.active, rates.gamma, 1.0)
-        bandit.check_gamma(self.gamma)
+        del weight
         shape = (min(block, hi - lo + 1), self.flat.size)
         self.out = SimpleNamespace(slot=np.zeros(shape, dtype=np.int64), loss=np.empty(shape),
                                    probs=np.empty(shape + (k,)), estimates=np.empty(shape + (k,)))
-        if stack.own_at.size:
-            for column in ("zeta", "eta", "gamma"):
+        for column in ("zeta", "eta", "gamma"):
+            if stack.at[column].size:
                 values = self.stacked(np.where(self.active, getattr(self, column), np.nan))
-                getattr(stack, column)[:, epoch, agents] = values[stack.own_at]
+                getattr(stack, column)[:, epoch, agents] = _rows(values, stack.at[column])
 
     def load(self, state) -> None:
         self.scores = state.scores[self.rows, self.cols]
@@ -487,33 +514,29 @@ class _Group:
         )
 
 
+def _rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The rows ``at`` of [game, ...] ``values``, uncopied when they are all of them."""
+    return values if at.size == values.shape[0] else values[at]
+
+
 def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     """Fill rounds [lo, hi] of the batch's columns from the block outputs.
 
-    Every game gets its metric columns; the kept games (``stack.own_at``)
-    get the others too, and the others (``stack.free_at``) their
-    ``cf_best``, continued per slot from ``stack.best_carry``.  ``inputs``
-    holds the cost ingredients [run, round, agent, slot]; ``env`` is any run
-    id's Environment.
+    Each column is filled for the games that stack it (``stack.at``), and
+    ``cf_best`` for the games in ``stack.free_at``, continued per slot from
+    ``stack.best_carry``.  ``inputs`` holds the cost ingredients [run,
+    round, agent, slot]; ``env`` is any run id's Environment.
     """
     rounds = slice(lo, hi + 1)
     active = stack.active[:, rounds]  # [run, round, agent]
-    games, own, free = stack.cost_norm.shape[0], stack.own_at, stack.free_at
-    shape = (games // stack.runs,) + active.shape  # [variant, run, round, agent]
-    slots = np.zeros((games,) + active.shape[1:], dtype=np.int64)  # [game, round, agent]
-
-    def kept(values):  # the kept games' rows of [game, ...] values
-        return values if own.size == games else values[own]
-
-    def unkept(values):  # the other games' rows
-        return values if free.size == games else values[free]
-
+    shape = (stack.games // stack.runs,) + active.shape  # [variant, run, round, agent]
+    slots = np.zeros((stack.games,) + active.shape[1:], dtype=np.int64)  # [game, round, agent]
     for g, b in zip(groups, blocks):
         slots[:, :, g.agents] = g.stacked(b.slot)
-        if own.size:
-            idle = ~b.active[:, :, None]
-            for column, values in (("probs", b.probs), ("estimates", b.estimates)):
-                getattr(stack, column)[:, rounds, g.agents, : g.k] = kept(g.stacked(np.where(idle, np.nan, values)))
+        for column, values in (("probs", b.probs), ("estimates", b.estimates)):
+            if stack.at[column].size:
+                values = g.stacked(np.where(b.active[:, :, None], values, np.nan))
+                getattr(stack, column)[:, rounds, g.agents, : g.k] = _rows(values, stack.at[column])
     pos = env.slot_pos[env.epoch_index(lo)]
     k = pos.shape[1]
     played = np.broadcast_to(active, shape)
@@ -530,24 +553,29 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
         return np.where(played, picked.reshape(slots.shape), fill)
 
     norm, played = per_game(vec["normalized"]), played.reshape(slots.shape)
-    stack.cost_norm[:, rounds] = at_chosen(norm, slots, played, np.nan)
+    for column, key, fill in (("cost_norm", "normalized", np.nan), ("congestion", "congestion", 0),
+                              ("cost_a", "adversary", np.nan), ("cost_c", "collision", np.nan),
+                              ("outlier", "outlier", np.nan), ("cost_real", "realized", np.nan)):
+        at = stack.at[column]
+        if at.size:
+            values = norm if key == "normalized" else per_game(vec[key])
+            picked = at_chosen(_rows(values, at), _rows(slots, at), _rows(played, at), fill)
+            getattr(stack, column)[:, rounds] = picked
+    if stack.at["chosen"].size:
+        stack.chosen[:, rounds] = _rows(chosen.reshape(slots.shape), stack.at["chosen"])
+    if stack.at["cf_norm"].size:
+        stack.cf_norm[:, rounds, :, :k] = _rows(norm, stack.at["cf_norm"])
+    if stack.at["cf_raw"].size:
+        stack.cf_raw[:, rounds, :, :k] = _rows(per_game(vec["realized"]), stack.at["cf_raw"])
+    free = stack.free_at
     if free.size:
-        free_norm, free_played = unkept(norm).swapaxes(0, 1), unkept(played).swapaxes(0, 1)  # round first
+        free_norm = _rows(norm, free).swapaxes(0, 1)  # round first
+        free_played = _rows(played, free).swapaxes(0, 1)
         for g in groups:
             carry = stack.best_carry[:, g.agents, : g.k]
             best = running_best_sums(free_played[:, :, g.agents], free_norm[:, :, g.agents, : g.k], carry)
             stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
             stack.best_carry[:, g.agents, : g.k] = carry
-    if not own.size:
-        return
-    stack.cf_norm[:, rounds, :, :k] = kept(norm)
-    stack.chosen[:, rounds] = kept(chosen.reshape(slots.shape))
-    stack.cf_raw[:, rounds, :, :k] = kept(per_game(vec["realized"]))
-    own_slots, own_played = kept(slots), kept(played)
-    for column, key, fill in (("congestion", "congestion", 0), ("cost_a", "adversary", np.nan),
-                              ("cost_c", "collision", np.nan), ("outlier", "outlier", np.nan),
-                              ("cost_real", "realized", np.nan)):
-        getattr(stack, column)[:, rounds] = at_chosen(kept(per_game(vec[key])), own_slots, own_played, fill)
 
 
 # ---------------------------------------------------------------------------

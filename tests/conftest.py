@@ -11,7 +11,7 @@ from fogbandit.env import (
 )
 from fogbandit.cli import run_batch
 from fogbandit.configio import GameConfig, TaskSizeLaw
-from fogbandit.game import batches, run_games
+from fogbandit.game import _METRIC, batches, run_games
 
 
 def synthetic_config(
@@ -95,27 +95,31 @@ def physical_config(
 # -- parallel helpers (top-level functions so they pickle) -------------------
 
 
-def map_runs(fn, configs, runs: int, *extra, workers: int = 2, keep=None) -> list:
+def map_runs(fn, configs, runs: int, *extra, workers: int = 2, columns=_METRIC) -> list:
     """One result per run id in range(runs), in order.
 
     ``fn((configs, run_ids, *extra))`` returns a list of results for one
-    ``run_games`` batch of ids; the batches are spread over ``workers``.
-    ``configs`` is one config or the variants a worker plays together, and
-    ``keep`` says which games it keeps whole, as in ``run_games``.
+    ``run_games(configs, run_ids, keep=set(), columns=columns)`` batch of
+    ids; the batches are spread over ``workers``.  ``configs`` is one config
+    or the variants a worker plays together, and ``columns`` are the trace
+    columns ``fn`` reads.
     """
-    parts = run_batch(
-        fn, [(configs, ids, *extra) for ids in batches(configs, range(runs), workers, keep)], workers
-    )
+    plan = batches(configs, range(runs), workers, set(), columns)
+    parts = run_batch(fn, [(configs, ids, *extra) for ids in plan], workers)
     return [row for part in parts for row in part]
+
+
+PROBS = ("probs",)
 
 
 def _probs_worker(args):
     config, run_ids, agent, pos = args
-    return [trace.probs[1:, agent, pos].copy() for trace in run_games(config, run_ids)]
+    traces = run_games(config, run_ids, keep=set(), columns=PROBS)
+    return [trace.probs[1:, agent, pos].copy() for trace in traces]
 
 
 def _regret_worker(args):
-    """Per run id, each variant's final regret per agent; only the metric columns are kept."""
+    """Per run id, each variant's final regret per agent, from the metric columns."""
     from fogbandit import metrics
 
     configs, run_ids = args
@@ -128,5 +132,5 @@ def _regret_worker(args):
 
 
 def seed_mean_probs(config: GameConfig, runs: int, agent: int, pos: int, workers: int = 2):
-    stack = np.stack(map_runs(_probs_worker, config, runs, agent, pos, workers=workers))
+    stack = np.stack(map_runs(_probs_worker, config, runs, agent, pos, workers=workers, columns=PROBS))
     return stack.mean(axis=0), stack.std(axis=0, ddof=1) / np.sqrt(runs)

@@ -159,11 +159,14 @@ def _xi_instance(horizon: int, activation=(), seed: int = 55) -> GameConfig:
     )
 
 
+XI = ("chosen", "zeta")  # what xi_certificate reads besides active
+
+
 def _xi_worker(args):
     config, run_ids, window = args
     envs = [Environment(config, r) for r in run_ids]
     rows = []
-    for trace, env in zip(run_games(config, run_ids, envs), envs):
+    for trace, env in zip(run_games(config, run_ids, envs, keep=set(), columns=XI), envs):
         cert = metrics.xi_certificate(trace, window, stage_games(env)[-1][1])
         rows.append((cert.certified, cert.max_gap, cert.xi_bound))
     return rows
@@ -171,7 +174,7 @@ def _xi_worker(args):
 
 def test_criterion_05_xi_certification():
     cfg = _xi_instance(5000)
-    rows = map_runs(_xi_worker, cfg, 50, 0.2, workers=WORKERS)
+    rows = map_runs(_xi_worker, cfg, 50, 0.2, workers=WORKERS, columns=XI)
     certified = sum(r[0] for r in rows)
     worst = max(r[1] for r in rows)
     bound = rows[0][2]
@@ -183,11 +186,14 @@ def test_criterion_05_xi_certification():
 # -- 6: smoothness PoTA bound --------------------------------------------------
 
 
+POTA = ("cost_norm", "cf_norm")  # what pota_bound_check reads besides active
+
+
 def _pota_worker(args):
     config, run_ids = args
     envs = [Environment(config, r) for r in run_ids]
     rows = []
-    for trace, env in zip(run_games(config, run_ids, envs), envs):
+    for trace, env in zip(run_games(config, run_ids, envs, keep=set(), columns=POTA), envs):
         checks = metrics.pota_bound_check(trace, stage_games(env))
         bad = sum((not c.vacuous) and (not c.holds) for c in checks)
         vac = sum(c.vacuous for c in checks)
@@ -219,7 +225,7 @@ def test_criterion_06_pota_bound():
     details = []
     all_ok = True
     for name, cfg in instances.items():
-        rows = map_runs(_pota_worker, cfg, 200, workers=WORKERS)
+        rows = map_runs(_pota_worker, cfg, 200, workers=WORKERS, columns=POTA)
         violations = sum(r[0] for r in rows)
         vacuous = sum(r[1] for r in rows)
         epochs = rows[0][2]
@@ -232,12 +238,15 @@ def test_criterion_06_pota_bound():
 # -- 7: benchmark reproduction (volatile-supply scenario) ----------------------
 
 
+FINALS = ("cost_norm",)  # what social_cost_series and pota_series read besides active
+
+
 def _finals_worker(args):
-    """Per run id, each variant's final (cost, pota); only the metric columns are kept."""
+    """Per run id, each variant's final (cost, pota)."""
     configs, run_ids = args
     envs = [Environment(configs[0], r) for r in run_ids]
     games = [stage_games(env) for env in envs]
-    traces = run_games(configs, run_ids, envs, keep=set())
+    traces = run_games(configs, run_ids, envs, keep=set(), columns=FINALS)
     return [
         [(float(metrics.social_cost_series(trace)[-1]), float(metrics.pota_series(trace, games[i])[-1]))
          for trace in traces[i :: len(run_ids)]]
@@ -250,7 +259,7 @@ def test_criterion_07_benchmark_direction():
     spec = load_config(bundled_config("paper-fig2"))
     names = ("perturbed", "vanilla-ix")
     cfgs = [spec.game_for(next(v for v in spec.variants if v.name == name)) for name in names]
-    rows = map_runs(_finals_worker, cfgs, 200, workers=WORKERS, keep=set())
+    rows = map_runs(_finals_worker, cfgs, 200, workers=WORKERS, columns=FINALS)
     finals = {name: np.array([row[v] for row in rows]) for v, name in enumerate(names)}  # [200, 2] cost, pota
     msgs = []
     ok = True
@@ -287,8 +296,7 @@ def test_criterion_08_patching_beats_reset():
     from conftest import _regret_worker
 
     modes = ("patch", "reset_all")
-    rows = map_runs(_regret_worker, [_volatile_instance(mode) for mode in modes], 200,
-                    workers=WORKERS, keep=set())
+    rows = map_runs(_regret_worker, [_volatile_instance(mode) for mode in modes], 200, workers=WORKERS)
     # per-seed mean over agents
     a, b = (np.stack([row[v] for row in rows]).mean(axis=1) for v in range(len(modes)))
     band3 = 3.0 * (a.std(ddof=1) + b.std(ddof=1)) / math.sqrt(len(a))

@@ -4,6 +4,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -18,8 +19,12 @@ from fogbandit import cli, game, metrics, oracle
 from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
-from fogbandit.game import _COLUMNS, batches, format_trace, read_trace, run_games
+from fogbandit.game import (
+    _COLUMNS, GameTrace, batches, format_trace, iter_games, read_trace, run_game, run_games,
+)
 from fogbandit.oracle import stage_games
+
+from conftest import synthetic_config
 
 MINIMAL = """
 name: mini
@@ -150,12 +155,12 @@ def _count_pools(monkeypatch) -> list:
 
 
 def _long(mini_path, name, variants=None, replications=3):
-    """The mini config at 2 agents and 7,000 rounds, which plans several batches."""
+    """The mini config at 2 agents and 6,500 rounds, which plans several batches."""
     doc = yaml.safe_load(mini_path.read_text())
     doc["replications"] = replications
     doc["variants"] = variants or doc["variants"]
-    doc["game"].update(num_agents=2, horizon=7000)
-    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 7000
+    doc["game"].update(num_agents=2, horizon=6500)
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 6500
     path = mini_path.with_name(name)
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -236,6 +241,29 @@ def test_fig2_shaped_run_fits_one_batch_and_starts_no_pool(tmp_path, monkeypatch
     trees = _run_trees(path, tmp_path)
     assert pools == []
     assert trees[0] == trees[1]
+
+
+def test_run_without_regret_builds_no_best_arm_sums(mini_path, tmp_path, monkeypatch):
+    # a metrics: [cost] run stacks cost_norm alone for the games whose traces
+    # it does not write, and writes the tree it wrote when they stacked the
+    # best-arm sums too
+    mini_path.write_text(MINIMAL.replace("metrics: [cost, pota, regret]", "metrics: [cost]")
+                         .replace("traces: all", "traces: first"))
+    spec = load_config(mini_path)
+    calls = []
+    best = game.running_best_sums
+
+    def spy(*args):
+        calls.append(args)
+        return best(*args)
+
+    monkeypatch.setattr(game, "running_best_sums", spy)
+    assert run_experiment(spec, tmp_path / "cost") == 0
+    assert calls == []
+    monkeypatch.setattr(cli, "_run_columns", lambda want_regret: game._METRIC)
+    assert run_experiment(spec, tmp_path / "with-sums") == 0
+    assert calls
+    assert _tree(tmp_path / "cost") == _tree(tmp_path / "with-sums")
 
 
 def _pid_of(task):
@@ -523,6 +551,64 @@ def test_verify_reduces_each_sample_trace_as_it_is_played(mini_path, tmp_path, m
         _traced_peak(verify, spec, tmp_path, 1)
     assert len(starts) == 1
     assert left[0] < columns
+
+
+@pytest.mark.parametrize("edit, columns", [
+    ({"traces": "first"}, ("cost_norm", "cf_norm", "chosen", "zeta")),
+    # a strict gap under full feedback: the convergence-rate probabilities
+    ({"traces": "first", "xi_window": None, "variants": TWO_VARIANTS[::-1]},
+     ("cost_norm", "cf_norm", "probs")),
+    # run 0 plays in the sample batch, whole
+    ({"traces": "none"}, ("cost_norm", "cf_norm", "chosen", "zeta")),
+], ids=["xi-window", "full-feedback", "no-traces"])
+def test_sample_reductions_from_limited_columns_equal_whole_traces(tmp_path, monkeypatch, edit, columns):
+    # verify's sample games stack only what its checks read, and reduce bit
+    # for bit as whole traces do
+    doc = yaml.safe_load(MINIMAL)
+    doc.update(replications=4, **edit)
+    spec = parse_spec({key: value for key, value in doc.items() if value is not None})
+    run_experiment(spec, tmp_path)
+    seen = []
+    reduce = cli._SampleChecks.__call__
+
+    def recording(checks, trace):
+        out = reduce(checks, trace)
+        seen.append((checks, trace.run_id, sorted(n for n, _, _ in _COLUMNS if hasattr(trace, n)), out))
+        return out
+
+    monkeypatch.setattr(cli._SampleChecks, "__call__", recording)
+    assert verify(spec, tmp_path, workers=1) == 0
+    assert sorted(rid for _, rid, _, _ in seen) == [0, 1, 2, 3]
+    config = spec.game_for(spec.variants[0])
+    for checks, rid, held, out in seen:
+        assert checks.columns == columns
+        assert held == sorted(name for name, _, _ in _COLUMNS if rid == 0 or name in ("active",) + columns)
+        assert pickle.dumps(out) == pickle.dumps(reduce(checks, run_game(config, rid)))
+
+
+def test_desk_sample_batch_peaks_below_its_whole_traces():
+    # acceptance-small's 7 sample games with no stored trace (runs 1-7 of 8)
+    # stack only the columns the checks read, so playing them on their
+    # Environments peaks below the bytes of their whole traces
+    spec = load_config(bundled_config("acceptance-small"))
+    config, ids = spec.base, list(range(1, 8))
+    assert config.learners[0].feedback == "bandit"  # no convergence-rate probabilities
+    checks = cli._SampleChecks([], [], spec.xi_window, None, 0)
+    assert batches(config, ids, 1, checks.keep, checks.columns) == [ids]
+    blank = GameTrace(config, 0)
+    whole = len(ids) * sum(getattr(blank, name).nbytes for name, _, _ in _COLUMNS)
+    del blank
+    run_game(synthetic_config({1: 0.3, 2: 0.4}, horizon=40))  # the lazy imports of a first game
+    envs = [Environment(config, rid) for rid in ids]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        traces = [trace for _, _, trace in iter_games(config, ids, envs, checks.keep, checks.columns)]
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == len(ids)
+    assert peak < whole, (peak, whole)
 
 
 def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):

@@ -318,3 +318,35 @@ def test_unkept_game_stacks_no_counterfactual_table(monkeypatch):
         tracemalloc.stop()
     assert peak < 3001 * 2 * 20 * 8
     assert trace.cf_best.shape == (3001, 2)
+
+
+# three column sets that together hold every column but ``active``, and ``cf_best``
+_COLUMN_SETS = (
+    ("cost_norm",),
+    ("chosen", "zeta", "probs", "cf_norm", "cf_best"),
+    ("clock", "task_size", "congestion", "eta", "gamma", "cost_a", "cost_c", "outlier", "cost_real",
+     "estimates", "cf_raw"),
+)
+
+
+@pytest.mark.parametrize("config", ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4",
+                                    "paper-fig5"))
+def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config):
+    # each requested column is, byte for byte, the whole trace's, and any
+    # other column is missing
+    configs = _two_variants(config)
+    whole = run_games(configs, [0, 1])
+    for columns in _COLUMN_SETS:
+        for ours, theirs in zip(run_games(configs, [0, 1], keep=set(), columns=columns), whole):
+            for name, _, _ in game._COLUMNS:
+                if name == "active" or name in columns:
+                    assert getattr(ours, name).tobytes() == getattr(theirs, name).tobytes(), (columns, name)
+                else:
+                    with pytest.raises(AttributeError):
+                        getattr(ours, name)
+            assert hasattr(ours, "cf_best") == ("cf_best" in columns)
+
+
+def test_an_unknown_column_is_rejected():
+    with pytest.raises(ValueError, match="no trace column cost"):
+        run_games(synthetic_config({1: 0.3, 2: 0.4}, horizon=40), [0], keep=set(), columns=("cost",))

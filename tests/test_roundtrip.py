@@ -200,12 +200,17 @@ def test_batched_replications_equal_single_runs(config, run_ids):
 
 
 
+# what a game not kept whole may stack besides ``active``
+STACKABLE = [name for name, _, _ in _COLUMNS if name != "active"] + ["cf_best"]
+
+
 @st.composite
 def variant_batches(draw):
     """Two or three variants of one generated ragged game, each with its own
     per-agent learners (patch modes, bandit and full feedback, uniform
-    mixing, demand weights), a few run ids, the games kept whole, and a
-    batch bound that is lifted or that forces one game per batch."""
+    mixing, demand weights), a few run ids, the games kept whole, the
+    columns the others stack (``run``'s default or any set), and a batch
+    bound that is lifted or that forces one game per batch."""
     base = draw(ragged_games())
     configs = [base] + [
         dataclasses.replace(base, learners=tuple(LearnerParams(**draw(LEARNER)) for _ in base.learners))
@@ -214,7 +219,8 @@ def variant_batches(draw):
     run_ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=3, unique=True))
     games = [(v, rid) for v in range(len(configs)) for rid in run_ids]
     keep = set(draw(st.lists(st.sampled_from(games), unique=True)))
-    return configs, run_ids, keep, draw(st.sampled_from([1, game._BATCH_BYTES, 2**40]))
+    columns = draw(st.just(game._METRIC) | st.lists(st.sampled_from(STACKABLE), unique=True).map(tuple))
+    return configs, run_ids, keep, columns, draw(st.sampled_from([1, game._BATCH_BYTES, 2**40]))
 
 
 def _bits(values) -> bytes:
@@ -224,10 +230,10 @@ def _bits(values) -> bytes:
 @settings(max_examples=30, deadline=None)
 @given(variant_batches())
 def test_mixed_variant_batches_keep_what_is_asked(batch):
-    configs, run_ids, keep, bound = batch
+    configs, run_ids, keep, columns, bound = batch
     lifted, game._BATCH_BYTES = game._BATCH_BYTES, bound
     try:
-        traces = run_games(configs, run_ids, keep=keep)
+        traces = run_games(configs, run_ids, keep=keep, columns=columns)
     finally:
         game._BATCH_BYTES = lifted
     assert [(t.config, t.run_id) for t in traces] == [(c, rid) for c in configs for rid in run_ids]
@@ -241,14 +247,17 @@ def test_mixed_variant_batches_keep_what_is_asked(batch):
                 write_trace(alone, theirs)
                 assert mine.read_bytes() == theirs.read_bytes()
                 continue
-            # a metric-only game: its two columns, its best-arm sums and three
-            # series, bit for bit
-            assert sorted(name for name, _, _ in _COLUMNS if hasattr(trace, name)) == ["active", "cost_norm"]
-            assert trace.cf_best.shape == trace.active.shape
-            for name in ("active", "cost_norm"):
+            # a game not kept whole: active and the requested columns, and the
+            # series they give, bit for bit
+            held = sorted(name for name, _, _ in _COLUMNS if hasattr(trace, name))
+            assert held == sorted({"active", *columns} - {"cf_best"})
+            assert hasattr(trace, "cf_best") == ("cf_best" in columns)
+            for name in held:
                 assert _bits(getattr(trace, name)) == _bits(getattr(alone, name)), name
+            if "cost_norm" not in columns:
+                continue
             assert _bits(social_cost_series(trace)) == _bits(social_cost_series(alone))
-            for n in range(trace.num_agents):
+            for n in range(trace.num_agents if {"cf_best", "cf_norm"} & set(columns) else 0):
                 ours, full = regret_series(trace, n), regret_series(alone, n)
                 assert _bits(ours.normalized) == _bits(full.normalized)
                 assert _bits(ours.per_round) == _bits(full.per_round)
