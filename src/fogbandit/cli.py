@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +92,8 @@ def run_batch(fn, args: list, workers: int = 1) -> list:
     workers = min(workers, len(args))
     if workers <= 1:
         return [fn(a) for a in args]
+    from multiprocessing import Pool  # loaded only by a call that starts a pool
+
     out = [None] * len(args)
     theirs = [i for i in range(len(args)) if i % workers]
     with Pool(processes=workers - 1) as pool:

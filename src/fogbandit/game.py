@@ -6,9 +6,10 @@ Each round is one array step over all agents; costs come from the
 environment a block of rounds at a time.  Produces a GameTrace carrying
 every per-round quantity plus the ground truth needed to recompute
 counterfactual costs exactly (same fades, same outlier draws, congestion
-re-counted for the switched arm).  Trace files hold the trace's columns as
-raw little-endian bytes (``write_trace``/``read_trace``); ``format_trace``
-renders one as text, one agent-round per line.
+re-counted for the switched arm).  Trace files hold a trace's columns as
+raw little-endian bytes, each at the cells the trace fills
+(``write_trace``/``read_trace``); ``format_trace`` renders one as text, one
+agent-round per line.
 """
 
 from __future__ import annotations
@@ -60,7 +61,11 @@ class GameTrace:
     row 0 is unused padding).  Ragged per-round vectors (probabilities,
     estimates, counterfactual normalized and realized costs) are indexed
     [round, agent, slot], NaN-padded to the largest candidate set and aligned
-    with the round's candidate tuple.  The traces of one ``run_games``
+    with the round's candidate tuple.  Every column but ``active`` and
+    ``clock`` holds its ``_COLUMNS`` fill value at each inactive agent-round
+    and in row 0, and the last four hold NaN past their epoch's largest
+    candidate set: a trace file leaves those cells out (see
+    ``write_trace``).  The traces of one ``run_games``
     batch share storage: each column is a view of one stacked
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
     one run id share their ``_SHARED`` columns.  A trace that ``run_games``
@@ -413,10 +418,9 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
                 idx = b.slot[r]
                 b.loss[r] = table[r, g.table_rows, idx, counts[cell]]
                 est = bandit.estimate_cost(b.loss[r], idx, b.probs[r], b.gamma[r], b.estimates[r])
-                if g.any_full:  # the whole counterfactual vector is the estimate
-                    f = g.full
-                    degree = counts[g.cells[f]] + (np.arange(g.k) != idx[f, None])
-                    est[f] = table[r, g.table_rows[f, None], np.arange(g.k), degree]
+                if g.full.size:  # the whole counterfactual vector is the estimate
+                    degree = counts[g.full_cells] + (g.slots != idx[g.full, None])
+                    est[g.full] = table[r, g.full_rows, g.slots, degree]
                 bandit.update_scores(g.scores, est, b.eta[r])
         for b in blocks:
             bandit.check_losses(b.loss)
@@ -456,8 +460,10 @@ class _Group:
         self.index = np.arange(self.flat.size)
         mix = np.array([p.uniform_mix for p in params])
         self.mix = mix[:, None] if mix.any() else 0.0
-        self.full = np.array([p.feedback == "full" for p in params])
-        self.any_full = bool(self.full.any())
+        # the full-feedback rows, their congestion cells and cost-table rows
+        self.full = np.flatnonzero([p.feedback == "full" for p in params])
+        self.full_cells, self.full_rows = self.cells[self.full], self.table_rows[self.full, None]
+        self.slots = np.arange(k)
         self.load(state)
 
         epoch = slice(lo, hi + 1)
@@ -582,8 +588,10 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
 # trace files: raw columns, and their text form
 # ---------------------------------------------------------------------------
 
-_TRACE_MAGIC = b"# fogbandit-trace v3\n"
+_TRACE_MAGIC = b"# fogbandit-trace v4\n"
 _TEXT_MAGIC = "# fogbandit-trace v2\n"
+# the columns a trace file holds whole; it holds the others at active agent-rounds
+_WHOLE = ("active", "clock")
 
 
 def _header(trace: GameTrace) -> str:
@@ -592,39 +600,108 @@ def _header(trace: GameTrace) -> str:
     return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _layout(trace: GameTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Where a trace file holds a trace's cells: the flat [round, agent]
+    indices of the active agent-rounds (row 0, the padding, left out) in
+    (round, agent) order, and the flat [round, agent, slot] indices of their
+    slots within their epoch's largest candidate set, in the same order."""
+    n, kmax = trace.num_agents, trace.kmax
+    live = np.array(trace.active, dtype=bool).reshape(-1)
+    live[:n] = False
+    at = np.flatnonzero(live)
+    epochs = trace.epochs()
+    cuts = np.searchsorted(at, [lo * n for lo, _, _ in epochs] + [live.size]).tolist()
+    slot_at = np.concatenate([(at[a:b, None] * kmax + np.arange(max(map(len, sets)))).reshape(-1)
+                              for a, b, (_, _, sets) in zip(cuts, cuts[1:], epochs)])
+    return at, slot_at
+
+
+def _held(name: str, at: np.ndarray, slot_at: np.ndarray) -> np.ndarray | None:
+    """The flat indices of a column's cells that a trace file holds; None if it holds them all."""
+    return None if name in _WHOLE else slot_at if name in _PER_SLOT else at
+
+
+def _part_buffer(slot_at: np.ndarray) -> np.ndarray:
+    """Bytes for the largest part of a column a trace file holds, reused by every column."""
+    return np.empty(slot_at.size * 8, dtype=np.uint8)
+
+
 def write_trace(trace: GameTrace, path) -> None:
-    """The magic line, a JSON header line, then every column's raw bytes.
+    """The magic line, a JSON header line, then the cells of every column.
 
     The header holds ``GameConfig.to_dict()``, the run id and the config
     digest.  The columns follow in ``_COLUMNS`` order with their explicit
-    little-endian dtypes, C order, shaped [horizon + 1, agents] or, for the
-    last four, [horizon + 1, agents, largest candidate set].
+    little-endian dtypes, C order and nothing between them.  ``active`` and
+    ``clock`` are written whole, [horizon + 1, agents].  Every other column
+    is written only at the active agent-rounds, in (round, agent) order; the
+    last four are written over each active agent-round's slots within its
+    epoch's largest candidate set.  Every cell left out must hold its
+    ``_COLUMNS`` fill value, bit for bit, so that ``read_trace`` gives the
+    trace back whole: if one does not, the file is removed and a ValueError
+    names the column.
     """
+    at, slot_at = _layout(trace)
+    buf = _part_buffer(slot_at)
     with open(path, "wb") as fh:
         fh.write(_TRACE_MAGIC + _header(trace).encode())
-        for name, dtype, _ in _COLUMNS:
-            fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
+        for name, dtype, fill in _COLUMNS:
+            values = np.ascontiguousarray(getattr(trace, name), dtype=dtype).reshape(-1)
+            held = _held(name, at, slot_at)
+            if held is not None:
+                # "clip" (the indices are in range) lets take write into ``out`` unbuffered
+                part = np.take(values, held, out=buf[: held.size * values.itemsize].view(dtype), mode="clip")
+                if _leaves_out_a_value(values, part, fill):
+                    break
+                values = part
+            fh.write(values)
+        else:
+            return
+    os.remove(path)
+    raise ValueError(f"{path}: {name} holds a value other than {fill} in a cell that a trace file "
+                     "leaves out (an inactive agent-round, or a slot past its epoch's largest "
+                     "candidate set)")
+
+
+def _leaves_out_a_value(values: np.ndarray, part: np.ndarray, fill) -> bool:
+    """Whether ``values`` holds a value other than ``fill``, bit for bit,
+    in a cell that ``part``, taken from it, does not hold."""
+    bits = f"<u{values.itemsize}"
+    fill_bits = np.array(fill, dtype=values.dtype).view(bits)
+    return np.count_nonzero(values.view(bits) != fill_bits) != np.count_nonzero(part.view(bits) != fill_bits)
 
 
 def read_trace(path) -> GameTrace:
-    """Read a trace file's columns straight into a fresh GameTrace's arrays."""
+    """Read a trace file into a fresh GameTrace, whose cells the file leaves
+    out hold their ``_COLUMNS`` fill values (see ``write_trace``)."""
     with open(path, "rb") as fh:
-        if fh.readline() != _TRACE_MAGIC:
-            raise ValueError(f"{path}: not a fogbandit trace (bad magic line)")
+        magic = fh.readline()
+        if magic != _TRACE_MAGIC:
+            found = magic[:40].decode("ascii", "replace").strip()
+            raise ValueError(f"{path}: not a fogbandit trace v4 (bad magic line {found!r}); a trace "
+                             "file of an older format must be written again by `fogbandit run`")
         try:
             header = json.loads(fh.readline().removeprefix(b"# "))
             trace = GameTrace(parse_game(header["config"]), header.get("run_id", 0))
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: damaged trace header: {exc}") from None
-        columns = [getattr(trace, name) for name, _, _ in _COLUMNS]
-        size = os.fstat(fh.fileno()).st_size
-        expected = fh.tell() + sum(col.nbytes for col in columns)
+        size, start = os.fstat(fh.fileno()).st_size, fh.tell()
+        fh.readinto(memoryview(trace.active).cast("B"))  # a short read leaves the size check failing
+        at, slot_at = _layout(trace)
+        columns = [(getattr(trace, name).reshape(-1), _held(name, at, slot_at)) for name, _, _ in _COLUMNS]
+        expected = start + sum(values.itemsize * (values if held is None else held).size
+                               for values, held in columns)
         if size != expected:
             raise ValueError(
                 f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
             )
-        for col in columns:
-            fh.readinto(memoryview(col).cast("B"))
+        buf = _part_buffer(slot_at)
+        for values, held in columns[1:]:  # past active
+            if held is None:
+                fh.readinto(memoryview(values).cast("B"))
+            else:
+                part = buf[: held.size * values.itemsize]
+                fh.readinto(part)
+                values[held] = part.view(values.dtype)
     return trace
 
 

@@ -150,7 +150,7 @@ def _count_pools(monkeypatch) -> list:
         pools.append(kwargs)
         return Pool(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     return pools
 
 
@@ -775,6 +775,16 @@ def test_benchmark_tracer_bindings_exist():
         [sys.executable, "-c", code, str(root / "perfbench")], env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    # only a call that starts a process pool pays for loading multiprocessing
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys, fogbandit.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_oversized_game_rejected_at_load(mini_path, tmp_path, capsys):

@@ -155,10 +155,22 @@ def test_v1_trace_is_rejected(tmp_path):
             read_trace(path)
 
 
+def _bits(values) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+def _columns_start(data: bytes) -> int:
+    """Where a trace file's columns start: past its magic and header lines."""
+    return data.index(b"\n", data.index(b"\n") + 1) + 1
+
+
+# the 20-round, 2-agent trace below holds 42 bytes of active, then chosen
 DAMAGE = {
     "short-by-one-float": lambda data: data[:-8],
     "cut-in-header": lambda data: data[:60],
     "one-trailing-byte": lambda data: data + b"\0",
+    "cut-in-active": lambda data: data[: _columns_start(data) + 5],
+    "cut-in-chosen": lambda data: data[: _columns_start(data) + 42 + 4],
 }
 
 
@@ -172,20 +184,98 @@ def test_damaged_trace_is_rejected(tmp_path, damage):
     assert str(path) in str(exc.value)
 
 
+def test_v3_trace_is_rejected(tmp_path):
+    # a v3 file: the same header, then every column whole
+    trace = run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0)
+    path = tmp_path / "old.trace"
+    with open(path, "wb") as fh:
+        fh.write(b"# fogbandit-trace v3\n" + game._header(trace).encode())
+        for name, dtype, _ in _COLUMNS:
+            fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
+    with pytest.raises(ValueError, match="bad magic line '# fogbandit-trace v3'") as exc:
+        read_trace(path)
+    assert str(path) in str(exc.value)
+
+
+def _ragged_trace():
+    """A trace whose agent 1 idles in some rounds and, in the first epoch,
+    has 1 arm where the epoch's largest set has 2 and the trace's has 3."""
+    config = synthetic_config(
+        {1: 0.2, 2: 0.5, 3: 0.4}, num_agents=2, horizon=40,
+        epochs=((1, ((1, 2), (2,))), (21, ((1, 2, 3), (3, 1)))), activation=(1.0, 0.5),
+    )
+    return run_game(config, 6)
+
+
+# a value in a cell that a trace file leaves out, as (column, cell, value)
+STRAYS = {
+    "inactive-agent-round": ("cost_norm", lambda t: (_idle_round(t), 1), 0.5),
+    "inactive-chosen": ("chosen", lambda t: (_idle_round(t), 1), 0),
+    "padding-slot": ("probs", lambda t: (5, 0, 2), 0.5),
+    "negative-nan": ("cf_raw", lambda t: (_idle_round(t), 1, 0), -np.nan),
+}
+
+
+def _idle_round(trace) -> int:
+    return int(np.flatnonzero(~trace.active[1:, 1])[0]) + 1
+
+
+@pytest.mark.parametrize("stray", sorted(STRAYS))
+def test_write_rejects_a_value_in_a_cell_it_leaves_out(tmp_path, stray):
+    trace = _ragged_trace()
+    name, cell, value = STRAYS[stray]
+    path = tmp_path / "run.trace"
+    write_trace(trace, path)
+    getattr(trace, name)[cell(trace)] = value
+    with pytest.raises(ValueError, match=f"{name} holds a value other than") as exc:
+        write_trace(trace, path)
+    assert str(path) in str(exc.value)
+    assert not path.exists()
+
+
 @st.composite
-def ragged_games(draw):
-    """Generated games with per-agent epoch sets, per-agent learners and
-    activation below 1, over up to five epochs, so that some are short
-    enough for an agent to sit through idle."""
+def ragged_games(draw, extra_epochs=(1, 4)):
+    """Generated games with per-agent epoch sets in any arm order, per-agent
+    learners (bandit or full feedback) and activation below 1, over one
+    epoch plus ``extra_epochs`` more, so that some are short enough for an
+    agent to sit through idle."""
     doc = draw(config_docs())
     game = doc["game"]
     n, horizon = game["num_agents"], game["horizon"]
     subsets = st.lists(st.sampled_from([v["id"] for v in game["env"]["vfns"]]), min_size=1, unique=True)
-    starts = [1] + sorted(draw(st.sets(st.integers(2, horizon), min_size=1, max_size=4)))
+    lo, hi = extra_epochs
+    starts = [1] + sorted(draw(st.sets(st.integers(2, horizon), min_size=lo, max_size=hi)))
     game["candidates"] = [{"start": s, "sets": [draw(subsets) for _ in range(n)]} for s in starts]
     game["activation"] = [draw(st.floats(0.05, 0.95)) for _ in range(n)]
     game["learners"] = [draw(LEARNER) for _ in range(n)]
     return parse_spec(doc).base
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3))
+def test_trace_file_holds_only_the_cells_a_trace_fills(config, run_id):
+    trace = run_game(config, run_id)
+    idle = ~trace.active
+    compact = [(name, dtype, fill) for name, dtype, fill in _COLUMNS if name not in ("active", "clock")]
+    for name, dtype, fill in compact:
+        held = getattr(trace, name)[idle]
+        assert _bits(held) == _bits(np.full(held.shape, fill, dtype=dtype)), name
+    # bytes per active agent-round of each epoch: one value per column, a slot per per-slot value
+    size = len(game._TRACE_MAGIC) + len(game._header(trace).encode()) + trace.active.nbytes + trace.clock.nbytes
+    for lo, hi, sets in trace.epochs():
+        k = max(map(len, sets))
+        for name in game._PER_SLOT:
+            pad = getattr(trace, name)[lo : hi + 1, :, k:]
+            assert _bits(pad) == _bits(np.full(pad.shape, np.nan)), name
+        per_cell = sum(np.dtype(dtype).itemsize * (k if name in game._PER_SLOT else 1) for name, dtype, _ in compact)
+        size += int(trace.active[lo : hi + 1].sum()) * per_cell
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace"
+        write_trace(trace, path)
+        assert path.stat().st_size == size
+        back = read_trace(path)
+    for name, _, _ in _COLUMNS:
+        assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,10 +311,6 @@ def variant_batches(draw):
     keep = set(draw(st.lists(st.sampled_from(games), unique=True)))
     columns = draw(st.just(game._METRIC) | st.lists(st.sampled_from(STACKABLE), unique=True).map(tuple))
     return configs, run_ids, keep, columns, draw(st.sampled_from([1, game._BATCH_BYTES, 2**40]))
-
-
-def _bits(values) -> bytes:
-    return np.ascontiguousarray(values).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
