@@ -18,8 +18,9 @@ from .env import (
     Environment,
     VfnSpec,
 )
-from .game import GameTrace, run_game
+from .game import run_game
 from .oracle import SmallGame
+from .traces import GameTrace
 
 __all__ = [
     "AdversaryPhaseSchedule",

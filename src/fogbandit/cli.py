@@ -24,8 +24,9 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import batches, format_trace, iter_games, read_trace, run_game, write_trace
+from .game import batches, iter_games, run_game
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
+from .traces import format_trace, read_trace, write_trace
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -307,10 +308,11 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
     them.  Each run id's Environment is built once (``envs`` holds those
     built already and gives each up to its run id's replays) and dropped
     after them; the missing games stack only what ``checks`` reads.  Each
-    replay is written to ``buf_path`` and compared with the stored file,
-    and each sample trace is reduced by ``checks`` and dropped as soon as
-    it is played.  Failures come back as (check, detail) in file order,
-    reductions by run id.
+    replay is written to ``buf_path`` and compared with the stored file (a
+    replay that ``write_trace`` refuses fails determinism, and its sample
+    trace is played afresh), and each sample trace is reduced by ``checks``
+    and dropped as soon as it is played.  Failures come back as (check,
+    detail) in file order, reductions by run id.
     """
     config, replays, missing, checks, buf_path, envs = args
     failures, reduced = [], {}
@@ -319,15 +321,20 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
         for _, path, is_sample in group:
             try:
                 stored = read_trace(path)
-            except Exception as exc:
-                failures.append(("trace-integrity", f"{path}: {exc}"))
+            except Exception as exc:  # a read_trace error names the file already
+                failures.append(("trace-integrity", str(exc) if str(path) in str(exc) else f"{path}: {exc}"))
                 continue
             stored_config, stored_rid = stored.config, stored.run_id
             del stored  # the stored bytes are compared from the file
             shares_env = (stored_rid == rid and config.digest()
                           == dataclasses.replace(stored_config, learners=config.learners).digest())
             fresh = run_game(stored_config, stored_rid, env if shares_env else None)
-            write_trace(fresh, buf_path)
+            try:
+                write_trace(fresh, buf_path)  # removes the file if it refuses the trace
+            except ValueError as exc:
+                refusal = str(exc).removeprefix(f"{buf_path}: ")
+                failures.append(("determinism", f"replay of {path} has no trace file: {refusal}"))
+                continue
             if is_sample and shares_env and stored_config.digest() == config.digest():
                 reduced[rid] = checks(fresh)
             del fresh

@@ -25,7 +25,7 @@ from .bandit import choice_probabilities
 from .oracle import SmallGame
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .game import GameTrace
+    from .traces import GameTrace
 
 SIMPLEX_TOL = 1e-9
 # local error allowed per step of integrate_to_rest; at 1e-4 its rest points

@@ -343,6 +343,14 @@ class CostInputs(NamedTuple):
     cpu: np.ndarray | None = None
 
 
+def normalized(real, cost_cap: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Realized costs normalized into [0, 1]: ``clip(real / cost_cap, 0, 1)``,
+    NaN kept.  The one normalization of the cost formula; a trace file
+    derives ``cf_norm`` from ``cf_raw`` with it."""
+    out = np.divide(real, cost_cap, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
 class Environment:
     """Deterministic cost ground truth for one replication.
 
@@ -556,17 +564,13 @@ class Environment:
         real = lc - la
         real *= o
         real += la
-        # norm = clip(min(real / cost_cap, 1), 0, 1)
-        norm = real / self.cost_cap
-        np.minimum(norm, 1.0, out=norm)
-        np.clip(norm, 0.0, 1.0, out=norm)
         return {
             "congestion": c,
             "adversary": la,
             "collision": lc,
             "outlier": o,
             "realized": real,
-            "normalized": norm,
+            "normalized": normalized(real, self.cost_cap),
         }
 
     # -- mean cost ground truth ----------------------------------------------

@@ -3,44 +3,27 @@
 Runs the round loop: candidate-set evolution, Bernoulli activations,
 simultaneous arm commitment, environment resolution, and feedback delivery.
 Each round is one array step over all agents; costs come from the
-environment a block of rounds at a time.  Produces a GameTrace carrying
-every per-round quantity plus the ground truth needed to recompute
-counterfactual costs exactly (same fades, same outlier draws, congestion
-re-counted for the switched arm).  Trace files hold a trace's columns as
-raw little-endian bytes, each at the cells the trace fills
-(``write_trace``/``read_trace``); ``format_trace`` renders one as text, one
-agent-round per line.
+environment a block of rounds at a time.  Produces a GameTrace (see
+``traces``) carrying every per-round quantity plus the ground truth needed
+to recompute counterfactual costs exactly (same fades, same outlier draws,
+congestion re-counted for the switched arm).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import bandit
-from .configio import GameConfig, parse_game
+from .configio import GameConfig
 from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
-
-
-# The trace columns in file order: name, dtype, fill before play.  The last
-# four are NaN-padded per candidate slot.
-_COLUMNS = (
-    ("active", "|b1", False),
-    ("chosen", "<i8", -1),
-    ("congestion", "<i8", 0),
-    ("clock", "<i8", 0),
-    *((name, "<f8", np.nan) for name in (
-        "zeta", "task_size", "eta", "gamma", "cost_a", "cost_c", "outlier", "cost_real",
-        "cost_norm", "probs", "estimates", "cf_norm", "cf_raw",
-    )),
-)
-_PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
+from .traces import _COLUMNS, _PER_SLOT, GameTrace, _clock, _kmax, _stacked
+# the trace-file API, kept under this module's name too
+from .traces import format_trace, read_trace, write_trace  # noqa: F401
 
 
 # Every variant of a run id shares the columns drawn before play.  A kept game
@@ -52,73 +35,6 @@ _PER_SLOT = ("probs", "estimates", "cf_norm", "cf_raw")
 _SHARED = ("active", "clock", "task_size")
 _OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED)
 _METRIC = ("cost_norm", "cf_best")
-
-
-class GameTrace:
-    """Full history of one replication plus counterfactual ground truth.
-
-    One array per ``_COLUMNS`` entry, indexed [round, agent] (1-based rounds;
-    row 0 is unused padding).  Ragged per-round vectors (probabilities,
-    estimates, counterfactual normalized and realized costs) are indexed
-    [round, agent, slot], NaN-padded to the largest candidate set and aligned
-    with the round's candidate tuple.  Every column but ``active`` and
-    ``clock`` holds its ``_COLUMNS`` fill value at each inactive agent-round
-    and in row 0, and the last four hold NaN past their epoch's largest
-    candidate set: a trace file leaves those cells out (see
-    ``write_trace``).  The traces of one ``run_games``
-    batch share storage: each column is a view of one stacked
-    [game, round, agent(, slot)] array (see ``_stacked``), and the games of
-    one run id share their ``_SHARED`` columns.  A trace that ``run_games``
-    was not asked to keep whole holds ``active`` plus the columns its caller
-    asked for, and reading any other column raises ``AttributeError``.
-    Among those may be ``cf_best``, which no trace file holds:
-    ``cf_best[t, n]`` is the least, over agent n's candidate slots, of its
-    counterfactual normalized costs summed over its active rounds from the
-    start of its segment (see ``metrics.agent_segments``) through round t,
-    as ``metrics.running_best_sums`` takes it.
-
-    ``clock[t, n]`` is agent n's running count of activations through round
-    t, except in rounds where no agent is active: there every agent's clock
-    reads 0.  Recorded traces have always carried that 0, and the golden
-    digests pin it.
-    """
-
-    def __init__(self, config: GameConfig, run_id: int, columns: dict | None = None):
-        self.config = config
-        self.run_id = run_id
-        vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
-        self.kmax = _kmax(config)
-
-    # -- structure ----------------------------------------------------------
-
-    @property
-    def horizon(self) -> int:
-        return self.config.horizon
-
-    @property
-    def num_agents(self) -> int:
-        return self.config.num_agents
-
-    def candidate_set(self, rnd: int, agent: int) -> tuple[int, ...]:
-        return self.config.candidates.sets_at(rnd)[agent]
-
-    def epochs(self) -> list[tuple[int, int, tuple[tuple[int, ...], ...]]]:
-        """(first round, last round, per-agent candidate sets) of each epoch."""
-        schedule = self.config.candidates
-        return [(lo, hi, sets) for (lo, hi), (_, sets)
-                in zip(schedule.epoch_bounds(self.horizon), schedule.epochs)]
-
-
-def _kmax(config: GameConfig) -> int:
-    return max(len(s) for _, sets in config.candidates.epochs for s in sets)
-
-
-def _stacked(config: GameConfig, games: int, names=None) -> dict[str, np.ndarray]:
-    """Blank trace columns (all, or the named) of ``games`` games, [game, round, agent(, slot)]."""
-    shape = (games, config.horizon + 1, config.num_agents)
-    kmax = _kmax(config)
-    return {name: np.full(shape + (kmax,) if name in _PER_SLOT else shape, fill, dtype=dtype)
-            for name, dtype, fill in _COLUMNS if names is None or name in names}
 
 
 def _bytes(config: GameConfig, names, extra: int = 0) -> int:
@@ -298,7 +214,7 @@ def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
                       for name, col in own.items() if kept[g] or name in columns})
         if g in free_at:
             trace["cf_best"] = cf_best[np.searchsorted(free_at, g)]
-        traces.append(GameTrace(configs[v], run_ids[r], trace))
+        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap))
     stack = SimpleNamespace(**shared, **own, uniforms=uniforms, runs=runs, games=len(kept), at=at,
                             free_at=free_at, cf_best=cf_best, best_carry=best_carry)
     # game g = variant * runs + run; row g * num_agents + n holds its agent n
@@ -340,9 +256,7 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, columns) -> None
 
     columns.active[:] = active
     np.copyto(columns.task_size, tasks, where=active)
-    np.cumsum(active, axis=0, out=columns.clock)
-    # recorded traces carry clock 0 in rounds where no agent plays
-    columns.clock[~active.any(axis=1)] = 0
+    _clock(active, columns.clock)
     drawn = np.zeros(shape, dtype=bool)
     for (lo, hi), pos in zip(env.epoch_bounds, env.slot_pos):
         drawn[lo : hi + 1] = active[lo : hi + 1] & ((pos >= 0).sum(axis=1) > 1)
@@ -582,165 +496,3 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
             best = running_best_sums(free_played[:, :, g.agents], free_norm[:, :, g.agents, : g.k], carry)
             stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
             stack.best_carry[:, g.agents, : g.k] = carry
-
-
-# ---------------------------------------------------------------------------
-# trace files: raw columns, and their text form
-# ---------------------------------------------------------------------------
-
-_TRACE_MAGIC = b"# fogbandit-trace v4\n"
-_TEXT_MAGIC = "# fogbandit-trace v2\n"
-# the columns a trace file holds whole; it holds the others at active agent-rounds
-_WHOLE = ("active", "clock")
-
-
-def _header(trace: GameTrace) -> str:
-    header = {"config": trace.config.to_dict(), "run_id": trace.run_id,
-              "config_sha256": trace.config.digest()}
-    return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _layout(trace: GameTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Where a trace file holds a trace's cells: the flat [round, agent]
-    indices of the active agent-rounds (row 0, the padding, left out) in
-    (round, agent) order, and the flat [round, agent, slot] indices of their
-    slots within their epoch's largest candidate set, in the same order."""
-    n, kmax = trace.num_agents, trace.kmax
-    live = np.array(trace.active, dtype=bool).reshape(-1)
-    live[:n] = False
-    at = np.flatnonzero(live)
-    epochs = trace.epochs()
-    cuts = np.searchsorted(at, [lo * n for lo, _, _ in epochs] + [live.size]).tolist()
-    slot_at = np.concatenate([(at[a:b, None] * kmax + np.arange(max(map(len, sets)))).reshape(-1)
-                              for a, b, (_, _, sets) in zip(cuts, cuts[1:], epochs)])
-    return at, slot_at
-
-
-def _held(name: str, at: np.ndarray, slot_at: np.ndarray) -> np.ndarray | None:
-    """The flat indices of a column's cells that a trace file holds; None if it holds them all."""
-    return None if name in _WHOLE else slot_at if name in _PER_SLOT else at
-
-
-def _part_buffer(slot_at: np.ndarray) -> np.ndarray:
-    """Bytes for the largest part of a column a trace file holds, reused by every column."""
-    return np.empty(slot_at.size * 8, dtype=np.uint8)
-
-
-def write_trace(trace: GameTrace, path) -> None:
-    """The magic line, a JSON header line, then the cells of every column.
-
-    The header holds ``GameConfig.to_dict()``, the run id and the config
-    digest.  The columns follow in ``_COLUMNS`` order with their explicit
-    little-endian dtypes, C order and nothing between them.  ``active`` and
-    ``clock`` are written whole, [horizon + 1, agents].  Every other column
-    is written only at the active agent-rounds, in (round, agent) order; the
-    last four are written over each active agent-round's slots within its
-    epoch's largest candidate set.  Every cell left out must hold its
-    ``_COLUMNS`` fill value, bit for bit, so that ``read_trace`` gives the
-    trace back whole: if one does not, the file is removed and a ValueError
-    names the column.
-    """
-    at, slot_at = _layout(trace)
-    buf = _part_buffer(slot_at)
-    with open(path, "wb") as fh:
-        fh.write(_TRACE_MAGIC + _header(trace).encode())
-        for name, dtype, fill in _COLUMNS:
-            values = np.ascontiguousarray(getattr(trace, name), dtype=dtype).reshape(-1)
-            held = _held(name, at, slot_at)
-            if held is not None:
-                # "clip" (the indices are in range) lets take write into ``out`` unbuffered
-                part = np.take(values, held, out=buf[: held.size * values.itemsize].view(dtype), mode="clip")
-                if _leaves_out_a_value(values, part, fill):
-                    break
-                values = part
-            fh.write(values)
-        else:
-            return
-    os.remove(path)
-    raise ValueError(f"{path}: {name} holds a value other than {fill} in a cell that a trace file "
-                     "leaves out (an inactive agent-round, or a slot past its epoch's largest "
-                     "candidate set)")
-
-
-def _leaves_out_a_value(values: np.ndarray, part: np.ndarray, fill) -> bool:
-    """Whether ``values`` holds a value other than ``fill``, bit for bit,
-    in a cell that ``part``, taken from it, does not hold."""
-    bits = f"<u{values.itemsize}"
-    fill_bits = np.array(fill, dtype=values.dtype).view(bits)
-    return np.count_nonzero(values.view(bits) != fill_bits) != np.count_nonzero(part.view(bits) != fill_bits)
-
-
-def read_trace(path) -> GameTrace:
-    """Read a trace file into a fresh GameTrace, whose cells the file leaves
-    out hold their ``_COLUMNS`` fill values (see ``write_trace``)."""
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != _TRACE_MAGIC:
-            found = magic[:40].decode("ascii", "replace").strip()
-            raise ValueError(f"{path}: not a fogbandit trace v4 (bad magic line {found!r}); a trace "
-                             "file of an older format must be written again by `fogbandit run`")
-        try:
-            header = json.loads(fh.readline().removeprefix(b"# "))
-            trace = GameTrace(parse_game(header["config"]), header.get("run_id", 0))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: damaged trace header: {exc}") from None
-        size, start = os.fstat(fh.fileno()).st_size, fh.tell()
-        fh.readinto(memoryview(trace.active).cast("B"))  # a short read leaves the size check failing
-        at, slot_at = _layout(trace)
-        columns = [(getattr(trace, name).reshape(-1), _held(name, at, slot_at)) for name, _, _ in _COLUMNS]
-        expected = start + sum(values.itemsize * (values if held is None else held).size
-                               for values, held in columns)
-        if size != expected:
-            raise ValueError(
-                f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
-            )
-        buf = _part_buffer(slot_at)
-        for values, held in columns[1:]:  # past active
-            if held is None:
-                fh.readinto(memoryview(values).cast("B"))
-            else:
-                part = buf[: held.size * values.itemsize]
-                fh.readinto(part)
-                values[held] = part.view(values.dtype)
-    return trace
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_vec(row: np.ndarray, k: int) -> str:
-    return ",".join(_fmt(v) for v in row[:k])
-
-
-def format_trace(trace: GameTrace, fh) -> None:
-    """Write the trace as text: one agent-round per line, full-precision floats.
-
-    The magic line ``# fogbandit-trace v2`` and the header line come first.
-    Columns: round agent active clock zeta task_size eta gamma chosen
-    congestion cost_a cost_c outlier cost_real cost_norm probs estimates
-    cf_norm cf_raw -- the last four comma-joined over the round's candidate
-    set.  Inactive agent-rounds carry "-" placeholders.
-    """
-    fh.write(_TEXT_MAGIC + _header(trace))
-    for lo, hi, sets in trace.epochs():
-        sizes = [len(arms) for arms in sets]
-        for rnd in range(lo, hi + 1):
-            for n, k in enumerate(sizes):
-                if not trace.active[rnd, n]:
-                    fh.write(f"{rnd} {n} 0 {trace.clock[rnd, n]}" + " -" * 15 + "\n")
-                    continue
-                cols = [
-                    str(rnd), str(n), "1", str(int(trace.clock[rnd, n])),
-                    _fmt(trace.zeta[rnd, n]), _fmt(trace.task_size[rnd, n]),
-                    _fmt(trace.eta[rnd, n]), _fmt(trace.gamma[rnd, n]),
-                    str(int(trace.chosen[rnd, n])), str(int(trace.congestion[rnd, n])),
-                    _fmt(trace.cost_a[rnd, n]), _fmt(trace.cost_c[rnd, n]),
-                    _fmt(trace.outlier[rnd, n]), _fmt(trace.cost_real[rnd, n]),
-                    _fmt(trace.cost_norm[rnd, n]),
-                    _fmt_vec(trace.probs[rnd, n], k),
-                    _fmt_vec(trace.estimates[rnd, n], k),
-                    _fmt_vec(trace.cf_norm[rnd, n], k),
-                    _fmt_vec(trace.cf_raw[rnd, n], k),
-                ]
-                fh.write(" ".join(cols) + "\n")

@@ -18,7 +18,7 @@ from .dynamics import MeanCostField, MixedProfile
 from .oracle import SmallGame, SmoothnessResult, best_fixed_arm, smoothness_constants, social_optimum
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .game import GameTrace
+    from .traces import GameTrace
 
 
 def agent_segments(trace: "GameTrace", agent: int) -> list[tuple[int, int]]:

@@ -18,7 +18,7 @@ import numpy as np
 from .env import Environment
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .game import GameTrace
+    from .traces import GameTrace
 
 MAX_JOINT_ACTIONS = 10**6
 LAMBDA_GRID = (1.0, 10.0, 0.01)

@@ -12,6 +12,7 @@ import weakref
 from multiprocessing import Pool
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -620,6 +621,45 @@ def test_verify_fails_on_truncated_trace(mini_path, tmp_path, capsys):
     assert main(["verify", str(mini_path), "--out", str(out_root)]) == 3
     captured = capsys.readouterr()
     assert "FAIL  trace-integrity" in captured.out and "run_0001.trace" in captured.out
+    assert "runtime error" not in captured.err
+    line, = (line for line in captured.out.splitlines() if line.startswith("FAIL  trace-integrity"))
+    assert line.count(str(victim)) == 1, line
+
+
+def test_verify_fails_on_a_replay_that_write_trace_refuses(mini_path, tmp_path, capsys, monkeypatch):
+    # a replay whose congestion at one active agent-round is off by one
+    # breaks a rule the trace file derives it by: write_trace refuses it and
+    # removes its scratch file, and verify reports a determinism FAIL
+    out_root = tmp_path / "out"
+    assert main(["run", str(mini_path), "--out", str(out_root)]) == 0
+    replay, write = cli.run_game, cli.write_trace
+    refused = []
+
+    def off_by_one(config, run_id=0, env=None):
+        trace = replay(config, run_id, env)
+        if run_id == 1:
+            rnd, agent = np.argwhere(trace.active)[0]
+            trace.congestion[rnd, agent] += 1
+        return trace
+
+    def recording_write(trace, path):
+        try:
+            write(trace, path)
+        except ValueError:
+            refused.append(path.exists())
+            raise
+
+    monkeypatch.setattr(cli, "run_game", off_by_one)
+    monkeypatch.setattr(cli, "write_trace", recording_write)
+    capsys.readouterr()
+    assert main(["verify", str(mini_path), "--workers", "1", "--out", str(out_root)]) == 3
+    captured = capsys.readouterr()
+    assert refused == [False]
+    victim = out_root / "mini/default/traces/run_0001.trace"
+    fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+    assert fails == [f"FAIL  determinism: replay of {victim} has no trace file: congestion holds a value "
+                     "other than the number of active agents on the chosen arm in the round, which a "
+                     "trace file derives"]
     assert "runtime error" not in captured.err
 
 

@@ -20,7 +20,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogbandit import game
+from fogbandit import game, traces
 from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES, LearnerParams
 from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
 from fogbandit.env import Environment
@@ -164,21 +164,25 @@ def _columns_start(data: bytes) -> int:
     return data.index(b"\n", data.index(b"\n") + 1) + 1
 
 
-# the 20-round, 2-agent trace below holds 42 bytes of active, then chosen
+# the 20-round, 2-agent, 2-arm trace below holds 42 bytes of active, then
+# chosen and seven more columns at its m active agent-rounds, then probs at
+# their 2 slots, then the bandit-feedback estimates at their chosen slots
 DAMAGE = {
-    "short-by-one-float": lambda data: data[:-8],
-    "cut-in-header": lambda data: data[:60],
-    "one-trailing-byte": lambda data: data + b"\0",
-    "cut-in-active": lambda data: data[: _columns_start(data) + 5],
-    "cut-in-chosen": lambda data: data[: _columns_start(data) + 42 + 4],
+    "short-by-one-float": lambda data, m: data[:-8],
+    "cut-in-header": lambda data, m: data[:60],
+    "one-trailing-byte": lambda data, m: data + b"\0",
+    "cut-in-active": lambda data, m: data[: _columns_start(data) + 5],
+    "cut-in-chosen": lambda data, m: data[: _columns_start(data) + 42 + 4],
+    "cut-in-estimates": lambda data, m: data[: _columns_start(data) + 42 + (8 + 2) * 8 * m + 4],
 }
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 def test_damaged_trace_is_rejected(tmp_path, damage):
     path = tmp_path / "run.trace"
-    write_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), path)
-    path.write_bytes(DAMAGE[damage](path.read_bytes()))
+    trace = run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0)
+    write_trace(trace, path)
+    path.write_bytes(DAMAGE[damage](path.read_bytes(), int(trace.active.sum())))
     with pytest.raises(ValueError, match="damaged trace") as exc:
         read_trace(path)
     assert str(path) in str(exc.value)
@@ -189,10 +193,21 @@ def test_v3_trace_is_rejected(tmp_path):
     trace = run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0)
     path = tmp_path / "old.trace"
     with open(path, "wb") as fh:
-        fh.write(b"# fogbandit-trace v3\n" + game._header(trace).encode())
+        fh.write(b"# fogbandit-trace v3\n" + traces._header(trace).encode())
         for name, dtype, _ in _COLUMNS:
             fh.write(np.ascontiguousarray(getattr(trace, name), dtype=dtype))
     with pytest.raises(ValueError, match="bad magic line '# fogbandit-trace v3'") as exc:
+        read_trace(path)
+    assert str(path) in str(exc.value)
+
+
+def test_v4_trace_is_rejected(tmp_path):
+    path = tmp_path / "old.trace"
+    write_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), path)
+    data = path.read_bytes()
+    assert data.startswith(traces._TRACE_MAGIC)
+    path.write_bytes(b"# fogbandit-trace v4\n" + data[len(traces._TRACE_MAGIC):])
+    with pytest.raises(ValueError, match="bad magic line '# fogbandit-trace v4'") as exc:
         read_trace(path)
     assert str(path) in str(exc.value)
 
@@ -207,12 +222,19 @@ def _ragged_trace():
     return run_game(config, 6)
 
 
-# a value in a cell that a trace file leaves out, as (column, cell, value)
+# a value in a cell that a trace file leaves out, as (column, cell, value or
+# the value from the cell's own); agent 0 plays bandit feedback in every round
 STRAYS = {
     "inactive-agent-round": ("cost_norm", lambda t: (_idle_round(t), 1), 0.5),
     "inactive-chosen": ("chosen", lambda t: (_idle_round(t), 1), 0),
     "padding-slot": ("probs", lambda t: (5, 0, 2), 0.5),
     "negative-nan": ("cf_raw", lambda t: (_idle_round(t), 1, 0), -np.nan),
+    "congestion-plus-one": ("congestion", lambda t: (5, 0), lambda v: v + 1),
+    "clock-plus-one": ("clock", lambda t: (5, 0), lambda v: v + 1),
+    "cost-norm-off-cf-norm": ("cost_norm", lambda t: (5, 0), lambda v: np.nextafter(v, 2.0)),
+    "cf-norm-one-ulp": ("cf_norm", lambda t: (5, 0, 0), lambda v: np.nextafter(v, 2.0)),
+    "bandit-estimate-off-chosen": ("estimates", lambda t: (5, 0, _unchosen_slot(t, 5, 0)), 0.1),
+    "negative-zero-estimate": ("estimates", lambda t: (5, 0, _unchosen_slot(t, 5, 0)), -0.0),
 }
 
 
@@ -220,13 +242,22 @@ def _idle_round(trace) -> int:
     return int(np.flatnonzero(~trace.active[1:, 1])[0]) + 1
 
 
+def _unchosen_slot(trace, rnd, agent) -> int:
+    arms = trace.candidate_set(rnd, agent)
+    slot = 1 - arms.index(int(trace.chosen[rnd, agent]))
+    assert trace.estimates[rnd, agent, slot] == 0.0  # a -0.0 stray differs only in its bits
+    return slot
+
+
 @pytest.mark.parametrize("stray", sorted(STRAYS))
 def test_write_rejects_a_value_in_a_cell_it_leaves_out(tmp_path, stray):
     trace = _ragged_trace()
     name, cell, value = STRAYS[stray]
+    assert trace.config.learners[0].feedback == "bandit"
     path = tmp_path / "run.trace"
     write_trace(trace, path)
-    getattr(trace, name)[cell(trace)] = value
+    column, at = getattr(trace, name), cell(trace)
+    column[at] = value(column[at]) if callable(value) else value
     with pytest.raises(ValueError, match=f"{name} holds a value other than") as exc:
         write_trace(trace, path)
     assert str(path) in str(exc.value)
@@ -256,24 +287,62 @@ def ragged_games(draw, extra_epochs=(1, 4)):
 def test_trace_file_holds_only_the_cells_a_trace_fills(config, run_id):
     trace = run_game(config, run_id)
     idle = ~trace.active
-    compact = [(name, dtype, fill) for name, dtype, fill in _COLUMNS if name not in ("active", "clock")]
-    for name, dtype, fill in compact:
-        held = getattr(trace, name)[idle]
-        assert _bits(held) == _bits(np.full(held.shape, fill, dtype=dtype)), name
-    # bytes per active agent-round of each epoch: one value per column, a slot per per-slot value
-    size = len(game._TRACE_MAGIC) + len(game._header(trace).encode()) + trace.active.nbytes + trace.clock.nbytes
+    for name, dtype, fill in _COLUMNS:
+        if name not in ("active", "clock"):
+            held = getattr(trace, name)[idle]
+            assert _bits(held) == _bits(np.full(held.shape, fill, dtype=dtype)), name
     for lo, hi, sets in trace.epochs():
-        k = max(map(len, sets))
         for name in game._PER_SLOT:
-            pad = getattr(trace, name)[lo : hi + 1, :, k:]
+            pad = getattr(trace, name)[lo : hi + 1, :, max(map(len, sets)):]
             assert _bits(pad) == _bits(np.full(pad.shape, np.nan)), name
-        per_cell = sum(np.dtype(dtype).itemsize * (k if name in game._PER_SLOT else 1) for name, dtype, _ in compact)
-        size += int(trace.active[lo : hi + 1].sum()) * per_cell
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace"
         write_trace(trace, path)
-        assert path.stat().st_size == size
         back = read_trace(path)
+    for name, _, _ in _COLUMNS:
+        assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3))
+def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
+    trace = run_game(config, run_id)
+    active = trace.active
+    # clock: the running count of active, 0 in a round where no agent plays
+    assert _bits(trace.clock) == _bits(np.cumsum(active, axis=0) * active.any(axis=1, keepdims=True))
+    # congestion: the active agents on the chosen arm in the round
+    together = (trace.chosen[:, :, None] == trace.chosen[:, None, :]) & active[:, None, :]
+    assert _bits(trace.congestion) == _bits(np.where(active, together.sum(axis=2), 0))
+    # cf_norm: cf_raw normalized by the Environment's cost_cap
+    assert trace.cost_cap == Environment(config, run_id).cost_cap
+    assert _bits(trace.cf_norm) == _bits(np.clip(trace.cf_raw / trace.cost_cap, 0.0, 1.0))
+    # per epoch and agent: cost_norm and cost_real at the chosen slot, and a
+    # bandit-feedback agent's estimates +0.0 at its other slots, NaN past its
+    # set; the bytes its active agent-rounds take in the file
+    size = trace.active.nbytes
+    for lo, hi, sets in trace.epochs():
+        k = max(map(len, sets))
+        for n, arms in enumerate(sets):
+            rounds = lo + np.flatnonzero(active[lo : hi + 1, n])
+            slots = [arms.index(arm) for arm in trace.chosen[rounds, n]]
+            assert _bits(trace.cost_norm[rounds, n]) == _bits(trace.cf_norm[rounds, n, slots])
+            assert _bits(trace.cost_real[rounds, n]) == _bits(trace.cf_raw[rounds, n, slots])
+            size += rounds.size * (8 + 2 * k) * 8
+            if config.learners[n].feedback == "full":
+                size += rounds.size * k * 8
+                continue
+            size += rounds.size * 8
+            zeros = np.zeros((rounds.size, len(arms)))
+            zeros[np.arange(rounds.size), slots] = trace.estimates[rounds, n, slots]
+            assert _bits(trace.estimates[rounds, n, : len(arms)]) == _bits(zeros)
+            past = trace.estimates[rounds, n, len(arms):]
+            assert _bits(past) == _bits(np.full(past.shape, np.nan))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace"
+        write_trace(trace, path)
+        assert path.stat().st_size == _columns_start(path.read_bytes()) + size
+        back = read_trace(path)
+    assert back.cost_cap == trace.cost_cap
     for name, _, _ in _COLUMNS:
         assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
 
