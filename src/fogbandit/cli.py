@@ -88,7 +88,8 @@ def run_batch(fn, args: list, workers: int = 1) -> list:
     plays every task whose index is not a multiple of w, one task at a time,
     while the caller plays tasks 0, w, 2w, ... itself.  Results keep task
     order.  An exception on either side propagates, and the pool is
-    terminated first, so no child outlives the call.
+    terminated first, so no child outlives the call.  ``_plan`` sizes
+    ``run``'s tasks and ``workers``.
     """
     workers = min(workers, len(args))
     if workers <= 1:
@@ -106,6 +107,25 @@ def run_batch(fn, args: list, workers: int = 1) -> list:
         pool.close()
         pool.join()
     return out
+
+
+def _plan(configs, ids, workers: int, keep, columns) -> tuple[list[list[int]], int]:
+    """The lockstep batches ``ids`` are played in, and on how many processes.
+
+    Of one process's plan, at most w = min(``workers``, its batch count)
+    processes can play a share each.  The w-way plan, whose batches each
+    stack 1/w of ``_BATCH_BYTES``, is taken only if it plays no game alone
+    that one process plays in a batch with others: a lone game forfeits the
+    lockstep amortization, and each process costs its own RSS.  ``configs``
+    lists the variants each run id is played by.
+    """
+    plan = batches(configs, ids, 1, keep, columns)
+    workers = min(workers, len(plan))
+    if workers > 1:
+        split = batches(configs, ids, workers, keep, columns)
+        if all(len(batch) * len(configs) > 1 or batch in plan for batch in split):
+            return split, workers
+    return plan, 1
 
 
 def _write_series_csv(path: Path, rows: np.ndarray) -> None:
@@ -127,7 +147,10 @@ def _trace_name(variant: Variant, rid: int) -> str:
 
 
 def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
-    """Run all replications of all variants; write traces, CSVs, manifest."""
+    """Run all replications of all variants; write traces, CSVs, manifest.
+
+    The sorted run ids play in the batches, and on the processes, of ``_plan``.
+    """
     out_root = out_root or default_out_root()
     workers = spec.workers if workers is None else workers
     out_dir = out_root / spec.name
@@ -151,18 +174,13 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
     for variant in spec.variants:
         (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
     # one task per batch of run ids plays every variant (variants share horizon,
-    # agents and candidate sets); the CSVs aggregate rows in ascending run-id order.
-    # A run that fits fewer lockstep batches than workers starts only as many
-    # processes, so one that fits a single batch plays in this process
+    # agents and candidate sets); the CSVs aggregate rows in ascending run-id order
     kept = {(v, rid) for v, paths in enumerate(trace_paths) for rid in paths}
-    columns = _run_columns(want_regret)
-    ids = sorted(spec.run_ids)
-    plan = batches(configs, ids, 1, kept, columns)
-    workers = min(workers, len(plan))
+    plan, workers = _plan(configs, sorted(spec.run_ids), workers, kept, _run_columns(want_regret))
     parts = run_batch(
         _run_replications,
         [(configs, task, want_pota, want_regret, [[paths.get(rid) for rid in task] for paths in trace_paths])
-         for task in (plan if workers <= 1 else batches(configs, ids, workers, kept, columns))],
+         for task in plan],
         workers,
     )
     for v, (variant, config, paths) in enumerate(zip(spec.variants, configs, trace_paths)):
@@ -354,17 +372,18 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
 def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Re-derive every applicable check against the stored experiment.
 
-    The round loops, one replay per stored trace and the lockstep batches of
-    the sampled run ids with no stored trace (one, when they fit one), are
-    cut into at most ``workers`` contiguous tasks of about equal loop counts
-    and played by ``run_batch``: the caller plays the first, on run
-    ``sample[0]``'s Environment from the stage games, and each other task
-    starts one child process.  A task builds each run id's Environment
-    once, holds one trace at a time and reduces each sample trace to its
-    part of the checks as it is played; the verdicts are emitted from those
-    parts, in the same order and with the same text for any ``workers``.  A replay keeps only
-    the stored trace's config and run id, is written to a temporary file
-    and compared with the stored file ``_COMPARE_CHUNK`` bytes at a time.
+    The round loops, one replay per stored trace and the sampled run ids
+    with no stored trace (one loop, or one per batch where ``_plan`` splits
+    them among processes), are cut into at most ``workers`` contiguous tasks
+    of about equal loop counts and played by ``run_batch``: the caller plays
+    the first, on run ``sample[0]``'s Environment from the stage games, and
+    each other task starts one child process.  A task builds each run id's
+    Environment once, holds one trace at a time and reduces each sample
+    trace to its part of the checks as it is played; the verdicts are
+    emitted from those parts, in the same order and with the same text for
+    any ``workers``.  A replay keeps only the stored trace's config and run
+    id, is written to a temporary file and compared with the stored file
+    ``_COMPARE_CHUNK`` bytes at a time.
     ``async-rates`` runs without activations, so of its conditions only the
     threshold can fail (see ``metrics.async_condition_check``).
     """
@@ -407,11 +426,12 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
     covered = {rid for rid, _, is_sample in replays if is_sample}
     missing = [rid for rid in sample if rid not in covered] if checks else []
 
-    # sample ids that take more than one batch are planned as the batches
-    # that play alongside the replays, each a loop of its own
-    plan = batches(config, missing, 1, checks.keep, checks.columns) if missing else []
-    if len(plan) > 1:
-        plan = batches(config, missing, workers, checks.keep, checks.columns)
+    # the sample ids with no stored trace are one loop, or one loop per batch
+    # where ``_plan`` splits them among processes
+    plan = []
+    if missing:
+        split, processes = _plan([config], missing, workers, checks.keep, checks.columns)
+        plan = split if processes > 1 else [missing]
 
     # stored trace files parse and replay byte-identically, written outside the output tree
     n, loops = len(replays), len(replays) + len(plan)
@@ -520,11 +540,11 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
                  for n, lp in enumerate(config.learners)]
     # divergence needs room beyond short experiment horizons
     act_h = min(max(config.horizon, 100_000), 1_000_000)
-    rep = metrics.async_condition_check(schedules, act_h)
-    if rep.all_hold():
-        v.emit("PASS", "async-rates", f"rate conditions hold to horizon {act_h}")
+    scope = "(always-on activations; the other conditions hold for any input)"
+    if metrics.async_condition_check(schedules, act_h).all_hold():
+        v.emit("PASS", "async-rates", f"threshold condition holds to horizon {act_h} {scope}")
     else:
-        v.emit("FAIL", "async-rates", "a partial-sum condition failed")
+        v.emit("FAIL", "async-rates", f"threshold condition fails to horizon {act_h} {scope}")
 
     return EXIT_VERIFY if v.failed else EXIT_OK
 
@@ -597,7 +617,8 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument(
             "--workers", type=int, default=None,
             help="most processes run and verify play on, this one included; "
-                 "neither starts more than its tasks can use (>= 1)",
+                 "neither starts more than its tasks can use, and run uses one "
+                 "where a split would play a game alone (>= 1)",
         )
         sp.add_argument("--out", type=Path, default=None, help="output root directory")
         sp.add_argument("--strict", action="store_true", help="reject unknown config keys")

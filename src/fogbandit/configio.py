@@ -507,8 +507,9 @@ Top level:
   xi_window: float              tail fraction for equilibrium certification
   traces: none|first|all        per-run trace retention (default first)
   workers: int                  most processes run and verify play on, each
-                                itself included and capped at its task count
-                                (default 1)
+                                itself included and capped at its task
+                                count; run uses one where a split would play
+                                a game alone (default 1)
   variants:                     learner variants to compare
     - name: str                 [required]
       baseline: str             one of perturbed|vanilla-ix|explicit|

@@ -53,11 +53,12 @@ _BLOCK_CELLS = 2**15
 # Trace columns, ``cf_best``, selection uniforms and learner epoch arrays a
 # batch of games stacks: ``batches`` gives each of the batches played at once
 # (one per worker) its share, and a run id over its share plays alone in
-# batches of up to the whole bound (see ``iter_games``).  At 10 MiB, two
-# workers each play one run id of a fully written 6-agent, 12-arm,
-# 1000-round game, one process plays 7 full acceptance-small traces in one
-# batch, and one process plays 4 variants of a 1500-round paper-fig2 game on
-# 4 run ids, the first run id's traces kept.
+# batches of up to the whole bound (see ``iter_games``).  At 10 MiB, one
+# process plays 3 run ids of a fully written 6-agent, 12-arm, 1000-round game
+# in a batch (a half share holds one, so ``cli._plan`` plays that run on one
+# process rather than game by game on two), 7 full acceptance-small traces in
+# one batch, and 4 variants of a 1500-round paper-fig2 game on 4 run ids, the
+# first run id's traces kept.
 _BATCH_BYTES = 10 * 2**20
 
 

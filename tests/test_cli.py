@@ -244,6 +244,52 @@ def test_fig2_shaped_run_fits_one_batch_and_starts_no_pool(tmp_path, monkeypatch
     assert trees[0] == trees[1]
 
 
+def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
+    # every trace of a 6-agent game on 8 -> 12 arms is kept: one process plays
+    # the 6 run ids in two lockstep batches, but a 5 MiB share of two
+    # processes holds a single game, so a split would play every game alone
+    # and --workers 2 plays the one-process plan in-process instead
+    horizon, arms = 900, list(range(1, 13))
+    doc = {
+        "name": "wide", "master_seed": 20261017, "replications": 6, "metrics": ["cost"],
+        "traces": "all", "variants": [{"name": "perturbed"}],
+        "game": {
+            "num_agents": 6, "horizon": horizon, "activation": 0.8,
+            "task_size": {"law": "uniform", "q_lo": 2.0e5, "q_hi": 1.0e6},
+            "candidates": [{"start": 1, "all": arms[:8]}, {"start": horizon // 2 + 1, "all": arms}],
+            "env": {
+                "model": "synthetic", "coupling": "sqrt",
+                "vfns": [{"id": k, "max_cpu_freq": 1.0e9} for k in arms],
+                "adversary": {"num_phases": 3, "mean_range": [0.1, 0.9], "noise_halfwidth": 0.05},
+            },
+        },
+    }
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    spec = load_config(path)
+    kept = {(0, rid) for rid in spec.run_ids}
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1, kept, ("cost_norm",))] == [3, 3]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2, kept, ("cost_norm",))] == [1] * 6
+    pools = _count_pools(monkeypatch)
+    trees = _run_trees(path, tmp_path)
+    assert pools == []
+    assert len(trees[0]) == 6 + 3  # traces, cost CSV, summary and manifest
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("name", ["acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5"])
+def test_bundled_runs_split_among_their_workers(name):
+    # no batch of the 2-way plan plays a game alone (a lone run id still plays
+    # its variants together), so each bundled run keeps its 2 processes
+    spec = load_config(bundled_config(name))
+    assert (spec.workers, spec.trace_policy, "regret" in spec.metrics) == (2, "first", True)
+    configs = [spec.game_for(variant) for variant in spec.variants]
+    kept = {(v, spec.run_ids[0]) for v in range(len(configs))}
+    plan, workers = cli._plan(configs, sorted(spec.run_ids), spec.workers, kept, cli._run_columns(True))
+    assert workers == 2
+    assert plan == batches(configs, sorted(spec.run_ids), 2, kept, cli._run_columns(True))
+
+
 def test_run_without_regret_builds_no_best_arm_sums(mini_path, tmp_path, monkeypatch):
     # a metrics: [cost] run stacks cost_norm alone for the games whose traces
     # it does not write, and writes the tree it wrote when they stacked the
@@ -704,6 +750,27 @@ def test_verify_prints_the_same_for_any_workers(mini_path, tmp_path, capsys):
     assert main(["run", str(xi_path), "--out", str(tmp_path / "xi")]) == 0
     (code, text), = _verify_outputs(xi_path, tmp_path / "xi", capsys)
     assert code == 0 and "SKIP  xi-equilibrium: window [217,240] has 24 samples" in text
+
+
+def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_path, tmp_path, capsys,
+                                                                         monkeypatch):
+    # with traces: none every sample game is played afresh; under a 64 kB
+    # bound one process batches runs 1-4 in pairs, but a 2-way split would
+    # play every game alone, so the sample ids stay one loop and no pool starts
+    mini_path.write_text(MINIMAL.replace("replications: 3", "replications: 6").replace("traces: all", "traces: none"))
+    out = tmp_path / "out"
+    assert main(["run", str(mini_path), "--out", str(out)]) == 0
+    (code, clean), = _verify_outputs(mini_path, out, capsys)
+    assert code == 0
+    monkeypatch.setattr(game, "_BATCH_BYTES", 64_000)
+    spec = load_config(mini_path)
+    checks = cli._SampleChecks([], [], spec.xi_window, None, 0)  # the columns verify stacks
+    ids = list(spec.run_ids)
+    assert batches(spec.base, ids, 1, checks.keep, checks.columns) == [[0], [1, 2], [3, 4], [5]]
+    assert batches(spec.base, ids, 2, checks.keep, checks.columns) == [[rid] for rid in ids]
+    pools = _count_pools(monkeypatch)
+    assert _verify_outputs(mini_path, out, capsys) == {(0, clean)}
+    assert pools == []
 
 
 def test_verify_reports_an_error_in_a_child_task(mini_path, tmp_path, capsys, monkeypatch):
