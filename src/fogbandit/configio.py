@@ -28,9 +28,12 @@ from .env import (
     EnvConfig,
     VfnSpec,
 )
+from .oracle import check_enumerable
 
 TASK_LAWS = ("fixed", "uniform", "truncnorm")
-# horizon * agents * arms limit for an Environment's pre-drawn random blocks
+# horizon * agents * arms limit.  It bounds the [round, agent(, slot)] trace
+# stacks a game holds (an Environment holds one block of rounds of its
+# draws), until a bound on what a batch really holds replaces it.
 MAX_DRAW_CELLS = 50_000_000
 
 
@@ -88,7 +91,7 @@ class GameConfig:
             raise ConfigError(
                 f"game.horizon * game.num_agents * len(game.env.vfns) = {self.horizon} * "
                 f"{self.num_agents} * {len(self.env.vfns)} = {cells} exceeds the limit of "
-                f"{MAX_DRAW_CELLS} pre-drawn cells"
+                f"{MAX_DRAW_CELLS} round x agent x arm cells"
             )
         self.candidates.validate(self.horizon, self.num_agents, self.env.arm_ids())
         self.task_size.validate(self.num_agents)
@@ -275,6 +278,15 @@ class ExperimentSpec:
         self.base.validate()
         for v in self.variants:
             self.game_for(v).validate()
+        if "pota" in self.metrics:  # PoTA needs every epoch's stage-game optimum
+            for start, sets in self.base.candidates.epochs:
+                try:
+                    check_enumerable(sets)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"metrics: pota needs an enumerable stage game, but the candidate "
+                        f"epoch starting at round {start} has a {exc}"
+                    ) from None
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str, strict: bool) -> None:

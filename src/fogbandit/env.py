@@ -14,9 +14,12 @@ Two cost models share one pipeline:
   ``linear`` (slope ``theta`` per extra client).  Used by verification
   instances that need exact mean gaps.
 
-Everything random is pre-drawn from named streams at construction, so the
-cost stream is a pure function of (config, run_id) and counterfactual replay
-is exact.
+Everything random comes from named streams keyed by (config, run_id), so the
+cost stream is a pure function of them and counterfactual replay is exact.
+The per-replication draws (distances, generated adversary phases, CPU
+fractions) are taken at construction; the per-round draws (fades, adversary
+noise, outlier weights) are taken a block of rounds at a time, in stream
+order, as ``Environment.cost_inputs`` asks for them.
 """
 
 from __future__ import annotations
@@ -354,9 +357,16 @@ def normalized(real, cost_cap: float, out: np.ndarray | None = None) -> np.ndarr
 class Environment:
     """Deterministic cost ground truth for one replication.
 
-    All randomness is pre-drawn from named streams ("channel", "adversary",
+    All randomness comes from named streams ("channel", "adversary",
     "outlier", "allocation") keyed by (master_seed, run_id), so two
     environments with identical inputs emit bit-identical cost streams.
+    Distances, generated adversary phases and CPU fractions are drawn at
+    construction.  Each round's fades, adversary noise and outlier weights
+    are drawn when ``cost_inputs`` first asks for the round, in stream order
+    and row 0 first, so they equal one whole-horizon draw bit for bit.
+    ``fading``, ``outliers`` and ``adv_noise`` hold the rows from the last
+    request's first round on ([round - lo, ...]); a request for an earlier
+    round restarts the streams from the states saved at construction.
     """
 
     def __init__(self, config: "GameConfig", run_id: int = 0):
@@ -406,21 +416,30 @@ class Environment:
                 table[n, : len(arms)] = [self.arm_pos[k] for k in arms]
             self.slot_pos.append(table)
 
-        T, N, K = config.horizon, config.num_agents, n_arms
+        N, K = config.num_agents, n_arms
         ch_rng = stream_rng(config.master_seed, run_id, "channel")
         self.distances = ch_rng.uniform(
             MIN_DISTANCE_M, env.channel.comm_range_m, size=(self.num_epochs, N, K)
         )
-        # Rayleigh fades [round, agent, arm] (row 0 unused) enter only the
-        # physical model's uplink rate; the synthetic model draws none
-        rows = T + 1 if env.model == "physical" else 0
-        self.fading = ch_rng.exponential(1.0, size=(rows, N, K))
+        # The per-round draws, each stream positioned after its eager draws:
+        # attribute, generator (None: zeros), its state there, method,
+        # arguments and the shape of one round's row.  Rayleigh fades enter
+        # only the physical model's uplink rate; the synthetic model draws none.
         h = self.adversary.noise_halfwidth
-        self.adv_noise = (
-            adv_rng.uniform(-h, h, size=(T + 1, K)) if h > 0 else np.zeros((T + 1, K))
-        )
         out_rng = stream_rng(config.master_seed, run_id, "outlier")
-        self.outliers = out_rng.uniform(0.0, 1.0, size=(T + 1, N, K))
+        self._draws = [
+            (name, rng, None if rng is None else rng.bit_generator.state, method, args, shape)
+            for name, rng, method, args, shape in (
+                ("fading", ch_rng, "exponential", (1.0,), (N, K)),
+                ("adv_noise", adv_rng if h > 0 else None, "uniform", (-h, h), (K,)),
+                ("outliers", out_rng, "uniform", (0.0, 1.0), (N, K)),
+            )
+            if name != "fading" or env.model == "physical"
+        ]
+        self.fading = np.empty((0, N, K))
+        self.adv_noise = np.empty((0, K))
+        self.outliers = np.empty((0, N, K))
+        self._held = (0, 0)  # the windows hold rounds [lo, end) of the draws
         alloc_rng = stream_rng(config.master_seed, run_id, "allocation")
         self.fractions = np.array(
             [
@@ -477,23 +496,57 @@ class Environment:
             raise ValueError(f"rounds [{lo}, {hi}] span candidate epochs")
         return epoch
 
+    def _hold(self, lo: int, hi: int) -> None:
+        """Make the windows hold rounds [lo, hi], and none before lo.
+
+        Rows are drawn forward in stream order, at most hi - lo + 1 rows per
+        draw; rows before lo that were never held are drawn and dropped.
+        """
+        if lo < self._held[0]:  # restart every stream at its saved state
+            for name, rng, state, *_ in self._draws:
+                if rng is not None:
+                    rng.bit_generator.state = state
+                setattr(self, name, getattr(self, name)[:0])
+            self._held = (0, 0)
+        first, end = self._held
+        while end < lo:
+            rows = min(hi + 1 - lo, lo - end)
+            self._draw(rows)
+            end += rows
+        new = self._draw(hi + 1 - end) if end <= hi else {}
+        for name, *_ in self._draws:
+            kept = getattr(self, name)[lo - first :]
+            if name in new:
+                kept = np.concatenate([kept, new[name]]) if kept.shape[0] else new[name]
+            setattr(self, name, kept)
+        self._held = (lo, max(end, hi + 1))
+
+    def _draw(self, rows: int) -> dict[str, np.ndarray]:
+        """The next ``rows`` rows of every per-round stream."""
+        return {
+            name: np.zeros((rows,) + shape) if rng is None else getattr(rng, method)(*args, size=(rows,) + shape)
+            for name, rng, _, method, args, shape in self._draws
+        }
+
     def cost_inputs(self, lo: int, hi: int) -> CostInputs:
         """The cost ingredients of rounds [lo, hi] that no joint action changes.
 
         Arrays are [round - lo, agent, slot] over each agent's candidate slots
         (``slot_pos``) in the one candidate epoch that [lo, hi] must lie in;
-        entries past the end of a set are NaN.  Uses the round's logged
-        draws, so counterfactual replay is exact.
+        entries past the end of a set are NaN.  Uses the rounds' stream
+        draws, so counterfactual replay is exact; a request for rounds in
+        order draws each round once.
         """
         epoch = self._block_epoch(lo, hi)
+        self._hold(lo, hi)
         valid = self.slot_pos[epoch] >= 0
         pos = np.where(valid, self.slot_pos[epoch], 0)  # [N, slot]
-        rounds = slice(lo, hi + 1)
+        rounds, held = slice(lo, hi + 1), slice(0, hi + 1 - lo)
         phase = self._phase_of_round[rounds]
-        s = self.phase_means[phase][:, pos] + self.adv_noise[rounds][:, pos]
-        o = np.take_along_axis(self.outliers[rounds], pos[None], axis=2)
+        s = self.phase_means[phase][:, pos] + self.adv_noise[held][:, pos]
+        o = np.take_along_axis(self.outliers[held], pos[None], axis=2)
         if self.config.env.model == "physical":
-            fade = np.take_along_axis(self.fading[rounds], pos[None], axis=2)
+            fade = np.take_along_axis(self.fading[held], pos[None], axis=2)
             snr = np.take_along_axis(self._snr_mean[epoch], pos, axis=1)
             inv_r = 1.0 / (self._b_alloc * np.log2(1.0 + snr * np.maximum(fade, FADING_FLOOR)))
             cpu = self.max_freqs[pos] * self.fractions[phase][:, pos]

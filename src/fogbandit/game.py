@@ -50,15 +50,18 @@ def _bytes(config: GameConfig, names, extra: int = 0) -> int:
 # game x round x agent x candidate slot in each array of its fill, which
 # bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# Trace columns, ``cf_best``, selection uniforms and learner epoch arrays a
-# batch of games stacks: ``batches`` gives each of the batches played at once
-# (one per worker) its share, and a run id over its share plays alone in
-# batches of up to the whole bound (see ``iter_games``).  At 10 MiB, one
-# process plays 3 run ids of a fully written 6-agent, 12-arm, 1000-round game
-# in a batch (a half share holds one, so ``cli._plan`` plays that run on one
-# process rather than game by game on two), 7 full acceptance-small traces in
-# one batch, and 4 variants of a 1500-round paper-fig2 game on 4 run ids, the
-# first run id's traces kept.
+# Trace columns, ``cf_best`` and selection uniforms a batch of games stacks:
+# ``batches`` gives each of the batches played at once (one per worker) its
+# share, and a run id over its share plays alone in batches of up to the
+# whole bound (see ``iter_games``).  The rest of what a batch holds grows
+# with a block's rounds, not the horizon, and is not counted here: the
+# learners' rates and demand weights, each Environment's per-round draws,
+# and the block's cost table and fill.  At 10 MiB, one process plays 3 run
+# ids of a fully written 6-agent, 12-arm, 1000-round game in a batch (a half
+# share holds one, so ``cli._plan`` plays that run on one process rather
+# than game by game on two), 7 full acceptance-small traces in one batch,
+# and 4 variants of a 1500-round paper-fig2 game on 4 run ids, the first
+# run id's traces kept.
 _BATCH_BYTES = 10 * 2**20
 
 
@@ -66,22 +69,11 @@ def _variants(configs) -> list[GameConfig]:
     return [configs] if isinstance(configs, GameConfig) else list(configs)
 
 
-# What ``_Group`` holds per game, agent and round of the epoch it plays:
-# ``active`` and the learners' ``zeta``, ``eta`` and ``gamma``.
-_EPOCH_BYTES = 1 + 3 * 8
-
-
 def _game_bytes(configs, run_ids, keep, columns) -> list[list[int]]:
-    """Bytes each game stacks beyond its run id's shared columns, [run id][variant].
-
-    A game holds its learners' epoch arrays for one epoch at a time, so they
-    count over the longest epoch.
-    """
+    """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
     config = configs[0]
-    longest = max(hi - lo + 1 for lo, hi in config.candidates.epoch_bounds(config.horizon))
-    epoch = _EPOCH_BYTES * longest * config.num_agents
-    full = _bytes(config, _OWN) + epoch
-    part = _bytes(config, set(_OWN) & set(columns), extra=8 * ("cf_best" in columns)) + epoch
+    full = _bytes(config, _OWN)
+    part = _bytes(config, set(_OWN) & set(columns), extra=8 * ("cf_best" in columns))
     return [[full if keep is None or (v, rid) in keep else part for v in range(len(configs))]
             for rid in run_ids]
 
@@ -106,10 +98,10 @@ def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> lis
     ``len(run_ids) / parts`` ids (say, one batch per worker), and the
     ``parts`` batches that play at once share ``_BATCH_BYTES``: each stacks
     at most its part of it, counting a run id's shared columns and
-    selection uniforms, a kept game's other columns, any other game's
-    requested columns, and each game's learner epoch arrays.  A run id whose
-    games alone take more is a batch of its own; ``run_games`` plays its
-    variants a few at a time if they exceed the whole bound.
+    selection uniforms, a kept game's other columns and any other game's
+    requested columns.  A run id whose games alone take more is a batch of
+    its own; ``run_games`` plays its variants a few at a time if they exceed
+    the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
     shared = _bytes(configs[0], _SHARED, extra=8)
@@ -297,7 +289,7 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     degrees = np.arange(n_agents + 1)
     k_max = pos.shape[1]
     block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, games) * n_agents * k_max))
-    groups = [_Group(k, pos, learners, state, stack, config.task_size, lo, hi, block)
+    groups = [_Group(k, pos, learners, state, stack, config.task_size, min(block, hi - lo + 1))
               for k in sorted(set(sizes.tolist()))]
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
@@ -352,21 +344,20 @@ class _Group:
     g, which plays run id ``g % runs`` (games are variant-major).  Each
     row carries its own learner's parameters.  ``scores`` holds the rows'
     [row, slot] scores through the epoch; ``store`` writes them back to the
-    learner state.  ``zeta``, ``eta`` and ``gamma`` hold the rows' [round,
-    row] demand weights and learning rates through the epoch, from each
-    learner and its run id's clocks and task sizes; an idle row steps with
-    zeta 1, eta 0 and gamma 1.  The games that stack those columns get them too.
-    ``out`` holds the [round, row(, slot)] outputs of up to ``block`` rounds,
-    reused by every block of the epoch.
+    learner state.  ``block`` derives the rows' demand weights and learning
+    rates for one block of rounds from each learner and its run id's clocks
+    and task sizes; an idle row steps with zeta 1, eta 0 and gamma 1.
+    ``out`` holds the [round, row(, slot)] outputs of up to ``rounds``
+    rounds, reused by every block of the epoch.
     """
 
-    def __init__(self, k, pos, learners, state, stack, task_size, lo, hi, block):
+    def __init__(self, k, pos, learners, state, stack, task_size, rounds):
         n_agents, agents = pos.shape[0], np.flatnonzero((pos >= 0).sum(axis=1) == k)
         game_runs = np.arange(len(learners)) % stack.runs
         game = np.repeat(np.arange(game_runs.size), agents.size)
         agent = np.tile(agents, game_runs.size)
         params = [learners[g][n] for g, n in zip(game.tolist(), agent.tolist())]
-        self.k, self.agents, self.variants, self.lo = k, agents, game_runs.size // stack.runs, lo
+        self.k, self.agents, self.variants = k, agents, game_runs.size // stack.runs
         self.flat = game * n_agents + agent  # learner-state rows
         self.rows = self.flat[:, None]
         self.table_rows = game_runs[game] * n_agents + agent  # in the run ids' cost table
@@ -380,28 +371,13 @@ class _Group:
         self.full_cells, self.full_rows = self.cells[self.full], self.table_rows[self.full, None]
         self.slots = np.arange(k)
         self.load(state)
-
-        epoch = slice(lo, hi + 1)
-        self.active = self.rows_of(stack.active, epoch)
-        rates = bandit.learning_rates(
-            np.where(self.active, self.rows_of(stack.clock, epoch), 1), k,
-            np.array([p.schedule_a for p in params]), np.array([p.gamma_ratio for p in params]),
-        )
-        self.eta = np.where(self.active, rates.eta, 0.0)
-        self.gamma = np.where(self.active, rates.gamma, 1.0)
-        del rates  # each [round, row] temporary spans the epoch: free it once used
-        bandit.check_gamma(self.gamma)
-        weight = bandit.demand_weight(self.rows_of(stack.task_size, epoch), task_size.q_lo, task_size.q_hi)
-        weighted = np.array([p.use_demand_weight for p in params])
-        self.zeta = np.where(self.active & weighted, weight, 1.0)
-        del weight
-        shape = (min(block, hi - lo + 1), self.flat.size)
+        self.schedule_a = np.array([p.schedule_a for p in params])
+        self.gamma_ratio = np.array([p.gamma_ratio for p in params])
+        self.weighted = np.array([p.use_demand_weight for p in params])
+        self.task_size = task_size
+        shape = (rounds, self.flat.size)
         self.out = SimpleNamespace(slot=np.zeros(shape, dtype=np.int64), loss=np.empty(shape),
                                    probs=np.empty(shape + (k,)), estimates=np.empty(shape + (k,)))
-        for column in ("zeta", "eta", "gamma"):
-            if stack.at[column].size:
-                values = self.stacked(np.where(self.active, getattr(self, column), np.nan))
-                getattr(stack, column)[:, epoch, agents] = _rows(values, stack.at[column])
 
     def load(self, state) -> None:
         self.scores = state.scores[self.rows, self.cols]
@@ -417,19 +393,36 @@ class _Group:
         return rows.reshape(rows.shape[0], -1, self.agents.size, *rows.shape[2:]).swapaxes(0, 1)
 
     def block(self, stack, rounds) -> SimpleNamespace:
-        """Per-round inputs and outputs of the group over one block of rounds."""
+        """Per-round inputs and outputs of the group over one block of rounds.
+
+        The rows' learning rates and demand weights come from their clocks
+        and task sizes in the block; the games that stack ``zeta``, ``eta``
+        or ``gamma`` get them (NaN where idle) in their columns.
+        """
 
         def per_slot(values):  # [round, row] -> [round, row, slot]
             return np.repeat(values[:, :, None], self.k, axis=2)
 
-        at = slice(rounds.start - self.lo, rounds.stop - self.lo)
-        active = self.active[at]
+        active = self.rows_of(stack.active, rounds)
+        rates = bandit.learning_rates(
+            np.where(active, self.rows_of(stack.clock, rounds), 1), self.k, self.schedule_a, self.gamma_ratio
+        )
+        eta = np.where(active, rates.eta, 0.0)
+        gamma = np.where(active, rates.gamma, 1.0)
+        bandit.check_gamma(gamma)
+        ts = self.task_size
+        weight = bandit.demand_weight(self.rows_of(stack.task_size, rounds), ts.q_lo, ts.q_hi)
+        zeta = np.where(active & self.weighted, weight, 1.0)
+        for column, values in (("zeta", zeta), ("eta", eta), ("gamma", gamma)):
+            if stack.at[column].size:
+                values = self.stacked(np.where(active, values, np.nan))
+                getattr(stack, column)[:, rounds, self.agents] = _rows(values, stack.at[column])
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
-            zeta=per_slot(self.zeta[at]),
-            eta=per_slot(self.eta[at]),
-            gamma=self.gamma[at],
+            zeta=per_slot(zeta),
+            eta=per_slot(eta),
+            gamma=gamma,
             u=per_slot(self.rows_of(stack.uniforms, rounds)),
             **{name: out[: active.shape[0]] for name, out in vars(self.out).items()},
         )

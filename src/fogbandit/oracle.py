@@ -25,6 +25,14 @@ LAMBDA_GRID = (1.0, 10.0, 0.01)
 MU_GRID = (0.0, 0.99, 0.01)
 
 
+def check_enumerable(candidate_sets: Sequence[Sequence[int]]) -> None:
+    """Raise ValueError if the joint actions of these candidate sets exceed
+    ``MAX_JOINT_ACTIONS``; cheap, so callers check before building a table."""
+    size = math.prod(len(s) for s in candidate_sets)
+    if size > MAX_JOINT_ACTIONS:
+        raise ValueError(f"joint action space {size} too large to enumerate")
+
+
 @dataclass(frozen=True)
 class SmallGame:
     """Stage game with expected-cost tensor l(agent, arm, congestion).
@@ -39,15 +47,11 @@ class SmallGame:
     linear_coupling: bool = False
 
     def __post_init__(self):
-        if self.size() > MAX_JOINT_ACTIONS:
-            raise ValueError(f"joint action space {self.size()} too large to enumerate")
+        check_enumerable(self.candidate_sets)
 
     @property
     def num_agents(self) -> int:
         return len(self.candidate_sets)
-
-    def size(self) -> int:
-        return math.prod(len(s) for s in self.candidate_sets)
 
     def arm_pos(self, arm: int) -> int:
         return self.arm_ids.index(arm)
@@ -65,8 +69,10 @@ class SmallGame:
 
     @staticmethod
     def from_environment(env: Environment, lo: int, hi: int) -> "SmallGame":
+        sets = env.candidates.sets_at(lo)
+        check_enumerable(sets)  # before the table, which a refused game would waste
         return SmallGame(
-            candidate_sets=env.candidates.sets_at(lo),
+            candidate_sets=sets,
             arm_ids=tuple(env.arm_ids),
             table=env.mean_cost_table(lo, hi),
             linear_coupling=(env.config.env.model == "synthetic"

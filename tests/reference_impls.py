@@ -1,7 +1,7 @@
 """Straight-line reference implementations used as test oracles.
 
 Everything here recomputes the simulator's math from first principles with
-scalar Python code: costs from the raw pre-drawn randomness, the learner's
+scalar Python code: costs from raw draws of the named streams, the learner's
 score recursion from logged actions, and a full game loop that shares only
 the named RNG streams with the real implementation.  No vectorized code or
 helper from the package's hot paths is reused.
@@ -10,29 +10,63 @@ helper from the package's hot paths is reused.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
 from fogbandit.dynamics import _euler_step
+from fogbandit.env import AdversaryPhaseSchedule
 from fogbandit.oracle import LAMBDA_GRID, MU_GRID, SmoothnessResult
 from fogbandit.streams import stream_rng
 
 FADE_FLOOR = 1e-9
 
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def ref_draws(env) -> dict:
+    """An environment's raw draws over its whole horizon, each stream drawn
+    here in one call per quantity and in stream order: ``distances`` [epoch,
+    agent, arm], then ``fading`` [round, agent, arm] (None on the synthetic
+    model) from "channel"; generated phases, then ``adv_noise`` [round, arm]
+    (zeros without noise) from "adversary"; ``outliers`` [round, agent, arm]
+    from "outlier".  Row 0 of a per-round draw is drawn and unused."""
+    draws = _DRAWS.get(env)
+    if draws is None:
+        cfg = env.config
+        T, N, K = cfg.horizon, cfg.num_agents, len(cfg.env.vfns)
+        channel = stream_rng(cfg.master_seed, env.run_id, "channel")
+        adversary = stream_rng(cfg.master_seed, env.run_id, "adversary")
+        if cfg.env.adversary is None:
+            AdversaryPhaseSchedule.generate(
+                T, cfg.env.arm_ids(), cfg.env.adversary_num_phases, cfg.env.adversary_mean_range,
+                cfg.env.adversary_noise_halfwidth, adversary,
+            )
+        h = env.adversary.noise_halfwidth
+        draws = {
+            "distances": channel.uniform(1.0, cfg.env.channel.comm_range_m, size=(len(cfg.candidates.epochs), N, K)),
+            "fading": channel.exponential(1.0, size=(T + 1, N, K)) if cfg.env.model == "physical" else None,
+            "adv_noise": adversary.uniform(-h, h, size=(T + 1, K)) if h > 0 else np.zeros((T + 1, K)),
+            "outliers": stream_rng(cfg.master_seed, env.run_id, "outlier").uniform(0.0, 1.0, size=(T + 1, N, K)),
+        }
+        _DRAWS[env] = draws
+    return draws
+
 
 def ref_cost_entry(env, rnd: int, agent: int, arm: int, congestion: int) -> dict:
-    """One (agent, arm, congestion) cost from the environment's raw draws."""
+    """One (agent, arm, congestion) cost from the raw draws of the environment's streams."""
     cfg = env.config
+    draws = ref_draws(env)
     phase = next(i for i, (lo, hi, _) in enumerate(env.adversary.phases) if lo <= rnd <= hi)
     epoch = env.epoch_index(rnd)
     pos = env.arm_pos[arm]
-    s = float(env.phase_means[phase][pos]) + float(env.adv_noise[rnd, pos])
-    o = float(env.outliers[rnd, agent, pos])
+    s = float(env.phase_means[phase][pos]) + float(draws["adv_noise"][rnd, pos])
+    o = float(draws["outliers"][rnd, agent, pos])
     if cfg.env.model == "physical":
         ch = cfg.env.channel
-        d = max(float(env.distances[epoch, agent, pos]), 1.0)
+        d = max(float(draws["distances"][epoch, agent, pos]), 1.0)
         pl_db = ch.pathloss_a + ch.pathloss_b * math.log10(d / 1000.0)
-        gain = 10.0 ** (-pl_db / 10.0) * max(float(env.fading[rnd, agent, pos]), FADE_FLOOR)
+        gain = 10.0 ** (-pl_db / 10.0) * max(float(draws["fading"][rnd, agent, pos]), FADE_FLOOR)
         b = ch.bandwidth_hz / ch.num_subchannels / cfg.num_agents
         noise = 10.0 ** ((ch.noise_psd_dbm_hz - 30.0) / 10.0) * b
         power = 10.0 ** ((ch.tx_power_dbm - 30.0) / 10.0)

@@ -468,8 +468,8 @@ def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monk
 def test_stage_games_error_keeps_no_environment_alive(mini_path, monkeypatch):
     # verify keeps the error for its stage-games SKIP and hands run
     # sample[0]'s Environment to its replays, which drop it
+    env = Environment(load_config(mini_path).base, 0)  # the config's pota needs enumerable games
     monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 1)
-    env = Environment(load_config(mini_path).base, 0)
     games, why = cli._stage_games(env)
     assert games is None and "too large to enumerate" in str(why)
     ref = weakref.ref(env)
@@ -754,7 +754,7 @@ def test_verify_prints_the_same_for_any_workers(mini_path, tmp_path, capsys):
 
 def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_path, tmp_path, capsys,
                                                                          monkeypatch):
-    # with traces: none every sample game is played afresh; under a 64 kB
+    # with traces: none every sample game is played afresh; under a 40 kB
     # bound one process batches runs 1-4 in pairs, but a 2-way split would
     # play every game alone, so the sample ids stay one loop and no pool starts
     mini_path.write_text(MINIMAL.replace("replications: 3", "replications: 6").replace("traces: all", "traces: none"))
@@ -762,7 +762,7 @@ def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_
     assert main(["run", str(mini_path), "--out", str(out)]) == 0
     (code, clean), = _verify_outputs(mini_path, out, capsys)
     assert code == 0
-    monkeypatch.setattr(game, "_BATCH_BYTES", 64_000)
+    monkeypatch.setattr(game, "_BATCH_BYTES", 40_000)
     spec = load_config(mini_path)
     checks = cli._SampleChecks([], [], spec.xi_window, None, 0)  # the columns verify stacks
     ids = list(spec.run_ids)
@@ -895,7 +895,7 @@ def test_importing_the_cli_loads_no_multiprocessing():
 
 
 def test_oversized_game_rejected_at_load(mini_path, tmp_path, capsys):
-    # horizon * agents * arms past the pre-drawn block limit fails before any draw
+    # horizon * agents * arms past the cell limit fails before any draw
     doc = yaml.safe_load(mini_path.read_text())
     doc["game"]["horizon"] = 30_000_000  # x 1 agent x 2 arms = 6e7 cells
     doc["game"]["env"]["adversary"]["phases"][0]["end"] = 30_000_000
@@ -907,6 +907,80 @@ def test_oversized_game_rejected_at_load(mini_path, tmp_path, capsys):
         assert part in str(exc.value)
     assert main(["run", str(big), "--out", str(tmp_path / "out")]) == 1
     assert "game.horizon" in capsys.readouterr().err
+
+
+def test_pota_on_a_non_enumerable_epoch_is_a_config_error(mini_path, tmp_path, capsys, monkeypatch):
+    # PoTA needs each epoch's stage-game optimum; a game too large to
+    # enumerate fails at load, naming the key, before any Environment is built
+    doc = yaml.safe_load(mini_path.read_text())
+    doc["game"]["num_agents"] = 6
+    doc["game"]["candidates"] = [{"start": 1, "all": [1]}, {"start": 121, "all": [1, 2]}]
+    path = tmp_path / "wide.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 2**6 - 1)
+    with pytest.raises(ConfigError, match="wide.yaml: metrics: pota .* round 121 has a joint action space 64 too"):
+        load_config(path)
+    built = _count_environments(monkeypatch)
+    capsys.readouterr()
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert "wide.yaml: metrics: pota" in capsys.readouterr().err
+    assert built == []
+    doc["metrics"] = ["cost", "regret"]  # without pota the game runs
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+PHYSICAL_ENV = {
+    "model": "physical",
+    "cost_cap": 1.0e-5,
+    "vfns": [{"id": 1, "max_cpu_freq": 6.0e9}, {"id": 2, "max_cpu_freq": 4.0e9}],
+    "adversary": {"num_phases": 2, "mean_range": [1.0, 2.5], "noise_halfwidth": 0.25},
+}
+
+
+@pytest.mark.parametrize("model", ["synthetic", "physical"])
+def test_traced_pass_keeps_the_benchmark_contract(tmp_path, capsys, model):
+    # perfbench's traced pass reads each Environment's draw sizes after
+    # construction and counts trace reads and writes.  On a `traces: all`
+    # config it must count what the wide-traces workload pins, and tracing
+    # must change no byte of the output tree and no verdict line
+    doc = yaml.safe_load(MINIMAL)
+    doc.update(replications=3)
+    doc["game"]["num_agents"] = 2
+    if model == "physical":
+        doc["game"]["env"] = PHYSICAL_ENV
+    path = tmp_path / "traced.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import contextlib, io, json, sys; sys.path.insert(0, sys.argv[1]); import tracer, workloads\n"
+        "from fogbandit import cli\n"
+        "t = tracer.Tracer(); tracer.install(t)\n"
+        "out = {}\n"
+        "for verb in ('run', 'verify'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "        code = cli.main([verb, sys.argv[2], '--workers', '1', '--out', sys.argv[3]])\n"
+        "    out[verb] = [code, text.getvalue()]\n"
+        "exact = workloads.WORKLOADS['wide-traces'].exact\n"
+        "out['calls'] = {n: [len(t.durations[n]), f(int(sys.argv[4]))] for n, f in exact.items()}\n"
+        "out['extra'] = t.extra\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(root / "perfbench"), str(path), str(tmp_path / "traced"), "3"],
+        env=env, capture_output=True, text=True, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(proc.stdout.splitlines()[-1])
+    assert traced["run"][0] == 0 and traced["verify"][0] == 0, proc.stderr
+    assert traced["calls"] == {"game.read_trace": [3, 3], "game.write_trace": [6, 6]}
+    assert traced["extra"].get("env.init.predraw_bytes", 0) > 0
+    capsys.readouterr()
+    assert main(["run", str(path), "--workers", "1", "--out", str(tmp_path / "plain")]) == 0
+    assert main(["verify", str(path), "--workers", "1", "--out", str(tmp_path / "plain")]) == 0
+    assert capsys.readouterr().out.split("\n", 1)[1] == traced["verify"][1]
+    assert _tree(tmp_path / "traced" / "mini") == _tree(tmp_path / "plain" / "mini")
 
 
 def test_benchmark_core_spans_fire(mini_path, tmp_path):

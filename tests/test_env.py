@@ -1,7 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogbandit.bandit import LearnerParams
 from fogbandit.cli import bundled_config
@@ -22,7 +26,7 @@ from fogbandit.env import (
 from fogbandit.oracle import stage_games
 
 from conftest import physical_config, synthetic_config
-from reference_impls import ref_cost_vectors
+from reference_impls import ref_cost_vectors, ref_draws
 
 # frozen by an independent high-precision (mpmath, 40 digits) evaluation
 GOLDEN_RATE_BPS = 9303683.3732028858787  # P=24dBm, N0=-174dBm/Hz, B=1MHz, g=1e-11
@@ -306,8 +310,81 @@ def test_environment_is_the_same_for_every_variant(path):
         games = [stage_games(env) for env in envs]
         for env, game in zip(envs[1:], games[1:]):
             assert env.cost_cap == envs[0].cost_cap
-            for name in ("fading", "outliers", "adv_noise", "distances", "fractions"):
+            for name in ("distances", "fractions"):
                 assert np.array_equal(getattr(env, name), getattr(envs[0], name)), name
+            for lo, hi in env.epoch_bounds:  # the per-round draws, through the costs they enter
+                for a, b in zip(env.cost_inputs(lo, hi), envs[0].cost_inputs(lo, hi)):
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
             assert [seg for seg, _ in game] == [seg for seg, _ in games[0]]
             for (_, g), (_, g0) in zip(game, games[0]):
                 assert (g.candidate_sets, g.table.tobytes()) == (g0.candidate_sets, g0.table.tobytes())
+
+
+@st.composite
+def block_requests(draw):
+    """A small game of either model, with adversary noise or without and one
+    to three candidate epochs; a run id; and the rounds ``cost_inputs`` is
+    asked for: a partition of each epoch into blocks in order, then those
+    blocks and a few sub-blocks in a drawn order, which asks for earlier
+    rounds too."""
+    n, horizon, arms = draw(st.integers(1, 3)), draw(st.integers(3, 40)), draw(st.integers(1, 4))
+    noise, seed = draw(st.sampled_from([0.0, 0.05])), draw(st.integers(0, 2**31))
+    if draw(st.booleans()):
+        config = physical_config(freqs_ghz=(2.0,) * arms, num_agents=n, horizon=horizon, noise_halfwidth=noise,
+                                 num_phases=draw(st.integers(1, 3)), master_seed=seed)
+    else:
+        config = synthetic_config({k: 0.5 for k in range(1, arms + 1)}, num_agents=n, horizon=horizon,
+                                  noise_halfwidth=noise, master_seed=seed)
+    subsets = st.lists(st.integers(1, arms), min_size=1, unique=True).map(tuple)
+    starts = [1] + sorted(draw(st.sets(st.integers(2, horizon), max_size=2)))
+    config = dataclasses.replace(config, candidates=CandidateSchedule(
+        tuple((start, tuple(draw(subsets) for _ in range(n))) for start in starts)))
+    bounds = config.candidates.epoch_bounds(horizon)
+    blocks = []
+    for lo, hi in bounds:
+        cuts = sorted(draw(st.sets(st.integers(lo + 1, hi), max_size=3))) if hi > lo else []
+        blocks += zip([lo] + cuts, [c - 1 for c in cuts] + [hi])
+    inside = st.sampled_from(bounds).flatmap(
+        lambda b: st.integers(*b).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo, b[1]))))
+    return config, draw(st.integers(0, 3)), blocks + draw(st.permutations(blocks + draw(st.lists(inside, max_size=3))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_requests())
+def test_cost_inputs_equal_the_whole_horizon_draws_for_any_blocks(case):
+    # an Environment draws its per-round randomness as cost_inputs asks for
+    # it; whatever the blocks and their order, it must hold what one draw over
+    # the whole horizon gives, and give the costs a fresh Environment gives
+    config, run_id, requests = case
+    env = Environment(config, run_id)
+    whole = ref_draws(Environment(config, run_id))
+    names = ("fading", "outliers", "adv_noise") if config.env.model == "physical" else ("outliers", "adv_noise")
+    for lo, hi in requests:
+        inputs = env.cost_inputs(lo, hi)
+        for name in names:
+            assert getattr(env, name)[: hi + 1 - lo].tobytes() == whole[name][lo : hi + 1].tobytes(), name
+        for got, expect in zip(inputs, Environment(config, run_id).cost_inputs(lo, hi)):
+            assert (got is None and expect is None) or got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("model", ["synthetic", "physical"])
+def test_environment_holds_a_block_of_draws(model):
+    # N = 50, K = 20, T = 20,000: whole-horizon outlier weights alone would
+    # take 153 MiB, and as many again for the physical model's fades
+    n, k, horizon = 50, 20, 20_000
+    if model == "physical":
+        config = physical_config(freqs_ghz=(4.0,) * k, num_agents=n, horizon=horizon, num_phases=3)
+    else:
+        config = synthetic_config({a: 0.5 for a in range(1, k + 1)}, num_agents=n, horizon=horizon,
+                                  noise_halfwidth=0.05)
+    tracemalloc.start()
+    try:
+        env = Environment(config, 0)
+        built = tracemalloc.get_traced_memory()
+        inputs = env.cost_inputs(1, 32)
+        played = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inputs.outlier.shape == (32, n, k)
+    limit = 5 * 2**20
+    assert max(built) < limit and max(played) < limit, (built, played)

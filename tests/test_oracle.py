@@ -22,7 +22,7 @@ from fogbandit.oracle import (
 )
 
 import reference_impls
-from conftest import synthetic_config
+from conftest import physical_config, synthetic_config
 
 
 def make_game(candidate_sets, means, coupling="sqrt", theta=0.1):
@@ -299,6 +299,21 @@ def test_enumeration_guard():
             arm_ids=tuple(range(100)),
             table=np.zeros((4, 100, 4)),
         )
+
+
+def test_stage_games_refuse_before_building_a_table(monkeypatch):
+    # a refused game's mean-cost table (a [N, K, N, 2049] quadrature on the
+    # physical model) would be thrown away, so the size check comes first
+    env = Environment(physical_config(freqs_ghz=(6.0, 4.0, 3.0), num_agents=3, horizon=20), 0)
+    built = []
+    table = Environment.mean_cost_table
+    monkeypatch.setattr(Environment, "mean_cost_table", lambda self, lo, hi: built.append(lo) or table(self, lo, hi))
+    monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 3**3 - 1)
+    with pytest.raises(ValueError, match="joint action space 27 too large to enumerate"):
+        stage_games(env)
+    assert built == []
+    monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 3**3)
+    assert [seg for seg, _ in stage_games(env)] == [(1, 20)] and built == [1]
 
 
 @settings(max_examples=40, deadline=None)
