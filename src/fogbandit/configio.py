@@ -515,7 +515,9 @@ Top level:
   replications: int             number of runs (default 1)
   seeds: [int, ...]             explicit run ids (overrides replications)
   master_seed: int              entropy root for all named RNG streams
-  metrics: [cost|pota|regret]   CSV series to aggregate (default cost,regret)
+  metrics: [cost|pota|regret]   CSV series to aggregate (default cost,regret);
+                                pota needs every candidate epoch to have at
+                                most 10^6 joint actions
   xi_window: float              tail fraction for equilibrium certification
   traces: none|first|all        per-run trace retention (default first)
   workers: int                  most processes run and verify play on, each

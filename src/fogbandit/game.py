@@ -386,8 +386,9 @@ class _Group:
         state.scores[self.rows, self.cols] = self.scores
 
     def rows_of(self, per_run: np.ndarray, rounds) -> np.ndarray:  # [run, round, agent] -> [round, row]
-        part = per_run[:, rounds, self.agents].swapaxes(0, 1)[:, None]  # [round, 1, run, agent]
-        return np.broadcast_to(part, (part.shape[0], self.variants) + part.shape[2:]).reshape(part.shape[0], -1)
+        part = per_run[:, rounds, self.agents].swapaxes(0, 1)  # [round, run, agent]
+        part = part.reshape(part.shape[0], -1)
+        return np.tile(part, self.variants) if self.variants > 1 else part
 
     def stacked(self, rows: np.ndarray) -> np.ndarray:  # [round, row, ...] -> [game, round, agent, ...]
         return rows.reshape(rows.shape[0], -1, self.agents.size, *rows.shape[2:]).swapaxes(0, 1)
