@@ -242,7 +242,7 @@ def estimate_cost(
     Without ``out`` the losses and ``gamma`` are checked here
     (``check_losses``, ``check_gamma``).  A caller that passes ``out``, the
     array to write the estimates to, checks them itself: the round loop
-    checks a block's losses at once and each group's rates once per epoch.
+    checks a block's losses and each group's rates once per block.
     """
     loss = np.asarray(realized_normalized)
     if out is None:

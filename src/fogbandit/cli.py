@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -244,17 +243,6 @@ def _sigma_band(values: np.ndarray) -> float:
     return 3.0 * values.std(axis=0, ddof=1).max() / math.sqrt(values.shape[0])
 
 
-def _stage_games(env: Environment) -> tuple[list | None, ValueError | None]:
-    """``(stage_games(env), None)``, or ``(None, error)`` when not enumerable.
-
-    The error keeps no traceback, whose frames would keep ``env`` alive.
-    """
-    try:
-        return stage_games(env), None
-    except ValueError as exc:
-        return None, exc.with_traceback(None)
-
-
 _COMPARE_CHUNK = 1 << 20  # bytes of each file a replay comparison holds at once
 
 
@@ -320,72 +308,63 @@ class _SampleChecks:
 def _verify_task(args: tuple) -> tuple[list, dict]:
     """Worker: a contiguous share of ``verify``'s round loops -> (failures, sample reductions).
 
-    ``replays`` holds stored traces as (run id, path, whether its replay is
-    the run id's sample trace), each run id's together; ``missing`` holds
-    sampled run ids with no stored sample trace, played in lockstep after
-    them.  Each run id's Environment is built once (``envs`` holds those
-    built already and gives each up to its run id's replays) and dropped
-    after them; the missing games stack only what ``checks`` reads.  Each
-    replay is written to ``buf_path`` and compared with the stored file (a
-    replay that ``write_trace`` refuses fails determinism, and its sample
-    trace is played afresh), and each sample trace is reduced by ``checks``
-    and dropped as soon as it is played.  Failures come back as (check,
-    detail) in file order, reductions by run id.
+    A loop is a stored trace, (variant, run id, path), or a lockstep batch
+    of sampled run ids with no stored sample trace, (0, run ids, None).  A
+    stored trace is read only to check that it parses, replayed as the game
+    its name says, written to ``buf_path`` and compared with the file (an
+    unreadable file is replayed but not compared, and a replay that
+    ``write_trace`` refuses fails determinism).  A batch stacks only what
+    ``checks`` reads.  Each sample trace, a run id of ``sample`` played by
+    variant 0, is reduced by ``checks`` and dropped as soon as it is
+    played, so a task holds one trace at a time.  Failures come back as
+    (check, detail) in file order, reductions by run id.
     """
-    config, replays, missing, checks, buf_path, envs = args
+    configs, loops, checks, sample, buf_path = args
     failures, reduced = [], {}
-    for rid, group in itertools.groupby(replays, key=lambda replay: replay[0]):
-        env = envs.pop(rid) if rid in envs else Environment(config, rid)
-        for _, path, is_sample in group:
-            try:
-                stored = read_trace(path)
-            except Exception as exc:  # a read_trace error names the file already
-                failures.append(("trace-integrity", str(exc) if str(path) in str(exc) else f"{path}: {exc}"))
-                continue
-            stored_config, stored_rid = stored.config, stored.run_id
-            del stored  # the stored bytes are compared from the file
-            shares_env = (stored_rid == rid and config.digest()
-                          == dataclasses.replace(stored_config, learners=config.learners).digest())
-            fresh = run_game(stored_config, stored_rid, env if shares_env else None)
+    for v, rid, path in loops:
+        if path is None:
+            for _, i, trace in iter_games(configs[0], rid, None, checks.keep, checks.columns):
+                reduced[rid[i]] = checks(trace)
+                del trace
+            continue
+        try:
+            read_trace(path)
+        except Exception as exc:  # a read_trace error names the file already
+            failures.append(("trace-integrity", str(exc) if str(path) in str(exc) else f"{path}: {exc}"))
+            path = None
+        fresh = run_game(configs[v], rid)
+        if v == 0 and rid in sample:
+            reduced[rid] = checks(fresh)
+        if path is not None:
             try:
                 write_trace(fresh, buf_path)  # removes the file if it refuses the trace
             except ValueError as exc:
                 refusal = str(exc).removeprefix(f"{buf_path}: ")
                 failures.append(("determinism", f"replay of {path} has no trace file: {refusal}"))
-                continue
-            if is_sample and shares_env and stored_config.digest() == config.digest():
-                reduced[rid] = checks(fresh)
-            del fresh
+                path = None
+        del fresh
+        if path is not None:
             same = _same_bytes(buf_path, path)
             buf_path.unlink()  # ext4 flushes a truncated and rewritten file on close
             if not same:
                 failures.append(("determinism", f"replay of {path} differs from stored bytes"))
-        del env
-    if missing:
-        for _, i, trace in iter_games(config, missing, [envs.get(rid) for rid in missing],
-                                      checks.keep, checks.columns):
-            reduced[missing[i]] = checks(trace)
-            del trace
     return failures, reduced
 
 
 def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | None = None) -> int:
     """Re-derive every applicable check against the stored experiment.
 
-    The round loops, one replay per stored trace and the sampled run ids
-    with no stored trace (one loop, or one per batch where ``_plan`` splits
-    them among processes), are cut into at most ``workers`` contiguous tasks
-    of about equal loop counts and played by ``run_batch``: the caller plays
-    the first, on run ``sample[0]``'s Environment from the stage games, and
-    each other task starts one child process.  A task builds each run id's
-    Environment once, holds one trace at a time and reduces each sample
-    trace to its part of the checks as it is played; the verdicts are
-    emitted from those parts, in the same order and with the same text for
-    any ``workers``.  A replay keeps only the stored trace's config and run
-    id, is written to a temporary file and compared with the stored file
-    ``_COMPARE_CHUNK`` bytes at a time.
-    ``async-rates`` runs without activations, so of its conditions only the
-    threshold can fail (see ``metrics.async_condition_check``).
+    Each stored trace is replayed as the game its manifest name says, and
+    the sampled run ids with no stored trace of the first variant play in
+    one lockstep loop, or one per batch where ``_plan`` splits them among
+    processes.  The loops, in that order, are cut into at most ``workers``
+    contiguous tasks of about equal loop counts and played by
+    ``run_batch`` (see ``_verify_task``); the verdicts are emitted from the
+    tasks' failures and sample reductions, in the same order and with the
+    same text for any ``workers``.  A replay is written to a temporary
+    file and compared with the stored file ``_COMPARE_CHUNK`` bytes at a
+    time.  ``async-rates`` runs without activations, so of its conditions
+    only the threshold can fail (see ``metrics.async_condition_check``).
     """
     out_root = out_root or default_out_root()
     workers = spec.workers if workers is None else workers
@@ -398,49 +377,44 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
         manifest = json.load(fh)
     v = _Verdicts()
 
-    config = spec.game_for(spec.variants[0])
+    configs = [spec.game_for(variant) for variant in spec.variants]
+    config = configs[0]
     sample = list(spec.run_ids[: min(len(spec.run_ids), 25)])
-    # stored traces by the run id ``run`` names them after; a sampled run id's
-    # replay under ``config`` (its first variant's trace) is its sample trace
     ok = True
-    named = {_trace_name(variant, rid): rid for rid in spec.run_ids for variant in spec.variants}
-    by_run: dict = {}
+    named = {_trace_name(variant, rid): (i, rid)
+             for rid in spec.run_ids for i, variant in enumerate(spec.variants)}
+    loops = []  # stored traces in manifest order, then the sample batches
     for rel in manifest["files"]:
         if rel in named:
-            by_run.setdefault(named[rel], []).append(out_dir / rel)
+            loops.append((*named[rel], out_dir / rel))
         elif rel.endswith(".trace"):
             v.emit("FAIL", "trace-integrity", f"{out_dir / rel}: not a trace this experiment writes")
             ok = False
-    envs = {sample[0]: Environment(config, sample[0])}  # the first task's
-    games, why = _stage_games(envs[sample[0]])
+    env = Environment(config, sample[0])
+    try:
+        games, why = stage_games(env), None
+    except ValueError as exc:  # too large to enumerate
+        games, why = None, str(exc)
+    del env
     checks = None
     if games:
         dom, _ = metrics.strict_gap(config, 0)
         rated = dom >= 0 and config.learners[0].feedback == "full"
         checks = _SampleChecks(games, [smoothness_constants(game) for _, game in games], spec.xi_window,
                                games[0][1].candidate_sets[0].index(dom) if rated else None, sample[0])
-    firsts = {out_dir / _trace_name(spec.variants[0], rid) for rid in sample} if checks else set()
-    replays = [(rid, path, path in firsts)
-               for rid in [sample[0]] + [rid for rid in by_run if rid != sample[0]]
-               for path in by_run.get(rid, [])]
-    covered = {rid for rid, _, is_sample in replays if is_sample}
-    missing = [rid for rid in sample if rid not in covered] if checks else []
-
-    # the sample ids with no stored trace are one loop, or one loop per batch
-    # where ``_plan`` splits them among processes
-    plan = []
-    if missing:
-        split, processes = _plan([config], missing, workers, checks.keep, checks.columns)
-        plan = split if processes > 1 else [missing]
+        stored = {rid for i, rid, _ in loops if i == 0}
+        missing = [rid for rid in sample if rid not in stored]
+        if missing:
+            split, processes = _plan([config], missing, workers, checks.keep, checks.columns)
+            loops += [(0, ids, None) for ids in (split if processes > 1 else [missing])]
 
     # stored trace files parse and replay byte-identically, written outside the output tree
-    n, loops = len(replays), len(replays) + len(plan)
-    size = max(1, -(-loops // max(workers, 1)))
+    size = max(1, -(-len(loops) // max(workers, 1)))
     with tempfile.TemporaryDirectory() as scratch:
         parts = run_batch(_verify_task, [
-            (config, replays[lo:lo + size], sum(plan[max(lo - n, 0):max(lo + size - n, 0)], []), checks,
-             Path(scratch) / f"replay-{lo}.trace", envs if lo == 0 else {})
-            for lo in range(0, loops, size)
+            (configs, loops[lo:lo + size], checks, set(sample) if checks else set(),
+             Path(scratch) / f"replay-{lo}.trace")
+            for lo in range(0, len(loops), size)
         ], workers)
     reduced: dict = {}
     for failures, part in parts:
@@ -448,12 +422,6 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
             v.emit("FAIL", name, detail)
             ok = False
         reduced.update(part)
-    # a stored sample trace that did not replay as one (unreadable, or a
-    # header naming another game) is played afresh
-    unplayed = [rid for rid in sample if rid not in reduced] if checks else []
-    if unplayed:
-        reduced.update(_verify_task((config, [], unplayed, checks, None, envs))[1])
-    del envs
     if ok:
         v.emit("PASS", "determinism", "stored traces replay byte-identically")
 
@@ -551,6 +519,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
 
 def oracle_dump(spec: ExperimentSpec, out_root: Path | None = None) -> int:
     """Print and persist NE / optimum / smoothness for each epoch's game."""
+    spec.require_enumerable("oracle")
     config = spec.game_for(spec.variants[0])
     games = stage_games(Environment(config, spec.run_ids[0]))
     payload = []

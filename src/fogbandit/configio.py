@@ -279,14 +279,19 @@ class ExperimentSpec:
         for v in self.variants:
             self.game_for(v).validate()
         if "pota" in self.metrics:  # PoTA needs every epoch's stage-game optimum
-            for start, sets in self.base.candidates.epochs:
-                try:
-                    check_enumerable(sets)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"metrics: pota needs an enumerable stage game, but the candidate "
-                        f"epoch starting at round {start} has a {exc}"
-                    ) from None
+            self.require_enumerable("metrics: pota")
+
+    def require_enumerable(self, needs: str) -> None:
+        """Raise a ConfigError naming the first candidate epoch whose stage
+        game is too large to enumerate, for what ``needs`` it."""
+        for start, sets in self.base.candidates.epochs:
+            try:
+                check_enumerable(sets)
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{needs} needs an enumerable stage game, but the candidate "
+                    f"epoch starting at round {start} has a {exc}"
+                ) from None
 
 
 def _check_keys(mapping: dict, allowed: set[str], path: str, strict: bool) -> None:

@@ -7,9 +7,10 @@ traces track the mean ODE on the learning-rate clock.
 Stage games here are small (2-3 agents, at most 10 arms each), so numpy's
 per-call overhead outweighs the arithmetic.  ``MeanCostField`` therefore
 evaluates from a plan built once per game, on Python floats, and
-``ode_path`` (one step per round of a trace) runs its whole loop on lists
-of floats.  Both agree with the array code they replaced
-(``tests/reference_impls.py``) to within 1e-12.
+``ode_path`` (one step per round of a trace) and ``integrate_to_rest`` run
+their whole loops on lists of floats through one ``_euler_step``.  Both
+agree with the array code they replaced (``tests/reference_impls.py``) to
+within 1e-12.
 """
 
 from __future__ import annotations
@@ -119,41 +120,20 @@ class MeanCostField:
         return tuple(np.array(c) for c in self.evaluate([v.tolist() for v in profile.vectors]))
 
 
-def _euler_step(
-    profile: MixedProfile,
-    costs: Sequence[np.ndarray],
-    weights: Sequence[float],
-    dts: Sequence[float],
-) -> tuple[MixedProfile, bool]:
-    """One explicit Euler step of p_k' = w * p_k * (mean cost - cost_k).
+def _euler_step(p: list[float], l: list[float], c: float) -> tuple[list[float], float]:
+    """One explicit Euler step of p_k' = w * p_k * (mean cost - cost_k), with c = dt * w.
 
-    ``costs`` is the field at ``profile``; agents with a zero step keep their
-    vector.  The raw update is clipped at zero and renormalized, so faces are
-    invariant (zero entries stay zero).  The flag says whether the raw update
-    stayed inside the simplex (no entry below -1e-15).
+    ``l`` is the field at ``p``.  A raw update below zero is clipped at zero
+    and renormalized, so faces are invariant (zero entries stay zero).
+    Returns the new vector and the smallest entry of the raw update.
     """
-    vecs = []
-    inside = True
-    for p, l, w, dt in zip(profile.vectors, costs, weights, dts):
-        if dt <= 0.0:
-            vecs.append(p)
-            continue
-        q = p + dt * w * p * (float(p @ l) - l)
-        inside = inside and bool(q.min() >= -1e-15)
-        q = np.maximum(q, 0.0)
-        vecs.append(q / q.sum())
-    return MixedProfile(tuple(vecs)), inside
-
-
-def _velocity(
-    profile: MixedProfile, costs: Sequence[np.ndarray], weights: Sequence[float]
-) -> list[np.ndarray]:
-    """Replicator vector field ``w * p * (p @ l - l)``, given the field l at p."""
-    return [w * p * (float(p @ l) - l) for p, l, w in zip(profile.vectors, costs, weights)]
-
-
-def _sup_norm(vectors) -> float:
-    return max(float(np.abs(v).max()) for v in vectors)
+    mean = sum(map(mul, p, l))
+    q = [x + c * x * (mean - y) for x, y in zip(p, l)]
+    low = min(q)
+    if low < 0.0:
+        q = [x if x > 0.0 else 0.0 for x in q]
+    total = sum(q)
+    return [x / total for x in q], low
 
 
 def integrate_to_rest(
@@ -172,20 +152,22 @@ def integrate_to_rest(
     ``h/2 * ||v(p) - v(p_prev)||_inf``.  Above ``STEP_ERROR_TOL`` the step is
     rejected: p_prev (whose field is kept) is stepped again with h/2.
     Otherwise the next step is ``h * min(2, 0.9 * sqrt(STEP_ERROR_TOL / err))``
-    and convergence is tested at p.  A step that would leave the simplex is
-    halved (locally, up to 30 times).  Hitting max_steps returns
-    converged=False: limit cycles are a legal outcome in general games, not
-    an error.
+    and convergence is tested at p.  A step that would leave the simplex
+    (a raw entry below -1e-15) is halved (locally, up to 30 times).  Hitting
+    max_steps returns converged=False: limit cycles are a legal outcome in
+    general games, not an error.  Like ``ode_path``, the search runs on
+    lists of floats through ``field.evaluate`` and ``_euler_step``.
     """
-    n = len(profile0.vectors)
-    p, h = profile0, dt
+    p, h = [v.tolist() for v in profile0.vectors], dt
     last = None  # (point, field, velocity) at the last accepted point
     for _ in range(max_steps):
-        costs = field.expected_costs(p)
-        vel = _velocity(p, costs, weights)
+        costs = field.evaluate(p)
+        # the replicator field w * p * (p @ l - l), all agents' entries in one list
+        vel = [w * x * (mean - y) for v, l, w in zip(p, costs, weights)
+               for mean in (sum(map(mul, v, l)),) for x, y in zip(v, l)]
         rejected = False
         if last is not None:
-            err = 0.5 * h * _sup_norm(a - b for a, b in zip(vel, last[2]))
+            err = 0.5 * h * max(abs(a - b) for a, b in zip(vel, last[2]))
             rejected = err > STEP_ERROR_TOL
             if rejected:
                 p, costs, vel = last
@@ -193,16 +175,20 @@ def integrate_to_rest(
             else:
                 h *= min(2.0, 0.9 * math.sqrt(STEP_ERROR_TOL / err)) if err > 0.0 else 2.0
         if not rejected:
-            if _sup_norm(vel) < tol:
-                return p, True
+            if max(map(abs, vel)) < tol:
+                return _profile(p), True
             last = (p, costs, vel)
         for _ in range(30):
-            nxt, inside = _euler_step(p, costs, weights, [h] * n)
-            if inside:
+            steps = [_euler_step(v, l, h * w) for v, l, w in zip(p, costs, weights)]
+            if min(low for _, low in steps) >= -1e-15:
                 break
             h /= 2.0
-        p = nxt
-    return p, False
+        p = [q for q, _ in steps]
+    return _profile(p), False
+
+
+def _profile(vecs: list[list[float]]) -> MixedProfile:
+    return MixedProfile(tuple(np.array(v) for v in vecs))
 
 
 @dataclass(frozen=True)
@@ -338,15 +324,8 @@ def ode_path(
             row[rnd] = v
         costs = field.evaluate(vecs)
         for n, (p, l, w, dt) in enumerate(zip(vecs, costs, weights, dt_matrix[rnd].tolist())):
-            if dt <= 0.0:
-                continue
-            mean = sum(map(mul, p, l))
-            c = dt * w
-            q = [x + c * x * (mean - y) for x, y in zip(p, l)]
-            if min(q) < 0.0:
-                q = [x if x > 0.0 else 0.0 for x in q]
-            total = sum(q)
-            vecs[n] = [x / total for x in q]
+            if dt > 0.0:
+                vecs[n] = _euler_step(p, l, dt * w)[0]
     return out
 
 

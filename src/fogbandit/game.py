@@ -110,13 +110,9 @@ def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> lis
     return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
 
-def run_game(config: GameConfig, run_id: int = 0, env: Environment | None = None) -> GameTrace:
-    """Play the configured game once; deterministic in (config, run_id).
-
-    ``env`` is the replication's Environment when the caller needs it too
-    (say, for its stage games); by default it is built here.
-    """
-    return run_games(config, [run_id], [env])[0]
+def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
+    """Play the configured game once; deterministic in (config, run_id)."""
+    return run_games(config, [run_id])[0]
 
 
 def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[GameTrace]:

@@ -14,7 +14,7 @@ import weakref
 
 import numpy as np
 
-from fogbandit.dynamics import _euler_step
+from fogbandit.dynamics import MixedProfile
 from fogbandit.env import AdversaryPhaseSchedule
 from fogbandit.oracle import LAMBDA_GRID, MU_GRID, SmoothnessResult
 from fogbandit.streams import stream_rng
@@ -250,7 +250,7 @@ def ref_expected_costs(game, profile) -> tuple[np.ndarray, ...]:
 
 
 class RefMeanCostField:
-    """``MeanCostField``'s ``expected_costs`` interface over ``ref_expected_costs``."""
+    """``MeanCostField``'s ``expected_costs`` and ``evaluate`` interface over ``ref_expected_costs``."""
 
     def __init__(self, game):
         self.game = game
@@ -258,10 +258,32 @@ class RefMeanCostField:
     def expected_costs(self, profile) -> tuple[np.ndarray, ...]:
         return ref_expected_costs(self.game, profile)
 
+    def evaluate(self, probs) -> list[list[float]]:
+        profile = MixedProfile(tuple(np.array(p, dtype=float) for p in probs))
+        return [c.tolist() for c in ref_expected_costs(self.game, profile)]
+
+
+def ref_euler_step(profile, costs, weights, dts):
+    """One explicit Euler step of the replicator field on arrays, per agent
+    step ``dts``; a zero step keeps the vector.  The raw update is clipped at
+    zero and renormalized.  Returns the profile and whether the raw update
+    stayed inside the simplex (no entry below -1e-15)."""
+    vecs = []
+    inside = True
+    for p, l, w, dt in zip(profile.vectors, costs, weights, dts):
+        if dt <= 0.0:
+            vecs.append(p)
+            continue
+        q = p + dt * w * p * (float(p @ l) - l)
+        inside = inside and bool(q.min() >= -1e-15)
+        q = np.maximum(q, 0.0)
+        vecs.append(q / q.sum())
+    return MixedProfile(tuple(vecs)), inside
+
 
 def ref_ode_path(game, weights, dt_matrix, profile0) -> np.ndarray:
     """``dynamics.ode_path`` on arrays: the convolution field and one
-    ``_euler_step`` per round over every agent."""
+    ``ref_euler_step`` per round over every agent."""
     field = RefMeanCostField(game)
     T, n_agents = dt_matrix.shape[0] - 1, dt_matrix.shape[1]
     kmax = max(len(v) for v in profile0.vectors)
@@ -271,7 +293,7 @@ def ref_ode_path(game, weights, dt_matrix, profile0) -> np.ndarray:
         for n, v in enumerate(prof.vectors):
             out[rnd, n, : len(v)] = v
         costs = field.expected_costs(prof)
-        prof = _euler_step(prof, costs, weights, dt_matrix[rnd].tolist())[0]
+        prof = ref_euler_step(prof, costs, weights, dt_matrix[rnd].tolist())[0]
     return out
 
 
@@ -304,8 +326,8 @@ def ref_integrate_fixed_step(
     Iterate Euler steps until the field's sup-norm velocity drops below tol.
     The field is evaluated once per step.  The step halves (locally, up to
     30 times) whenever the raw Euler update would leave the simplex.
-    Hitting max_steps returns converged=False.  It shares the Euler kernel
-    with the package: the two searches differ only in step control.
+    Hitting max_steps returns converged=False.  It steps on arrays with
+    ``ref_euler_step``, not with the package's kernel.
     """
     p = profile0
     n = len(p.vectors)
@@ -315,7 +337,7 @@ def ref_integrate_fixed_step(
             return p, True
         step = dt
         for _ in range(30):
-            nxt, inside = _euler_step(p, costs, weights, [step] * n)
+            nxt, inside = ref_euler_step(p, costs, weights, [step] * n)
             if inside:
                 break
             step /= 2.0

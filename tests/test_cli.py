@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import gc
 import io
@@ -87,6 +88,26 @@ def _count_environments(monkeypatch) -> list:
 
     monkeypatch.setattr(Environment, "__init__", counting_init)
     return built
+
+
+def _count_plays(monkeypatch) -> list:
+    """The (config digest, run id) of each game ``cli`` plays from now on: each
+    ``run_game`` call and each game ``iter_games`` yields."""
+    played = []
+    replay, batch = cli.run_game, cli.iter_games
+
+    def counting_replay(config, run_id=0):
+        played.append((config.digest(), run_id))
+        return replay(config, run_id)
+
+    def counting_batch(*args):
+        for v, i, trace in batch(*args):
+            played.append((trace.config.digest(), trace.run_id))
+            yield v, i, trace
+
+    monkeypatch.setattr(cli, "run_game", counting_replay)
+    monkeypatch.setattr(cli, "iter_games", counting_batch)
+    return played
 
 
 def test_minimal_config_valid_with_defaults(mini_path):
@@ -398,8 +419,6 @@ def test_manifest_hash_tracks_config_changes(mini_path):
     spec = load_config(mini_path)
     base = spec.base
     assert base.digest() == load_config(mini_path).base.digest()
-    import dataclasses
-
     changed = dataclasses.replace(base, master_seed=base.master_seed + 1)
     assert changed.digest() != base.digest()
 
@@ -413,36 +432,43 @@ def test_verify_passes_on_fresh_outputs(mini_path, tmp_path, capsys):
     assert "xi-equilibrium" in out
 
 
+def _games(spec, run_ids, variants=None) -> list:
+    """The sorted (config digest, run id) of each variant's game of each run id."""
+    return sorted((spec.game_for(variant).digest(), rid)
+                  for variant in (variants or spec.variants) for rid in run_ids)
+
+
 def test_verify_simulates_first_sample_once(mini_path, tmp_path, monkeypatch):
-    # run 0's replay also yields the stage games and the first sample trace
+    # each stored trace's replay is its run id's sample trace, so no game plays twice
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
-    built = _count_environments(monkeypatch)
+    played = _count_plays(monkeypatch)
     assert verify(spec, tmp_path, workers=1) == 0
-    # each run id's Environment replays its stored trace, which is its sample
-    assert sorted(built) == [0, 1, 2]
+    assert sorted(played) == _games(spec, [0, 1, 2])
 
 
-def test_verify_without_stored_traces_builds_each_environment_once(mini_path, tmp_path, monkeypatch):
-    # with no trace of run 0 to replay, the stage games' Environment plays run 0
+def test_verify_without_stored_traces_plays_each_sample_once(mini_path, tmp_path, monkeypatch):
+    # with no stored trace, each sampled game plays once in the sample batch
     mini_path.write_text(MINIMAL.replace("traces: all", "traces: none"))
     spec = load_config(mini_path)
     run_experiment(spec, tmp_path)
-    built = _count_environments(monkeypatch)
+    played = _count_plays(monkeypatch)
     assert verify(spec, tmp_path, workers=1) == 0
-    assert sorted(built) == [0, 1, 2]
+    assert sorted(played) == _games(spec, [0, 1, 2])
 
 
-def test_verify_shares_the_first_environment_across_variants(mini_path, tmp_path, monkeypatch):
-    # every variant's replay of run 0 uses the one Environment of run 0
+@pytest.mark.parametrize("traces", ["all", "first"])
+def test_verify_replays_each_variant_once(mini_path, tmp_path, monkeypatch, traces):
+    # every stored (variant, run id) game plays once, and a sampled run id
+    # with no stored trace plays its first variant's game once
     path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
+    path.write_text(path.read_text().replace("traces: all", f"traces: {traces}"))
     spec = load_config(path)
     run_experiment(spec, tmp_path)
-    built = _count_environments(monkeypatch)
+    played = _count_plays(monkeypatch)
     assert verify(spec, tmp_path, workers=1) == 0
-    # runs 1 and 2 too: one Environment replays both variants' traces, and the
-    # first variant's replay is the sample trace
-    assert sorted(built) == [0, 1, 2]
+    stored, batched = ([0, 1, 2], []) if traces == "all" else ([0], [1, 2])
+    assert sorted(played) == sorted(_games(spec, stored) + _games(spec, batched, spec.variants[:1]))
 
 
 def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monkeypatch):
@@ -465,17 +491,26 @@ def test_verify_writes_replays_outside_the_output_tree(mini_path, tmp_path, monk
     assert _tree(out_dir) == before
 
 
-def test_stage_games_error_keeps_no_environment_alive(mini_path, monkeypatch):
-    # verify keeps the error for its stage-games SKIP and hands run
-    # sample[0]'s Environment to its replays, which drop it
-    env = Environment(load_config(mini_path).base, 0)  # the config's pota needs enumerable games
+def test_stage_games_error_keeps_no_environment_alive(mini_path, tmp_path, capsys, monkeypatch):
+    # verify reports a stage game it cannot enumerate as a SKIP, and no
+    # Environment it builds, for the stage games or a replay, outlives it
+    spec = load_config(mini_path)  # the config's pota needs enumerable games
+    run_experiment(spec, tmp_path)
+    built = []
+    init = Environment.__init__
+
+    def tracked_init(self, config, run_id=0):
+        built.append(weakref.ref(self))
+        init(self, config, run_id)
+
+    monkeypatch.setattr(Environment, "__init__", tracked_init)
     monkeypatch.setattr(oracle, "MAX_JOINT_ACTIONS", 1)
-    games, why = cli._stage_games(env)
-    assert games is None and "too large to enumerate" in str(why)
-    ref = weakref.ref(env)
-    del env
+    capsys.readouterr()
+    assert verify(spec, tmp_path, workers=1) == 0
+    assert "SKIP  stage-games: not enumerable: joint action space 2 too large" in capsys.readouterr().out
     gc.collect()
-    assert ref() is None
+    assert len(built) == 4  # the stage games' and one per stored trace
+    assert [ref for ref in built if ref() is not None] == []
 
 
 def test_verify_missing_outputs_is_runtime_error(mini_path, tmp_path):
@@ -681,8 +716,8 @@ def test_verify_fails_on_a_replay_that_write_trace_refuses(mini_path, tmp_path, 
     replay, write = cli.run_game, cli.write_trace
     refused = []
 
-    def off_by_one(config, run_id=0, env=None):
-        trace = replay(config, run_id, env)
+    def off_by_one(config, run_id=0):
+        trace = replay(config, run_id)
         if run_id == 1:
             rnd, agent = np.argwhere(trace.active)[0]
             trace.congestion[rnd, agent] += 1
@@ -774,24 +809,56 @@ def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_
 
 
 def test_verify_reports_an_error_in_a_child_task(mini_path, tmp_path, capsys, monkeypatch):
-    # with two workers the child plays the last three replays, among them run 2's
+    # with two workers the child plays the last three replays, the
+    # full-feedback variant's, among them run 2's
     path = _with_variants(mini_path, TWO_VARIANTS, "two.yaml")
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
     replay = cli.run_game
 
-    def failing_replay(config, run_id=0, env=None):
-        if run_id == 2:
-            raise RuntimeError(f"replay of run 2 failed in process {os.getpid()}")
-        return replay(config, run_id, env)
+    def failing_replay(config, run_id=0):
+        if run_id == 2 and config.learners[0].feedback == "full":
+            raise RuntimeError(f"full-feedback replay of run 2 failed in process {os.getpid()}")
+        return replay(config, run_id)
 
     monkeypatch.setattr(cli, "run_game", failing_replay)
     capsys.readouterr()
     assert main(["verify", str(path), "--workers", "2", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("runtime error: replay of run 2 failed in process ")
+    assert err.startswith("runtime error: full-feedback replay of run 2 failed in process ")
     assert int(err.split()[-1]) != os.getpid()
     assert multiprocessing.active_children() == []
+
+
+def _fails(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("FAIL")]
+
+
+def test_verify_fails_on_a_trace_stored_under_another_run_id(mini_path, tmp_path, capsys):
+    # a file must hold the game its name says: run 2's trace stored as run
+    # 1's fails, although it replays as its own header says
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    traces = tmp_path / "mini/default/traces"
+    (traces / "run_0001.trace").write_bytes((traces / "run_0002.trace").read_bytes())
+    capsys.readouterr()
+    assert verify(spec, tmp_path) == 3
+    assert _fails(capsys.readouterr().out) == [
+        f"FAIL  determinism: replay of {traces / 'run_0001.trace'} differs from stored bytes"]
+
+
+def test_verify_fails_every_trace_under_another_master_seed(mini_path, tmp_path, capsys):
+    # the config given to verify defines the games: under another master
+    # seed no stored trace is the play it defines
+    spec = load_config(mini_path)
+    run_experiment(spec, tmp_path)
+    other = dataclasses.replace(spec, base=dataclasses.replace(spec.base, master_seed=6))
+    capsys.readouterr()
+    assert verify(other, tmp_path) == 3
+    traces = tmp_path / "mini/default/traces"
+    assert [line for line in _fails(capsys.readouterr().out) if "determinism" in line] == [
+        f"FAIL  determinism: replay of {traces / f'run_{rid:04d}.trace'} differs from stored bytes"
+        for rid in range(3)]
 
 
 def test_verify_fails_on_a_listed_trace_the_experiment_does_not_write(mini_path, tmp_path, capsys):
@@ -928,6 +995,13 @@ def test_pota_on_a_non_enumerable_epoch_is_a_config_error(mini_path, tmp_path, c
     doc["metrics"] = ["cost", "regret"]  # without pota the game runs
     path.write_text(yaml.safe_dump(doc))
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    # but the oracles need every epoch's stage game
+    built.clear()
+    capsys.readouterr()
+    assert main(["oracle", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert ("config error: oracle needs an enumerable stage game, but the candidate epoch starting at "
+            "round 121 has a joint action space 64 too") in capsys.readouterr().err
+    assert built == []
 
 
 PHYSICAL_ENV = {
@@ -984,8 +1058,9 @@ def test_traced_pass_keeps_the_benchmark_contract(tmp_path, capsys, model):
 
 
 def test_benchmark_core_spans_fire(mini_path, tmp_path):
-    # the spans every benchmark workload must see fire do fire on a tiny
-    # run + verify, so an engine that bypasses a traced layer fails here
+    # the spans the desk-2x2 workload must see fire, the analysis spans
+    # among them, do fire on a tiny run + verify, so an engine that
+    # bypasses a traced layer or moves where sample traces are reduced fails here
     root = Path(__file__).resolve().parents[1]
     code = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import tracer, workloads\n"
@@ -993,7 +1068,8 @@ def test_benchmark_core_spans_fire(mini_path, tmp_path):
         "t = tracer.Tracer(); tracer.install(t)\n"
         "codes = [cli.main([v, sys.argv[2], '--workers', '1', '--out', sys.argv[3]])"
         " for v in ('run', 'verify')]\n"
-        "print(json.dumps({'codes': codes, 'calls': {n: len(t.durations[n]) for n in workloads._CORE}}))\n"
+        "fired = workloads.WORKLOADS['desk-2x2'].fired\n"
+        "print(json.dumps({'codes': codes, 'calls': {n: len(t.durations[n]) for n in fired}}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(

@@ -41,8 +41,9 @@ from test_oracle import make_game
 
 def euler(prof, field, weights, dt):
     """One Euler step of the replicator field with a common step ``dt``."""
-    costs = field.expected_costs(prof)
-    return _euler_step(prof, costs, weights, [dt] * len(prof.vectors))[0]
+    vecs = [v.tolist() for v in prof.vectors]
+    costs = field.evaluate(vecs)
+    return MixedProfile(tuple(np.array(_euler_step(p, l, dt * w)[0]) for p, l, w in zip(vecs, costs, weights)))
 
 
 def test_field_matches_exhaustive_enumeration():
@@ -125,9 +126,9 @@ class CountingField(MeanCostField):
         super().__init__(game)
         self.calls = 0
 
-    def expected_costs(self, profile):
+    def evaluate(self, probs):
         self.calls += 1
-        return super().expected_costs(profile)
+        return super().evaluate(probs)
 
 
 def test_field_evaluated_once_per_integration_step():
