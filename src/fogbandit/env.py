@@ -658,11 +658,16 @@ class Environment:
                 / f1[None, :, None]
             )  # [1, K, C]
             snr = self._snr_mean[epoch]  # [N, K]
-            rate = self._b_alloc * np.log2(1.0 + snr[:, :, None] * _QUAD_X[None, None, :])
-            inv_r = 1.0 / rate  # [N, K, Q]
-            vals = np.minimum(
-                (inv_r[:, :, None, :] + comp[..., None]) / self.cost_cap, 1.0
-            )  # [N, K, C, Q]
+            # in place, the same IEEE operations as
+            # vals = min((1 / (b_alloc * log2(1 + snr * x)) + comp) / cost_cap, 1)
+            rate = snr[:, :, None] * _QUAD_X[None, None, :]  # [N, K, Q]
+            rate += 1.0
+            np.log2(rate, out=rate)
+            rate *= self._b_alloc
+            inv_r = np.divide(1.0, rate, out=rate)
+            vals = np.add(inv_r[:, :, None, :], comp[..., None])  # [N, K, C, Q]
+            vals /= self.cost_cap
+            np.minimum(vals, 1.0, out=vals)
             cell = vals @ _QUAD_W + _QUAD_MASS_BELOW * vals[..., 0]
         self._mean_table_cache[key] = cell
         return cell

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import bandit
 from .configio import GameConfig, parse_game
 from .env import normalized
 
@@ -119,7 +120,7 @@ def _clock(active: np.ndarray, out: np.ndarray) -> None:
 # trace files: raw columns, and their text form
 # ---------------------------------------------------------------------------
 
-_TRACE_MAGIC = b"# fogbandit-trace v5\n"
+_TRACE_MAGIC = b"# fogbandit-trace v6\n"
 _TEXT_MAGIC = "# fogbandit-trace v2\n"
 # the columns a trace file leaves out, in the order ``read_trace`` derives
 # them, each with the rule it derives them by
@@ -129,6 +130,11 @@ _DERIVED = {
     "cf_norm": "cf_raw normalized by cost_cap",
     "cost_norm": "cf_norm at the chosen slot",
     "cost_real": "cf_raw at the chosen slot",
+    "zeta": "bandit.demand_weight of task_size, or 1 where the learner's use_demand_weight is off",
+    "eta": "bandit.learning_rates' eta of the clock on the agent's own candidate set, by its learner",
+    "gamma": "bandit.learning_rates' gamma of the clock on the agent's own candidate set, by its learner",
+    "estimates": "bandit.estimate_cost of cost_norm at the chosen slot (+0.0 at a bandit-feedback "
+                 "agent's other slots), or cf_norm at a full-feedback agent's slots",
 }
 # the columns a trace file holds, in file order: active whole, then each at its cells
 _STORED = tuple(column for column in _COLUMNS if column[0] not in _DERIVED)
@@ -150,11 +156,7 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     where in it each epoch starts, then its length.  ``slot_at`` holds the
     flat [round, agent, slot] indices of their slots within their epoch's
     largest candidate set, in the same order: the cells where a file holds
-    ``probs`` and ``cf_raw``.  ``zero_at`` holds those of the
-    bandit-feedback agent-rounds' slots within their own candidate sets,
-    where ``estimates`` holds +0.0 but at the chosen slot.  ``sizes`` holds
-    how many values a file holds of each column past ``active``, all of
-    them 8 bytes.
+    ``probs`` and ``cf_raw``.
     """
     n, kmax = trace.num_agents, trace.kmax
     live = np.array(trace.active, dtype=bool).reshape(-1)
@@ -164,39 +166,22 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     epochs = trace.epochs()
     cuts = np.searchsorted(at, [lo * n for lo, _, _ in epochs] + [n * (trace.horizon + 1)]).tolist()
     widths = [max(map(len, sets)) for _, _, sets in epochs]
-    full = [p.feedback == "full" for p in trace.config.learners]
     slot_at = np.empty(sum((b - a) * k for a, b, k in zip(cuts, cuts[1:], widths)), dtype=np.int64)
-    zero_at, estimates, start = [], 0, 0
-    for a, b, k, (_, _, sets) in zip(cuts, cuts[1:], widths, epochs):
+    start = 0
+    for a, b, k in zip(cuts, cuts[1:], widths):
         cells = slot_at[start : start + (b - a) * k]
         start += cells.size
         np.add(at[a:b, None] * kmax, np.arange(k), out=cells.reshape(-1, k))
-        # the bandit-feedback agents' candidate set sizes, 0 for a full-feedback agent
-        own = np.array([0 if f else len(arms) for f, arms in zip(full, sets)])
-        if (own < k).any():
-            own = own[at[a:b] % n]
-            cells = cells[(np.arange(k) < own[:, None]).reshape(-1)]
-            estimates += np.count_nonzero(own == 0) * (k - 1)
-        zero_at.append(cells)
-        estimates += b - a
-    lay = SimpleNamespace(at=at, cuts=cuts, slot_at=slot_at)
-    # a view of slot_at's whole buffer when every zero cell is a slot cell
-    lay.zero_at = slot_at if sum(z.size for z in zero_at) == slot_at.size else np.concatenate(zero_at)
-    lay.sizes = dict.fromkeys((name for name, _, _ in _STORED[1:]), at.size)
-    lay.sizes.update(probs=slot_at.size, cf_raw=slot_at.size, estimates=int(estimates))
-    return lay
+    return SimpleNamespace(at=at, cuts=cuts, slot_at=slot_at)
 
 
 def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
     """What the chosen arms of the active agent-rounds (``lay.at``) place.
 
     ``chosen_at`` holds the flat [round, agent, slot] index of each one's
-    chosen slot, ``est_at`` those of the cells where a file holds
-    ``estimates``: every slot a full-feedback agent-round has in
-    ``lay.slot_at``, only the chosen one of a bandit-feedback agent-round.
-    ``congestion`` holds the number of active agents on each chosen arm in
-    its round.  A chosen arm outside its agent's candidate set raises
-    ValueError.
+    chosen slot, and ``congestion`` the number of active agents on each
+    chosen arm in its round.  A chosen arm outside its agent's candidate set
+    raises ValueError.
     """
     n, kmax = trace.num_agents, trace.kmax
     ids = np.sort(trace.config.env.arm_ids())  # distinct; an arm's rank is its index here
@@ -207,8 +192,7 @@ def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
     stray = ids[rank] != chosen
     del chosen
     chosen_at = lay.at * kmax  # plus each chosen slot, epoch by epoch
-    epochs = trace.epochs()
-    for a, b, (_, _, sets) in zip(lay.cuts, lay.cuts[1:], epochs):
+    for a, b, (_, _, sets) in zip(lay.cuts, lay.cuts[1:], trace.epochs()):
         slot_of = np.full((n, ids.size), -1)  # [agent, arm rank] the arm's slot, -1 outside the set
         for agent, arms in enumerate(sets):
             slot_of[agent, [ranks[arm] for arm in arms]] = range(len(arms))
@@ -221,32 +205,50 @@ def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
         cell = int(lay.at[stray.argmax()])
         raise ValueError(f"chosen holds arm {trace.chosen.flat[cell]} at round {cell // n}, "
                          f"outside agent {cell % n}'s candidate set")
-    est_at = chosen_at
-    full = np.array([p.feedback == "full" for p in trace.config.learners])
-    if full.any():
-        widths = np.repeat([max(map(len, sets)) for _, _, sets in epochs], np.diff(lay.cuts))
-        held = np.repeat(full[lay.at % n], widths) | (lay.slot_at == np.repeat(chosen_at, widths))
-        est_at = lay.slot_at[held]
     key = lay.at // n  # the (round, arm) each chosen arm counts toward
     key *= ids.size
     key += rank
     del rank
     congestion = np.bincount(key)[key]
-    return SimpleNamespace(chosen_at=chosen_at, est_at=est_at, congestion=congestion)
+    return SimpleNamespace(chosen_at=chosen_at, congestion=congestion)
 
 
-def _held(name: str, lay, cells) -> np.ndarray:
+def _held(name: str, lay) -> np.ndarray:
     """The flat indices of a stored column's cells (past ``active``) that a trace file holds."""
-    return cells.est_at if name == "estimates" else lay.slot_at if name in _PER_SLOT else lay.at
+    return lay.slot_at if name in _PER_SLOT else lay.at
+
+
+def _learner_rule(name: str, out: np.ndarray, trace: GameTrace) -> None:
+    """The ``_DERIVED`` rule of ``zeta``, ``eta``, ``gamma`` or ``estimates``
+    into ``out``, by the functions of ``bandit`` the round loop steps the
+    learners with, one agent's active rounds of an epoch at a time."""
+    ts = trace.config.task_size
+    for lo, hi, sets in trace.epochs():
+        rounds = slice(lo, hi + 1)
+        for agent, (learner, arms) in enumerate(zip(trace.config.learners, sets)):
+            act, cell, k = trace.active[rounds, agent], out[rounds, agent], len(arms)
+            if name == "zeta" and not learner.use_demand_weight:
+                cell[act] = 1.0
+            elif name == "zeta":
+                cell[act] = bandit.demand_weight(trace.task_size[rounds, agent][act], ts.q_lo, ts.q_hi)
+            elif name in ("eta", "gamma"):
+                clock = trace.clock[rounds, agent][act]
+                cell[act] = getattr(bandit.learning_rates(clock, k, learner.schedule_a, learner.gamma_ratio), name)
+            elif learner.feedback == "full":
+                cell[act, :k] = trace.cf_norm[rounds, agent, :k][act]
+            else:
+                slot = (trace.chosen[rounds, agent][act, None] == arms).argmax(axis=1)
+                probs = trace.probs[rounds, agent, :k][act]
+                cell[act, :k] = bandit.estimate_cost(trace.cost_norm[rounds, agent][act], slot, probs,
+                                                     trace.gamma[rounds, agent][act], out=np.empty(probs.shape))
 
 
 def _restore(name: str, out: np.ndarray, trace: GameTrace, lay, cells, part=None) -> None:
     """Column ``name`` of a trace as its file gives it back, into ``out``, which holds the column's fill.
 
     A stored column takes ``part``, the values the file holds, at its cells
-    (``cells`` may be None for ``chosen``); ``estimates`` takes +0.0 at
-    ``lay.zero_at`` first.  A derived column takes the values of its
-    ``_DERIVED`` rule, from ``trace``'s other columns.
+    (``cells`` may be None for ``chosen``).  A derived column takes the
+    values of its ``_DERIVED`` rule, from ``trace``'s other columns.
     """
     flat = out.reshape(-1)
     if name == "clock":
@@ -258,15 +260,15 @@ def _restore(name: str, out: np.ndarray, trace: GameTrace, lay, cells, part=None
     elif name in ("cost_norm", "cost_real"):
         source = trace.cf_norm if name == "cost_norm" else trace.cf_raw
         flat[lay.at] = source.reshape(-1)[cells.chosen_at]
+    elif name in ("zeta", "eta", "gamma", "estimates"):
+        _learner_rule(name, out, trace)
     else:
-        if name == "estimates":
-            flat[lay.zero_at] = 0.0
-        flat[_held(name, lay, cells)] = part
+        flat[_held(name, lay)] = part
 
 
 def _part_buffer(lay) -> np.ndarray:
     """Bytes for the largest part of a column a trace file holds, reused by every column."""
-    return np.empty(max(lay.sizes.values()) * 8, dtype=np.uint8)
+    return np.empty(lay.slot_at.size * 8, dtype=np.uint8)
 
 
 def write_trace(trace: GameTrace, path) -> None:
@@ -275,16 +277,15 @@ def write_trace(trace: GameTrace, path) -> None:
     The header holds ``GameConfig.to_dict()``, the run id, the config
     digest and the trace's ``cost_cap``.  The ``_STORED`` columns follow in
     order with their explicit little-endian dtypes and nothing between
-    them: ``active`` whole, [horizon + 1, agents], then each other one at
-    the active agent-rounds, in (round, agent) order.  ``probs`` and
-    ``cf_raw`` are written over each active agent-round's slots within its
-    epoch's largest candidate set, ``estimates`` over the same slots for a
-    full-feedback agent and at the chosen slot alone for a bandit-feedback
-    one.  The ``_DERIVED`` columns are not written.  Every value left out
-    must be the one ``read_trace`` puts back, bit for bit: the column's
-    ``_COLUMNS`` fill, +0.0 at a bandit-feedback agent's other slots within
-    its candidate set, or the value of the column's ``_DERIVED`` rule.  If
-    one is not, the file is removed and a ValueError names the column.
+    them: ``active`` whole, [horizon + 1, agents], then ``chosen``,
+    ``task_size``, ``cost_a``, ``cost_c`` and ``outlier`` at the active
+    agent-rounds, in (round, agent) order, then ``probs`` and ``cf_raw``
+    over the same agent-rounds' slots within their epoch's largest
+    candidate set.  The ``_DERIVED`` columns are not written.  Every value
+    left out must be the one ``read_trace`` puts back, bit for bit: the
+    column's ``_COLUMNS`` fill or the value of the column's ``_DERIVED``
+    rule.  If one is not, the file is removed and a ValueError names the
+    column.
     """
     try:
         with open(path, "wb") as fh:
@@ -307,9 +308,9 @@ def _write(trace: GameTrace, fh) -> None:
         values = np.ascontiguousarray(getattr(trace, name), dtype=dtype)
         part = None
         if name not in _DERIVED:
+            held = _held(name, lay)
             # "clip" (the indices are in range) lets take write into ``out`` unbuffered
-            part = np.take(values.reshape(-1), _held(name, lay, cells),
-                           out=buf[: lay.sizes[name] * 8].view(dtype), mode="clip")
+            part = np.take(values.reshape(-1), held, out=buf[: held.size * 8].view(dtype), mode="clip")
         restored = back[: values.nbytes].view(dtype).reshape(values.shape)
         restored.fill(fill)
         _restore(name, restored, trace, lay, cells, part)
@@ -324,9 +325,8 @@ def _left_out(name: str, fill) -> str:
     """What a trace file gives a column back in the cells it leaves out."""
     if name in _DERIVED:
         return f"{_DERIVED[name]}, which a trace file derives"
-    zeros = ", or +0.0 at a bandit-feedback agent's other slots in its candidate set"
     return (f"{fill} in a cell that a trace file leaves out (an inactive agent-round, or a slot "
-            f"past its epoch's largest candidate set{zeros if name == 'estimates' else ''})")
+            f"past its epoch's largest candidate set)")
 
 
 def read_trace(path) -> GameTrace:
@@ -337,7 +337,7 @@ def read_trace(path) -> GameTrace:
         magic = fh.readline()
         if magic != _TRACE_MAGIC:
             found = magic[:40].decode("ascii", "replace").strip()
-            raise ValueError(f"{path}: not a fogbandit trace v5 (bad magic line {found!r}); a trace "
+            raise ValueError(f"{path}: not a fogbandit trace v6 (bad magic line {found!r}); a trace "
                              "file of an older format must be written again by `fogbandit run`")
         try:
             header = json.loads(fh.readline().removeprefix(b"# "))
@@ -348,14 +348,14 @@ def read_trace(path) -> GameTrace:
         size, start = os.fstat(fh.fileno()).st_size, fh.tell()
         fh.readinto(memoryview(trace.active).cast("B"))  # a short read leaves the size check failing
         lay = _layout(trace)
-        expected = start + trace.active.nbytes + 8 * sum(lay.sizes.values())
+        expected = start + trace.active.nbytes + 8 * sum(_held(name, lay).size for name, _, _ in _STORED[1:])
         if size != expected:
             raise ValueError(
                 f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
             )
         buf, cells = _part_buffer(lay), None
         for name, dtype, _ in _STORED[1:]:
-            part = buf[: lay.sizes[name] * 8]
+            part = buf[: _held(name, lay).size * 8]
             fh.readinto(part)
             _restore(name, getattr(trace, name), trace, lay, cells, part.view(dtype))
             if name == "chosen":  # it places the others

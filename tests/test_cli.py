@@ -1,6 +1,7 @@
 import dataclasses
 import filecmp
 import gc
+import importlib.util
 import io
 import json
 import multiprocessing
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fogbandit import cli, game, metrics, oracle
+from fogbandit import cli, configio, game, metrics, oracle
 from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
@@ -309,6 +310,45 @@ def test_bundled_runs_split_among_their_workers(name):
     plan, workers = cli._plan(configs, sorted(spec.run_ids), spec.workers, kept, cli._run_columns(True))
     assert workers == 2
     assert plan == batches(configs, sorted(spec.run_ids), 2, kept, cli._run_columns(True))
+
+
+def _yaml_loaders() -> list:
+    """PyYAML's pure-Python safe loader, and its C one where PyYAML ships it."""
+    return [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+def test_configs_load_alike_under_both_yaml_loaders(tmp_path, monkeypatch):
+    # load_config parses with the C loader where there is one; every bundled
+    # config and each benchmark workload's document gives the same spec under
+    # either loader
+    assert configio._YAML_LOADER is _yaml_loaders()[-1]
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)  # the workloads read the bundled configs from src/
+    found = importlib.util.spec_from_file_location("bench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(found)
+    monkeypatch.setitem(sys.modules, found.name, workloads)
+    found.loader.exec_module(workloads)
+    paths = [bundled_config(name) for name in ("acceptance-small", "paper-fig2", "paper-fig3",
+                                               "paper-fig4", "paper-fig5")]
+    for name, workload in workloads.WORKLOADS.items():
+        paths.append(tmp_path / f"{name}.yaml")
+        paths[-1].write_text(yaml.safe_dump(workloads.document(workload, 0), sort_keys=False))
+    specs = []
+    for loader in _yaml_loaders():
+        monkeypatch.setattr(configio, "_YAML_LOADER", loader)
+        specs.append([load_config(path, strict=True) for path in paths])
+    assert all(loaded == specs[0] for loaded in specs)
+
+
+@pytest.mark.parametrize("loader", _yaml_loaders(), ids=lambda loader: loader.__name__)
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(configio, "_YAML_LOADER", loader)
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: broken\ngame: {num_agents: [1, 2\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: YAML parse error:"), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_without_regret_builds_no_best_arm_sums(mini_path, tmp_path, monkeypatch):

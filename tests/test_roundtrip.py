@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogbandit import game, traces
+from fogbandit.cli import bundled_config, run_experiment
 from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES, LearnerParams
-from fogbandit.configio import TASK_LAWS, parse_game, parse_spec
+from fogbandit.configio import TASK_LAWS, TaskSizeLaw, parse_game, parse_spec
 from fogbandit.env import Environment
 from fogbandit.game import _COLUMNS, format_trace, read_trace, run_game, run_games, write_trace
 from fogbandit.metrics import pota_series, regret_series, social_cost_series
@@ -30,16 +31,29 @@ from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
 
+
+
+def _explores(learner: dict) -> dict:
+    """A learner that sets gamma_ratio 0 mixes uniformly, and one that sets
+    uniform_mix 0 but no gamma_ratio inherits both: so every learner, also
+    merged over a game's shared one, explores."""
+    if learner.get("gamma_ratio") == 0.0:
+        learner["uniform_mix"] = learner.get("uniform_mix") or 0.25
+    elif "gamma_ratio" not in learner and learner.get("uniform_mix") == 0.0:
+        del learner["uniform_mix"]
+    return learner
+
+
 # horizons of 40+ rounds satisfy the exploration-rate condition for every
-# drawn (gamma_ratio >= 0.3, schedule_a >= 1, K <= 4) learner
+# drawn (gamma_ratio 0 or >= 0.3, schedule_a >= 1, K <= 4) learner
 LEARNER = st.fixed_dictionaries({}, optional={
     "schedule_a": st.floats(1.0, 4.0),
-    "gamma_ratio": st.floats(0.3, 0.5),
+    "gamma_ratio": st.just(0.0) | st.floats(0.3, 0.5),
     "use_demand_weight": st.booleans(),
     "patch_mode": st.sampled_from(PATCH_MODES),
     "uniform_mix": st.floats(0.0, 0.5),
     "feedback": st.sampled_from(FEEDBACK_MODES),
-})
+}).map(_explores)
 
 
 @st.composite
@@ -165,15 +179,16 @@ def _columns_start(data: bytes) -> int:
 
 
 # the 20-round, 2-agent, 2-arm trace below holds 42 bytes of active, then
-# chosen and seven more columns at its m active agent-rounds, then probs at
-# their 2 slots, then the bandit-feedback estimates at their chosen slots
+# chosen and four more columns at its m active agent-rounds, then probs and
+# cf_raw at their 2 slots
 DAMAGE = {
     "short-by-one-float": lambda data, m: data[:-8],
     "cut-in-header": lambda data, m: data[:60],
     "one-trailing-byte": lambda data, m: data + b"\0",
     "cut-in-active": lambda data, m: data[: _columns_start(data) + 5],
     "cut-in-chosen": lambda data, m: data[: _columns_start(data) + 42 + 4],
-    "cut-in-estimates": lambda data, m: data[: _columns_start(data) + 42 + (8 + 2) * 8 * m + 4],
+    "cut-in-probs": lambda data, m: data[: _columns_start(data) + 42 + 5 * 8 * m + 4],
+    "cut-in-cf-raw": lambda data, m: data[: _columns_start(data) + 42 + (5 + 2) * 8 * m + 4],
 }
 
 
@@ -201,29 +216,45 @@ def test_v3_trace_is_rejected(tmp_path):
     assert str(path) in str(exc.value)
 
 
-def test_v4_trace_is_rejected(tmp_path):
-    path = tmp_path / "old.trace"
+def _rejects_magic(path, version: str) -> None:
+    """A current trace file under an older magic line is not read."""
     write_trace(run_game(synthetic_config({1: 0.3, 2: 0.5}, horizon=20), 0), path)
     data = path.read_bytes()
     assert data.startswith(traces._TRACE_MAGIC)
-    path.write_bytes(b"# fogbandit-trace v4\n" + data[len(traces._TRACE_MAGIC):])
-    with pytest.raises(ValueError, match="bad magic line '# fogbandit-trace v4'") as exc:
+    path.write_bytes(f"# fogbandit-trace {version}\n".encode() + data[len(traces._TRACE_MAGIC):])
+    with pytest.raises(ValueError, match=f"bad magic line '# fogbandit-trace {version}'") as exc:
         read_trace(path)
     assert str(path) in str(exc.value)
 
 
+def test_v4_trace_is_rejected(tmp_path):
+    _rejects_magic(tmp_path / "old.trace", "v4")
+
+
+def test_v5_trace_is_rejected(tmp_path):
+    _rejects_magic(tmp_path / "old.trace", "v5")
+
+
 def _ragged_trace():
-    """A trace whose agent 1 idles in some rounds and, in the first epoch,
-    has 1 arm where the epoch's largest set has 2 and the trace's has 3."""
+    """A trace whose agent 1 plays full feedback, idles in some rounds and,
+    in the first epoch, has 1 arm where the epoch's largest set has 2 and the
+    trace's has 3."""
     config = synthetic_config(
         {1: 0.2, 2: 0.5, 3: 0.4}, num_agents=2, horizon=40,
         epochs=((1, ((1, 2), (2,))), (21, ((1, 2, 3), (3, 1)))), activation=(1.0, 0.5),
+        learners=(LearnerParams(), LearnerParams(feedback="full", use_demand_weight=False)),
+        task=TaskSizeLaw(law="uniform"),
     )
     return run_game(config, 6)
 
 
+def _up(v):
+    return np.nextafter(v, np.inf)
+
+
 # a value in a cell that a trace file leaves out, as (column, cell, value or
-# the value from the cell's own); agent 0 plays bandit feedback in every round
+# the value from the cell's own); agent 0 plays bandit feedback in every
+# round, agent 1 full feedback
 STRAYS = {
     "inactive-agent-round": ("cost_norm", lambda t: (_idle_round(t), 1), 0.5),
     "inactive-chosen": ("chosen", lambda t: (_idle_round(t), 1), 0),
@@ -235,6 +266,12 @@ STRAYS = {
     "cf-norm-one-ulp": ("cf_norm", lambda t: (5, 0, 0), lambda v: np.nextafter(v, 2.0)),
     "bandit-estimate-off-chosen": ("estimates", lambda t: (5, 0, _unchosen_slot(t, 5, 0)), 0.1),
     "negative-zero-estimate": ("estimates", lambda t: (5, 0, _unchosen_slot(t, 5, 0)), -0.0),
+    "zeta-one-ulp": ("zeta", lambda t: (5, 0), _up),
+    "unweighted-zeta-one-ulp": ("zeta", lambda t: (_busy_round(t), 1), _up),
+    "eta-one-ulp": ("eta", lambda t: (5, 0), _up),
+    "gamma-one-ulp": ("gamma", lambda t: (5, 0), _up),
+    "bandit-estimate-one-ulp": ("estimates", lambda t: (5, 0, _chosen_slot(t, 5, 0)), _up),
+    "full-estimate-one-ulp": ("estimates", lambda t: (_busy_round(t), 1, 0), _up),
 }
 
 
@@ -242,9 +279,16 @@ def _idle_round(trace) -> int:
     return int(np.flatnonzero(~trace.active[1:, 1])[0]) + 1
 
 
+def _busy_round(trace) -> int:
+    return int(np.flatnonzero(trace.active[1:, 1])[0]) + 1
+
+
+def _chosen_slot(trace, rnd, agent) -> int:
+    return trace.candidate_set(rnd, agent).index(int(trace.chosen[rnd, agent]))
+
+
 def _unchosen_slot(trace, rnd, agent) -> int:
-    arms = trace.candidate_set(rnd, agent)
-    slot = 1 - arms.index(int(trace.chosen[rnd, agent]))
+    slot = 1 - _chosen_slot(trace, rnd, agent)
     assert trace.estimates[rnd, agent, slot] == 0.0  # a -0.0 stray differs only in its bits
     return slot
 
@@ -253,7 +297,7 @@ def _unchosen_slot(trace, rnd, agent) -> int:
 def test_write_rejects_a_value_in_a_cell_it_leaves_out(tmp_path, stray):
     trace = _ragged_trace()
     name, cell, value = STRAYS[stray]
-    assert trace.config.learners[0].feedback == "bandit"
+    assert [p.feedback for p in trace.config.learners] == ["bandit", "full"]
     path = tmp_path / "run.trace"
     write_trace(trace, path)
     column, at = getattr(trace, name), cell(trace)
@@ -262,6 +306,53 @@ def test_write_rejects_a_value_in_a_cell_it_leaves_out(tmp_path, stray):
         write_trace(trace, path)
     assert str(path) in str(exc.value)
     assert not path.exists()
+
+
+BUNDLED = ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5")
+
+
+def _trace_file_size(trace) -> int:
+    """A trace file's bytes past its header, by the README's formula: active
+    whole, then (5 + 2 k) values per active agent-round of an epoch whose
+    largest candidate set has k arms."""
+    return trace.active.nbytes + sum(
+        int(trace.active[lo : hi + 1].sum()) * (5 + 2 * max(map(len, sets))) * 8
+        for lo, hi, sets in trace.epochs()
+    )
+
+
+def _text(trace) -> str:
+    text = io.StringIO()
+    format_trace(trace, text)
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_configs_write_lossless_trace_files(tmp_path, name):
+    # every bundled config, its horizon cut to 150 rounds (the shortest the
+    # slowest schedule allows; candidate epochs and adversary phases scaled
+    # with it), every trace of two run ids written by ``run``
+    with open(bundled_config(name)) as fh:
+        doc = yaml.safe_load(fh)
+    short = 150
+    horizon, doc["game"]["horizon"] = doc["game"]["horizon"], short
+    for part in doc["game"]["candidates"] + doc["game"]["env"]["adversary"].get("phases", []):
+        part["start"] = 1 + (part["start"] - 1) * short // horizon
+        if "end" in part:
+            part["end"] = part["end"] * short // horizon
+    doc.update(traces="all", seeds=[0, 1], metrics=["cost"], workers=1)
+    spec = parse_spec(doc)
+    assert run_experiment(spec, tmp_path) == 0
+    for variant in spec.variants:
+        for run_id in spec.run_ids:
+            path = tmp_path / spec.name / variant.name / "traces" / f"run_{run_id:04d}.trace"
+            trace = run_game(spec.game_for(variant), run_id)
+            data = path.read_bytes()
+            assert len(data) == _columns_start(data) + _trace_file_size(trace)
+            back = read_trace(path)
+            for column, _, _ in _COLUMNS:
+                assert _bits(getattr(back, column)) == _bits(getattr(trace, column)), column
+            assert _text(back) == _text(trace)
 
 
 @st.composite
@@ -316,25 +407,36 @@ def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
     # cf_norm: cf_raw normalized by the Environment's cost_cap
     assert trace.cost_cap == Environment(config, run_id).cost_cap
     assert _bits(trace.cf_norm) == _bits(np.clip(trace.cf_raw / trace.cost_cap, 0.0, 1.0))
-    # per epoch and agent: cost_norm and cost_real at the chosen slot, and a
-    # bandit-feedback agent's estimates +0.0 at its other slots, NaN past its
-    # set; the bytes its active agent-rounds take in the file
+    # per epoch and agent: cost_norm and cost_real at the chosen slot; the
+    # demand weight of the task size; the learning rates of the clock on the
+    # agent's own set; the IX estimate at a bandit-feedback agent's chosen
+    # slot and +0.0 at its other ones, cf_norm at a full-feedback agent's,
+    # NaN past its set; the bytes its active agent-rounds take in the file
     size = trace.active.nbytes
+    ts = config.task_size
     for lo, hi, sets in trace.epochs():
         k = max(map(len, sets))
         for n, arms in enumerate(sets):
+            learner = config.learners[n]
             rounds = lo + np.flatnonzero(active[lo : hi + 1, n])
             slots = [arms.index(arm) for arm in trace.chosen[rounds, n]]
             assert _bits(trace.cost_norm[rounds, n]) == _bits(trace.cf_norm[rounds, n, slots])
             assert _bits(trace.cost_real[rounds, n]) == _bits(trace.cf_raw[rounds, n, slots])
-            size += rounds.size * (8 + 2 * k) * 8
-            if config.learners[n].feedback == "full":
-                size += rounds.size * k * 8
-                continue
-            size += rounds.size * 8
-            zeros = np.zeros((rounds.size, len(arms)))
-            zeros[np.arange(rounds.size), slots] = trace.estimates[rounds, n, slots]
-            assert _bits(trace.estimates[rounds, n, : len(arms)]) == _bits(zeros)
+            zeta = 1.0 + np.clip((trace.task_size[rounds, n] - ts.q_lo) / (ts.q_hi - ts.q_lo), 0.0, 1.0)
+            assert _bits(trace.zeta[rounds, n]) == _bits(zeta if learner.use_demand_weight else np.ones_like(zeta))
+            log_k = max(np.log(len(arms)), np.log(2.0))
+            eta = np.sqrt(learner.schedule_a * log_k / (len(arms) * trace.clock[rounds, n]))
+            assert _bits(trace.eta[rounds, n]) == _bits(eta)
+            assert _bits(trace.gamma[rounds, n]) == _bits(learner.gamma_ratio * eta)
+            size += rounds.size * (5 + 2 * k) * 8
+            own = trace.estimates[rounds, n, : len(arms)]
+            if learner.feedback == "full":
+                assert _bits(own) == _bits(trace.cf_norm[rounds, n, : len(arms)])
+            else:
+                ix = np.zeros((rounds.size, len(arms)))
+                probs = trace.probs[rounds, n, slots] + trace.gamma[rounds, n]
+                ix[np.arange(rounds.size), slots] = trace.cost_norm[rounds, n] / probs
+                assert _bits(own) == _bits(ix)
             past = trace.estimates[rounds, n, len(arms):]
             assert _bits(past) == _bits(np.full(past.shape, np.nan))
     with tempfile.TemporaryDirectory() as tmp:
