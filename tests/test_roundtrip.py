@@ -21,8 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogbandit import game, traces
-from fogbandit.cli import bundled_config, run_experiment
 from fogbandit.bandit import FEEDBACK_MODES, PATCH_MODES, LearnerParams
+from fogbandit.cli import bundled_config, run_experiment
 from fogbandit.configio import TASK_LAWS, TaskSizeLaw, parse_game, parse_spec
 from fogbandit.env import Environment
 from fogbandit.game import _COLUMNS, format_trace, read_trace, run_game, run_games, write_trace
@@ -30,7 +30,6 @@ from fogbandit.metrics import pota_series, regret_series, social_cost_series
 from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
-
 
 
 def _explores(learner: dict) -> dict:
@@ -411,11 +410,9 @@ def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
     # demand weight of the task size; the learning rates of the clock on the
     # agent's own set; the IX estimate at a bandit-feedback agent's chosen
     # slot and +0.0 at its other ones, cf_norm at a full-feedback agent's,
-    # NaN past its set; the bytes its active agent-rounds take in the file
-    size = trace.active.nbytes
+    # NaN past its set
     ts = config.task_size
     for lo, hi, sets in trace.epochs():
-        k = max(map(len, sets))
         for n, arms in enumerate(sets):
             learner = config.learners[n]
             rounds = lo + np.flatnonzero(active[lo : hi + 1, n])
@@ -428,7 +425,6 @@ def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
             eta = np.sqrt(learner.schedule_a * log_k / (len(arms) * trace.clock[rounds, n]))
             assert _bits(trace.eta[rounds, n]) == _bits(eta)
             assert _bits(trace.gamma[rounds, n]) == _bits(learner.gamma_ratio * eta)
-            size += rounds.size * (5 + 2 * k) * 8
             own = trace.estimates[rounds, n, : len(arms)]
             if learner.feedback == "full":
                 assert _bits(own) == _bits(trace.cf_norm[rounds, n, : len(arms)])
@@ -442,7 +438,7 @@ def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "run.trace"
         write_trace(trace, path)
-        assert path.stat().st_size == _columns_start(path.read_bytes()) + size
+        assert path.stat().st_size == _columns_start(path.read_bytes()) + _trace_file_size(trace)
         back = read_trace(path)
     assert back.cost_cap == trace.cost_cap
     for name, _, _ in _COLUMNS:
