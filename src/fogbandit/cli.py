@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import batches, iter_games, run_game
+from .game import _COLUMNS, batches, iter_games, run_game, run_games
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 from .traces import format_trace, read_trace, write_trace
 
@@ -244,6 +244,7 @@ def _sigma_band(values: np.ndarray) -> float:
 
 
 _COMPARE_CHUNK = 1 << 20  # bytes of each file a replay comparison holds at once
+_EVERY = tuple(name for name, _, _ in _COLUMNS)
 
 
 def _same_bytes(a: Path, b: Path) -> bool:
@@ -321,18 +322,23 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
     """
     configs, loops, checks, sample, buf_path = args
     failures, reduced = [], {}
-    for v, rid, path in loops:
-        if path is None:
+    for v, rid, stored in loops:
+        if stored is None:
             for _, i, trace in iter_games(configs[0], rid, None, checks.keep, checks.columns):
                 reduced[rid[i]] = checks(trace)
                 del trace
             continue
+        path = stored
         try:
             read_trace(path)
         except Exception as exc:  # a read_trace error names the file already
             failures.append(("trace-integrity", str(exc) if str(path) in str(exc) else f"{path}: {exc}"))
             path = None
-        fresh = run_game(configs[v], rid)
+        try:
+            fresh = run_game(configs[v], rid)
+        except ValueError as exc:  # the replay used a value its trace file would not give back
+            failures.append(("determinism", f"replay of {stored} has no trace file: {exc}"))
+            fresh, path = run_games(configs[v], [rid], keep=(), columns=_EVERY)[0], None  # unchecked
         if v == 0 and rid in sample:
             reduced[rid] = checks(fresh)
         if path is not None:

@@ -21,19 +21,21 @@ from .configio import GameConfig
 from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
-from .traces import _COLUMNS, _PER_SLOT, GameTrace, _clock, _kmax, _stacked
+from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _PIECE, _STORED, GameTrace, _clock, _kmax, _left_out,
+                     _rules, _same_bits, _stacked)
 # the trace-file API, kept under this module's name too
 from .traces import format_trace, read_trace, write_trace  # noqa: F401
 
 
-# Every variant of a run id shares the columns drawn before play.  A kept game
-# stacks every other column too; any other game stacks only the columns its
-# caller asks for (see ``run_games``).  By default those are ``_METRIC``:
-# ``cost_norm``, which ``metrics.social_cost_series``, ``pota_series`` and
-# ``regret_series`` read, and the [round, agent] series ``cf_best`` that
-# ``regret_series`` reads in place of ``cf_norm``.
+# Every variant of a run id shares the columns drawn before play.  Every game
+# stacks the columns its caller asks for (see ``run_games``), and a kept game
+# the rest of what its trace file holds (``_KEPT``).  By default the caller
+# asks for ``_METRIC``: ``cost_norm``, which ``metrics.social_cost_series``,
+# ``pota_series`` and ``regret_series`` read, and the [round, agent] series
+# ``cf_best`` that ``regret_series`` reads in place of ``cf_norm``.
 _SHARED = ("active", "clock", "task_size")
 _OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED)
+_KEPT = tuple(name for name, _, _ in _STORED if name in _OWN)
 _METRIC = ("cost_norm", "cf_best")
 
 
@@ -56,12 +58,12 @@ _BLOCK_CELLS = 2**15
 # whole bound (see ``iter_games``).  The rest of what a batch holds grows
 # with a block's rounds, not the horizon, and is not counted here: the
 # learners' rates and demand weights, each Environment's per-round draws,
-# and the block's cost table and fill.  At 10 MiB, one process plays 3 run
-# ids of a fully written 6-agent, 12-arm, 1000-round game in a batch (a half
-# share holds one, so ``cli._plan`` plays that run on one process rather
-# than game by game on two), 7 full acceptance-small traces in one batch,
-# and 4 variants of a 1500-round paper-fig2 game on 4 run ids, the first
-# run id's traces kept.
+# and the block's cost table, fill and check.  At 10 MiB, one process plays
+# the 6 run ids of a fully written 6-agent, 12-arm, 1000-round game in one
+# batch (a kept game stacks the 8 columns its file holds and ``cost_norm``),
+# 30 acceptance-small run ids with the first one's traces kept, and 4
+# variants of a 1500-round paper-fig2 game on 4 run ids, the first run id's
+# traces kept.
 _BATCH_BYTES = 10 * 2**20
 
 
@@ -71,9 +73,9 @@ def _variants(configs) -> list[GameConfig]:
 
 def _game_bytes(configs, run_ids, keep, columns) -> list[list[int]]:
     """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
-    config = configs[0]
-    full = _bytes(config, _OWN)
-    part = _bytes(config, set(_OWN) & set(columns), extra=8 * ("cf_best" in columns))
+    config, extra = configs[0], 8 * ("cf_best" in columns)
+    full = _bytes(config, set(_OWN) & {*_KEPT, *columns}, extra)
+    part = _bytes(config, set(_OWN) & set(columns), extra)
     return [[full if keep is None or (v, rid) in keep else part for v in range(len(configs))]
             for rid in run_ids]
 
@@ -131,13 +133,17 @@ def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[G
 
     ``envs``, when given, holds each run id's Environment or None; it may
     come from any of the configs, as an Environment does not read learners.
-    ``keep`` holds the (config index, run id) pairs whose full trace is
-    wanted; by default (None) every game's is.  The trace of any other game
-    holds ``active`` and only the ``columns`` its caller reads (see
-    ``GameTrace``), which lets far more games share a batch.  ``columns``
-    names trace columns, and ``cf_best`` for ``metrics.regret_series``; by
-    default they are what ``run`` reads, ``cost_norm`` and ``cf_best``.
-    Each requested column holds the values a whole trace holds.
+    ``columns`` names the trace columns every game stacks, and ``cf_best``
+    for ``metrics.regret_series``; by default they are what ``run`` reads,
+    ``cost_norm`` and ``cf_best``.  Each requested column holds the values
+    a whole trace holds.  ``keep`` holds the (config index, run id) pairs
+    whose trace files may be written; by default (None) every game's may.
+    A kept game also stacks the columns its file holds (``_STORED``), and
+    each block of its rounds is checked: if the loop used a value its file
+    would not give back, a ValueError names the column (as ``write_trace``
+    does).  Its trace derives any other column when first read (see
+    ``GameTrace``).  The trace of any other game holds ``active`` and the
+    requested columns only, which lets far more games share a batch.
     """
     traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep, columns))
     return [traces[key] for key in sorted(traces)]
@@ -177,35 +183,37 @@ def iter_games(configs, run_ids, envs=None, keep=None, columns=_METRIC):
 def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
     """One lockstep batch: every config on every run id; the traces config-major.
 
-    ``kept`` says, per game, whether it stacks every column; the others
-    stack ``columns``.
+    Every game stacks ``columns``.  ``kept`` says, per game, whether its
+    trace file may be written: such a game also stacks the columns the file
+    holds, its loop values are checked block by block against what the
+    file gives back (``_check``), and its trace derives the rest when read.
     """
     config, runs = configs[0], len(run_ids)
     shared = _stacked(config, runs, _SHARED)
     uniforms = np.full(shared["active"].shape, np.nan)
     for r, (rid, env) in enumerate(zip(run_ids, envs)):
         _predraw(config, rid, env, SimpleNamespace(uniforms=uniforms[r], **{n: col[r] for n, col in shared.items()}))
-    # the games that stack each column: every game if it was requested, else the kept ones
+    # the games that stack each column: every game if it was requested, else the kept ones if a file holds it
     own_at = np.flatnonzero(kept)
-    at = {name: np.arange(len(kept)) if name in columns else own_at for name in _OWN}
+    at = {name: np.arange(len(kept)) if name in columns else own_at if name in _KEPT else own_at[:0]
+          for name in _OWN}
     own = {name: _stacked(config, at[name].size, [name])[name] for name in _OWN}
-    # running best-arm sums of the games not kept, and the per-slot sums they continue from
-    free_at = np.flatnonzero(np.logical_not(kept)) if "cf_best" in columns else own_at[:0]
-    cf_best = np.zeros((free_at.size,) + shared["active"].shape[1:])
-    best_carry = np.zeros(cf_best.shape[:1] + (config.num_agents, _kmax(config)))
+    # every game's running best-arm sums, and the per-slot sums they continue from
+    best = np.zeros(((len(kept) if "cf_best" in columns else 0),) + shared["active"].shape[1:])
+    best_carry = np.zeros(best.shape[:1] + (config.num_agents, _kmax(config)))
     traces = []
     for g in range(len(kept)):
         v, r = divmod(g, runs)
-        j = int(np.searchsorted(own_at, g))  # the game's row among the kept ones
         trace = {name: col[r] for name, col in shared.items()
                  if kept[g] or name == "active" or name in columns}
-        trace.update({name: col[g] if name in columns else col[j]
-                      for name, col in own.items() if kept[g] or name in columns})
-        if g in free_at:
-            trace["cf_best"] = cf_best[np.searchsorted(free_at, g)]
-        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap))
-    stack = SimpleNamespace(**shared, **own, uniforms=uniforms, runs=runs, games=len(kept), at=at,
-                            free_at=free_at, cf_best=cf_best, best_carry=best_carry)
+        trace.update({name: col[np.searchsorted(at[name], g)]
+                      for name, col in own.items() if name in columns or kept[g] and name in _KEPT})
+        if best.size:
+            trace["cf_best"] = best[g]
+        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap, derives=bool(kept[g])))
+    stack = SimpleNamespace(**shared, **own, uniforms=uniforms, runs=runs, games=len(kept), at=at, kept=own_at,
+                            count=np.zeros((runs, config.num_agents), dtype=np.int64),
+                            cf_best=best, best_carry=best_carry)
     # game g = variant * runs + run; row g * num_agents + n holds its agent n
     learners = [c.learners for c in configs for _ in run_ids]
     state = bandit.LearnerState.fresh(sum(learners, ()), len(envs[0].arm_ids))
@@ -353,7 +361,7 @@ class _Group:
         game = np.repeat(np.arange(game_runs.size), agents.size)
         agent = np.tile(agents, game_runs.size)
         params = [learners[g][n] for g, n in zip(game.tolist(), agent.tolist())]
-        self.k, self.agents, self.variants = k, agents, game_runs.size // stack.runs
+        self.k, self.agents, self.variants, self.params = k, agents, game_runs.size // stack.runs, params
         self.flat = game * n_agents + agent  # learner-state rows
         self.rows = self.flat[:, None]
         self.table_rows = game_runs[game] * n_agents + agent  # in the run ids' cost table
@@ -434,9 +442,10 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     """Fill rounds [lo, hi] of the batch's columns from the block outputs.
 
     Each column is filled for the games that stack it (``stack.at``), and
-    ``cf_best`` for the games in ``stack.free_at``, continued per slot from
-    ``stack.best_carry``.  ``inputs`` holds the cost ingredients [run,
-    round, agent, slot]; ``env`` is any run id's Environment.
+    ``cf_best``, if stacked, for every game, continued per slot from
+    ``stack.best_carry``; then the kept games are checked (``_check``).
+    ``inputs`` holds the cost ingredients [run, round, agent, slot]; ``env``
+    is any run id's Environment.
     """
     rounds = slice(lo, hi + 1)
     active = stack.active[:, rounds]  # [run, round, agent]
@@ -478,12 +487,62 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
         stack.cf_norm[:, rounds, :, :k] = _rows(norm, stack.at["cf_norm"])
     if stack.at["cf_raw"].size:
         stack.cf_raw[:, rounds, :, :k] = _rows(per_game(vec["realized"]), stack.at["cf_raw"])
-    free = stack.free_at
-    if free.size:
-        free_norm = _rows(norm, free).swapaxes(0, 1)  # round first
-        free_played = _rows(played, free).swapaxes(0, 1)
+    if stack.cf_best.size:
+        norm_r, played_r = norm.swapaxes(0, 1), played.swapaxes(0, 1)  # round first
         for g in groups:
             carry = stack.best_carry[:, g.agents, : g.k]
-            best = running_best_sums(free_played[:, :, g.agents], free_norm[:, :, g.agents, : g.k], carry)
+            best = running_best_sums(played_r[:, :, g.agents], norm_r[:, :, g.agents, : g.k], carry)
             stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
             stack.best_carry[:, g.agents, : g.k] = carry
+    kept = stack.kept
+    if kept.size:
+        degree = at_chosen(_rows(per_game(vec["congestion"]), kept), _rows(slots, kept), _rows(played, kept),
+                           0)
+        _check(env, stack, lo, hi, groups, blocks, _rows(norm, kept), degree)
+
+
+def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
+    """Raise ValueError unless the kept games' loop values in rounds [lo, hi]
+    are those their trace files give back, naming the first column (in
+    ``_DERIVED`` order) that differs.
+
+    The ``traces._DERIVED`` rules are applied to the block's stored columns
+    and compared, bit for bit at the active agent-rounds, with what the
+    loop used: each run id's clocks; the congestion degrees (``degree``,
+    [kept game, round, agent]) and normalized costs (``norm``, [kept game,
+    round, agent, slot]) the costs were taken at; and each group's table
+    costs, demand weights, rates and the estimates it updated its scores
+    by.  ``stack.count`` carries the activation counts across blocks.
+    """
+    rounds, kept, n_agents = slice(lo, hi + 1), stack.kept, stack.active.shape[2]
+    active = stack.active[:, rounds]  # [run, round, agent]
+    count = stack.count[:, None] + np.cumsum(active, axis=1)
+    stack.count = count[:, -1]
+    clock = np.where(active.any(axis=2, keepdims=True), count, 0)
+    bad = set() if _same_bits(clock, stack.clock[:, rounds]) else {"clock"}
+    runs = kept % stack.runs
+    row = {name: np.searchsorted(stack.at[name], kept) for name in _KEPT}  # each kept game's row in a stack
+    # the active agents on each chosen arm, per kept game and round
+    cells = np.flatnonzero(active[runs])
+    ids = np.sort(env.arm_ids)
+    chosen = stack.chosen[row["chosen"], rounds].reshape(-1)[cells]
+    key = cells // n_agents * ids.size + np.searchsorted(ids, chosen)
+    if not _same_bits(np.bincount(key)[key], degree.reshape(-1)[cells].astype(np.int64)):
+        bad.add("congestion")
+    for g, b in zip(groups, blocks):
+        rows = (kept[:, None] * g.agents.size + np.arange(g.agents.size)).reshape(-1)  # of the kept games
+        found = np.nonzero(b.active[:, rows])
+        for i in range(0, found[0].size, _PIECE):  # a piece of the group's active cells at a time
+            r, q = (axis[i : i + _PIECE] for axis in found)
+            game, agent, t = q // g.agents.size, g.agents[q % g.agents.size], lo + r
+            held = {"chosen": stack.chosen[row["chosen"][game], t, agent], "clock": clock[runs[game], r, agent],
+                    "task_size": stack.task_size[runs[game], t, agent],
+                    **{name: getattr(stack, name)[row[name][game], t, agent, : g.k] for name in ("probs", "cf_raw")}}
+            rule = _rules(g.k, rows[q], g.params, np.asarray(env.arm_ids)[g.cols], held, g.task_size, env.cost_cap)
+            used = {"cf_norm": norm[game, r, agent, : g.k], "cost_norm": b.loss[r, rows[q]],
+                    "zeta": b.zeta[r, rows[q], 0], "eta": b.eta[r, rows[q], 0], "gamma": b.gamma[r, rows[q]],
+                    "estimates": b.estimates[r, rows[q]]}
+            bad.update(name for name, values in used.items() if not _same_bits(rule[name], values))
+    if bad:
+        name = next(name for name in _DERIVED if name in bad)
+        raise ValueError(f"{name} holds a value other than {_left_out(name, None)}")

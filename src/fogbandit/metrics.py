@@ -77,9 +77,10 @@ def running_best_sums(active: np.ndarray, cf: np.ndarray, carry: np.ndarray) -> 
 def regret_series(trace: "GameTrace", agent: int) -> RegretSeries:
     """The agent's regret against its best fixed arm of each segment.
 
-    A trace holding ``cf_norm`` (a full trace) gives the best arm's running
-    sums through ``running_best_sums`` per segment; a metric-only trace
-    carries them, per round, as ``cf_best``.
+    A trace that carries the best arm's running sums, per round, as
+    ``cf_best`` gives them; any other gives them from ``cf_norm`` through
+    ``running_best_sums`` per segment.  ``cf_best`` is looked up first, as
+    a kept game's trace would derive ``cf_norm`` to answer.
     """
     T = trace.horizon
     cum_norm = np.zeros(T + 1)
@@ -87,11 +88,11 @@ def regret_series(trace: "GameTrace", agent: int) -> RegretSeries:
     for lo, hi in agent_segments(trace, agent):
         act = trace.active[lo : hi + 1, agent]
         real_n = np.where(act, np.nan_to_num(trace.cost_norm[lo : hi + 1, agent]), 0.0).cumsum()
-        if hasattr(trace, "cf_norm"):
+        if hasattr(trace, "cf_best"):
+            best = trace.cf_best[lo : hi + 1, agent]
+        else:
             k = len(trace.candidate_set(lo, agent))
             best = running_best_sums(act, trace.cf_norm[lo : hi + 1, agent, :k], np.zeros(k))
-        else:
-            best = trace.cf_best[lo : hi + 1, agent]
         cum_norm[lo : hi + 1] = base_norm + real_n - best
         base_norm = cum_norm[hi]
     plays = np.concatenate(([1.0], np.maximum(trace.active[1:, agent].cumsum(), 1.0)))

@@ -49,10 +49,16 @@ class GameTrace:
     other columns determine (see ``write_trace``).  The traces of one
     ``run_games`` batch share storage: each column is a view of one stacked
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
-    one run id share their ``game._SHARED`` columns.  A trace that ``run_games``
-    was not asked to keep whole holds ``active`` plus the columns its caller
-    asked for, and reading any other column raises ``AttributeError``.
-    Among those may be ``cf_best``, which no trace file holds:
+    one run id share their ``game._SHARED`` columns.
+
+    A trace need not hold every column.  A trace that ``derives`` (a kept
+    game's of ``run_games``, or ``read_trace``'s) holds every ``_STORED``
+    column and derives any ``_DERIVED`` column it lacks, by the rule a
+    trace file derives it by, the first time it is read, and then keeps
+    it.  Any other trace of ``run_games`` holds ``active`` plus the columns
+    its caller asked for, and reading any other column raises
+    ``AttributeError``.  Among those may be ``cf_best``, which no trace
+    file holds:
     ``cf_best[t, n]`` is the least, over agent n's candidate slots, of its
     counterfactual normalized costs summed over its active rounds from the
     start of its segment (see ``metrics.agent_segments``) through round t,
@@ -70,12 +76,21 @@ class GameTrace:
     """
 
     def __init__(self, config: GameConfig, run_id: int, columns: dict | None = None,
-                 cost_cap: float | None = None):
+                 cost_cap: float | None = None, derives: bool = False):
         self.config = config
         self.run_id = run_id
         self.cost_cap = cost_cap
+        self.derives = derives
         vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
         self.kmax = _kmax(config)
+
+    def __getattr__(self, name: str):
+        # reached only for a column the trace does not hold
+        if name not in _DERIVED or not vars(self).get("derives"):
+            raise AttributeError(f"trace has no column {name!r}")
+        value = _derive(self, name)
+        setattr(self, name, value)
+        return value
 
     # -- structure ----------------------------------------------------------
 
@@ -122,8 +137,8 @@ def _clock(active: np.ndarray, out: np.ndarray) -> None:
 
 _TRACE_MAGIC = b"# fogbandit-trace v6\n"
 _TEXT_MAGIC = "# fogbandit-trace v2\n"
-# the columns a trace file leaves out, in the order ``read_trace`` derives
-# them, each with the rule it derives them by
+# the columns a trace file leaves out, each with the rule it derives them by,
+# in the order a check names the first one that differs
 _DERIVED = {
     "clock": "the running count of active (0 in a round where no agent plays)",
     "congestion": "the number of active agents on the chosen arm in the round",
@@ -136,10 +151,10 @@ _DERIVED = {
     "estimates": "bandit.estimate_cost of cost_norm at the chosen slot (+0.0 at a bandit-feedback "
                  "agent's other slots), or cf_norm at a full-feedback agent's slots",
 }
+# the columns the learner rules read (see ``_rules``)
+_INPUTS = ("clock", "task_size", "chosen", "probs", "cf_raw")
 # the columns a trace file holds, in file order: active whole, then each at its cells
 _STORED = tuple(column for column in _COLUMNS if column[0] not in _DERIVED)
-# every column past active, in the order write_trace checks them: the stored, then the derived
-_CHECKED = _STORED[1:] + tuple(column for name in _DERIVED for column in _COLUMNS if column[0] == name)
 
 
 def _header(trace: GameTrace, **extra) -> str:
@@ -152,13 +167,12 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     """Where a trace file holds a trace's cells, from ``active`` alone.
 
     ``at`` holds the flat [round, agent] indices of the active agent-rounds
-    (row 0, the padding, left out) in (round, agent) order, and ``cuts``
-    where in it each epoch starts, then its length.  ``slot_at`` holds the
-    flat [round, agent, slot] indices of their slots within their epoch's
-    largest candidate set, in the same order: the cells where a file holds
-    ``probs`` and ``cf_raw``.
+    (row 0, the padding, left out) in (round, agent) order, ``cuts`` where
+    in it each epoch starts, then its length, and ``widths`` each epoch's
+    largest candidate set: a file holds ``probs`` and ``cf_raw`` over that
+    many slots of each of the epoch's agent-rounds, ``slots`` cells in all.
     """
-    n, kmax = trace.num_agents, trace.kmax
+    n = trace.num_agents
     live = np.array(trace.active, dtype=bool).reshape(-1)
     live[:n] = False
     at = np.flatnonzero(live)
@@ -166,13 +180,8 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     epochs = trace.epochs()
     cuts = np.searchsorted(at, [lo * n for lo, _, _ in epochs] + [n * (trace.horizon + 1)]).tolist()
     widths = [max(map(len, sets)) for _, _, sets in epochs]
-    slot_at = np.empty(sum((b - a) * k for a, b, k in zip(cuts, cuts[1:], widths)), dtype=np.int64)
-    start = 0
-    for a, b, k in zip(cuts, cuts[1:], widths):
-        cells = slot_at[start : start + (b - a) * k]
-        start += cells.size
-        np.add(at[a:b, None] * kmax, np.arange(k), out=cells.reshape(-1, k))
-    return SimpleNamespace(at=at, cuts=cuts, slot_at=slot_at)
+    slots = sum((b - a) * k for a, b, k in zip(cuts, cuts[1:], widths))
+    return SimpleNamespace(at=at, cuts=cuts, widths=widths, slots=slots)
 
 
 def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
@@ -213,62 +222,90 @@ def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
     return SimpleNamespace(chosen_at=chosen_at, congestion=congestion)
 
 
-def _held(name: str, lay) -> np.ndarray:
-    """The flat indices of a stored column's cells (past ``active``) that a trace file holds."""
-    return lay.slot_at if name in _PER_SLOT else lay.at
+# values of one column that a trace file reads or writes at a time, at most
+_PIECE = 1 << 12
 
 
-def _learner_rule(name: str, out: np.ndarray, trace: GameTrace) -> None:
-    """The ``_DERIVED`` rule of ``zeta``, ``eta``, ``gamma`` or ``estimates``
-    into ``out``, by the functions of ``bandit`` the round loop steps the
-    learners with, one agent's active rounds of an epoch at a time."""
-    ts = trace.config.task_size
-    for lo, hi, sets in trace.epochs():
-        rounds = slice(lo, hi + 1)
-        for agent, (learner, arms) in enumerate(zip(trace.config.learners, sets)):
-            act, cell, k = trace.active[rounds, agent], out[rounds, agent], len(arms)
-            if name == "zeta" and not learner.use_demand_weight:
-                cell[act] = 1.0
-            elif name == "zeta":
-                cell[act] = bandit.demand_weight(trace.task_size[rounds, agent][act], ts.q_lo, ts.q_hi)
-            elif name in ("eta", "gamma"):
-                clock = trace.clock[rounds, agent][act]
-                cell[act] = getattr(bandit.learning_rates(clock, k, learner.schedule_a, learner.gamma_ratio), name)
-            elif learner.feedback == "full":
-                cell[act, :k] = trace.cf_norm[rounds, agent, :k][act]
-            else:
-                slot = (trace.chosen[rounds, agent][act, None] == arms).argmax(axis=1)
-                probs = trace.probs[rounds, agent, :k][act]
-                cell[act, :k] = bandit.estimate_cost(trace.cost_norm[rounds, agent][act], slot, probs,
-                                                     trace.gamma[rounds, agent][act], out=np.empty(probs.shape))
+def _pieces(name: str, lay):
+    """The cells of a stored column (past ``active``) that a trace file
+    holds, in file order, a piece of at most ``_PIECE`` values at a time:
+    (flat [round, agent] indices, the slots held at each, or None for a
+    [round, agent] column)."""
+    spans = zip(lay.cuts, lay.cuts[1:], lay.widths) if name in _PER_SLOT else [(0, lay.at.size, None)]
+    for a, b, k in spans:
+        step = _PIECE // (k or 1)
+        for lo in range(a, b, step):
+            yield lay.at[lo : min(lo + step, b)], k
 
 
-def _restore(name: str, out: np.ndarray, trace: GameTrace, lay, cells, part=None) -> None:
-    """Column ``name`` of a trace as its file gives it back, into ``out``, which holds the column's fill.
+def _held(name: str, lay) -> int:
+    """How many values of a stored column (past ``active``) a trace file holds."""
+    return lay.slots if name in _PER_SLOT else lay.at.size
 
-    A stored column takes ``part``, the values the file holds, at its cells
-    (``cells`` may be None for ``chosen``).  A derived column takes the
-    values of its ``_DERIVED`` rule, from ``trace``'s other columns.
-    """
-    flat = out.reshape(-1)
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b, dtype=a.dtype)
+    bits = f"<u{a.itemsize}"
+    return a.shape == b.shape and np.array_equal(a.view(bits), b.view(bits))
+
+
+def _rules(k, row, learners, arms, cells, task_size, cost_cap) -> dict[str, np.ndarray]:
+    """The ``_DERIVED`` rules of the learner columns, and of ``cf_norm`` and
+    ``cost_norm``, at active agent-rounds of one epoch whose agents hold
+    sets of ``k`` arms: one step over all of them, by the ``bandit``
+    functions the round loop steps the learners with.  Cell i is a round
+    of row ``row[i]``, with learner ``learners[row[i]]`` and candidate arms
+    ``arms[row[i]]``; ``cells`` holds the ``_INPUTS`` there, per cell,
+    and per cell and slot for ``probs`` and ``cf_raw``."""
+    def param(attr):
+        return np.array([getattr(p, attr) for p in learners])[row]
+
+    rates = bandit.learning_rates(cells["clock"], k, param("schedule_a"), param("gamma_ratio"))
+    cf_norm = normalized(cells["cf_raw"], cost_cap)
+    slot = (cells["chosen"][:, None] == arms[row]).argmax(axis=1)
+    cost_norm = cf_norm[np.arange(slot.size), slot]
+    estimates = bandit.estimate_cost(cost_norm, slot, cells["probs"], rates.gamma, out=np.empty(cf_norm.shape))
+    full = param("feedback") == "full"
+    estimates[full] = cf_norm[full]
+    weight = bandit.demand_weight(cells["task_size"], task_size.q_lo, task_size.q_hi)
+    return {"cf_norm": cf_norm, "cost_norm": cost_norm, "zeta": np.where(param("use_demand_weight"), weight, 1.0),
+            "eta": rates.eta, "gamma": rates.gamma, "estimates": estimates}
+
+
+def _derive(trace: GameTrace, name: str) -> np.ndarray:
+    """Column ``name`` of a trace by its ``_DERIVED`` rule, from the trace's other columns."""
+    out = _stacked(trace.config, 1, [name])[name][0]
     if name == "clock":
         _clock(trace.active, out)
-    elif name == "congestion":
-        flat[lay.at] = cells.congestion
-    elif name == "cf_norm":
-        normalized(trace.cf_raw, trace.cost_cap, out=out)
-    elif name in ("cost_norm", "cost_real"):
-        source = trace.cf_norm if name == "cost_norm" else trace.cf_raw
-        flat[lay.at] = source.reshape(-1)[cells.chosen_at]
-    elif name in ("zeta", "eta", "gamma", "estimates"):
-        _learner_rule(name, out, trace)
-    else:
-        flat[_held(name, lay)] = part
-
-
-def _part_buffer(lay) -> np.ndarray:
-    """Bytes for the largest part of a column a trace file holds, reused by every column."""
-    return np.empty(lay.slot_at.size * 8, dtype=np.uint8)
+        return out
+    if name == "cf_norm":
+        return normalized(trace.cf_raw, trace.cost_cap, out=out)
+    lay, flat, n = _layout(trace), out.reshape(-1), trace.num_agents
+    if name in ("congestion", "cost_norm", "cost_real"):
+        cells = _cells(trace, lay)
+        if name == "congestion":
+            flat[lay.at] = cells.congestion
+        else:
+            raw = trace.cf_raw.reshape(-1)[cells.chosen_at]
+            flat[lay.at] = raw if name == "cost_real" else normalized(raw, trace.cost_cap)
+        return out
+    # learner columns: one step per epoch, candidate-set size and piece of _PIECE agent-rounds
+    for a, b, (_, _, sets) in zip(lay.cuts, lay.cuts[1:], trace.epochs()):
+        sizes = np.array([len(arms) for arms in sets])
+        for k in sorted(set(sizes.tolist())):
+            agents = np.flatnonzero(sizes == k)
+            cells = lay.at[a:b][sizes[lay.at[a:b] % n] == k]
+            for lo in range(0, cells.size, _PIECE):
+                at = cells[lo : lo + _PIECE]
+                held = {c: getattr(trace, c).reshape(-1, trace.kmax)[at, :k] if c in _PER_SLOT
+                        else getattr(trace, c).reshape(-1)[at] for c in _INPUTS}
+                rule = _rules(k, np.searchsorted(agents, at % n), [trace.config.learners[i] for i in agents],
+                              np.array([sets[i] for i in agents]), held, trace.config.task_size, trace.cost_cap)
+                if name == "estimates":
+                    out.reshape(-1, trace.kmax)[at, :k] = rule[name]
+                else:
+                    flat[at] = rule[name]
+    return out
 
 
 def write_trace(trace: GameTrace, path) -> None:
@@ -282,10 +319,12 @@ def write_trace(trace: GameTrace, path) -> None:
     agent-rounds, in (round, agent) order, then ``probs`` and ``cf_raw``
     over the same agent-rounds' slots within their epoch's largest
     candidate set.  The ``_DERIVED`` columns are not written.  Every value
-    left out must be the one ``read_trace`` puts back, bit for bit: the
-    column's ``_COLUMNS`` fill or the value of the column's ``_DERIVED``
-    rule.  If one is not, the file is removed and a ValueError names the
-    column.
+    left out must be the one ``read_trace`` gives back, bit for bit: a
+    stored column's ``_COLUMNS`` fill, and the value of its ``_DERIVED``
+    rule for each derived column the trace holds.  (A kept game of
+    ``game.run_games`` holds few of those: the round loop checked its
+    derived values block by block.)  If one is not, the file is removed
+    and a ValueError names the column.
     """
     try:
         with open(path, "wb") as fh:
@@ -301,24 +340,25 @@ def _write(trace: GameTrace, fh) -> None:
     fh.write(_TRACE_MAGIC + _header(trace, cost_cap=trace.cost_cap).encode())
     fh.write(np.ascontiguousarray(trace.active, dtype="|b1"))
     lay = _layout(trace)
-    cells = _cells(trace, lay)
-    buf = _part_buffer(lay)
-    back = np.empty(trace.cf_raw.nbytes, dtype=np.uint8)  # room for any column as the file gives it back
-    for name, dtype, fill in _CHECKED:
+    _cells(trace, lay)  # a chosen arm outside its candidate set raises
+    for name, dtype, fill in _STORED[1:]:
         values = np.ascontiguousarray(getattr(trace, name), dtype=dtype)
-        part = None
-        if name not in _DERIVED:
-            held = _held(name, lay)
-            # "clip" (the indices are in range) lets take write into ``out`` unbuffered
-            part = np.take(values.reshape(-1), held, out=buf[: held.size * 8].view(dtype), mode="clip")
-        restored = back[: values.nbytes].view(dtype).reshape(values.shape)
-        restored.fill(fill)
-        _restore(name, restored, trace, lay, cells, part)
         bits = f"<u{values.itemsize}"
-        if not np.array_equal(restored.view(bits), values.view(bits)):
-            raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
-        if part is not None:
+        blank = np.array(fill, dtype=dtype).view(bits)
+        # the cells left out hold the fill: as many fills as the column holds past the written ones
+        left = np.count_nonzero(values.view(bits) == blank)
+        for at, k in _pieces(name, lay):
+            part = values.reshape(-1)[at] if k is None else values.reshape(-1, trace.kmax)[at, :k]
+            left -= np.count_nonzero(part.view(bits) == blank)
             fh.write(part)
+        if left != values.size - _held(name, lay):
+            raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
+    # each derived column the trace holds, against its rule on the stored columns alone, one at a time
+    stored = GameTrace(trace.config, trace.run_id, {name: getattr(trace, name) for name, _, _ in _STORED},
+                       trace.cost_cap, derives=True)
+    for name in _DERIVED:
+        if name in vars(trace) and not _same_bits(_derive(stored, name), vars(trace)[name]):
+            raise ValueError(f"{name} holds a value other than {_left_out(name, None)}")
 
 
 def _left_out(name: str, fill) -> str:
@@ -330,8 +370,9 @@ def _left_out(name: str, fill) -> str:
 
 
 def read_trace(path) -> GameTrace:
-    """Read a trace file into a fresh GameTrace, all 17 columns and
-    ``cost_cap``: the values the file leaves out are put back by the rules
+    """Read a trace file into a fresh GameTrace: its ``cost_cap`` and the
+    ``_STORED`` columns, each cell the file leaves out at its fill.  The
+    ``_DERIVED`` columns are derived when first read, by the rules
     ``write_trace`` holds them to."""
     with open(path, "rb") as fh:
         magic = fh.readline()
@@ -341,31 +382,36 @@ def read_trace(path) -> GameTrace:
                              "file of an older format must be written again by `fogbandit run`")
         try:
             header = json.loads(fh.readline().removeprefix(b"# "))
-            trace = GameTrace(parse_game(header["config"]), header.get("run_id", 0),
-                              cost_cap=float(header["cost_cap"]))
+            config = parse_game(header["config"])
+            active = _stacked(config, 1, ["active"])["active"][0]
+            trace = GameTrace(config, header.get("run_id", 0), {"active": active}, float(header["cost_cap"]),
+                              derives=True)
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: damaged trace header: {exc}") from None
         size, start = os.fstat(fh.fileno()).st_size, fh.tell()
         fh.readinto(memoryview(trace.active).cast("B"))  # a short read leaves the size check failing
         lay = _layout(trace)
-        expected = start + trace.active.nbytes + 8 * sum(_held(name, lay).size for name, _, _ in _STORED[1:])
+        expected = start + trace.active.nbytes + 8 * sum(_held(name, lay) for name, _, _ in _STORED[1:])
         if size != expected:
             raise ValueError(
                 f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
             )
-        buf, cells = _part_buffer(lay), None
-        for name, dtype, _ in _STORED[1:]:
-            part = buf[: _held(name, lay).size * 8]
-            fh.readinto(part)
-            _restore(name, getattr(trace, name), trace, lay, cells, part.view(dtype))
+        buf = np.empty(_PIECE * 8, dtype=np.uint8)
+        for name, dtype, _ in _STORED[1:]:  # each column allocated as it is read
+            column = _stacked(trace.config, 1, [name])[name][0]
+            setattr(trace, name, column)
+            for at, k in _pieces(name, lay):
+                part = buf[: at.size * (k or 1) * 8]
+                fh.readinto(part)
+                if k is None:
+                    column.reshape(-1)[at] = part.view(dtype)
+                else:
+                    column.reshape(-1, trace.kmax)[at, :k] = part.view(dtype).reshape(-1, k)
             if name == "chosen":  # it places the others
                 try:
-                    cells = _cells(trace, lay)
+                    _cells(trace, lay)
                 except ValueError as exc:
                     raise ValueError(f"{path}: damaged trace: {exc}") from None
-        del buf, part
-    for name in _DERIVED:
-        _restore(name, getattr(trace, name), trace, lay, cells)
     return trace
 
 

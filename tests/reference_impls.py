@@ -157,6 +157,41 @@ def ref_replay_learner(trace, agent: int) -> dict:
     return {"probs": probs_log, "estimates": est_log, "scores": scores}
 
 
+def ref_learner_column(name: str, trace) -> np.ndarray:
+    """``zeta``, ``eta``, ``gamma`` or ``estimates`` of a trace as trace
+    format v6 first derived them: one agent's active rounds of one epoch at
+    a time, with the ``bandit`` functions that loop called (the one
+    exception to this module's rule).  Reads the trace's ``clock``,
+    ``task_size``, ``chosen``, ``probs``, ``cost_norm`` and ``cf_norm``;
+    the estimates take gamma from this function too."""
+    from fogbandit import bandit
+
+    config = trace.config
+    shape = (config.horizon + 1, config.num_agents) + ((trace.kmax,) if name == "estimates" else ())
+    out = np.full(shape, np.nan)
+    gamma = ref_learner_column("gamma", trace) if name == "estimates" else None
+    ts = config.task_size
+    for lo, hi, sets in trace.epochs():
+        rounds = slice(lo, hi + 1)
+        for agent, (learner, arms) in enumerate(zip(config.learners, sets)):
+            act, cell, k = trace.active[rounds, agent], out[rounds, agent], len(arms)
+            if name == "zeta" and not learner.use_demand_weight:
+                cell[act] = 1.0
+            elif name == "zeta":
+                cell[act] = bandit.demand_weight(trace.task_size[rounds, agent][act], ts.q_lo, ts.q_hi)
+            elif name in ("eta", "gamma"):
+                clock = trace.clock[rounds, agent][act]
+                cell[act] = getattr(bandit.learning_rates(clock, k, learner.schedule_a, learner.gamma_ratio), name)
+            elif learner.feedback == "full":
+                cell[act, :k] = trace.cf_norm[rounds, agent, :k][act]
+            else:
+                slot = (trace.chosen[rounds, agent][act, None] == arms).argmax(axis=1)
+                probs = trace.probs[rounds, agent, :k][act]
+                cell[act, :k] = bandit.estimate_cost(trace.cost_norm[rounds, agent][act], slot, probs,
+                                                     gamma[rounds, agent][act], out=np.empty(probs.shape))
+    return out
+
+
 def ref_pick(probs: list[float], u: float) -> int:
     cum = 0.0
     for i, p in enumerate(probs):

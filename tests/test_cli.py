@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import pickle
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from fogbandit import cli, configio, game, metrics, oracle
+from fogbandit import bandit, cli, configio, game, metrics, oracle, traces
 from fogbandit.cli import bundled_config, main, oracle_dump, run_batch, run_experiment, verify
 from fogbandit.configio import BASELINES, ExperimentSpec, load_config, parse_spec
 from fogbandit.env import ConfigError, Environment
@@ -178,12 +179,12 @@ def _count_pools(monkeypatch) -> list:
 
 
 def _long(mini_path, name, variants=None, replications=3):
-    """The mini config at 2 agents and 6,500 rounds, which plans several batches."""
+    """The mini config at 2 agents and 11,000 rounds, which plans several batches."""
     doc = yaml.safe_load(mini_path.read_text())
     doc["replications"] = replications
     doc["variants"] = variants or doc["variants"]
-    doc["game"].update(num_agents=2, horizon=6500)
-    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 6500
+    doc["game"].update(num_agents=2, horizon=11_000)
+    doc["game"]["env"]["adversary"]["phases"][0]["end"] = 11_000
     path = mini_path.with_name(name)
     path.write_text(yaml.safe_dump(doc))
     return path
@@ -266,11 +267,96 @@ def test_fig2_shaped_run_fits_one_batch_and_starts_no_pool(tmp_path, monkeypatch
     assert trees[0] == trees[1]
 
 
+def test_run_reductions_derive_no_column_of_a_kept_trace(mini_path, tmp_path, monkeypatch):
+    # run reads cost_norm and cf_best of every game, which every game stacks:
+    # reading cf_norm of a kept trace would derive and cache its [round,
+    # agent, slot] table
+    played = []
+    games = cli.iter_games
+
+    def recording(*args):
+        for item in games(*args):
+            played.append(item[2])
+            yield item
+
+    monkeypatch.setattr(cli, "iter_games", recording)
+    assert main(["run", str(mini_path), "--workers", "1", "--out", str(tmp_path)]) == 0
+    assert len(played) == 3 and all(trace.derives for trace in played)  # traces: all
+    for trace in played:
+        assert set(vars(trace)) & set(traces._DERIVED) == {"clock", "cost_norm"}
+
+
+def _perturb(monkeypatch, column: str) -> None:
+    """Make the round loop use, for ``column``, values other than those its
+    ``_DERIVED`` rule gives from the stored columns, and change nothing
+    else the loop checks earlier in ``_DERIVED`` order."""
+    if column == "clock":
+        def clock(active, out):
+            traces._clock(active, out)
+            out[-1] += 1
+        monkeypatch.setattr(game, "_clock", clock)
+    elif column == "congestion":
+        degrees = Environment.congestion
+        monkeypatch.setattr(Environment, "congestion", lambda env, *args: degrees(env, *args) + 1)
+    elif column in ("cf_norm", "cost_norm"):  # the fill's costs, or the cost table's
+        costs = Environment.cost_vectors
+
+        def cost_vectors(env, inputs, congestion):
+            out = costs(env, inputs, congestion)
+            if (np.ndim(congestion) == 1) == (column == "cost_norm"):
+                out["normalized"] = np.nextafter(out["normalized"], 0.5)
+            return out
+        monkeypatch.setattr(Environment, "cost_vectors", cost_vectors)
+    elif column in ("zeta", "eta", "gamma"):
+        block = game._Group.block
+
+        def nudged(group, stack, rounds):
+            b = block(group, stack, rounds)
+            values = getattr(b, column)
+            values[...] = np.nextafter(values, 0.0)
+            return b
+        monkeypatch.setattr(game._Group, "block", nudged)
+    else:  # estimates
+        update = bandit.update_scores
+
+        def nudged(scores, estimates, eta):
+            np.nextafter(estimates, 1.0, out=estimates)
+            update(scores, estimates, eta)
+        monkeypatch.setattr(bandit, "update_scores", nudged)
+
+
+# cost_real has no loop value of its own: the fill takes it and cf_raw from one array
+@pytest.mark.parametrize("column", [name for name in traces._DERIVED if name != "cost_real"])
+def test_a_loop_value_the_trace_file_would_not_give_back_is_refused(mini_path, tmp_path, monkeypatch,
+                                                                    capsys, column):
+    # the kept games' loop values are checked block by block: a game that
+    # used another value raises naming the column, run writes no trace
+    # file, and verify fails the replay's determinism
+    out = tmp_path / "out"
+    assert main(["run", str(mini_path), "--workers", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _perturb(monkeypatch, column)
+    message = f"{column} holds a value other than {traces._DERIVED[column]}, which a trace file derives"
+    spec = load_config(mini_path)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_games(spec.game_for(spec.variants[0]), [0])
+    assert run_games(spec.game_for(spec.variants[0]), [0], keep=set())  # a game not kept is not checked
+    bad = tmp_path / "bad"
+    assert main(["run", str(mini_path), "--workers", "1", "--out", str(bad)]) == cli.EXIT_RUNTIME
+    assert message in capsys.readouterr().err
+    assert not list(bad.rglob("*.trace"))
+    assert main(["verify", str(mini_path), "--workers", "1", "--out", str(out)]) == cli.EXIT_VERIFY
+    text = capsys.readouterr().out
+    for rid in spec.run_ids:
+        stored = out / "mini" / "default" / "traces" / f"run_{rid:04d}.trace"
+        assert f"FAIL  determinism: replay of {stored} has no trace file: {message}\n" in text
+
+
 def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
     # every trace of a 6-agent game on 8 -> 12 arms is kept: one process plays
-    # the 6 run ids in two lockstep batches, but a 5 MiB share of two
-    # processes holds a single game, so a split would play every game alone
-    # and --workers 2 plays the one-process plan in-process instead
+    # the 6 run ids in one lockstep batch, as a kept game stacks only what its
+    # file holds and cost_norm, so one process plays it and --workers 2 starts
+    # no pool, although a 5 MiB share of two processes would hold 3 games
     horizon, arms = 900, list(range(1, 13))
     doc = {
         "name": "wide", "master_seed": 20261017, "replications": 6, "metrics": ["cost"],
@@ -290,8 +376,8 @@ def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
     path.write_text(yaml.safe_dump(doc))
     spec = load_config(path)
     kept = {(0, rid) for rid in spec.run_ids}
-    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1, kept, ("cost_norm",))] == [3, 3]
-    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2, kept, ("cost_norm",))] == [1] * 6
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1, kept, ("cost_norm",))] == [6]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2, kept, ("cost_norm",))] == [3, 3]
     pools = _count_pools(monkeypatch)
     trees = _run_trees(path, tmp_path)
     assert pools == []
@@ -301,15 +387,17 @@ def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5"])
 def test_bundled_runs_split_among_their_workers(name):
-    # no batch of the 2-way plan plays a game alone (a lone run id still plays
-    # its variants together), so each bundled run keeps its 2 processes
+    # acceptance-small's 30 run ids fit one lockstep batch, so its run plays
+    # in-process; of every other bundled run no batch of the 2-way plan plays
+    # a game alone (a lone run id still plays its variants together), so it
+    # keeps its 2 processes
     spec = load_config(bundled_config(name))
     assert (spec.workers, spec.trace_policy, "regret" in spec.metrics) == (2, "first", True)
     configs = [spec.game_for(variant) for variant in spec.variants]
     kept = {(v, spec.run_ids[0]) for v in range(len(configs))}
     plan, workers = cli._plan(configs, sorted(spec.run_ids), spec.workers, kept, cli._run_columns(True))
-    assert workers == 2
-    assert plan == batches(configs, sorted(spec.run_ids), 2, kept, cli._run_columns(True))
+    assert workers == (1 if name == "acceptance-small" else 2)
+    assert plan == batches(configs, sorted(spec.run_ids), workers, kept, cli._run_columns(True))
 
 
 def _yaml_loaders() -> list:

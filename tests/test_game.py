@@ -347,6 +347,21 @@ def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config):
             assert hasattr(ours, "cf_best") == ("cf_best" in columns)
 
 
+@pytest.mark.parametrize("config", ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4",
+                                    "paper-fig5"))
+def test_game_bytes_are_what_each_game_stacks(config):
+    # a kept game stacks what its trace file holds and the requested columns,
+    # any other game the requested ones; the plan weighs each at those bytes
+    configs, keep = _two_variants(config), {(0, 0), (1, 1)}
+    for columns in (game._METRIC, _COLUMN_SETS[1]):
+        weights = game._game_bytes(configs, [0, 1], keep, columns)
+        for g, trace in enumerate(run_games(configs, [0, 1], keep=keep, columns=columns)):
+            v, i = divmod(g, 2)
+            stacked = sum(values.nbytes for name, values in vars(trace).items()
+                          if isinstance(values, np.ndarray) and name not in game._SHARED)
+            assert stacked == weights[i][v], (columns, v, i)
+
+
 def test_an_unknown_column_is_rejected():
     with pytest.raises(ValueError, match="no trace column cost"):
         run_games(synthetic_config({1: 0.3, 2: 0.4}, horizon=40), [0], keep=set(), columns=("cost",))

@@ -12,6 +12,7 @@ import dataclasses
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from fogbandit.metrics import pota_series, regret_series, social_cost_series
 from fogbandit.oracle import stage_games
 
 from conftest import synthetic_config
+from reference_impls import ref_learner_column
 
 
 def _explores(learner: dict) -> dict:
@@ -188,6 +190,8 @@ DAMAGE = {
     "cut-in-chosen": lambda data, m: data[: _columns_start(data) + 42 + 4],
     "cut-in-probs": lambda data, m: data[: _columns_start(data) + 42 + 5 * 8 * m + 4],
     "cut-in-cf-raw": lambda data, m: data[: _columns_start(data) + 42 + (5 + 2) * 8 * m + 4],
+    "chosen-outside-its-set": lambda data, m: (data[: _columns_start(data) + 42] + (99).to_bytes(8, "little")
+                                               + data[_columns_start(data) + 50 :]),
 }
 
 
@@ -213,6 +217,32 @@ def test_v3_trace_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="bad magic line '# fogbandit-trace v3'") as exc:
         read_trace(path)
     assert str(path) in str(exc.value)
+
+
+def test_read_trace_allocates_only_the_stored_columns(tmp_path):
+    # a wide-traces-shaped game, 6 agents on 8 -> 12 arms at activation 0.8:
+    # read_trace fills the 8 stored columns, a piece of a column at a time,
+    # and allocates under 60% of the 17 columns of a whole trace
+    arms = tuple(range(1, 13))
+    config = synthetic_config({k: 0.1 + 0.06 * k for k in arms}, num_agents=6, horizon=1000,
+                              epochs=((1, (arms[:8],) * 6), (501, (arms,) * 6)), activation=(0.8,) * 6,
+                              task=TaskSizeLaw(law="uniform"))
+    path = tmp_path / "wide.trace"
+    write_trace(run_game(config, 0), path)
+    blank = game.GameTrace(config, 0)
+    whole = sum(getattr(blank, name).nbytes for name, _, _ in _COLUMNS)
+    del blank
+    read_trace(path)  # the lazy imports of a first read
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = read_trace(path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.6 * whole
+    assert sorted(name for name, _, _ in _COLUMNS if name in vars(trace)) == sorted(
+        name for name, _, _ in traces._STORED)
 
 
 def _rejects_magic(path, version: str) -> None:
@@ -443,6 +473,24 @@ def test_trace_file_leaves_out_what_the_rest_determines(config, run_id):
     assert back.cost_cap == trace.cost_cap
     for name, _, _ in _COLUMNS:
         assert _bits(getattr(back, name)) == _bits(getattr(trace, name)), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3))
+def test_learner_rules_equal_the_per_agent_reference(config, run_id):
+    # ragged per-agent sets, idle agent-rounds, per-agent learners with bandit
+    # and full feedback: the rules stepped over all agents of a set size at
+    # once give, bit for bit, what the per-(epoch, agent) loop gave, on a kept
+    # game's trace and on the trace read back from its file
+    trace = run_game(config, run_id)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.trace"
+        write_trace(trace, path)
+        back = read_trace(path)
+    for name in ("zeta", "eta", "gamma", "estimates"):
+        reference = _bits(ref_learner_column(name, back))
+        assert _bits(getattr(back, name)) == reference, name
+        assert _bits(getattr(trace, name)) == reference, name
 
 
 @settings(max_examples=40, deadline=None)
