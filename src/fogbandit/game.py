@@ -335,6 +335,7 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
                 bandit.update_scores(g.scores, est, b.eta[r])
         for b in blocks:
             bandit.check_losses(b.loss)
+        del table  # before the fill's costs, which take as much again
         _fill(envs[0], stack, inputs, b_lo, b_hi, groups, blocks)
     for g in groups:
         g.store(state)
@@ -498,6 +499,7 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     if kept.size:
         degree = at_chosen(_rows(per_game(vec["congestion"]), kept), _rows(slots, kept), _rows(played, kept),
                            0)
+        vec.clear()  # the block's other costs, which the check does not read
         _check(env, stack, lo, hi, groups, blocks, _rows(norm, kept), degree)
 
 
