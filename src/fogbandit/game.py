@@ -21,7 +21,7 @@ from .configio import GameConfig
 from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
-from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _PIECE, _STORED, GameTrace, _clock, _kmax, _left_out,
+from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _STORED, GameTrace, _clock, _kmax, _left_out, _params,
                      _rules, _same_bits, _stacked)
 # the trace-file API, kept under this module's name too
 from .traces import format_trace, read_trace, write_trace  # noqa: F401
@@ -65,6 +65,10 @@ _BLOCK_CELLS = 2**15
 # variants of a 1500-round paper-fig2 game on 4 run ids, the first run id's
 # traces kept.
 _BATCH_BYTES = 10 * 2**20
+# Active agent-rounds of a group that a block's check of the kept games
+# takes at a time (see ``_check``).  A piece's gathers and rules are about
+# ten [piece, slot] arrays, under half a MiB at 12 slots.
+_CHECK_CELLS = 2**9
 
 
 def _variants(configs) -> list[GameConfig]:
@@ -361,7 +365,7 @@ class _Group:
         game_runs = np.arange(len(learners)) % stack.runs
         game = np.repeat(np.arange(game_runs.size), agents.size)
         agent = np.tile(agents, game_runs.size)
-        params = [learners[g][n] for g, n in zip(game.tolist(), agent.tolist())]
+        params = _params(learners[g][n] for g, n in zip(game.tolist(), agent.tolist()))  # per row
         self.k, self.agents, self.variants, self.params = k, agents, game_runs.size // stack.runs, params
         self.flat = game * n_agents + agent  # learner-state rows
         self.rows = self.flat[:, None]
@@ -369,16 +373,12 @@ class _Group:
         self.cols = np.tile(pos[agents, :k], (game_runs.size, 1))  # arm positions
         self.cells = (game * state.scores.shape[1])[:, None] + self.cols  # in the batch's congestion counts
         self.index = np.arange(self.flat.size)
-        mix = np.array([p.uniform_mix for p in params])
-        self.mix = mix[:, None] if mix.any() else 0.0
+        self.mix = params.uniform_mix[:, None] if params.uniform_mix.any() else 0.0
         # the full-feedback rows, their congestion cells and cost-table rows
-        self.full = np.flatnonzero([p.feedback == "full" for p in params])
+        self.full = np.flatnonzero(params.feedback == "full")
         self.full_cells, self.full_rows = self.cells[self.full], self.table_rows[self.full, None]
         self.slots = np.arange(k)
         self.load(state)
-        self.schedule_a = np.array([p.schedule_a for p in params])
-        self.gamma_ratio = np.array([p.gamma_ratio for p in params])
-        self.weighted = np.array([p.use_demand_weight for p in params])
         self.task_size = task_size
         shape = (rounds, self.flat.size)
         self.out = SimpleNamespace(slot=np.zeros(shape, dtype=np.int64), loss=np.empty(shape),
@@ -409,16 +409,16 @@ class _Group:
         def per_slot(values):  # [round, row] -> [round, row, slot]
             return np.repeat(values[:, :, None], self.k, axis=2)
 
-        active = self.rows_of(stack.active, rounds)
+        active, p = self.rows_of(stack.active, rounds), self.params
         rates = bandit.learning_rates(
-            np.where(active, self.rows_of(stack.clock, rounds), 1), self.k, self.schedule_a, self.gamma_ratio
+            np.where(active, self.rows_of(stack.clock, rounds), 1), self.k, p.schedule_a, p.gamma_ratio
         )
         eta = np.where(active, rates.eta, 0.0)
         gamma = np.where(active, rates.gamma, 1.0)
         bandit.check_gamma(gamma)
         ts = self.task_size
         weight = bandit.demand_weight(self.rows_of(stack.task_size, rounds), ts.q_lo, ts.q_hi)
-        zeta = np.where(active & self.weighted, weight, 1.0)
+        zeta = np.where(active & p.use_demand_weight, weight, 1.0)
         for column, values in (("zeta", zeta), ("eta", eta), ("gamma", gamma)):
             if stack.at[column].size:
                 values = self.stacked(np.where(active, values, np.nan))
@@ -529,13 +529,13 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
     ids = np.sort(env.arm_ids)
     chosen = stack.chosen[row["chosen"], rounds].reshape(-1)[cells]
     key = cells // n_agents * ids.size + np.searchsorted(ids, chosen)
-    if not _same_bits(np.bincount(key)[key], degree.reshape(-1)[cells].astype(np.int64)):
+    if not _same_bits(np.bincount(key)[key], degree.reshape(-1)[cells]):
         bad.add("congestion")
     for g, b in zip(groups, blocks):
         rows = (kept[:, None] * g.agents.size + np.arange(g.agents.size)).reshape(-1)  # of the kept games
         found = np.nonzero(b.active[:, rows])
-        for i in range(0, found[0].size, _PIECE):  # a piece of the group's active cells at a time
-            r, q = (axis[i : i + _PIECE] for axis in found)
+        for i in range(0, found[0].size, _CHECK_CELLS):
+            r, q = (axis[i : i + _CHECK_CELLS] for axis in found)
             game, agent, t = q // g.agents.size, g.agents[q % g.agents.size], lo + r
             held = {"chosen": stack.chosen[row["chosen"][game], t, agent], "clock": clock[runs[game], r, agent],
                     "task_size": stack.task_size[runs[game], t, agent],

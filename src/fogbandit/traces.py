@@ -57,8 +57,9 @@ class GameTrace:
     trace file derives it by, the first time it is read, and then keeps
     it.  Any other trace of ``run_games`` holds ``active`` plus the columns
     its caller asked for, and reading any other column raises
-    ``AttributeError``.  Among those may be ``cf_best``, which no trace
-    file holds:
+    ``AttributeError``, also where those are every ``_STORED`` column: no
+    check compared the values its file would give back with the loop's.
+    Among those may be ``cf_best``, which no trace file holds:
     ``cf_best[t, n]`` is the least, over agent n's candidate slots, of its
     counterfactual normalized costs summed over its active rounds from the
     start of its segment (see ``metrics.agent_segments``) through round t,
@@ -244,32 +245,37 @@ def _held(name: str, lay) -> int:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b, dtype=a.dtype)
-    bits = f"<u{a.itemsize}"
-    return a.shape == b.shape and np.array_equal(a.view(bits), b.view(bits))
+    """Whether ``b``, as ``a``'s dtype, holds ``a``'s values bit for bit (NaN
+    equals NaN, -0.0 differs from +0.0)."""
+    b, bits = np.asarray(b, dtype=a.dtype), f"<u{a.itemsize}"
+    return a.shape == b.shape and not np.any(a.view(bits) != b.view(bits))
 
 
-def _rules(k, row, learners, arms, cells, task_size, cost_cap) -> dict[str, np.ndarray]:
+def _params(learners) -> SimpleNamespace:
+    """The learners' parameters, each an array over the learners."""
+    learners = list(learners)
+    return SimpleNamespace(**{attr: np.array([getattr(p, attr) for p in learners]) for attr in
+                              ("schedule_a", "gamma_ratio", "use_demand_weight", "uniform_mix", "feedback")})
+
+
+def _rules(k, row, params, arms, cells, task_size, cost_cap) -> dict[str, np.ndarray]:
     """The ``_DERIVED`` rules of the learner columns, and of ``cf_norm`` and
     ``cost_norm``, at active agent-rounds of one epoch whose agents hold
     sets of ``k`` arms: one step over all of them, by the ``bandit``
     functions the round loop steps the learners with.  Cell i is a round
-    of row ``row[i]``, with learner ``learners[row[i]]`` and candidate arms
-    ``arms[row[i]]``; ``cells`` holds the ``_INPUTS`` there, per cell,
-    and per cell and slot for ``probs`` and ``cf_raw``."""
-    def param(attr):
-        return np.array([getattr(p, attr) for p in learners])[row]
-
-    rates = bandit.learning_rates(cells["clock"], k, param("schedule_a"), param("gamma_ratio"))
+    of row ``row[i]``, whose learner has the ``params`` (see ``_params``)
+    and candidate arms ``arms`` at that row; ``cells`` holds the clock,
+    task size and chosen arm there, and ``probs`` and ``cf_raw`` per slot."""
+    rates = bandit.learning_rates(cells["clock"], k, params.schedule_a[row], params.gamma_ratio[row])
     cf_norm = normalized(cells["cf_raw"], cost_cap)
     slot = (cells["chosen"][:, None] == arms[row]).argmax(axis=1)
     cost_norm = cf_norm[np.arange(slot.size), slot]
     estimates = bandit.estimate_cost(cost_norm, slot, cells["probs"], rates.gamma, out=np.empty(cf_norm.shape))
-    full = param("feedback") == "full"
+    full = params.feedback[row] == "full"
     estimates[full] = cf_norm[full]
     weight = bandit.demand_weight(cells["task_size"], task_size.q_lo, task_size.q_hi)
-    return {"cf_norm": cf_norm, "cost_norm": cost_norm, "zeta": np.where(param("use_demand_weight"), weight, 1.0),
-            "eta": rates.eta, "gamma": rates.gamma, "estimates": estimates}
+    return {"cf_norm": cf_norm, "cost_norm": cost_norm, "eta": rates.eta, "gamma": rates.gamma,
+            "zeta": np.where(params.use_demand_weight[row], weight, 1.0), "estimates": estimates}
 
 
 def _derive(trace: GameTrace, name: str) -> np.ndarray:
@@ -299,7 +305,7 @@ def _derive(trace: GameTrace, name: str) -> np.ndarray:
                 at = cells[lo : lo + _PIECE]
                 held = {c: getattr(trace, c).reshape(-1, trace.kmax)[at, :k] if c in _PER_SLOT
                         else getattr(trace, c).reshape(-1)[at] for c in _INPUTS}
-                rule = _rules(k, np.searchsorted(agents, at % n), [trace.config.learners[i] for i in agents],
+                rule = _rules(k, np.searchsorted(agents, at % n), _params(trace.config.learners[i] for i in agents),
                               np.array([sets[i] for i in agents]), held, trace.config.task_size, trace.cost_cap)
                 if name == "estimates":
                     out.reshape(-1, trace.kmax)[at, :k] = rule[name]
@@ -396,17 +402,15 @@ def read_trace(path) -> GameTrace:
             raise ValueError(
                 f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
             )
-        buf = np.empty(_PIECE * 8, dtype=np.uint8)
         for name, dtype, _ in _STORED[1:]:  # each column allocated as it is read
             column = _stacked(trace.config, 1, [name])[name][0]
             setattr(trace, name, column)
             for at, k in _pieces(name, lay):
-                part = buf[: at.size * (k or 1) * 8]
-                fh.readinto(part)
+                part = np.frombuffer(fh.read(at.size * (k or 1) * 8), dtype)
                 if k is None:
-                    column.reshape(-1)[at] = part.view(dtype)
+                    column.reshape(-1)[at] = part
                 else:
-                    column.reshape(-1, trace.kmax)[at, :k] = part.view(dtype).reshape(-1, k)
+                    column.reshape(-1, trace.kmax)[at, :k] = part.reshape(-1, k)
             if name == "chosen":  # it places the others
                 try:
                     _cells(trace, lay)

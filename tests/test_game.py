@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fogbandit import game
+from fogbandit import bandit, game
 from fogbandit.bandit import LearnerParams
 from fogbandit.cli import bundled_config, run_batch
 from fogbandit.configio import BASELINES, TaskSizeLaw, load_config
@@ -360,6 +360,25 @@ def test_game_bytes_are_what_each_game_stacks(config):
             stacked = sum(values.nbytes for name, values in vars(trace).items()
                           if isinstance(values, np.ndarray) and name not in game._SHARED)
             assert stacked == weights[i][v], (columns, v, i)
+
+
+def test_the_block_check_reads_every_piece_of_a_block(monkeypatch):
+    # the check takes a block's active agent-rounds a few at a time: an
+    # estimate the loop used only in the game's last round, which lies in
+    # the last piece of the one block, is refused too
+    config = synthetic_config({1: 0.3, 2: 0.5, 3: 0.4}, num_agents=3, horizon=60)
+    monkeypatch.setattr(game, "_CHECK_CELLS", 2)
+    steps, update = [], bandit.update_scores
+
+    def nudged(scores, estimates, eta):
+        steps.append(None)
+        if len(steps) == config.horizon:  # one group of agents: one step per round
+            np.nextafter(estimates, 1.0, out=estimates)
+        update(scores, estimates, eta)
+    monkeypatch.setattr(bandit, "update_scores", nudged)
+    with pytest.raises(ValueError, match="estimates holds a value other than"):
+        run_game(config, 0)
+    assert len(steps) == config.horizon
 
 
 def test_an_unknown_column_is_rejected():
