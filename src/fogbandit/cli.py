@@ -243,7 +243,7 @@ def _sigma_band(values: np.ndarray) -> float:
     return 3.0 * values.std(axis=0, ddof=1).max() / math.sqrt(values.shape[0])
 
 
-_COMPARE_CHUNK = 1 << 20  # bytes of each file a replay comparison holds at once
+_COMPARE_CHUNK = 1 << 16  # bytes of each file a replay comparison holds at once
 _EVERY = tuple(name for name, _, _ in _COLUMNS)
 
 
@@ -339,15 +339,15 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
         except ValueError as exc:  # the replay used a value its trace file would not give back
             failures.append(("determinism", f"replay of {stored} has no trace file: {exc}"))
             fresh, path = run_games(configs[v], [rid], keep=(), columns=_EVERY)[0], None  # unchecked
-        if v == 0 and rid in sample:
-            reduced[rid] = checks(fresh)
-        if path is not None:
+        if path is not None:  # before the checks, which derive columns it would check again
             try:
                 write_trace(fresh, buf_path)  # removes the file if it refuses the trace
             except ValueError as exc:
                 refusal = str(exc).removeprefix(f"{buf_path}: ")
                 failures.append(("determinism", f"replay of {path} has no trace file: {refusal}"))
                 path = None
+        if v == 0 and rid in sample:
+            reduced[rid] = checks(fresh)
         del fresh
         if path is not None:
             same = _same_bytes(buf_path, path)

@@ -21,29 +21,30 @@ from .configio import GameConfig
 from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
-from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _STORED, GameTrace, _clock, _kmax, _left_out, _params,
-                     _rules, _same_bits, _stacked)
+from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _STORED, GameTrace, _body_bytes, _clock, _extent, _kmax,
+                     _left_out, _params, _rules, _same_bits, _split, _stacked)
 # the trace-file API, kept under this module's name too
 from .traces import format_trace, read_trace, write_trace  # noqa: F401
 
 
 # Every variant of a run id shares the columns drawn before play.  Every game
 # stacks the columns its caller asks for (see ``run_games``), and a kept game
-# the rest of what its trace file holds (``_KEPT``).  By default the caller
-# asks for ``_METRIC``: ``cost_norm``, which ``metrics.social_cost_series``,
-# ``pota_series`` and ``regret_series`` read, and the [round, agent] series
-# ``cf_best`` that ``regret_series`` reads in place of ``cf_norm``.
+# holds the rest of what its trace file holds as the file's sections
+# (``_SECTIONS``).  By default the caller asks for ``_METRIC``: ``cost_norm``,
+# which ``metrics.social_cost_series``, ``pota_series`` and ``regret_series``
+# read, and the [round, agent] series ``cf_best`` that ``regret_series``
+# reads in place of ``cf_norm``.
 _SHARED = ("active", "clock", "task_size")
 _OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED)
-_KEPT = tuple(name for name, _, _ in _STORED if name in _OWN)
+_SECTIONS = tuple(name for name, _, _ in _STORED if name in _OWN)
 _METRIC = ("cost_norm", "cf_best")
 
 
-def _bytes(config: GameConfig, names, extra: int = 0) -> int:
-    """Bytes of one trace's named columns, plus ``extra`` bytes per [round, agent] cell."""
+def _bytes(config: GameConfig, names) -> int:
+    """Bytes of one trace's named columns, ``cf_best`` among them if named."""
     kmax = _kmax(config)
-    per_cell = extra + sum(np.dtype(dtype).itemsize * (kmax if name in _PER_SLOT else 1)
-                           for name, dtype, _ in _COLUMNS if name in names)
+    per_cell = 8 * ("cf_best" in names) + sum(np.dtype(dtype).itemsize * (kmax if name in _PER_SLOT else 1)
+                                              for name, dtype, _ in _COLUMNS if name in names)
     return (config.horizon + 1) * config.num_agents * per_cell
 
 
@@ -52,18 +53,19 @@ def _bytes(config: GameConfig, names, extra: int = 0) -> int:
 # game x round x agent x candidate slot in each array of its fill, which
 # bounds the round loop's working memory whatever the horizon and batch.
 _BLOCK_CELLS = 2**15
-# Trace columns, ``cf_best`` and selection uniforms a batch of games stacks:
-# ``batches`` gives each of the batches played at once (one per worker) its
-# share, and a run id over its share plays alone in batches of up to the
-# whole bound (see ``iter_games``).  The rest of what a batch holds grows
-# with a block's rounds, not the horizon, and is not counted here: the
-# learners' rates and demand weights, each Environment's per-round draws,
-# and the block's cost table, fill and check.  At 10 MiB, one process plays
-# the 6 run ids of a fully written 6-agent, 12-arm, 1000-round game in one
-# batch (a kept game stacks the 8 columns its file holds and ``cost_norm``),
-# 30 acceptance-small run ids with the first one's traces kept, and 4
-# variants of a 1500-round paper-fig2 game on 4 run ids, the first run id's
-# traces kept.
+# Trace columns, kept games' sections and ``cf_best`` a batch of games
+# stacks: ``batches`` gives each of the batches played at once (one per
+# worker) its share, and a run id over its share plays alone in batches of
+# up to the whole bound (see ``iter_games``).  The rest of what a batch holds
+# grows with a block's rounds, not the horizon, and is not counted here: the
+# learners' rates and demand weights, the selection uniforms, each
+# Environment's per-round draws, and the block's cost table, fill and check.
+# At 10 MiB, one process plays the 6 run ids of a fully written 6-agent,
+# 12-arm, 1000-round game in one batch (a kept game holds its file's sections
+# of the 6 columns not shared with its run id, and ``cost_norm``), 30
+# acceptance-small run ids with the first one's traces kept, and 4 variants
+# of a 1500-round paper-fig2 game on 4 run ids, the first run id's traces
+# kept.
 _BATCH_BYTES = 10 * 2**20
 # Active agent-rounds of a group that a block's check of the kept games
 # takes at a time (see ``_check``).  A piece's gathers and rules are about
@@ -76,10 +78,15 @@ def _variants(configs) -> list[GameConfig]:
 
 
 def _game_bytes(configs, run_ids, keep, columns) -> list[list[int]]:
-    """Bytes each game stacks beyond its run id's shared columns, [run id][variant]."""
-    config, extra = configs[0], 8 * ("cf_best" in columns)
-    full = _bytes(config, set(_OWN) & {*_KEPT, *columns}, extra)
-    part = _bytes(config, set(_OWN) & set(columns), extra)
+    """Bytes each game stacks beyond its run id's shared columns, [run id][variant].
+
+    A kept game's sections are weighed as if every agent-round were active:
+    batches are planned before ``active`` is drawn.
+    """
+    config = configs[0]
+    part = _bytes(config, set(columns).difference(_SHARED))
+    every = np.ones((config.horizon + 1, config.num_agents), dtype=bool)
+    full = part + _body_bytes(*_extent(config, every), _SECTIONS)
     return [[full if keep is None or (v, rid) in keep else part for v in range(len(configs))]
             for rid in run_ids]
 
@@ -103,22 +110,25 @@ def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> lis
     plays every config on its run ids.  A batch holds about
     ``len(run_ids) / parts`` ids (say, one batch per worker), and the
     ``parts`` batches that play at once share ``_BATCH_BYTES``: each stacks
-    at most its part of it, counting a run id's shared columns and
-    selection uniforms, a kept game's other columns and any other game's
-    requested columns.  A run id whose games alone take more is a batch of
-    its own; ``run_games`` plays its variants a few at a time if they exceed
-    the whole bound.
+    at most its part of it, counting a run id's shared columns, every
+    game's requested columns and a kept game's sections of its file.  A run
+    id whose games alone take more is a batch of its own; ``run_games``
+    plays its variants a few at a time if they exceed the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
-    shared = _bytes(configs[0], _SHARED, extra=8)
+    shared = _bytes(configs[0], _SHARED)
     weights = [shared + sum(games) for games in _game_bytes(configs, ids, keep, columns)]
     parts = max(parts, 1)
     return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
 
 def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
-    """Play the configured game once; deterministic in (config, run_id)."""
-    return run_games(config, [run_id])[0]
+    """Play the configured game once; deterministic in (config, run_id).
+
+    The game is kept and asks for no column: its trace holds the sections
+    of its trace file and derives every other column when first read.
+    """
+    return run_games(config, [run_id], columns=())[0]
 
 
 def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[GameTrace]:
@@ -142,12 +152,13 @@ def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[G
     ``cost_norm`` and ``cf_best``.  Each requested column holds the values
     a whole trace holds.  ``keep`` holds the (config index, run id) pairs
     whose trace files may be written; by default (None) every game's may.
-    A kept game also stacks the columns its file holds (``_STORED``), and
-    each block of its rounds is checked: if the loop used a value its file
-    would not give back, a ValueError names the column (as ``write_trace``
-    does).  Its trace derives any other column when first read (see
-    ``GameTrace``).  The trace of any other game holds ``active`` and the
-    requested columns only, which lets far more games share a batch.
+    A kept game also holds what its file holds, laid out as the file's
+    sections (see ``GameTrace``), and each block of its rounds is checked
+    before it is packed into them: if the loop used a value its file would
+    not give back, a ValueError names the column (as ``write_trace`` does).
+    Its trace unpacks or derives any other column when first read.  The
+    trace of any other game holds ``active`` and the requested columns
+    only, which lets far more games share a batch.
     """
     traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep, columns))
     return [traces[key] for key in sorted(traces)]
@@ -176,7 +187,7 @@ def iter_games(configs, run_ids, envs=None, keep=None, columns=_METRIC):
         done += len(ids)
         batch_envs = [Environment(base, run_ids[i]) if envs[i] is None else envs[i] for i in at]
         # every variant in one batch, unless the run ids' games exceed the bound
-        room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED, extra=8)
+        room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED)
         for vs in _cuts([sum(weights[i][v] for i in at) for v in range(len(configs))], room):
             kept = [keep is None or (v, run_ids[i]) in keep for v in vs for i in at]
             traces = _play([configs[v] for v in vs], ids, batch_envs, kept, columns)
@@ -188,20 +199,24 @@ def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
     """One lockstep batch: every config on every run id; the traces config-major.
 
     Every game stacks ``columns``.  ``kept`` says, per game, whether its
-    trace file may be written: such a game also stacks the columns the file
-    holds, its loop values are checked block by block against what the
-    file gives back (``_check``), and its trace derives the rest when read.
+    trace file may be written: such a game also holds the file's sections,
+    laid out from its run id's ``active`` before play (one [kept variant,
+    bytes] buffer per run id), its loop values are checked block by block
+    against what the file gives back (``_check``) and then packed into
+    them (``_pack``), and its trace unpacks or derives the rest when read.
     """
     config, runs = configs[0], len(run_ids)
     shared = _stacked(config, runs, _SHARED)
-    uniforms = np.full(shared["active"].shape, np.nan)
-    for r, (rid, env) in enumerate(zip(run_ids, envs)):
-        _predraw(config, rid, env, SimpleNamespace(uniforms=uniforms[r], **{n: col[r] for n, col in shared.items()}))
-    # the games that stack each column: every game if it was requested, else the kept ones if a file holds it
-    own_at = np.flatnonzero(kept)
-    at = {name: np.arange(len(kept)) if name in columns else own_at if name in _KEPT else own_at[:0]
-          for name in _OWN}
-    own = {name: _stacked(config, at[name].size, [name])[name] for name in _OWN}
+    for r, rid in enumerate(run_ids):
+        _predraw(config, rid, SimpleNamespace(**{n: col[r] for n, col in shared.items()}))
+    own = _stacked(config, len(kept), set(columns).intersection(_OWN))
+    sections = [None] * len(kept)
+    for r in range(runs):
+        games = [g for g in range(r, len(kept), runs) if kept[g]]
+        if games:
+            cells, slots = _extent(config, shared["active"][r])
+            for g, body in zip(games, np.empty((len(games), _body_bytes(cells, slots, _SECTIONS)), dtype=np.uint8)):
+                sections[g] = _split(body, cells, slots, _SECTIONS)
     # every game's running best-arm sums, and the per-slot sums they continue from
     best = np.zeros(((len(kept) if "cf_best" in columns else 0),) + shared["active"].shape[1:])
     best_carry = np.zeros(best.shape[:1] + (config.num_agents, _kmax(config)))
@@ -210,14 +225,15 @@ def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
         v, r = divmod(g, runs)
         trace = {name: col[r] for name, col in shared.items()
                  if kept[g] or name == "active" or name in columns}
-        trace.update({name: col[np.searchsorted(at[name], g)]
-                      for name, col in own.items() if name in columns or kept[g] and name in _KEPT})
+        trace.update({name: col[g] for name, col in own.items()})
         if best.size:
             trace["cf_best"] = best[g]
-        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap, derives=bool(kept[g])))
-    stack = SimpleNamespace(**shared, **own, uniforms=uniforms, runs=runs, games=len(kept), at=at, kept=own_at,
+        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap, sections[g]))
+    stack = SimpleNamespace(**shared, **own, runs=runs, games=len(kept), columns=set(columns),
+                            kept=np.flatnonzero(kept), sections=sections,
+                            selection=[stream_rng(config.master_seed, rid, "selection") for rid in run_ids],
                             count=np.zeros((runs, config.num_agents), dtype=np.int64),
-                            cf_best=best, best_carry=best_carry)
+                            packed=np.zeros((runs, 2), dtype=np.int64), cf_best=best, best_carry=best_carry)
     # game g = variant * runs + run; row g * num_agents + n holds its agent n
     learners = [c.learners for c in configs for _ in run_ids]
     state = bandit.LearnerState.fresh(sum(learners, ()), len(envs[0].arm_ids))
@@ -226,15 +242,9 @@ def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
     return traces
 
 
-def _predraw(config: GameConfig, run_id: int, env: Environment, columns) -> None:
-    """Fill a run id's shared columns and selection uniforms.
-
-    ``columns`` holds the run id's [round, agent] ``active``, ``clock``,
-    ``task_size`` and ``uniforms`` arrays; the uniforms stay NaN where no
-    draw is made.  There is one scalar draw per selection, taken in
-    row-major order (rounds in order, agents in order within a round) where
-    the agent is active on more than one arm.
-    """
+def _predraw(config: GameConfig, run_id: int, columns) -> None:
+    """Fill a run id's shared columns: ``columns`` holds its [round, agent]
+    ``active``, ``clock`` and ``task_size`` arrays."""
     shape = (config.horizon + 1, config.num_agents)  # row 0 unused
     act_rng = stream_rng(config.master_seed, run_id, "activation")
     active = act_rng.random(shape) < np.array(config.activation_probs())
@@ -258,21 +268,33 @@ def _predraw(config: GameConfig, run_id: int, env: Environment, columns) -> None
     columns.active[:] = active
     np.copyto(columns.task_size, tasks, where=active)
     _clock(active, columns.clock)
-    drawn = np.zeros(shape, dtype=bool)
-    for (lo, hi), pos in zip(env.epoch_bounds, env.slot_pos):
-        drawn[lo : hi + 1] = active[lo : hi + 1] & ((pos >= 0).sum(axis=1) > 1)
-    columns.uniforms[drawn] = stream_rng(config.master_seed, run_id, "selection").random(int(drawn.sum()))
+
+
+def _uniforms(stack, rounds, drawn) -> np.ndarray:
+    """The selection uniforms of a block of rounds, [run, round, agent].
+
+    Each run id draws from its own ``selection`` stream one scalar per
+    selection where the agent is active and ``drawn`` (it holds more than
+    one arm this epoch), in row-major order: rounds in order, agents in
+    order within a round.  Blocks take the rounds in order, so the draws
+    are those of one draw over the whole horizon.  NaN where none is made.
+    """
+    drawn = stack.active[:, rounds] & drawn
+    out = np.full(drawn.shape, np.nan)
+    for u, here, rng in zip(out, drawn, stack.selection):
+        u[here] = rng.random(int(np.count_nonzero(here)))
+    return out
 
 
 def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     """Rounds [lo, hi] of one candidate epoch for a batch, in blocks of rounds.
 
-    ``stack`` holds the batch's stacked columns: the shared ones and the
-    selection uniforms per run id, [run, round, agent], the others per game,
-    [game, round, agent(, slot)].  ``learners`` holds each game's learners.
-    Agents are stepped in groups of equal candidate-set size, each group one
-    array step per round over every game of the batch, on scores it holds
-    for the epoch.  A group's idle agents are stepped too, with learning
+    ``stack`` holds the batch's stacked columns: the shared ones per run id,
+    [run, round, agent], the others per game, [game, round, agent(, slot)],
+    and the block's selection uniforms (see ``_uniforms``).  ``learners``
+    holds each game's learners.  Agents are stepped in groups of equal
+    candidate-set size, each group one array step per round over every game
+    of the batch, on scores it holds for the epoch.  A group's idle agents are stepped too, with learning
     rate 0 and demand weight 1, which leaves their scores unchanged; their
     choices count toward no congestion and the fill drops them.  The
     normalized costs a block's learners see are checked to lie in [0, 1]
@@ -312,6 +334,7 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
             None if a is None else a.swapaxes(0, 1).reshape(b_hi - b_lo + 1, -1, k_max, 1)
             for a in inputs
         )), degrees)["normalized"]
+        stack.uniforms = _uniforms(stack, rounds, sizes > 1)
         blocks = [g.block(stack, rounds) for g in groups]
         for r, rnd in enumerate(range(b_lo, b_hi + 1)):
             if rnd in syncs:
@@ -402,8 +425,9 @@ class _Group:
         """Per-round inputs and outputs of the group over one block of rounds.
 
         The rows' learning rates and demand weights come from their clocks
-        and task sizes in the block; the games that stack ``zeta``, ``eta``
-        or ``gamma`` get them (NaN where idle) in their columns.
+        and task sizes in the block, and their uniforms from
+        ``stack.uniforms``; the games that stack ``zeta``, ``eta`` or
+        ``gamma`` get them (NaN where idle) in their columns.
         """
 
         def per_slot(values):  # [round, row] -> [round, row, slot]
@@ -420,16 +444,15 @@ class _Group:
         weight = bandit.demand_weight(self.rows_of(stack.task_size, rounds), ts.q_lo, ts.q_hi)
         zeta = np.where(active & p.use_demand_weight, weight, 1.0)
         for column, values in (("zeta", zeta), ("eta", eta), ("gamma", gamma)):
-            if stack.at[column].size:
-                values = self.stacked(np.where(active, values, np.nan))
-                getattr(stack, column)[:, rounds, self.agents] = _rows(values, stack.at[column])
+            if column in stack.columns:
+                getattr(stack, column)[:, rounds, self.agents] = self.stacked(np.where(active, values, np.nan))
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
             zeta=per_slot(zeta),
             eta=per_slot(eta),
             gamma=gamma,
-            u=per_slot(self.rows_of(stack.uniforms, rounds)),
+            u=per_slot(self.rows_of(stack.uniforms, slice(None))),
             **{name: out[: active.shape[0]] for name, out in vars(self.out).items()},
         )
 
@@ -442,11 +465,11 @@ def _rows(values: np.ndarray, at: np.ndarray) -> np.ndarray:
 def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     """Fill rounds [lo, hi] of the batch's columns from the block outputs.
 
-    Each column is filled for the games that stack it (``stack.at``), and
-    ``cf_best``, if stacked, for every game, continued per slot from
-    ``stack.best_carry``; then the kept games are checked (``_check``).
-    ``inputs`` holds the cost ingredients [run, round, agent, slot]; ``env``
-    is any run id's Environment.
+    Each requested column is filled for every game, and ``cf_best``, if
+    stacked, continued per slot from ``stack.best_carry``; then the kept
+    games are checked (``_check``) and packed into their sections
+    (``_pack``).  ``inputs`` holds the cost ingredients [run, round, agent,
+    slot]; ``env`` is any run id's Environment.
     """
     rounds = slice(lo, hi + 1)
     active = stack.active[:, rounds]  # [run, round, agent]
@@ -455,39 +478,35 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
     for g, b in zip(groups, blocks):
         slots[:, :, g.agents] = g.stacked(b.slot)
         for column, values in (("probs", b.probs), ("estimates", b.estimates)):
-            if stack.at[column].size:
-                values = g.stacked(np.where(b.active[:, :, None], values, np.nan))
-                getattr(stack, column)[:, rounds, g.agents, : g.k] = _rows(values, stack.at[column])
+            if column in stack.columns:
+                getattr(stack, column)[:, rounds, g.agents, : g.k] = g.stacked(
+                    np.where(b.active[:, :, None], values, np.nan))
     pos = env.slot_pos[env.epoch_index(lo)]
     k = pos.shape[1]
     played = np.broadcast_to(active, shape)
     chosen = np.where(played, np.asarray(env.arm_ids)[pos[np.arange(pos.shape[0]), slots.reshape(shape)]], -1)
     vec = env.cost_vectors(inputs, env.congestion(lo, chosen, played))
+    chosen, played = chosen.reshape(slots.shape), played.reshape(slots.shape)
+    kept, every = stack.kept, np.arange(stack.games)
+    t, n = np.ogrid[: slots.shape[1], : slots.shape[2]]
 
-    def per_game(values):  # [variant, run, ...] values or [run, ...] inputs -> [game, ...]
-        if values.ndim == len(shape):
-            values = np.broadcast_to(values, shape + (k,))
-        return values.reshape(slots.shape + (k,))
+    def at_chosen(values, games=every, fill=np.nan):  # at each chosen slot -> [game, round, agent]
+        rows = games % stack.runs if values.ndim == len(shape) else games  # [run, ...] inputs, or per game
+        picked = values.reshape((-1,) + slots.shape[1:] + (k,))[rows[:, None, None], t, n, slots[games]]
+        return np.where(played[games], picked, fill)
 
-    def at_chosen(values, slots, played, fill):  # [game, ..., slot] -> [game, ...]
-        picked = values.reshape(-1)[np.arange(slots.size) * k + slots.reshape(-1)]
-        return np.where(played, picked.reshape(slots.shape), fill)
-
-    norm, played = per_game(vec["normalized"]), played.reshape(slots.shape)
+    norm, raw = (vec[key].reshape(slots.shape + (k,)) for key in ("normalized", "realized"))  # [game, ..., slot]
     for column, key, fill in (("cost_norm", "normalized", np.nan), ("congestion", "congestion", 0),
                               ("cost_a", "adversary", np.nan), ("cost_c", "collision", np.nan),
                               ("outlier", "outlier", np.nan), ("cost_real", "realized", np.nan)):
-        at = stack.at[column]
-        if at.size:
-            values = norm if key == "normalized" else per_game(vec[key])
-            picked = at_chosen(_rows(values, at), _rows(slots, at), _rows(played, at), fill)
-            getattr(stack, column)[:, rounds] = picked
-    if stack.at["chosen"].size:
-        stack.chosen[:, rounds] = _rows(chosen.reshape(slots.shape), stack.at["chosen"])
-    if stack.at["cf_norm"].size:
-        stack.cf_norm[:, rounds, :, :k] = _rows(norm, stack.at["cf_norm"])
-    if stack.at["cf_raw"].size:
-        stack.cf_raw[:, rounds, :, :k] = _rows(per_game(vec["realized"]), stack.at["cf_raw"])
+        if column in stack.columns:
+            getattr(stack, column)[:, rounds] = at_chosen(vec[key], fill=fill)
+    if "chosen" in stack.columns:
+        stack.chosen[:, rounds] = chosen
+    if "cf_norm" in stack.columns:
+        stack.cf_norm[:, rounds, :, :k] = norm
+    if "cf_raw" in stack.columns:
+        stack.cf_raw[:, rounds, :, :k] = raw
     if stack.cf_best.size:
         norm_r, played_r = norm.swapaxes(0, 1), played.swapaxes(0, 1)  # round first
         for g in groups:
@@ -495,26 +514,31 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
             best = running_best_sums(played_r[:, :, g.agents], norm_r[:, :, g.agents, : g.k], carry)
             stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
             stack.best_carry[:, g.agents, : g.k] = carry
-    kept = stack.kept
     if kept.size:
-        degree = at_chosen(_rows(per_game(vec["congestion"]), kept), _rows(slots, kept), _rows(played, kept),
-                           0)
-        vec.clear()  # the block's other costs, which the check does not read
-        _check(env, stack, lo, hi, groups, blocks, _rows(norm, kept), degree)
+        own = {"chosen": _rows(chosen, kept), "cf_raw": _rows(raw, kept),
+               **{column: at_chosen(vec[key], kept)
+                  for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"))}}
+        degree = at_chosen(vec["congestion"], kept, fill=0)
+        del vec, raw  # the block's other costs, which neither the check nor the sections read
+        _check(env, stack, lo, hi, groups, blocks, _rows(norm, kept), degree, own)
+        _pack(stack, lo, hi, groups, blocks, own)
 
 
-def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
+def _check(env, stack, lo, hi, groups, blocks, norm, degree, own) -> None:
     """Raise ValueError unless the kept games' loop values in rounds [lo, hi]
     are those their trace files give back, naming the first column (in
     ``_DERIVED`` order) that differs.
 
-    The ``traces._DERIVED`` rules are applied to the block's stored columns
+    The ``traces._DERIVED`` rules are applied to the block's stored values
     and compared, bit for bit at the active agent-rounds, with what the
     loop used: each run id's clocks; the congestion degrees (``degree``,
     [kept game, round, agent]) and normalized costs (``norm``, [kept game,
     round, agent, slot]) the costs were taken at; and each group's table
     costs, demand weights, rates and the estimates it updated its scores
-    by.  ``stack.count`` carries the activation counts across blocks.
+    by.  The stored values are each run id's task sizes, each group's
+    selection probabilities and, in ``own``, the kept games' chosen arms
+    and realized costs, [kept game, round, agent(, slot)].
+    ``stack.count`` carries the activation counts across blocks.
     """
     rounds, kept, n_agents = slice(lo, hi + 1), stack.kept, stack.active.shape[2]
     active = stack.active[:, rounds]  # [run, round, agent]
@@ -523,12 +547,10 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
     clock = np.where(active.any(axis=2, keepdims=True), count, 0)
     bad = set() if _same_bits(clock, stack.clock[:, rounds]) else {"clock"}
     runs = kept % stack.runs
-    row = {name: np.searchsorted(stack.at[name], kept) for name in _KEPT}  # each kept game's row in a stack
     # the active agents on each chosen arm, per kept game and round
     cells = np.flatnonzero(active[runs])
     ids = np.sort(env.arm_ids)
-    chosen = stack.chosen[row["chosen"], rounds].reshape(-1)[cells]
-    key = cells // n_agents * ids.size + np.searchsorted(ids, chosen)
+    key = cells // n_agents * ids.size + np.searchsorted(ids, own["chosen"].reshape(-1)[cells])
     if not _same_bits(np.bincount(key)[key], degree.reshape(-1)[cells]):
         bad.add("congestion")
     for g, b in zip(groups, blocks):
@@ -537,9 +559,9 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
         for i in range(0, found[0].size, _CHECK_CELLS):
             r, q = (axis[i : i + _CHECK_CELLS] for axis in found)
             game, agent, t = q // g.agents.size, g.agents[q % g.agents.size], lo + r
-            held = {"chosen": stack.chosen[row["chosen"][game], t, agent], "clock": clock[runs[game], r, agent],
-                    "task_size": stack.task_size[runs[game], t, agent],
-                    **{name: getattr(stack, name)[row[name][game], t, agent, : g.k] for name in ("probs", "cf_raw")}}
+            held = {"chosen": own["chosen"][game, r, agent], "clock": clock[runs[game], r, agent],
+                    "task_size": stack.task_size[runs[game], t, agent], "probs": b.probs[r, rows[q]],
+                    "cf_raw": own["cf_raw"][game, r, agent, : g.k]}
             rule = _rules(g.k, rows[q], g.params, np.asarray(env.arm_ids)[g.cols], held, g.task_size, env.cost_cap)
             used = {"cf_norm": norm[game, r, agent, : g.k], "cost_norm": b.loss[r, rows[q]],
                     "zeta": b.zeta[r, rows[q], 0], "eta": b.eta[r, rows[q], 0], "gamma": b.gamma[r, rows[q]],
@@ -548,3 +570,27 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree) -> None:
     if bad:
         name = next(name for name in _DERIVED if name in bad)
         raise ValueError(f"{name} holds a value other than {_left_out(name, None)}")
+
+
+def _pack(stack, lo, hi, groups, blocks, own) -> None:
+    """Write the kept games' stored values of rounds [lo, hi] into their
+    sections, past what each run id's earlier rounds took (``stack.packed``
+    carries, per run id, the agent-rounds and slots written so far).
+    ``own`` holds the kept games' values, [kept game, round, agent(,
+    slot)], of every section but ``probs``: those are the groups' block
+    outputs, NaN past each agent's own set."""
+    active = stack.active[:, lo : hi + 1]
+    probs = np.full(own["cf_raw"].shape, np.nan)
+    for g, b in zip(groups, blocks):
+        probs[:, :, g.agents, : g.k] = _rows(g.stacked(b.probs), stack.kept)
+    own = {**own, "probs": probs}
+    cells = np.count_nonzero(active, axis=(1, 2))
+    width = probs.shape[-1]
+    for j, game in enumerate(stack.kept):
+        r = game % stack.runs
+        here, (c, s) = active[r], stack.packed[r]
+        for name, section in stack.sections[game].items():
+            at = slice(s, s + cells[r] * width) if name in _PER_SLOT else slice(c, c + cells[r])
+            section[at] = own[name][j][here].reshape(-1)
+    stack.packed[:, 0] += cells
+    stack.packed[:, 1] += cells * width

@@ -1,6 +1,7 @@
 """Game traces: the per-round columns of one replication, and trace files.
 
-A GameTrace holds one array per ``_COLUMNS`` entry.  Trace files hold the
+A GameTrace holds one array per ``_COLUMNS`` entry, or some of them as
+the sections of its trace file (see ``GameTrace``).  Trace files hold the
 values of a trace's columns that the rest of the file does not determine,
 as raw little-endian bytes (``write_trace``/``read_trace``);
 ``format_trace`` renders a trace as text, one agent-round per line.  The
@@ -51,15 +52,19 @@ class GameTrace:
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
     one run id share their ``game._SHARED`` columns.
 
-    A trace need not hold every column.  A trace that ``derives`` (a kept
+    A trace need not hold every column.  A trace with ``sections`` (a kept
     game's of ``run_games``, or ``read_trace``'s) holds every ``_STORED``
-    column and derives any ``_DERIVED`` column it lacks, by the rule a
-    trace file derives it by, the first time it is read, and then keeps
-    it.  Any other trace of ``run_games`` holds ``active`` plus the columns
-    its caller asked for, and reading any other column raises
-    ``AttributeError``, also where those are every ``_STORED`` column: no
-    check compared the values its file would give back with the loop's.
-    Among those may be ``cf_best``, which no trace file holds:
+    column, some whole and the others as ``sections``: each the flat array
+    of the values its trace file holds of the column, in file order (see
+    ``_split``).  A kept game's trace holds ``active`` and ``task_size``
+    whole, a read one ``active``.  Such a trace unpacks a section to its
+    column, and derives a ``_DERIVED`` column it lacks by the rule a trace
+    file derives it by, the first time the column is read, and then keeps
+    the column.  Any other trace of ``run_games`` holds
+    ``active`` plus the columns its caller asked for, and reading any other
+    column raises ``AttributeError``, also where those are every ``_STORED``
+    column: no check compared the values its file would give back with the
+    loop's.  Among those may be ``cf_best``, which no trace file holds:
     ``cf_best[t, n]`` is the least, over agent n's candidate slots, of its
     counterfactual normalized costs summed over its active rounds from the
     start of its segment (see ``metrics.agent_segments``) through round t,
@@ -77,19 +82,20 @@ class GameTrace:
     """
 
     def __init__(self, config: GameConfig, run_id: int, columns: dict | None = None,
-                 cost_cap: float | None = None, derives: bool = False):
+                 cost_cap: float | None = None, sections: dict | None = None):
         self.config = config
         self.run_id = run_id
         self.cost_cap = cost_cap
-        self.derives = derives
+        self.sections = sections
         vars(self).update(columns or {name: col[0] for name, col in _stacked(config, 1).items()})
         self.kmax = _kmax(config)
 
     def __getattr__(self, name: str):
         # reached only for a column the trace does not hold
-        if name not in _DERIVED or not vars(self).get("derives"):
+        sections = vars(self).get("sections")
+        if sections is None or name not in sections and name not in _DERIVED:
             raise AttributeError(f"trace has no column {name!r}")
-        value = _derive(self, name)
+        value = _unpack(self, name, sections[name], _layout(self)) if name in sections else _derive(self, name)
         setattr(self, name, value)
         return value
 
@@ -152,8 +158,6 @@ _DERIVED = {
     "estimates": "bandit.estimate_cost of cost_norm at the chosen slot (+0.0 at a bandit-feedback "
                  "agent's other slots), or cf_norm at a full-feedback agent's slots",
 }
-# the columns the learner rules read (see ``_rules``)
-_INPUTS = ("clock", "task_size", "chosen", "probs", "cf_raw")
 # the columns a trace file holds, in file order: active whole, then each at its cells
 _STORED = tuple(column for column in _COLUMNS if column[0] not in _DERIVED)
 
@@ -164,6 +168,37 @@ def _header(trace: GameTrace, **extra) -> str:
     return "# " + json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _extent(config: GameConfig, active: np.ndarray) -> tuple[int, int]:
+    """How many agent-rounds a trace file of a game with [round, agent]
+    ``active`` holds, and how many ``probs`` (or ``cf_raw``) values: each
+    active agent-round's slots within its epoch's largest candidate set."""
+    schedule = config.candidates
+    held = [(int(np.count_nonzero(active[lo : hi + 1])), max(map(len, sets)))
+            for (lo, hi), (_, sets) in zip(schedule.epoch_bounds(config.horizon), schedule.epochs)]
+    return sum(n for n, _ in held), sum(n * k for n, k in held)
+
+
+def _split(body: np.ndarray, cells: int, slots: int, names=None) -> dict[str, np.ndarray]:
+    """The sections of the named stored columns past ``active`` (by default
+    all of them) in a trace file's order, as views of the bytes ``body``:
+    ``cells`` values of each [round, agent] column, ``slots`` of ``probs``
+    and ``cf_raw`` (see ``_extent``).  ``body`` holds them all and nothing
+    else."""
+    out, lo = {}, 0
+    for name, dtype, _ in _STORED[1:]:
+        if names is None or name in names:
+            hi = lo + 8 * (slots if name in _PER_SLOT else cells)
+            out[name] = body[lo:hi].view(dtype)
+            lo = hi
+    return out
+
+
+def _body_bytes(cells: int, slots: int, names=None) -> int:
+    """Bytes of the sections ``_split`` gives."""
+    return 8 * sum(slots if name in _PER_SLOT else cells for name, _, _ in _STORED[1:]
+                   if names is None or name in names)
+
+
 def _layout(trace: GameTrace) -> SimpleNamespace:
     """Where a trace file holds a trace's cells, from ``active`` alone.
 
@@ -171,7 +206,8 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     (row 0, the padding, left out) in (round, agent) order, ``cuts`` where
     in it each epoch starts, then its length, and ``widths`` each epoch's
     largest candidate set: a file holds ``probs`` and ``cf_raw`` over that
-    many slots of each of the epoch's agent-rounds, ``slots`` cells in all.
+    many slots of each of the epoch's agent-rounds, from ``starts`` on in
+    their sections, ``slots`` values in all.
     """
     n = trace.num_agents
     live = np.array(trace.active, dtype=bool).reshape(-1)
@@ -181,67 +217,83 @@ def _layout(trace: GameTrace) -> SimpleNamespace:
     epochs = trace.epochs()
     cuts = np.searchsorted(at, [lo * n for lo, _, _ in epochs] + [n * (trace.horizon + 1)]).tolist()
     widths = [max(map(len, sets)) for _, _, sets in epochs]
-    slots = sum((b - a) * k for a, b, k in zip(cuts, cuts[1:], widths))
-    return SimpleNamespace(at=at, cuts=cuts, widths=widths, slots=slots)
+    starts = np.cumsum([0] + [(b - a) * k for a, b, k in zip(cuts, cuts[1:], widths)]).tolist()
+    return SimpleNamespace(at=at, cuts=cuts, widths=widths, starts=starts, slots=starts[-1])
 
 
-def _cells(trace: GameTrace, lay: SimpleNamespace) -> SimpleNamespace:
-    """What the chosen arms of the active agent-rounds (``lay.at``) place.
-
-    ``chosen_at`` holds the flat [round, agent, slot] index of each one's
-    chosen slot, and ``congestion`` the number of active agents on each
-    chosen arm in its round.  A chosen arm outside its agent's candidate set
-    raises ValueError.
-    """
-    n, kmax = trace.num_agents, trace.kmax
-    ids = np.sort(trace.config.env.arm_ids())  # distinct; an arm's rank is its index here
-    ranks = {arm: i for i, arm in enumerate(ids.tolist())}
-    chosen = trace.chosen.reshape(-1)[lay.at]
-    rank = np.searchsorted(ids, chosen)
-    np.minimum(rank, ids.size - 1, out=rank)
-    stray = ids[rank] != chosen
-    del chosen
-    chosen_at = lay.at * kmax  # plus each chosen slot, epoch by epoch
-    for a, b, (_, _, sets) in zip(lay.cuts, lay.cuts[1:], trace.epochs()):
-        slot_of = np.full((n, ids.size), -1)  # [agent, arm rank] the arm's slot, -1 outside the set
-        for agent, arms in enumerate(sets):
-            slot_of[agent, [ranks[arm] for arm in arms]] = range(len(arms))
-        slot = lay.at[a:b] % n * ids.size
-        slot += rank[a:b]
-        np.take(slot_of.reshape(-1), slot, out=slot)  # buffered, so out may be the indices
-        stray[a:b] |= slot < 0
-        chosen_at[a:b] += slot
-    if stray.any():
-        cell = int(lay.at[stray.argmax()])
-        raise ValueError(f"chosen holds arm {trace.chosen.flat[cell]} at round {cell // n}, "
-                         f"outside agent {cell % n}'s candidate set")
-    key = lay.at // n  # the (round, arm) each chosen arm counts toward
-    key *= ids.size
-    key += rank
-    del rank
-    congestion = np.bincount(key)[key]
-    return SimpleNamespace(chosen_at=chosen_at, congestion=congestion)
+def _epochs(lay: SimpleNamespace):
+    """Per epoch of a layout: its cells' span in ``at``, its width and where its slots start."""
+    return zip(lay.cuts, lay.cuts[1:], lay.widths, lay.starts)
 
 
-# values of one column that a trace file reads or writes at a time, at most
+def _section(trace: GameTrace, name: str, lay: SimpleNamespace) -> np.ndarray:
+    """A stored column past ``active`` as a trace file holds it, in file
+    order: the trace's section, or, where the trace holds the column
+    itself, the column packed (a copy, of the column's ``_COLUMNS`` dtype)."""
+    if name not in vars(trace):
+        return trace.sections[name]
+    dtype = next(dtype for column, dtype, _ in _STORED if column == name)
+    values = np.asarray(getattr(trace, name), dtype=dtype)
+    if name not in _PER_SLOT:
+        return values.reshape(-1)[lay.at]
+    rows, out = values.reshape(-1, trace.kmax), np.empty(lay.slots, dtype)
+    for a, b, k, s in _epochs(lay):
+        out[s : s + (b - a) * k].reshape(-1, k)[:] = rows[lay.at[a:b], :k]
+    return out
+
+
+def _unpack(trace: GameTrace, name: str, values: np.ndarray, lay: SimpleNamespace) -> np.ndarray:
+    """Column ``name`` from ``values`` laid out as its section, each cell a
+    trace file leaves out at the column's fill."""
+    out = _stacked(trace.config, 1, [name])[name][0]
+    if name not in _PER_SLOT:
+        out.reshape(-1)[lay.at] = values
+        return out
+    rows = out.reshape(-1, trace.kmax)
+    for a, b, k, s in _epochs(lay):
+        rows[lay.at[a:b], :k] = values[s : s + (b - a) * k].reshape(-1, k)
+    return out
+
+
+# active agent-rounds that ``_cells`` places, or whose learner rules
+# ``_derive`` applies, at a time, at most
 _PIECE = 1 << 12
 
 
-def _pieces(name: str, lay):
-    """The cells of a stored column (past ``active``) that a trace file
-    holds, in file order, a piece of at most ``_PIECE`` values at a time:
-    (flat [round, agent] indices, the slots held at each, or None for a
-    [round, agent] column)."""
-    spans = zip(lay.cuts, lay.cuts[1:], lay.widths) if name in _PER_SLOT else [(0, lay.at.size, None)]
-    for a, b, k in spans:
-        step = _PIECE // (k or 1)
-        for lo in range(a, b, step):
-            yield lay.at[lo : min(lo + step, b)], k
+def _cells(trace: GameTrace, lay: SimpleNamespace, chosen: np.ndarray) -> np.ndarray:
+    """Where the chosen arms of the active agent-rounds (``lay.at``), given
+    as a ``chosen`` section, sit: the index of each one's chosen slot in a
+    ``probs`` or ``cf_raw`` section, placed ``_PIECE`` at a time.  A chosen
+    arm outside its agent's candidate set raises ValueError.
+    """
+    n = trace.num_agents
+    ids = np.sort(trace.config.env.arm_ids())  # distinct; an arm's rank is its index here
+    ranks = {arm: i for i, arm in enumerate(ids.tolist())}
+    out = np.empty_like(lay.at)
+    for (a, b, k, s), (_, _, sets) in zip(_epochs(lay), trace.epochs()):
+        slot_of = np.full((n, ids.size), -1)  # [agent, arm rank] the arm's slot, -1 outside the set
+        for agent, arms in enumerate(sets):
+            slot_of[agent, [ranks[arm] for arm in arms]] = range(len(arms))
+        for lo in range(a, b, _PIECE):
+            hi = min(lo + _PIECE, b)
+            rank = np.minimum(np.searchsorted(ids, chosen[lo:hi]), ids.size - 1)
+            slot = slot_of.reshape(-1)[lay.at[lo:hi] % n * ids.size + rank]
+            stray = (ids[rank] != chosen[lo:hi]) | (slot < 0)
+            if stray.any():
+                i = lo + int(stray.argmax())
+                raise ValueError(f"chosen holds arm {chosen[i]} at round {lay.at[i] // n}, "
+                                 f"outside agent {lay.at[i] % n}'s candidate set")
+            out[lo:hi] = slot + np.arange(s + (lo - a) * k, s + (hi - a) * k, k)
+    return out
 
 
-def _held(name: str, lay) -> int:
-    """How many values of a stored column (past ``active``) a trace file holds."""
-    return lay.slots if name in _PER_SLOT else lay.at.size
+def _congestion(trace: GameTrace, lay: SimpleNamespace, chosen: np.ndarray) -> np.ndarray:
+    """The number of active agents on each chosen arm of a ``chosen`` section in its round."""
+    ids = np.sort(trace.config.env.arm_ids())
+    key = lay.at // trace.num_agents  # the (round, arm) each chosen arm counts toward
+    key *= ids.size
+    key += np.searchsorted(ids, chosen)
+    return np.bincount(key)[key]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -279,39 +331,37 @@ def _rules(k, row, params, arms, cells, task_size, cost_cap) -> dict[str, np.nda
 
 
 def _derive(trace: GameTrace, name: str) -> np.ndarray:
-    """Column ``name`` of a trace by its ``_DERIVED`` rule, from the trace's other columns."""
-    out = _stacked(trace.config, 1, [name])[name][0]
+    """Column ``name`` of a trace by its ``_DERIVED`` rule, from the trace's stored values."""
     if name == "clock":
+        out = _stacked(trace.config, 1, [name])[name][0]
         _clock(trace.active, out)
         return out
+    lay, n = _layout(trace), trace.num_agents
+    raw, chosen = _section(trace, "cf_raw", lay), _section(trace, "chosen", lay)
     if name == "cf_norm":
-        return normalized(trace.cf_raw, trace.cost_cap, out=out)
-    lay, flat, n = _layout(trace), out.reshape(-1), trace.num_agents
-    if name in ("congestion", "cost_norm", "cost_real"):
-        cells = _cells(trace, lay)
-        if name == "congestion":
-            flat[lay.at] = cells.congestion
-        else:
-            raw = trace.cf_raw.reshape(-1)[cells.chosen_at]
-            flat[lay.at] = raw if name == "cost_real" else normalized(raw, trace.cost_cap)
-        return out
+        return _unpack(trace, name, normalized(raw, trace.cost_cap), lay)
+    if name == "congestion":
+        return _unpack(trace, name, _congestion(trace, lay, chosen), lay)
+    if name in ("cost_norm", "cost_real"):
+        at_chosen = raw[_cells(trace, lay, chosen)]
+        return _unpack(trace, name, at_chosen if name == "cost_real" else normalized(at_chosen, trace.cost_cap), lay)
     # learner columns: one step per epoch, candidate-set size and piece of _PIECE agent-rounds
-    for a, b, (_, _, sets) in zip(lay.cuts, lay.cuts[1:], trace.epochs()):
+    probs, task, clock = _section(trace, "probs", lay), _section(trace, "task_size", lay), trace.clock.reshape(-1)
+    values = np.full(lay.slots if name in _PER_SLOT else lay.at.size, np.nan)
+    for (a, b, w, s), (_, _, sets) in zip(_epochs(lay), trace.epochs()):
         sizes = np.array([len(arms) for arms in sets])
         for k in sorted(set(sizes.tolist())):
             agents = np.flatnonzero(sizes == k)
-            cells = lay.at[a:b][sizes[lay.at[a:b] % n] == k]
-            for lo in range(0, cells.size, _PIECE):
-                at = cells[lo : lo + _PIECE]
-                held = {c: getattr(trace, c).reshape(-1, trace.kmax)[at, :k] if c in _PER_SLOT
-                        else getattr(trace, c).reshape(-1)[at] for c in _INPUTS}
-                rule = _rules(k, np.searchsorted(agents, at % n), _params(trace.config.learners[i] for i in agents),
-                              np.array([sets[i] for i in agents]), held, trace.config.task_size, trace.cost_cap)
-                if name == "estimates":
-                    out.reshape(-1, trace.kmax)[at, :k] = rule[name]
-                else:
-                    flat[at] = rule[name]
-    return out
+            ours = np.flatnonzero(sizes[lay.at[a:b] % n] == k)  # the epoch's cells of these agents
+            for lo in range(0, ours.size, _PIECE):
+                i = ours[lo : lo + _PIECE]
+                at, slots = lay.at[a + i], (s + i * w)[:, None] + np.arange(k)
+                held = {"clock": clock[at], "task_size": task[a + i], "chosen": chosen[a + i],
+                        "probs": probs[slots], "cf_raw": raw[slots]}
+                rule = _rules(k, np.searchsorted(agents, at % n), _params(trace.config.learners[j] for j in agents),
+                              np.array([sets[j] for j in agents]), held, trace.config.task_size, trace.cost_cap)
+                values[slots if name == "estimates" else a + i] = rule[name]
+    return _unpack(trace, name, values, lay)
 
 
 def write_trace(trace: GameTrace, path) -> None:
@@ -324,13 +374,14 @@ def write_trace(trace: GameTrace, path) -> None:
     ``task_size``, ``cost_a``, ``cost_c`` and ``outlier`` at the active
     agent-rounds, in (round, agent) order, then ``probs`` and ``cf_raw``
     over the same agent-rounds' slots within their epoch's largest
-    candidate set.  The ``_DERIVED`` columns are not written.  Every value
-    left out must be the one ``read_trace`` gives back, bit for bit: a
-    stored column's ``_COLUMNS`` fill, and the value of its ``_DERIVED``
-    rule for each derived column the trace holds.  (A kept game of
-    ``game.run_games`` holds few of those: the round loop checked its
-    derived values block by block.)  If one is not, the file is removed
-    and a ValueError names the column.
+    candidate set.  The ``_DERIVED`` columns are not written.  A section
+    the trace holds (see ``GameTrace``) is written as it is; a stored
+    column the trace holds whole is packed, and every value it leaves out
+    must be its ``_COLUMNS`` fill, bit for bit.  So must each derived
+    column the trace holds be the value of its ``_DERIVED`` rule.  (A kept
+    game of ``game.run_games`` holds sections, and few derived columns: the
+    round loop checked its derived values block by block.)  If one is not,
+    the file is removed and a ValueError names the column.
     """
     try:
         with open(path, "wb") as fh:
@@ -343,28 +394,27 @@ def write_trace(trace: GameTrace, path) -> None:
 def _write(trace: GameTrace, fh) -> None:
     if trace.cost_cap is None:
         raise ValueError("a trace without a cost_cap (a blank one) has no trace file")
-    fh.write(_TRACE_MAGIC + _header(trace, cost_cap=trace.cost_cap).encode())
-    fh.write(np.ascontiguousarray(trace.active, dtype="|b1"))
+    active = np.ascontiguousarray(trace.active, dtype="|b1")
     lay = _layout(trace)
-    _cells(trace, lay)  # a chosen arm outside its candidate set raises
+    body = {name: _section(trace, name, lay) for name, _, _ in _STORED[1:]}
     for name, dtype, fill in _STORED[1:]:
-        values = np.ascontiguousarray(getattr(trace, name), dtype=dtype)
-        bits = f"<u{values.itemsize}"
-        blank = np.array(fill, dtype=dtype).view(bits)
-        # the cells left out hold the fill: as many fills as the column holds past the written ones
-        left = np.count_nonzero(values.view(bits) == blank)
-        for at, k in _pieces(name, lay):
-            part = values.reshape(-1)[at] if k is None else values.reshape(-1, trace.kmax)[at, :k]
-            left -= np.count_nonzero(part.view(bits) == blank)
-            fh.write(part)
-        if left != values.size - _held(name, lay):
-            raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
-    # each derived column the trace holds, against its rule on the stored columns alone, one at a time
-    stored = GameTrace(trace.config, trace.run_id, {name: getattr(trace, name) for name, _, _ in _STORED},
-                       trace.cost_cap, derives=True)
+        if name in vars(trace):  # packed: as many fills as the column holds past the written ones
+            values, bits = np.asarray(getattr(trace, name), dtype=dtype), "<u8"
+            blank = np.array(fill, dtype=dtype).view(bits)
+            left = np.count_nonzero(values.view(bits) == blank) - np.count_nonzero(body[name].view(bits) == blank)
+            if left != values.size - body[name].size:
+                raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
+    if "chosen" in vars(trace):
+        _cells(trace, lay, body["chosen"])  # a chosen arm outside its candidate set raises
+    # each derived column the trace holds, against its rule on the written values alone, one at a time
+    stored = GameTrace(trace.config, trace.run_id, {"active": active}, trace.cost_cap, sections=body)
     for name in _DERIVED:
         if name in vars(trace) and not _same_bits(_derive(stored, name), vars(trace)[name]):
             raise ValueError(f"{name} holds a value other than {_left_out(name, None)}")
+    fh.write(_TRACE_MAGIC + _header(trace, cost_cap=trace.cost_cap).encode())
+    fh.write(active)
+    for name, _, _ in _STORED[1:]:
+        fh.write(body[name])
 
 
 def _left_out(name: str, fill) -> str:
@@ -376,10 +426,11 @@ def _left_out(name: str, fill) -> str:
 
 
 def read_trace(path) -> GameTrace:
-    """Read a trace file into a fresh GameTrace: its ``cost_cap`` and the
-    ``_STORED`` columns, each cell the file leaves out at its fill.  The
-    ``_DERIVED`` columns are derived when first read, by the rules
-    ``write_trace`` holds them to."""
+    """Read a trace file into a fresh GameTrace: its ``cost_cap``, ``active``
+    and the sections of the other ``_STORED`` columns, read into one
+    buffer.  A stored column is unpacked, each cell the file leaves out at
+    its fill, and a ``_DERIVED`` column derived, by the rules
+    ``write_trace`` holds them to, when first read."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TRACE_MAGIC:
@@ -391,31 +442,24 @@ def read_trace(path) -> GameTrace:
             config = parse_game(header["config"])
             active = _stacked(config, 1, ["active"])["active"][0]
             trace = GameTrace(config, header.get("run_id", 0), {"active": active}, float(header["cost_cap"]),
-                              derives=True)
+                              sections={})
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: damaged trace header: {exc}") from None
         size, start = os.fstat(fh.fileno()).st_size, fh.tell()
-        fh.readinto(memoryview(trace.active).cast("B"))  # a short read leaves the size check failing
+        fh.readinto(memoryview(active).cast("B"))  # a short read leaves the size check failing
         lay = _layout(trace)
-        expected = start + trace.active.nbytes + 8 * sum(_held(name, lay) for name, _, _ in _STORED[1:])
+        expected = start + active.nbytes + _body_bytes(lay.at.size, lay.slots)
         if size != expected:
-            raise ValueError(
-                f"{path}: damaged trace: {size} bytes where the header and columns take {expected}"
-            )
-        for name, dtype, _ in _STORED[1:]:  # each column allocated as it is read
-            column = _stacked(trace.config, 1, [name])[name][0]
-            setattr(trace, name, column)
-            for at, k in _pieces(name, lay):
-                part = np.frombuffer(fh.read(at.size * (k or 1) * 8), dtype)
-                if k is None:
-                    column.reshape(-1)[at] = part
-                else:
-                    column.reshape(-1, trace.kmax)[at, :k] = part.reshape(-1, k)
-            if name == "chosen":  # it places the others
-                try:
-                    _cells(trace, lay)
-                except ValueError as exc:
-                    raise ValueError(f"{path}: damaged trace: {exc}") from None
+            raise ValueError(f"{path}: damaged trace: {size} bytes where the header and columns take {expected}")
+        body = np.empty(expected - start - active.nbytes, dtype=np.uint8)
+        trace.sections.update(_split(body, lay.at.size, lay.slots))
+        chosen = trace.sections["chosen"]
+        fh.readinto(chosen)
+        try:
+            _cells(trace, lay, chosen)  # the chosen arms place the others; checked before they are read
+        except ValueError as exc:
+            raise ValueError(f"{path}: damaged trace: {exc}") from None
+        fh.readinto(body[chosen.nbytes :])
     return trace
 
 

@@ -281,7 +281,7 @@ def test_run_reductions_derive_no_column_of_a_kept_trace(mini_path, tmp_path, mo
 
     monkeypatch.setattr(cli, "iter_games", recording)
     assert main(["run", str(mini_path), "--workers", "1", "--out", str(tmp_path)]) == 0
-    assert len(played) == 3 and all(trace.derives for trace in played)  # traces: all
+    assert len(played) == 3 and all(trace.sections is not None for trace in played)  # traces: all
     for trace in played:
         assert set(vars(trace)) & set(traces._DERIVED) == {"clock", "cost_norm"}
 
@@ -491,11 +491,12 @@ def test_run_batch_caller_plays_every_wth_task(monkeypatch):
 
 def _per_variant_task(configs, run_ids) -> None:
     """``cli._run_replications`` with the variants played in turn, each with
-    full traces, on Environments and stage games shared by every variant."""
+    full traces (every column stacked whole), on Environments and stage
+    games shared by every variant."""
     envs = [Environment(configs[0], rid) for rid in run_ids]
     games = [stage_games(env) for env in envs]
     for config in configs:
-        traces = run_games(config, run_ids, envs)
+        traces = run_games(config, run_ids, envs, keep=set(), columns=cli._EVERY)
         for trace, game in zip(traces, games):
             metrics.social_cost_series(trace)
             metrics.pota_series(trace, game)

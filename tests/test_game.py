@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fogbandit import bandit, game
+from fogbandit import bandit, game, traces
 from fogbandit.bandit import LearnerParams
 from fogbandit.cli import bundled_config, run_batch
 from fogbandit.configio import BASELINES, TaskSizeLaw, load_config
@@ -347,19 +347,32 @@ def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config):
             assert hasattr(ours, "cf_best") == ("cf_best" in columns)
 
 
-@pytest.mark.parametrize("config", ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4",
-                                    "paper-fig5"))
+@pytest.mark.parametrize("config", [
+    *(pytest.param(name, id=name) for name in
+      ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5")),
+    pytest.param(None, id="ragged"),
+])
 def test_game_bytes_are_what_each_game_stacks(config):
-    # a kept game stacks what its trace file holds and the requested columns,
-    # any other game the requested ones; the plan weighs each at those bytes
-    configs, keep = _two_variants(config), {(0, 0), (1, 1)}
+    # a kept game holds its trace file's sections and the requested columns,
+    # any other game the requested ones; the plan weighs each at those bytes,
+    # a kept game's sections as if every agent-round were active (batches are
+    # planned before activations are drawn), as they are at activation 1
+    configs = _ragged() * 2 if config is None else _two_variants(config)
+    keep = {(0, 0), (1, 1)}
     for columns in (game._METRIC, _COLUMN_SETS[1]):
         weights = game._game_bytes(configs, [0, 1], keep, columns)
         for g, trace in enumerate(run_games(configs, [0, 1], keep=keep, columns=columns)):
             v, i = divmod(g, 2)
             stacked = sum(values.nbytes for name, values in vars(trace).items()
                           if isinstance(values, np.ndarray) and name not in game._SHARED)
-            assert stacked == weights[i][v], (columns, v, i)
+            sections = sum(values.nbytes for values in (trace.sections or {}).values())
+            held, every = (traces._body_bytes(*traces._extent(trace.config, active), game._SECTIONS)
+                           for active in (trace.active, np.ones_like(trace.active)))
+            kept = (v, i) in keep
+            assert (trace.sections is not None) == kept
+            assert sections == kept * held
+            assert stacked + kept * every == weights[i][v], (columns, v, i)
+            assert (held == every) == (config is not None)  # the ragged game idles in some agent-rounds
 
 
 def test_the_block_check_reads_every_piece_of_a_block(monkeypatch):

@@ -221,8 +221,9 @@ def test_v3_trace_is_rejected(tmp_path):
 
 def test_read_trace_allocates_only_the_stored_columns(tmp_path):
     # a wide-traces-shaped game, 6 agents on 8 -> 12 arms at activation 0.8:
-    # read_trace fills the 8 stored columns, a piece of a column at a time,
-    # and allocates under 60% of the 17 columns of a whole trace
+    # read_trace holds active and the file's sections in one buffer, and
+    # allocates under half the 17 columns of a whole trace, and at most 1.4
+    # times what it holds (the chosen arms' check of the rest)
     arms = tuple(range(1, 13))
     config = synthetic_config({k: 0.1 + 0.06 * k for k in arms}, num_agents=6, horizon=1000,
                               epochs=((1, (arms[:8],) * 6), (501, (arms,) * 6)), activation=(0.8,) * 6,
@@ -240,9 +241,13 @@ def test_read_trace_allocates_only_the_stored_columns(tmp_path):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 0.6 * whole
-    assert sorted(name for name, _, _ in _COLUMNS if name in vars(trace)) == sorted(
-        name for name, _, _ in traces._STORED)
+    held = trace.active.nbytes + sum(section.nbytes for section in trace.sections.values())
+    assert held == path.stat().st_size - _columns_start(path.read_bytes())
+    assert peak < 0.5 * whole
+    assert peak < 1.4 * held
+    assert [name for name, _, _ in _COLUMNS if name in vars(trace)] == ["active"]
+    assert list(trace.sections) == [name for name, _, _ in traces._STORED[1:]]
+    assert len({section.base.ctypes.data for section in trace.sections.values()}) == 1
 
 
 def _rejects_magic(path, version: str) -> None:
@@ -503,6 +508,30 @@ def test_batched_replications_equal_single_runs(config, run_ids):
         for name, dtype, _ in _COLUMNS:
             assert np.array_equal(getattr(trace, name), getattr(alone, name), equal_nan=dtype == "<f8"), name
 
+
+@settings(max_examples=30, deadline=None)
+@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3), st.sampled_from([1, 2**15, 2**40]))
+def test_kept_sections_are_the_packed_columns(config, run_id, cells):
+    # a kept game's sections are, bit for bit, what write_trace packs of the
+    # same game played unkept with every column stacked, for blocks of one
+    # round, of the default size and of a whole epoch, on ragged games of
+    # either cost model
+    lifted, game._BLOCK_CELLS = game._BLOCK_CELLS, cells
+    try:
+        kept = run_game(config, run_id)
+        whole = run_games(config, [run_id], keep=set(), columns=[name for name, _, _ in _COLUMNS])[0]
+    finally:
+        game._BLOCK_CELLS = lifted
+    lay = traces._layout(whole)
+    assert [name for name, _, _ in _COLUMNS if name in vars(kept)] == list(game._SHARED)
+    assert list(kept.sections) == list(game._SECTIONS)
+    for name, section in kept.sections.items():
+        assert _bits(section) == _bits(traces._section(whole, name, lay)), name
+    with tempfile.TemporaryDirectory() as tmp:
+        mine, theirs = Path(tmp) / "kept.trace", Path(tmp) / "whole.trace"
+        write_trace(kept, mine)
+        write_trace(whole, theirs)
+        assert mine.read_bytes() == theirs.read_bytes()
 
 
 # what a game not kept whole may stack besides ``active``
