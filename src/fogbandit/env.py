@@ -583,11 +583,15 @@ class Environment:
                 f" at round {lo + at[-2]}"
             )
         n_arms = len(self.arm_ids)
-        on = np.where(here, pos, 0).sum(axis=-1)  # chosen arm position [..., round, agent]
-        games = on.shape[:-1]
-        cells = (np.arange(math.prod(games)).reshape(games)[..., None] * n_arms + on)[active]
-        counts = np.bincount(cells, minlength=math.prod(games) * n_arms).reshape(games + (n_arms,))
-        degree = 1 + counts[..., pos] - here
+        cells = np.where(here, pos, 0).sum(axis=-1)  # chosen arm position [..., round, agent]
+        games = cells.shape[:-1]
+        cells += np.arange(math.prod(games)).reshape(games)[..., None] * n_arms  # its cell in counts
+        counts = np.bincount(cells[active], minlength=math.prod(games) * n_arms).reshape(games + (n_arms,))
+        del stray, cells  # few temporaries at once: a batch's block holds many cells
+        degree = counts[..., pos]  # 1 + counts[..., pos] - here
+        degree -= here
+        degree += 1
+        del counts
         return np.where(active[..., None] & valid, degree, np.nan)
 
     def cost_vectors(self, inputs: CostInputs, congestion) -> dict[str, np.ndarray]:

@@ -22,7 +22,7 @@ from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
 from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _STORED, GameTrace, _body_bytes, _clock, _extent, _kmax,
-                     _left_out, _params, _rules, _same_bits, _split, _stacked)
+                     _left_out, _pack_into, _params, _rules, _same_bits, _split, _stacked)
 # the trace-file API, kept under this module's name too
 from .traces import format_trace, read_trace, write_trace  # noqa: F401
 
@@ -49,9 +49,11 @@ def _bytes(config: GameConfig, names) -> int:
 
 
 # A block of rounds holds at most this many cells of run id x round x agent x
-# candidate slot x congestion degree in its table of normalized costs, and of
-# game x round x agent x candidate slot in each array of its fill, which
-# bounds the round loop's working memory whatever the horizon and batch.
+# candidate slot x congestion degree in its table of normalized costs, and
+# half as many of game x round x agent x candidate slot in each of the
+# groups' per-round arrays and of its fill's costs, which are several at
+# once; that bounds the round loop's working memory whatever the horizon and
+# batch.
 _BLOCK_CELLS = 2**15
 # Trace columns, kept games' sections and ``cf_best`` a batch of games
 # stacks: ``batches`` gives each of the batches played at once (one per
@@ -318,7 +320,7 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     n_arms = state.scores.shape[1]
     degrees = np.arange(n_agents + 1)
     k_max = pos.shape[1]
-    block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, games) * n_agents * k_max))
+    block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, 2 * games) * n_agents * k_max))
     groups = [_Group(k, pos, learners, state, stack, config.task_size, min(block, hi - lo + 1))
               for k in sorted(set(sizes.tolist()))]
     for b_lo in range(lo, hi + 1, block):
@@ -507,6 +509,12 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
         stack.cf_norm[:, rounds, :, :k] = norm
     if "cf_raw" in stack.columns:
         stack.cf_raw[:, rounds, :, :k] = raw
+    if kept.size:
+        own = {"chosen": _rows(chosen, kept), "cf_raw": _rows(raw, kept),
+               **{column: at_chosen(vec[key], kept)
+                  for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"))}}
+        degree = at_chosen(vec["congestion"], kept, fill=0)
+    del vec, raw  # the block's other costs, which neither cf_best, the check nor the sections read
     if stack.cf_best.size:
         norm_r, played_r = norm.swapaxes(0, 1), played.swapaxes(0, 1)  # round first
         for g in groups:
@@ -515,11 +523,6 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
             stack.cf_best[:, rounds, g.agents] = best.swapaxes(0, 1)
             stack.best_carry[:, g.agents, : g.k] = carry
     if kept.size:
-        own = {"chosen": _rows(chosen, kept), "cf_raw": _rows(raw, kept),
-               **{column: at_chosen(vec[key], kept)
-                  for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"))}}
-        degree = at_chosen(vec["congestion"], kept, fill=0)
-        del vec, raw  # the block's other costs, which neither the check nor the sections read
         _check(env, stack, lo, hi, groups, blocks, _rows(norm, kept), degree, own)
         _pack(stack, lo, hi, groups, blocks, own)
 
@@ -574,23 +577,21 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree, own) -> None:
 
 def _pack(stack, lo, hi, groups, blocks, own) -> None:
     """Write the kept games' stored values of rounds [lo, hi] into their
-    sections, past what each run id's earlier rounds took (``stack.packed``
-    carries, per run id, the agent-rounds and slots written so far).
-    ``own`` holds the kept games' values, [kept game, round, agent(,
-    slot)], of every section but ``probs``: those are the groups' block
-    outputs, NaN past each agent's own set."""
+    sections (``traces._pack_into``), past what each run id's earlier rounds
+    took (``stack.packed`` carries, per run id, the agent-rounds and slots
+    written so far).  ``own`` holds the kept games' values, [kept game,
+    round, agent(, slot)] over the epoch's largest candidate set, of every
+    section but ``probs``: those are the groups' block outputs, NaN past
+    each agent's own set."""
     active = stack.active[:, lo : hi + 1]
     probs = np.full(own["cf_raw"].shape, np.nan)
     for g, b in zip(groups, blocks):
         probs[:, :, g.agents, : g.k] = _rows(g.stacked(b.probs), stack.kept)
-    own = {**own, "probs": probs}
-    cells = np.count_nonzero(active, axis=(1, 2))
-    width = probs.shape[-1]
+    own, packed = {**own, "probs": probs}, stack.packed.copy()
+    at = [np.flatnonzero(here) for here in active]  # each run id's active agent-rounds of the block
     for j, game in enumerate(stack.kept):
         r = game % stack.runs
-        here, (c, s) = active[r], stack.packed[r]
         for name, section in stack.sections[game].items():
-            at = slice(s, s + cells[r] * width) if name in _PER_SLOT else slice(c, c + cells[r])
-            section[at] = own[name][j][here].reshape(-1)
-    stack.packed[:, 0] += cells
-    stack.packed[:, 1] += cells * width
+            i, values = int(name in _PER_SLOT), own[name][j]
+            packed[r, i] = _pack_into(section, stack.packed[r, i], values.reshape((-1,) + values.shape[2:]), at[r])
+    stack.packed = packed

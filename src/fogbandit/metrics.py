@@ -67,7 +67,7 @@ def running_best_sums(active: np.ndarray, cf: np.ndarray, carry: np.ndarray) -> 
     at a time from the carry, so consecutive blocks chained through one
     carry give the sums of a single call bit for bit.
     """
-    sums = np.where(active[..., None], np.nan_to_num(cf), 0.0)
+    sums = np.nan_to_num(np.where(active[..., None], cf, 0.0), copy=False)
     sums[0] += carry
     np.cumsum(sums, axis=0, out=sums)
     carry[...] = sums[-1]

@@ -178,15 +178,14 @@ def _extent(config: GameConfig, active: np.ndarray) -> tuple[int, int]:
     return sum(n for n, _ in held), sum(n * k for n, k in held)
 
 
-def _split(body: np.ndarray, cells: int, slots: int, names=None) -> dict[str, np.ndarray]:
-    """The sections of the named stored columns past ``active`` (by default
-    all of them) in a trace file's order, as views of the bytes ``body``:
-    ``cells`` values of each [round, agent] column, ``slots`` of ``probs``
-    and ``cf_raw`` (see ``_extent``).  ``body`` holds them all and nothing
-    else."""
+def _split(body: np.ndarray, cells: int, slots: int, names) -> dict[str, np.ndarray]:
+    """The sections of the named stored columns past ``active`` in a trace
+    file's order, as views of the bytes ``body``: ``cells`` values of each
+    [round, agent] column, ``slots`` of ``probs`` and ``cf_raw`` (see
+    ``_extent``).  ``body`` holds them all and nothing else."""
     out, lo = {}, 0
     for name, dtype, _ in _STORED[1:]:
-        if names is None or name in names:
+        if name in names:
             hi = lo + 8 * (slots if name in _PER_SLOT else cells)
             out[name] = body[lo:hi].view(dtype)
             lo = hi
@@ -226,19 +225,33 @@ def _epochs(lay: SimpleNamespace):
     return zip(lay.cuts, lay.cuts[1:], lay.widths, lay.starts)
 
 
+def _pack_into(section: np.ndarray, offset: int, rows: np.ndarray, at: np.ndarray) -> int:
+    """Write ``rows[at]`` into a section from ``offset`` on, as a trace file
+    holds them: ``rows`` holds [round * agent(, slot)] values, a per-slot
+    column's over the largest candidate set of the one epoch ``at`` lies
+    in, and ``at`` the flat indices of active agent-rounds in (round,
+    agent) order.  The offset past them."""
+    shape = (at.size,) + rows.shape[1:]
+    end = offset + int(np.prod(shape))
+    np.take(rows, at, axis=0, out=section[offset:end].reshape(shape), mode="clip")  # at is in range
+    return end
+
+
 def _section(trace: GameTrace, name: str, lay: SimpleNamespace) -> np.ndarray:
     """A stored column past ``active`` as a trace file holds it, in file
     order: the trace's section, or, where the trace holds the column
     itself, the column packed (a copy, of the column's ``_COLUMNS`` dtype)."""
-    if name not in vars(trace):
+    if name not in vars(trace) and trace.sections is not None:
         return trace.sections[name]
     dtype = next(dtype for column, dtype, _ in _STORED if column == name)
     values = np.asarray(getattr(trace, name), dtype=dtype)
     if name not in _PER_SLOT:
-        return values.reshape(-1)[lay.at]
+        out = np.empty(lay.at.size, dtype)
+        _pack_into(out, 0, values.reshape(-1), lay.at)
+        return out
     rows, out = values.reshape(-1, trace.kmax), np.empty(lay.slots, dtype)
     for a, b, k, s in _epochs(lay):
-        out[s : s + (b - a) * k].reshape(-1, k)[:] = rows[lay.at[a:b], :k]
+        _pack_into(out, s, rows[:, :k], lay.at[a:b])
     return out
 
 
@@ -427,10 +440,10 @@ def _left_out(name: str, fill) -> str:
 
 def read_trace(path) -> GameTrace:
     """Read a trace file into a fresh GameTrace: its ``cost_cap``, ``active``
-    and the sections of the other ``_STORED`` columns, read into one
-    buffer.  A stored column is unpacked, each cell the file leaves out at
-    its fill, and a ``_DERIVED`` column derived, by the rules
-    ``write_trace`` holds them to, when first read."""
+    and the sections of the other ``_STORED`` columns.  A stored column is
+    unpacked, each cell the file leaves out at its fill, and a
+    ``_DERIVED`` column derived, by the rules ``write_trace`` holds them
+    to, when first read."""
     with open(path, "rb") as fh:
         magic = fh.readline()
         if magic != _TRACE_MAGIC:
@@ -451,15 +464,18 @@ def read_trace(path) -> GameTrace:
         expected = start + active.nbytes + _body_bytes(lay.at.size, lay.slots)
         if size != expected:
             raise ValueError(f"{path}: damaged trace: {size} bytes where the header and columns take {expected}")
-        body = np.empty(expected - start - active.nbytes, dtype=np.uint8)
-        trace.sections.update(_split(body, lay.at.size, lay.slots))
-        chosen = trace.sections["chosen"]
+        # a section each: one buffer of them all, once freed, would raise the
+        # allocator's mmap threshold and leave later arrays on its heap
+        trace.sections.update((name, np.empty(lay.slots if name in _PER_SLOT else lay.at.size, dtype))
+                              for name, dtype, _ in _STORED[1:])
+        chosen, *rest = trace.sections.values()
         fh.readinto(chosen)
         try:
             _cells(trace, lay, chosen)  # the chosen arms place the others; checked before they are read
         except ValueError as exc:
             raise ValueError(f"{path}: damaged trace: {exc}") from None
-        fh.readinto(body[chosen.nbytes :])
+        for section in rest:
+            fh.readinto(section)
     return trace
 
 

@@ -491,12 +491,11 @@ def test_run_batch_caller_plays_every_wth_task(monkeypatch):
 
 def _per_variant_task(configs, run_ids) -> None:
     """``cli._run_replications`` with the variants played in turn, each with
-    full traces (every column stacked whole), on Environments and stage
-    games shared by every variant."""
+    full traces, on Environments and stage games shared by every variant."""
     envs = [Environment(configs[0], rid) for rid in run_ids]
     games = [stage_games(env) for env in envs]
     for config in configs:
-        traces = run_games(config, run_ids, envs, keep=set(), columns=cli._EVERY)
+        traces = run_games(config, run_ids, envs)
         for trace, game in zip(traces, games):
             metrics.social_cost_series(trace)
             metrics.pota_series(trace, game)

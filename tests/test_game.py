@@ -331,9 +331,9 @@ _COLUMN_SETS = (
 
 @pytest.mark.parametrize("config", ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4",
                                     "paper-fig5"))
-def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config):
+def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config, tmp_path):
     # each requested column is, byte for byte, the whole trace's, and any
-    # other column is missing
+    # other column is missing, to write_trace too
     configs = _two_variants(config)
     whole = run_games(configs, [0, 1])
     for columns in _COLUMN_SETS:
@@ -345,6 +345,9 @@ def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config):
                     with pytest.raises(AttributeError):
                         getattr(ours, name)
             assert hasattr(ours, "cf_best") == ("cf_best" in columns)
+            lacking = next(name for name, _, _ in traces._STORED[1:] if name not in columns)
+            with pytest.raises(AttributeError, match=f"trace has no column '{lacking}'"):
+                write_trace(ours, tmp_path / "t.trace")
 
 
 @pytest.mark.parametrize("config", [
