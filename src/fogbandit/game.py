@@ -48,12 +48,13 @@ def _bytes(config: GameConfig, names) -> int:
     return (config.horizon + 1) * config.num_agents * per_cell
 
 
-# A block of rounds holds at most this many cells of run id x round x agent x
-# candidate slot x congestion degree in its table of normalized costs, and
-# half as many of game x round x agent x candidate slot in each of the
-# groups' per-round arrays and of its fill's costs, which are several at
-# once; that bounds the round loop's working memory whatever the horizon and
-# batch.
+# A block of rounds holds at most half this many cells of game x round x
+# agent x candidate slot in each of the groups' per-round arrays and of its
+# fill's costs, which are several at once: they set the block's length.  Its
+# table of normalized costs, run id x round x agent x candidate slot x
+# congestion degree, is taken a span of rounds at a time within the block and
+# holds at most this many cells.  That bounds the round loop's working memory
+# whatever the horizon and batch (unless one round exceeds the bound).
 _BLOCK_CELLS = 2**15
 # Trace columns, kept games' sections and ``cf_best`` a batch of games
 # stacks: ``batches`` gives each of the batches played at once (one per
@@ -296,11 +297,19 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     and the block's selection uniforms (see ``_uniforms``).  ``learners``
     holds each game's learners.  Agents are stepped in groups of equal
     candidate-set size, each group one array step per round over every game
-    of the batch, on scores it holds for the epoch.  A group's idle agents are stepped too, with learning
-    rate 0 and demand weight 1, which leaves their scores unchanged; their
-    choices count toward no congestion and the fill drops them.  The
-    normalized costs a block's learners see are checked to lie in [0, 1]
-    once the block is played.
+    of the batch, on scores it holds for the epoch.  A group's idle agents
+    are stepped too, with learning rate 0 and demand weight 1, which leaves
+    their scores unchanged; their choices count toward no congestion and the
+    fill drops them.
+
+    A block takes the cost ingredients of all its rounds at once, and the
+    per-game arrays (``_BLOCK_CELLS``) set its length.  Its learners look
+    their costs up in a table over every congestion degree, which is taken
+    from the ingredients ``span`` rounds at a time, so the table stays
+    within ``_BLOCK_CELLS`` however long the block; the cost formula is
+    elementwise, so any span gives the same bits.  The normalized costs a
+    block's learners see are checked to lie in [0, 1] once the block is
+    played, and then the block fills the traces (``_fill``).
     """
     runs, games, n_agents = len(envs), len(learners), config.num_agents
     pos = envs[0].slot_pos[epoch]  # [agent, slot], the same for every run id
@@ -320,25 +329,26 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
     n_arms = state.scores.shape[1]
     degrees = np.arange(n_agents + 1)
     k_max = pos.shape[1]
-    block = max(1, _BLOCK_CELLS // (max(runs * degrees.size, 2 * games) * n_agents * k_max))
+    block = max(1, _BLOCK_CELLS // (2 * games * n_agents * k_max))
+    span = max(1, _BLOCK_CELLS // (runs * degrees.size * n_agents * k_max))  # rounds of the cost table
     groups = [_Group(k, pos, learners, state, stack, config.task_size, min(block, hi - lo + 1))
               for k in sorted(set(sizes.tolist()))]
     for b_lo in range(lo, hi + 1, block):
         b_hi = min(b_lo + block - 1, hi)
         rounds = slice(b_lo, b_hi + 1)
-        # cost ingredients [run, round, agent, slot] and normalized cost [round,
-        # run * agent, slot, congestion degree]; run ids share cost_cap
+        # cost ingredients [run, round, agent, slot]; run ids share cost_cap
         inputs = CostInputs(*(
             None if parts[0] is None else np.stack(parts)
             for parts in zip(*(env.cost_inputs(b_lo, b_hi) for env in envs))
         ))
-        table = envs[0].cost_vectors(CostInputs(*(
-            None if a is None else a.swapaxes(0, 1).reshape(b_hi - b_lo + 1, -1, k_max, 1)
-            for a in inputs
-        )), degrees)["normalized"]
         stack.uniforms = _uniforms(stack, rounds, sizes > 1)
         blocks = [g.block(stack, rounds) for g in groups]
         for r, rnd in enumerate(range(b_lo, b_hi + 1)):
+            if r % span == 0:  # the next span rounds' normalized costs [round, run * agent, slot, degree]
+                table = envs[0].cost_vectors(CostInputs(*(
+                    None if a is None else a[:, r : r + span].swapaxes(0, 1).reshape(-1, runs * n_agents, k_max, 1)
+                    for a in inputs
+                )), degrees)["normalized"]
             if rnd in syncs:
                 for g in groups:
                     g.store(state)
@@ -354,17 +364,18 @@ def _play_epoch(config, envs, stack, state, learners, epoch, lo, hi) -> None:
                 np.concatenate(playing) if len(playing) > 1 else playing[0],
                 minlength=games * n_arms,
             )
+            costs = table[r % span]
             for g, b, cell in zip(groups, blocks, cells):
                 idx = b.slot[r]
-                b.loss[r] = table[r, g.table_rows, idx, counts[cell]]
+                b.loss[r] = costs[g.table_rows, idx, counts[cell]]
                 est = bandit.estimate_cost(b.loss[r], idx, b.probs[r], b.gamma[r], b.estimates[r])
                 if g.full.size:  # the whole counterfactual vector is the estimate
                     degree = counts[g.full_cells] + (g.slots != idx[g.full, None])
-                    est[g.full] = table[r, g.full_rows, g.slots, degree]
+                    est[g.full] = costs[g.full_rows, g.slots, degree]
                 bandit.update_scores(g.scores, est, b.eta[r])
         for b in blocks:
             bandit.check_losses(b.loss)
-        del table  # before the fill's costs, which take as much again
+        del table, costs  # before the fill's costs
         _fill(envs[0], stack, inputs, b_lo, b_hi, groups, blocks)
     for g in groups:
         g.store(state)
@@ -428,13 +439,11 @@ class _Group:
 
         The rows' learning rates and demand weights come from their clocks
         and task sizes in the block, and their uniforms from
-        ``stack.uniforms``; the games that stack ``zeta``, ``eta`` or
-        ``gamma`` get them (NaN where idle) in their columns.
+        ``stack.uniforms``; ``zeta``, ``eta`` and ``u`` come as [round, row,
+        1] views, which broadcast against a row's slots.  The games that
+        stack ``zeta``, ``eta`` or ``gamma`` get them (NaN where idle) in
+        their columns.
         """
-
-        def per_slot(values):  # [round, row] -> [round, row, slot]
-            return np.repeat(values[:, :, None], self.k, axis=2)
-
         active, p = self.rows_of(stack.active, rounds), self.params
         rates = bandit.learning_rates(
             np.where(active, self.rows_of(stack.clock, rounds), 1), self.k, p.schedule_a, p.gamma_ratio
@@ -451,10 +460,10 @@ class _Group:
         return SimpleNamespace(
             active=active,
             everyone=active.all(axis=1).tolist(),
-            zeta=per_slot(zeta),
-            eta=per_slot(eta),
+            zeta=zeta[:, :, None],
+            eta=eta[:, :, None],
             gamma=gamma,
-            u=per_slot(self.rows_of(stack.uniforms, slice(None))),
+            u=self.rows_of(stack.uniforms, slice(None))[:, :, None],
             **{name: out[: active.shape[0]] for name, out in vars(self.out).items()},
         )
 

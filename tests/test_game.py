@@ -320,6 +320,50 @@ def test_unkept_game_stacks_no_counterfactual_table(monkeypatch):
     assert trace.cf_best.shape == (3001, 2)
 
 
+@pytest.mark.parametrize("num_agents, horizon, epochs, runs, blocks, spans", [
+    # wide-traces' batch: 6 agents on 8 then 12 arms, 6 run ids; the per-game
+    # arrays give 56- and 37-round blocks, and the table is taken 16 and 10
+    # rounds at a time
+    (6, 1000, ((1, tuple(range(1, 9))), (501, tuple(range(1, 13)))), 6, 9 + 14, (16, 10)),
+    # stress-shaped: one round's table of 50 agents on 20 arms (51,000 cells)
+    # exceeds the bound, so it is taken a round at a time in 16-round blocks
+    (50, 40, ((1, tuple(range(1, 21))),), 1, 3, (1,)),
+])
+def test_the_per_game_arrays_size_a_block(monkeypatch, num_agents, horizon, epochs, runs, blocks, spans):
+    # a block's length is set by its per-game arrays (game x round x agent x
+    # slot, twice over), and its cost table over every congestion degree is
+    # taken a span of rounds at a time; the table holds at most _BLOCK_CELLS
+    # cells unless one round of it is larger
+    cfg = synthetic_config({k: 0.1 + 0.04 * k for k in range(1, 21)}, num_agents=num_agents, horizon=horizon,
+                           epochs=tuple((start, (arms,) * num_agents) for start, arms in epochs),
+                           activation=(0.8,) * num_agents)
+    fills, tables = [], []  # each block's (first, last) round; each table's (cells per round, rounds)
+    fill, cost_vectors = game._fill, Environment.cost_vectors
+
+    def counted_fill(env, stack, inputs, lo, hi, *rest):
+        fills.append((lo, hi))
+        return fill(env, stack, inputs, lo, hi, *rest)
+
+    def counted_cost_vectors(self, inputs, congestion):
+        if np.ndim(congestion) == 1:  # a table over every congestion degree
+            rounds = inputs.adversary.shape[0]
+            tables.append((inputs.adversary.size // rounds * len(congestion), rounds))
+        return cost_vectors(self, inputs, congestion)
+
+    monkeypatch.setattr(game, "_fill", counted_fill)
+    monkeypatch.setattr(Environment, "cost_vectors", counted_cost_vectors)
+    run_games(cfg, list(range(runs)))
+    assert len(fills) == blocks
+    for (start, arms), end in zip(epochs, [start for start, _ in epochs[1:]] + [horizon + 1]):
+        block = game._BLOCK_CELLS // (2 * runs * num_agents * len(arms))
+        assert [(lo, hi) for lo, hi in fills if start <= lo < end] == [
+            (lo, min(lo + block - 1, end - 1)) for lo in range(start, end, block)]
+    for (_, arms), span in zip(epochs, spans):
+        per_round = runs * (num_agents + 1) * num_agents * len(arms)
+        assert max(rounds for cells, rounds in tables if cells == per_round) == span
+        assert per_round * span <= max(game._BLOCK_CELLS, per_round)
+
+
 # three column sets that together hold every column but ``active``, and ``cf_best``
 _COLUMN_SETS = (
     ("cost_norm",),

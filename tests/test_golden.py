@@ -14,7 +14,8 @@ linear coupling, and truncated-normal task sizes.  Every case is also
 played inside a batch of replications (``run_games``) and must give the
 same digest there, also next to a second variant of its game (whose
 trace must equal the one it gives alone), and a few cases also at both
-extremes of the block size (one round per block, one block per epoch).
+extremes of the block size (one round per block, one block per epoch) and
+at a block size whose cost table is taken in spans of fewer rounds.
 """
 
 import dataclasses
@@ -226,14 +227,19 @@ def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
     _two_variants(name, [0, 1], tmp_path / "run.trace", alone)
 
 
-@pytest.mark.parametrize("cells", [1, 2**40])
+@pytest.mark.parametrize("cells", [1, 240, 2**40])
 @pytest.mark.parametrize(
-    "name", ["acceptance-small/perturbed", "idle-epoch", "ragged-mixed-learners", "truncnorm"]
+    "name", ["acceptance-small/perturbed", "idle-epoch", "ragged-mixed-learners", "truncnorm", "physical-ragged"]
 )
 def test_golden_traces_at_block_extremes(name, cells, tmp_path, monkeypatch):
-    # block edges move with the batch size; one round per block and one block
-    # per epoch give the same bytes, alone and in a batch of two run ids, also
-    # with a second variant in the batch
+    # block edges move with the batch size; one round per block, one block
+    # per epoch and blocks whose cost table is taken in spans that do not
+    # divide them give the same bytes, alone and in a batch of two run ids,
+    # also with a second (full-feedback) variant in the batch.  At 240 cells
+    # acceptance-small's 2 run ids play 15-round blocks in 10-round spans,
+    # ragged-mixed-learners' full-feedback agent 5-round blocks in 2-round
+    # spans alone, and physical-ragged's 2 run ids 5-round blocks in 2-round
+    # spans.
     alone = _alone(name, tmp_path / "run.trace")
     monkeypatch.setattr(game, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(game, "_BATCH_BYTES", 2**40)

@@ -509,12 +509,14 @@ def test_batched_replications_equal_single_runs(config, run_ids):
 
 
 @settings(max_examples=30, deadline=None)
-@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3), st.sampled_from([1, 2**15, 2**40]))
+@given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3), st.sampled_from([1, 100, 2**15, 2**40]))
 def test_kept_sections_are_the_packed_columns(config, run_id, cells):
     # a kept game's sections are, bit for bit, what write_trace packs of the
     # same game played unkept with every column stacked, for blocks of one
-    # round, of the default size and of a whole epoch, on ragged games of
-    # either cost model
+    # round, of the default size and of a whole epoch, and for blocks whose
+    # cost table is taken in spans that do not divide them (100 cells: a
+    # 2-agent, 2-slot game plays 12-round blocks in 8-round spans), on ragged
+    # games of either cost model and either feedback
     lifted, game._BLOCK_CELLS = game._BLOCK_CELLS, cells
     try:
         kept = run_game(config, run_id)
