@@ -49,10 +49,10 @@ def _run_replications(args: tuple) -> list[list[dict]]:
     each run id's Environment and stage games are built once for every
     variant, and every (variant, run id) game plays in lockstep, in as few
     ``iter_games`` batches as the memory bound allows (one, unless a run
-    id's games alone exceed it).  Only the games whose traces are written
-    keep full traces, and the others stack only what the metrics read; each
-    game is written (where given a path) and reduced to small picklable
-    series as its batch ends.
+    id's games alone exceed it).  Every game stacks only what the metrics
+    read, and the games whose traces are written stream their files into
+    sinks as they play; each game's file is put at its path and the game
+    is reduced to small picklable series as its batch ends.
     """
     configs, run_ids, want_pota, want_regret, trace_paths = args
     envs = [Environment(configs[0], rid) for rid in run_ids]
@@ -108,7 +108,7 @@ def run_batch(fn, args: list, workers: int = 1) -> list:
     return out
 
 
-def _plan(configs, ids, workers: int, keep, columns) -> tuple[list[list[int]], int]:
+def _plan(configs, ids, workers: int, columns) -> tuple[list[list[int]], int]:
     """The lockstep batches ``ids`` are played in, and on how many processes.
 
     Of one process's plan, at most w = min(``workers``, its batch count)
@@ -118,10 +118,10 @@ def _plan(configs, ids, workers: int, keep, columns) -> tuple[list[list[int]], i
     lockstep amortization, and each process costs its own RSS.  ``configs``
     lists the variants each run id is played by.
     """
-    plan = batches(configs, ids, 1, keep, columns)
+    plan = batches(configs, ids, 1, columns)
     workers = min(workers, len(plan))
     if workers > 1:
-        split = batches(configs, ids, workers, keep, columns)
+        split = batches(configs, ids, workers, columns)
         if all(len(batch) * len(configs) > 1 or batch in plan for batch in split):
             return split, workers
     return plan, 1
@@ -174,8 +174,7 @@ def run_experiment(spec: ExperimentSpec, out_root: Path | None = None, workers: 
         (out_dir / variant.name / ("traces" if keep else "")).mkdir(parents=True, exist_ok=True)
     # one task per batch of run ids plays every variant (variants share horizon,
     # agents and candidate sets); the CSVs aggregate rows in ascending run-id order
-    kept = {(v, rid) for v, paths in enumerate(trace_paths) for rid in paths}
-    plan, workers = _plan(configs, sorted(spec.run_ids), workers, kept, _run_columns(want_regret))
+    plan, workers = _plan(configs, sorted(spec.run_ids), workers, _run_columns(want_regret))
     parts = run_batch(
         _run_replications,
         [(configs, task, want_pota, want_regret, [[paths.get(rid) for rid in task] for paths in trace_paths])
@@ -267,8 +266,9 @@ class _SampleChecks:
     ``pos`` is the dominant arm's slot in agent 0's first candidate set when
     ``convergence-rate`` applies, else None.  Run ``first`` (``sample[0]``)
     also gives the convergence-rate bounds and, with one candidate epoch,
-    the ODE tracking deviation, so its game is played whole (``keep``); of
-    any other sample game only ``columns`` are stacked.
+    the ODE tracking deviation, so its game is kept (``keep``) and derives
+    from its sink whatever those read; of any other sample game only
+    ``columns`` are stacked.
     """
 
     games: list
@@ -312,7 +312,8 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
     A loop is a stored trace, (variant, run id, path), or a lockstep batch
     of sampled run ids with no stored sample trace, (0, run ids, None).  A
     stored trace is read only to check that it parses, replayed as the game
-    its name says, written to ``buf_path`` and compared with the file (an
+    its name says (which streams its file into a sink as it plays), put at
+    ``buf_path`` by ``write_trace`` and compared with the file (an
     unreadable file is replayed but not compared, and a replay that
     ``write_trace`` refuses fails determinism).  A batch stacks only what
     ``checks`` reads.  Each sample trace, a run id of ``sample`` played by
@@ -411,7 +412,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
         stored = {rid for i, rid, _ in loops if i == 0}
         missing = [rid for rid in sample if rid not in stored]
         if missing:
-            split, processes = _plan([config], missing, workers, checks.keep, checks.columns)
+            split, processes = _plan([config], missing, workers, checks.columns)
             loops += [(0, ids, None) for ids in (split if processes > 1 else [missing])]
 
     # stored trace files parse and replay byte-identically, written outside the output tree

@@ -21,22 +21,21 @@ from .configio import GameConfig
 from .env import CostInputs, Environment
 from .metrics import running_best_sums
 from .streams import stream_rng
-from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, _STORED, GameTrace, _body_bytes, _clock, _extent, _kmax,
-                     _left_out, _pack_into, _params, _rules, _same_bits, _split, _stacked)
+from .traces import (_COLUMNS, _DERIVED, _PER_SLOT, GameTrace, _clock, _kmax, _left_out, _params, _rules,
+                     _same_bits, _Sink, _stacked, _TempFile)
 # the trace-file API, kept under this module's name too
 from .traces import format_trace, read_trace, write_trace  # noqa: F401
 
 
 # Every variant of a run id shares the columns drawn before play.  Every game
 # stacks the columns its caller asks for (see ``run_games``), and a kept game
-# holds the rest of what its trace file holds as the file's sections
-# (``_SECTIONS``).  By default the caller asks for ``_METRIC``: ``cost_norm``,
-# which ``metrics.social_cost_series``, ``pota_series`` and ``regret_series``
-# read, and the [round, agent] series ``cf_best`` that ``regret_series``
-# reads in place of ``cf_norm``.
+# streams what its trace file holds into the file as it plays.  By default
+# the caller asks for ``_METRIC``: ``cost_norm``, which
+# ``metrics.social_cost_series``, ``pota_series`` and ``regret_series`` read,
+# and the [round, agent] series ``cf_best`` that ``regret_series`` reads in
+# place of ``cf_norm``.
 _SHARED = ("active", "clock", "task_size")
 _OWN = tuple(name for name, _, _ in _COLUMNS if name not in _SHARED)
-_SECTIONS = tuple(name for name, _, _ in _STORED if name in _OWN)
 _METRIC = ("cost_norm", "cf_best")
 
 
@@ -56,19 +55,17 @@ def _bytes(config: GameConfig, names) -> int:
 # holds at most this many cells.  That bounds the round loop's working memory
 # whatever the horizon and batch (unless one round exceeds the bound).
 _BLOCK_CELLS = 2**15
-# Trace columns, kept games' sections and ``cf_best`` a batch of games
-# stacks: ``batches`` gives each of the batches played at once (one per
-# worker) its share, and a run id over its share plays alone in batches of
-# up to the whole bound (see ``iter_games``).  The rest of what a batch holds
+# Trace columns and ``cf_best`` a batch of games stacks: ``batches`` gives
+# each of the batches played at once (one per worker) its share, and a run id
+# over its share plays alone in batches of up to the whole bound (see
+# ``iter_games``).  A kept game stacks what any other game stacks, as its
+# trace file goes to its sink block by block.  The rest of what a batch holds
 # grows with a block's rounds, not the horizon, and is not counted here: the
 # learners' rates and demand weights, the selection uniforms, each
-# Environment's per-round draws, and the block's cost table, fill and check.
-# At 10 MiB, one process plays the 6 run ids of a fully written 6-agent,
-# 12-arm, 1000-round game in one batch (a kept game holds its file's sections
-# of the 6 columns not shared with its run id, and ``cost_norm``), 30
-# acceptance-small run ids with the first one's traces kept, and 4 variants
-# of a 1500-round paper-fig2 game on 4 run ids, the first run id's traces
-# kept.
+# Environment's per-round draws, and the block's cost table, fill, check and
+# packed values.  At 10 MiB, one process plays the 6 run ids of a fully
+# written 6-agent, 12-arm, 1000-round game in one batch, 30 acceptance-small
+# run ids, and 4 variants of a 1500-round paper-fig2 game on 4 run ids.
 _BATCH_BYTES = 10 * 2**20
 # Active agent-rounds of a group that a block's check of the kept games
 # takes at a time (see ``_check``).  A piece's gathers and rules are about
@@ -80,18 +77,11 @@ def _variants(configs) -> list[GameConfig]:
     return [configs] if isinstance(configs, GameConfig) else list(configs)
 
 
-def _game_bytes(configs, run_ids, keep, columns) -> list[list[int]]:
-    """Bytes each game stacks beyond its run id's shared columns, [run id][variant].
-
-    A kept game's sections are weighed as if every agent-round were active:
-    batches are planned before ``active`` is drawn.
-    """
-    config = configs[0]
-    part = _bytes(config, set(columns).difference(_SHARED))
-    every = np.ones((config.horizon + 1, config.num_agents), dtype=bool)
-    full = part + _body_bytes(*_extent(config, every), _SECTIONS)
-    return [[full if keep is None or (v, rid) in keep else part for v in range(len(configs))]
-            for rid in run_ids]
+def _game_bytes(config: GameConfig, columns) -> int:
+    """Bytes each game stacks beyond its run id's shared columns: its
+    requested ``columns``, kept or not (a kept game holds no section of its
+    trace file; they are in its sink)."""
+    return _bytes(config, set(columns).difference(_SHARED))
 
 
 def _cuts(weights, bound, most=None) -> list[range]:
@@ -106,21 +96,20 @@ def _cuts(weights, bound, most=None) -> list[range]:
     return cuts + [range(lo, len(weights))] if weights else []
 
 
-def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> list[list[int]]:
+def batches(configs, run_ids, parts: int = 1, columns=_METRIC) -> list[list[int]]:
     """``run_ids`` cut into contiguous batches for ``run_games``, in order.
 
-    ``configs``, ``keep`` and ``columns`` are as in ``run_games``: a batch
-    plays every config on its run ids.  A batch holds about
-    ``len(run_ids) / parts`` ids (say, one batch per worker), and the
-    ``parts`` batches that play at once share ``_BATCH_BYTES``: each stacks
-    at most its part of it, counting a run id's shared columns, every
-    game's requested columns and a kept game's sections of its file.  A run
-    id whose games alone take more is a batch of its own; ``run_games``
-    plays its variants a few at a time if they exceed the whole bound.
+    ``configs`` and ``columns`` are as in ``run_games``: a batch plays every
+    config on its run ids.  A batch holds about ``len(run_ids) / parts`` ids
+    (say, one batch per worker), and the ``parts`` batches that play at once
+    share ``_BATCH_BYTES``: each stacks at most its part of it, counting a
+    run id's shared columns and every game's requested columns, whether the
+    game is kept or not.  A run id whose games alone take more is a batch of
+    its own; ``run_games`` plays its variants a few at a time if they exceed
+    the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
-    shared = _bytes(configs[0], _SHARED)
-    weights = [shared + sum(games) for games in _game_bytes(configs, ids, keep, columns)]
+    weights = [_bytes(configs[0], _SHARED) + len(configs) * _game_bytes(configs[0], columns)] * len(ids)
     parts = max(parts, 1)
     return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
@@ -128,8 +117,9 @@ def batches(configs, run_ids, parts: int = 1, keep=None, columns=_METRIC) -> lis
 def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
     """Play the configured game once; deterministic in (config, run_id).
 
-    The game is kept and asks for no column: its trace holds the sections
-    of its trace file and derives every other column when first read.
+    The game is kept and asks for no column: it streams its trace file into
+    a sink, from which its trace unpacks or derives every column but
+    ``active`` when first read.
     """
     return run_games(config, [run_id], columns=())[0]
 
@@ -155,13 +145,15 @@ def run_games(configs, run_ids, envs=None, keep=None, columns=_METRIC) -> list[G
     ``cost_norm`` and ``cf_best``.  Each requested column holds the values
     a whole trace holds.  ``keep`` holds the (config index, run id) pairs
     whose trace files may be written; by default (None) every game's may.
-    A kept game also holds what its file holds, laid out as the file's
-    sections (see ``GameTrace``), and each block of its rounds is checked
-    before it is packed into them: if the loop used a value its file would
-    not give back, a ValueError names the column (as ``write_trace`` does).
-    Its trace unpacks or derives any other column when first read.  The
-    trace of any other game holds ``active`` and the requested columns
-    only, which lets far more games share a batch.
+    A kept game streams its trace file into a sink (an unnamed temporary
+    file, see ``traces._Sink``) as it plays: each block of its rounds is
+    checked and then written at its offsets in the file, so the game holds
+    no more than any other.  If the loop used a value its file would not
+    give back, a ValueError names the column (as ``write_trace`` does) and
+    the game leaves no file.  Its trace unpacks or derives any other column
+    from the sink when first read, and ``write_trace`` puts the file at a
+    path.  The trace of any other game holds ``active`` and the requested
+    columns only.
     """
     traces = dict(((v, i), trace) for v, i, trace in iter_games(configs, run_ids, envs, keep, columns))
     return [traces[key] for key in sorted(traces)]
@@ -183,15 +175,15 @@ def iter_games(configs, run_ids, envs=None, keep=None, columns=_METRIC):
     envs = [None] * len(run_ids) if envs is None else list(envs)
     if len(envs) != len(run_ids):
         raise ValueError(f"{len(envs)} environments for {len(run_ids)} run ids")
-    weights = _game_bytes(configs, run_ids, keep, columns)
+    weight = _game_bytes(base, columns)
     done = 0
-    for ids in batches(configs, run_ids, keep=keep, columns=columns):
+    for ids in batches(configs, run_ids, columns=columns):
         at = range(done, done + len(ids))
         done += len(ids)
         batch_envs = [Environment(base, run_ids[i]) if envs[i] is None else envs[i] for i in at]
         # every variant in one batch, unless the run ids' games exceed the bound
         room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED)
-        for vs in _cuts([sum(weights[i][v] for i in at) for v in range(len(configs))], room):
+        for vs in _cuts([len(ids) * weight] * len(configs), room):
             kept = [keep is None or (v, run_ids[i]) in keep for v in vs for i in at]
             traces = _play([configs[v] for v in vs], ids, batch_envs, kept, columns)
             yield from ((v, i, traces[j * len(ids) + r]) for j, v in enumerate(vs) for r, i in enumerate(at))
@@ -202,38 +194,33 @@ def _play(configs, run_ids, envs, kept, columns) -> list[GameTrace]:
     """One lockstep batch: every config on every run id; the traces config-major.
 
     Every game stacks ``columns``.  ``kept`` says, per game, whether its
-    trace file may be written: such a game also holds the file's sections,
-    laid out from its run id's ``active`` before play (one [kept variant,
-    bytes] buffer per run id), its loop values are checked block by block
-    against what the file gives back (``_check``) and then packed into
-    them (``_pack``), and its trace unpacks or derives the rest when read.
+    trace file may be written: such a game streams the file into a sink,
+    which takes the header and ``active`` before play (the sinks of a batch
+    share one temporary file); its loop values are checked block by block
+    against what the file gives back (``_check``) and then written into the
+    sink (``_pack``), and its trace unpacks or derives the rest when read.
     """
     config, runs = configs[0], len(run_ids)
     shared = _stacked(config, runs, _SHARED)
     for r, rid in enumerate(run_ids):
         _predraw(config, rid, SimpleNamespace(**{n: col[r] for n, col in shared.items()}))
     own = _stacked(config, len(kept), set(columns).intersection(_OWN))
-    sections = [None] * len(kept)
-    for r in range(runs):
-        games = [g for g in range(r, len(kept), runs) if kept[g]]
-        if games:
-            cells, slots = _extent(config, shared["active"][r])
-            for g, body in zip(games, np.empty((len(games), _body_bytes(cells, slots, _SECTIONS)), dtype=np.uint8)):
-                sections[g] = _split(body, cells, slots, _SECTIONS)
     # every game's running best-arm sums, and the per-slot sums they continue from
     best = np.zeros(((len(kept) if "cf_best" in columns else 0),) + shared["active"].shape[1:])
     best_carry = np.zeros(best.shape[:1] + (config.num_agents, _kmax(config)))
-    traces = []
+    file = _TempFile() if any(kept) else None
+    traces, kept_at = [], np.flatnonzero(kept)
     for g in range(len(kept)):
         v, r = divmod(g, runs)
-        trace = {name: col[r] for name, col in shared.items()
-                 if kept[g] or name == "active" or name in columns}
+        trace = {name: col[r] for name, col in shared.items() if name == "active" or name in columns}
         trace.update({name: col[g] for name, col in own.items()})
         if best.size:
             trace["cf_best"] = best[g]
-        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap, sections[g]))
+        traces.append(GameTrace(configs[v], run_ids[r], trace, envs[0].cost_cap))
+        if kept[g]:
+            traces[-1].sections = _Sink(traces[-1], file)
     stack = SimpleNamespace(**shared, **own, runs=runs, games=len(kept), columns=set(columns),
-                            kept=np.flatnonzero(kept), sections=sections,
+                            kept=kept_at, sinks=[traces[g].sections for g in kept_at],
                             selection=[stream_rng(config.master_seed, rid, "selection") for rid in run_ids],
                             count=np.zeros((runs, config.num_agents), dtype=np.int64),
                             packed=np.zeros((runs, 2), dtype=np.int64), cf_best=best, best_carry=best_carry)
@@ -478,7 +465,7 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
 
     Each requested column is filled for every game, and ``cf_best``, if
     stacked, continued per slot from ``stack.best_carry``; then the kept
-    games are checked (``_check``) and packed into their sections
+    games are checked (``_check``) and written into their sinks
     (``_pack``).  ``inputs`` holds the cost ingredients [run, round, agent,
     slot]; ``env`` is any run id's Environment.
     """
@@ -523,7 +510,7 @@ def _fill(env, stack, inputs, lo, hi, groups, blocks) -> None:
                **{column: at_chosen(vec[key], kept)
                   for column, key in (("cost_a", "adversary"), ("cost_c", "collision"), ("outlier", "outlier"))}}
         degree = at_chosen(vec["congestion"], kept, fill=0)
-    del vec, raw  # the block's other costs, which neither cf_best, the check nor the sections read
+    del vec, raw  # the block's other costs, which neither cf_best, the check nor the sinks read
     if stack.cf_best.size:
         norm_r, played_r = norm.swapaxes(0, 1), played.swapaxes(0, 1)  # round first
         for g in groups:
@@ -586,21 +573,24 @@ def _check(env, stack, lo, hi, groups, blocks, norm, degree, own) -> None:
 
 def _pack(stack, lo, hi, groups, blocks, own) -> None:
     """Write the kept games' stored values of rounds [lo, hi] into their
-    sections (``traces._pack_into``), past what each run id's earlier rounds
-    took (``stack.packed`` carries, per run id, the agent-rounds and slots
-    written so far).  ``own`` holds the kept games' values, [kept game,
-    round, agent(, slot)] over the epoch's largest candidate set, of every
-    section but ``probs``: those are the groups' block outputs, NaN past
-    each agent's own set."""
-    active = stack.active[:, lo : hi + 1]
+    sinks, each section's at the active agent-rounds past what each run
+    id's earlier rounds took (``stack.packed`` carries, per run id, the
+    agent-rounds and slots written so far).  ``own`` holds the kept games'
+    values, [kept game, round, agent(, slot)] over the epoch's largest
+    candidate set, of every section but ``task_size``, which is each run
+    id's, and ``probs``: those are the groups' block outputs, NaN past each
+    agent's own set."""
+    rounds = slice(lo, hi + 1)
     probs = np.full(own["cf_raw"].shape, np.nan)
     for g, b in zip(groups, blocks):
         probs[:, :, g.agents, : g.k] = _rows(g.stacked(b.probs), stack.kept)
-    own, packed = {**own, "probs": probs}, stack.packed.copy()
-    at = [np.flatnonzero(here) for here in active]  # each run id's active agent-rounds of the block
-    for j, game in enumerate(stack.kept):
+    own = {**own, "probs": probs, "task_size": stack.task_size[stack.kept % stack.runs, rounds]}
+    packed = stack.packed.copy()
+    at = [np.flatnonzero(here) for here in stack.active[:, rounds]]  # each run id's active agent-rounds
+    for j, (game, sink) in enumerate(zip(stack.kept, stack.sinks)):
         r = game % stack.runs
-        for name, section in stack.sections[game].items():
-            i, values = int(name in _PER_SLOT), own[name][j]
-            packed[r, i] = _pack_into(section, stack.packed[r, i], values.reshape((-1,) + values.shape[2:]), at[r])
+        for name, values in own.items():
+            i = int(name in _PER_SLOT)
+            rows = values[j].reshape((-1,) + values.shape[3:])
+            packed[r, i] = sink.write(name, stack.packed[r, i], np.take(rows, at[r], axis=0))
     stack.packed = packed

@@ -10,8 +10,12 @@ round loop that fills traces is ``game``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import tempfile
+import weakref
+from collections.abc import Mapping
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,15 +56,18 @@ class GameTrace:
     [game, round, agent(, slot)] array (see ``_stacked``), and the games of
     one run id share their ``game._SHARED`` columns.
 
-    A trace need not hold every column.  A trace with ``sections`` (a kept
-    game's of ``run_games``, or ``read_trace``'s) holds every ``_STORED``
-    column, some whole and the others as ``sections``: each the flat array
-    of the values its trace file holds of the column, in file order (see
-    ``_split``).  A kept game's trace holds ``active`` and ``task_size``
-    whole, a read one ``active``.  Such a trace unpacks a section to its
-    column, and derives a ``_DERIVED`` column it lacks by the rule a trace
-    file derives it by, the first time the column is read, and then keeps
-    the column.  Any other trace of ``run_games`` holds
+    A trace need not hold every column.  A trace with ``sections`` holds
+    every ``_STORED`` column, some whole and the others as ``sections``:
+    each the flat array of the values its trace file holds of the column,
+    in file order (see ``_sizes``).  A ``read_trace`` trace holds
+    ``active`` whole and the sections in memory.  A kept game's of
+    ``run_games`` holds ``active`` and the columns its caller asked for
+    whole, and its ``sections`` are the sink it streamed its trace file
+    into (``_Sink``), which reads a section back from the file when asked.
+    Such a trace unpacks a section to its column, and derives a
+    ``_DERIVED`` column it lacks by the rule a trace file derives it by,
+    the first time the column is read, and then keeps the column.  Any
+    other trace of ``run_games`` holds
     ``active`` plus the columns its caller asked for, and reading any other
     column raises ``AttributeError``, also where those are every ``_STORED``
     column: no check compared the values its file would give back with the
@@ -82,7 +89,7 @@ class GameTrace:
     """
 
     def __init__(self, config: GameConfig, run_id: int, columns: dict | None = None,
-                 cost_cap: float | None = None, sections: dict | None = None):
+                 cost_cap: float | None = None, sections: Mapping | None = None):
         self.config = config
         self.run_id = run_id
         self.cost_cap = cost_cap
@@ -178,24 +185,91 @@ def _extent(config: GameConfig, active: np.ndarray) -> tuple[int, int]:
     return sum(n for n, _ in held), sum(n * k for n, k in held)
 
 
-def _split(body: np.ndarray, cells: int, slots: int, names) -> dict[str, np.ndarray]:
-    """The sections of the named stored columns past ``active`` in a trace
-    file's order, as views of the bytes ``body``: ``cells`` values of each
-    [round, agent] column, ``slots`` of ``probs`` and ``cf_raw`` (see
-    ``_extent``).  ``body`` holds them all and nothing else."""
-    out, lo = {}, 0
-    for name, dtype, _ in _STORED[1:]:
-        if name in names:
-            hi = lo + 8 * (slots if name in _PER_SLOT else cells)
-            out[name] = body[lo:hi].view(dtype)
-            lo = hi
-    return out
+def _sizes(cells: int, slots: int) -> list[tuple[str, str, int]]:
+    """The sections of the stored columns past ``active``, in a trace file's
+    order, as (name, dtype, values): ``cells`` values of each [round, agent]
+    column, ``slots`` of ``probs`` and ``cf_raw`` (see ``_extent``)."""
+    return [(name, dtype, slots if name in _PER_SLOT else cells) for name, dtype, _ in _STORED[1:]]
 
 
-def _body_bytes(cells: int, slots: int, names=None) -> int:
-    """Bytes of the sections ``_split`` gives."""
-    return 8 * sum(slots if name in _PER_SLOT else cells for name, _, _ in _STORED[1:]
-                   if names is None or name in names)
+class _TempFile:
+    """An unnamed temporary file, closed once nothing refers to it."""
+
+    def __init__(self):
+        with tempfile.TemporaryFile() as fh:
+            self.fd = os.dup(fh.fileno())
+        weakref.finalize(self, os.close, self.fd)
+
+    def __reduce__(self):  # its descriptor means nothing in another process
+        raise TypeError("a trace file's sink does not pickle; write the file with write_trace first")
+
+
+class _Sink(Mapping):
+    """The trace file of a trace, written in place on an unnamed temporary file.
+
+    Its layout follows from the header and ``active`` alone, so the sink
+    writes both when made and takes any section's values at their offsets,
+    in any order (``write``); it reads a section back, in file order, as a
+    mapping from the column's name.  Sinks made on one ``_TempFile`` take
+    its bytes one after another.  ``write_trace`` puts the file at a path
+    (``copy``).
+    """
+
+    def __init__(self, trace: GameTrace, file: _TempFile | None = None):
+        self.file = file or _TempFile()
+        active = np.ascontiguousarray(trace.active, dtype="|b1")
+        head = _TRACE_MAGIC + _header(trace, cost_cap=trace.cost_cap).encode()
+        self.base = lo = os.fstat(self.file.fd).st_size
+        lo += len(head) + active.nbytes
+        self.at = {}  # name -> (byte offset, values, dtype)
+        for name, dtype, count in _sizes(*_extent(trace.config, active)):
+            self.at[name] = (lo, count, np.dtype(dtype))
+            lo += 8 * count
+        self.size = lo - self.base
+        os.ftruncate(self.file.fd, lo)
+        _pwrite(self.file.fd, head + active.tobytes(), self.base)
+
+    def write(self, name: str, offset: int, values: np.ndarray) -> int:
+        """Write ``values`` into section ``name`` from value ``offset`` on; the offset past them."""
+        lo, _, dtype = self.at[name]
+        values = np.ascontiguousarray(values, dtype=dtype)
+        _pwrite(self.file.fd, values, lo + dtype.itemsize * offset)
+        return offset + values.size
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        lo, count, dtype = self.at[name]
+        out = np.empty(count, dtype)
+        if os.preadv(self.file.fd, [out], lo) != out.nbytes:
+            raise OSError(f"short read of the {name} section of a trace file")
+        return out
+
+    def __contains__(self, name) -> bool:
+        return name in self.at
+
+    def __iter__(self):
+        return iter(self.at)
+
+    def __len__(self) -> int:
+        return len(self.at)
+
+    def copy(self, path) -> None:
+        """Put the file at ``path``; a failed copy leaves no file there."""
+        with open(path, "wb") as fh:
+            try:
+                done = 0
+                while done < self.size:
+                    sent = os.sendfile(fh.fileno(), self.file.fd, self.base + done, self.size - done)
+                    if not sent:
+                        raise OSError(f"a trace file's sink ended {self.size - done} bytes short")
+                    done += sent
+            except OSError:
+                os.remove(path)
+                raise
+
+
+def _pwrite(fd: int, data, offset: int) -> None:
+    if os.pwrite(fd, data, offset) != memoryview(data).nbytes:
+        raise OSError("short write to a trace file's sink")
 
 
 def _layout(trace: GameTrace) -> SimpleNamespace:
@@ -239,8 +313,9 @@ def _pack_into(section: np.ndarray, offset: int, rows: np.ndarray, at: np.ndarra
 
 def _section(trace: GameTrace, name: str, lay: SimpleNamespace) -> np.ndarray:
     """A stored column past ``active`` as a trace file holds it, in file
-    order: the trace's section, or, where the trace holds the column
-    itself, the column packed (a copy, of the column's ``_COLUMNS`` dtype)."""
+    order: the trace's section (read back from its sink, if it streamed
+    one), or, where the trace holds the column itself, the column packed
+    (a copy, of the column's ``_COLUMNS`` dtype)."""
     if name not in vars(trace) and trace.sections is not None:
         return trace.sections[name]
     dtype = next(dtype for column, dtype, _ in _STORED if column == name)
@@ -387,47 +462,53 @@ def write_trace(trace: GameTrace, path) -> None:
     ``task_size``, ``cost_a``, ``cost_c`` and ``outlier`` at the active
     agent-rounds, in (round, agent) order, then ``probs`` and ``cf_raw``
     over the same agent-rounds' slots within their epoch's largest
-    candidate set.  The ``_DERIVED`` columns are not written.  A section
-    the trace holds (see ``GameTrace``) is written as it is; a stored
-    column the trace holds whole is packed, and every value it leaves out
+    candidate set.  The ``_DERIVED`` columns are not written.
+
+    Every trace file is written through a sink (``_Sink``).  A kept game of
+    ``game.run_games`` streamed its file into its own sink as it played,
+    each block once the round loop had checked its derived values; any
+    other trace gets a fresh sink, into which its sections are written as
+    they are.  A stored column the trace holds whole is packed into the
+    sink, over what it held, and every value the file leaves out of it
     must be its ``_COLUMNS`` fill, bit for bit.  So must each derived
-    column the trace holds be the value of its ``_DERIVED`` rule.  (A kept
-    game of ``game.run_games`` holds sections, and few derived columns: the
-    round loop checked its derived values block by block.)  If one is not,
-    the file is removed and a ValueError names the column.
+    column the trace holds be the value of its ``_DERIVED`` rule.  These
+    checks read the stored values back from the sink.  Only then is the
+    file put at ``path``; if a check fails, a ValueError names the column
+    and no file is left at ``path``.
     """
     try:
-        with open(path, "wb") as fh:
-            _write(trace, fh)
+        sink = _checked(trace)
     except ValueError as exc:
-        os.remove(path)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
         raise ValueError(f"{path}: {exc}") from None
+    sink.copy(path)
 
 
-def _write(trace: GameTrace, fh) -> None:
+def _checked(trace: GameTrace) -> _Sink:
+    """The trace's file in a sink, checked as ``write_trace`` says."""
     if trace.cost_cap is None:
         raise ValueError("a trace without a cost_cap (a blank one) has no trace file")
-    active = np.ascontiguousarray(trace.active, dtype="|b1")
     lay = _layout(trace)
-    body = {name: _section(trace, name, lay) for name, _, _ in _STORED[1:]}
-    for name, dtype, fill in _STORED[1:]:
-        if name in vars(trace):  # packed: as many fills as the column holds past the written ones
-            values, bits = np.asarray(getattr(trace, name), dtype=dtype), "<u8"
-            blank = np.array(fill, dtype=dtype).view(bits)
-            left = np.count_nonzero(values.view(bits) == blank) - np.count_nonzero(body[name].view(bits) == blank)
-            if left != values.size - body[name].size:
-                raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
+    sink = trace.sections if isinstance(trace.sections, _Sink) else _Sink(trace)
+    held = [column for column in _STORED[1:] if column[0] in vars(trace)]
+    for name, _, _ in _STORED[1:]:
+        if sink is not trace.sections or name in vars(trace):
+            sink.write(name, 0, _section(trace, name, lay))
+    for name, dtype, fill in held:  # as many fills as the column holds past the written ones
+        values, section, bits = np.asarray(getattr(trace, name), dtype=dtype), sink[name], "<u8"
+        blank = np.array(fill, dtype=dtype).view(bits)
+        left = np.count_nonzero(values.view(bits) == blank) - np.count_nonzero(section.view(bits) == blank)
+        if left != values.size - section.size:
+            raise ValueError(f"{name} holds a value other than {_left_out(name, fill)}")
     if "chosen" in vars(trace):
-        _cells(trace, lay, body["chosen"])  # a chosen arm outside its candidate set raises
+        _cells(trace, lay, sink["chosen"])  # a chosen arm outside its candidate set raises
     # each derived column the trace holds, against its rule on the written values alone, one at a time
-    stored = GameTrace(trace.config, trace.run_id, {"active": active}, trace.cost_cap, sections=body)
+    stored = GameTrace(trace.config, trace.run_id, {"active": trace.active}, trace.cost_cap, sections=sink)
     for name in _DERIVED:
         if name in vars(trace) and not _same_bits(_derive(stored, name), vars(trace)[name]):
             raise ValueError(f"{name} holds a value other than {_left_out(name, None)}")
-    fh.write(_TRACE_MAGIC + _header(trace, cost_cap=trace.cost_cap).encode())
-    fh.write(active)
-    for name, _, _ in _STORED[1:]:
-        fh.write(body[name])
+    return sink
 
 
 def _left_out(name: str, fill) -> str:
@@ -461,13 +542,13 @@ def read_trace(path) -> GameTrace:
         size, start = os.fstat(fh.fileno()).st_size, fh.tell()
         fh.readinto(memoryview(active).cast("B"))  # a short read leaves the size check failing
         lay = _layout(trace)
-        expected = start + active.nbytes + _body_bytes(lay.at.size, lay.slots)
+        sizes = _sizes(lay.at.size, lay.slots)
+        expected = start + active.nbytes + 8 * sum(count for _, _, count in sizes)
         if size != expected:
             raise ValueError(f"{path}: damaged trace: {size} bytes where the header and columns take {expected}")
         # a section each: one buffer of them all, once freed, would raise the
         # allocator's mmap threshold and leave later arrays on its heap
-        trace.sections.update((name, np.empty(lay.slots if name in _PER_SLOT else lay.at.size, dtype))
-                              for name, dtype, _ in _STORED[1:])
+        trace.sections.update((name, np.empty(count, dtype)) for name, dtype, count in sizes)
         chosen, *rest = trace.sections.values()
         fh.readinto(chosen)
         try:

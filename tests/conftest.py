@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, settings
@@ -99,6 +101,18 @@ def physical_config(
     )
 
 
+def traced_peak(fn, *args) -> int:
+    """The most bytes ``fn(*args)`` held under tracemalloc at once, above
+    what was traced when it started; tracing stops however ``fn`` ends."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 # -- parallel helpers (top-level functions so they pickle) -------------------
 
 
@@ -111,7 +125,7 @@ def map_runs(fn, configs, runs: int, *extra, workers: int = 2, columns=_METRIC) 
     or the variants a worker plays together, and ``columns`` are the trace
     columns ``fn`` reads.
     """
-    plan = batches(configs, range(runs), workers, set(), columns)
+    plan = batches(configs, range(runs), workers, columns)
     parts = run_batch(fn, [(configs, ids, *extra) for ids in plan], workers)
     return [row for part in parts for row in part]
 

@@ -10,6 +10,7 @@ import pickle
 import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from multiprocessing import Pool
@@ -28,7 +29,7 @@ from fogbandit.game import (
 )
 from fogbandit.oracle import stage_games
 
-from conftest import synthetic_config
+from conftest import synthetic_config, traced_peak
 
 MINIMAL = """
 name: mini
@@ -178,8 +179,14 @@ def _count_pools(monkeypatch) -> list:
     return pools
 
 
+# a batch bound under which the ``_long`` configs plan several batches (a
+# run id of one variant weighs 0.73 MB, of two 1.08 MB)
+_LONG_BOUND = 3 * 2**20
+
+
 def _long(mini_path, name, variants=None, replications=3):
-    """The mini config at 2 agents and 11,000 rounds, which plans several batches."""
+    """The mini config at 2 agents and 11,000 rounds, which plans several
+    batches under ``_LONG_BOUND``."""
     doc = yaml.safe_load(mini_path.read_text())
     doc["replications"] = replications
     doc["variants"] = variants or doc["variants"]
@@ -204,6 +211,7 @@ def test_output_tree_is_the_same_for_any_batching(mini_path, tmp_path, monkeypat
     # long enough that a batch holds 4 replications: 6 run ids make batches
     # of 4 + 2 with one worker and 2 + 2 + 2 with two, which share the bound;
     # the --workers 2 run plays tasks 0 and 2 itself and task 1 in one child
+    monkeypatch.setattr(game, "_BATCH_BYTES", _LONG_BOUND)
     path = _long(mini_path, "long.yaml", replications=6)
     spec = load_config(path)
     assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1)] == [4, 2]
@@ -224,11 +232,11 @@ def test_variants_share_one_pool_and_match_single_variant_runs(mini_path, tmp_pa
     assert pools == []  # both runs fit one lockstep batch and play in-process
     assert trees[0] == trees[1]
     # a run that plans more than one batch starts one pool, not one per variant
+    monkeypatch.setattr(game, "_BATCH_BYTES", _LONG_BOUND)
     long_path = _long(mini_path, "two-long.yaml", TWO_VARIANTS)
     spec = load_config(long_path)
     configs = [spec.game_for(variant) for variant in spec.variants]
-    kept = {(v, rid) for v in range(len(configs)) for rid in spec.run_ids}
-    assert [len(ids) for ids in batches(configs, spec.run_ids, 1, kept)] == [2, 1]
+    assert [len(ids) for ids in batches(configs, spec.run_ids, 1)] == [2, 1]
     long_trees = _run_trees(long_path, tmp_path)
     assert pools == [{"processes": 1}]
     assert long_trees[0] == long_trees[1]
@@ -259,8 +267,7 @@ def test_fig2_shaped_run_fits_one_batch_and_starts_no_pool(tmp_path, monkeypatch
     path.write_text(yaml.safe_dump(doc))
     spec = load_config(path)
     configs = [spec.game_for(variant) for variant in spec.variants]
-    kept = {(v, spec.run_ids[0]) for v in range(len(configs))}
-    assert batches(configs, spec.run_ids, 1, kept) == [list(spec.run_ids)]
+    assert batches(configs, spec.run_ids, 1) == [list(spec.run_ids)]
     pools = _count_pools(monkeypatch)
     trees = _run_trees(path, tmp_path)
     assert pools == []
@@ -283,7 +290,7 @@ def test_run_reductions_derive_no_column_of_a_kept_trace(mini_path, tmp_path, mo
     assert main(["run", str(mini_path), "--workers", "1", "--out", str(tmp_path)]) == 0
     assert len(played) == 3 and all(trace.sections is not None for trace in played)  # traces: all
     for trace in played:
-        assert set(vars(trace)) & set(traces._DERIVED) == {"clock", "cost_norm"}
+        assert set(vars(trace)) & set(traces._DERIVED) == {"cost_norm"}
 
 
 def _perturb(monkeypatch, column: str) -> None:
@@ -330,33 +337,38 @@ def _perturb(monkeypatch, column: str) -> None:
 def test_a_loop_value_the_trace_file_would_not_give_back_is_refused(mini_path, tmp_path, monkeypatch,
                                                                     capsys, column):
     # the kept games' loop values are checked block by block: a game that
-    # used another value raises naming the column, run writes no trace
-    # file, and verify fails the replay's determinism
+    # used another value raises naming the column, run leaves no file of any
+    # name in its traces directory, and verify fails the replay's
+    # determinism and leaves nothing in the temporary directory, on one
+    # process or two
     out = tmp_path / "out"
     assert main(["run", str(mini_path), "--workers", "1", "--out", str(out)]) == 0
     capsys.readouterr()
     _perturb(monkeypatch, column)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     message = f"{column} holds a value other than {traces._DERIVED[column]}, which a trace file derives"
     spec = load_config(mini_path)
     with pytest.raises(ValueError, match=re.escape(message)):
         run_games(spec.game_for(spec.variants[0]), [0])
     assert run_games(spec.game_for(spec.variants[0]), [0], keep=set())  # a game not kept is not checked
-    bad = tmp_path / "bad"
-    assert main(["run", str(mini_path), "--workers", "1", "--out", str(bad)]) == cli.EXIT_RUNTIME
-    assert message in capsys.readouterr().err
-    assert not list(bad.rglob("*.trace"))
-    assert main(["verify", str(mini_path), "--workers", "1", "--out", str(out)]) == cli.EXIT_VERIFY
-    text = capsys.readouterr().out
-    for rid in spec.run_ids:
-        stored = out / "mini" / "default" / "traces" / f"run_{rid:04d}.trace"
-        assert f"FAIL  determinism: replay of {stored} has no trace file: {message}\n" in text
+    for workers in ("1", "2"):
+        bad = tmp_path / f"bad-w{workers}"
+        assert main(["run", str(mini_path), "--workers", workers, "--out", str(bad)]) == cli.EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+        assert [path.name for path in bad.glob("mini/*/traces")] == ["traces"]
+        assert not list(bad.glob("mini/*/traces/**/*"))
+        assert main(["verify", str(mini_path), "--workers", workers, "--out", str(out)]) == cli.EXIT_VERIFY
+        text = capsys.readouterr().out
+        for rid in spec.run_ids:
+            stored = out / "mini" / "default" / "traces" / f"run_{rid:04d}.trace"
+            assert f"FAIL  determinism: replay of {stored} has no trace file: {message}\n" in text
+        assert not list(scratch.iterdir())
 
 
-def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
-    # every trace of a 6-agent game on 8 -> 12 arms is kept: one process plays
-    # the 6 run ids in one lockstep batch, as a kept game stacks only what its
-    # file holds and cost_norm, so one process plays it and --workers 2 starts
-    # no pool, although a 5 MiB share of two processes would hold 3 games
+def _wide(tmp_path) -> Path:
+    """A 6-agent game on 8 -> 12 arms, 900 rounds, 6 run ids, every trace kept."""
     horizon, arms = 900, list(range(1, 13))
     doc = {
         "name": "wide", "master_seed": 20261017, "replications": 6, "metrics": ["cost"],
@@ -374,15 +386,43 @@ def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
     }
     path = tmp_path / "wide.yaml"
     path.write_text(yaml.safe_dump(doc))
+    return path
+
+
+def test_wide_kept_games_play_in_one_process(tmp_path, monkeypatch):
+    # every trace of the wide game is kept: one process plays the 6 run ids
+    # in one lockstep batch, as a kept game stacks only cost_norm, as any
+    # other does, so --workers 2 starts no pool; a share of two processes
+    # would hold 3 run ids each
+    path = _wide(tmp_path)
     spec = load_config(path)
-    kept = {(0, rid) for rid in spec.run_ids}
-    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1, kept, ("cost_norm",))] == [6]
-    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2, kept, ("cost_norm",))] == [3, 3]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 1, ("cost_norm",))] == [6]
+    assert [len(ids) for ids in batches(spec.base, spec.run_ids, 2, ("cost_norm",))] == [3, 3]
     pools = _count_pools(monkeypatch)
     trees = _run_trees(path, tmp_path)
     assert pools == []
     assert len(trees[0]) == 6 + 3  # traces, cost CSV, summary and manifest
     assert trees[0] == trees[1]
+
+
+def test_wide_batch_streams_its_trace_files(tmp_path):
+    # the wide batch with every game kept streams each trace file into its
+    # sink as it plays, so it peaks below the same batch with no game kept
+    # plus one game's file body, not six
+    spec = load_config(_wide(tmp_path))
+    config, ids = spec.base, list(spec.run_ids)
+    run_game(synthetic_config({1: 0.3, 2: 0.4}, horizon=40))  # the lazy imports of a first game
+    played = []
+
+    def play(keep):
+        played.extend(trace for _, _, trace in iter_games(config, ids, None, keep, ("cost_norm",)))
+
+    streamed = traced_peak(play, {(0, rid) for rid in ids})
+    assert all(isinstance(trace.sections, traces._Sink) for trace in played)
+    body = 8 * sum(count for _, _, count in traces._sizes(*traces._extent(config, played[0].active)))
+    played.clear()
+    unkept = traced_peak(play, set())
+    assert streamed < unkept + body, (streamed, unkept, body)
 
 
 @pytest.mark.parametrize("name", ["acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5"])
@@ -394,10 +434,9 @@ def test_bundled_runs_split_among_their_workers(name):
     spec = load_config(bundled_config(name))
     assert (spec.workers, spec.trace_policy, "regret" in spec.metrics) == (2, "first", True)
     configs = [spec.game_for(variant) for variant in spec.variants]
-    kept = {(v, spec.run_ids[0]) for v in range(len(configs))}
-    plan, workers = cli._plan(configs, sorted(spec.run_ids), spec.workers, kept, cli._run_columns(True))
+    plan, workers = cli._plan(configs, sorted(spec.run_ids), spec.workers, cli._run_columns(True))
     assert workers == (1 if name == "acceptance-small" else 2)
-    assert plan == batches(configs, sorted(spec.run_ids), workers, kept, cli._run_columns(True))
+    assert plan == batches(configs, sorted(spec.run_ids), workers, cli._run_columns(True))
 
 
 def _yaml_loaders() -> list:
@@ -503,15 +542,6 @@ def _per_variant_task(configs, run_ids) -> None:
         del traces
 
 
-def _traced_peak(fn, *args) -> int:
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_run_task_of_four_variants_peaks_below_the_per_variant_loop(mini_path):
     # with traces: none every game keeps only the metric columns, so playing
     # all four variants at once takes less memory than playing them one after
@@ -527,11 +557,11 @@ def test_run_task_of_four_variants_peaks_below_the_per_variant_loop(mini_path):
     spec = parse_spec(doc)
     configs = [spec.game_for(v) for v in spec.variants]
     run_ids = list(spec.run_ids)
-    assert batches(configs, run_ids, keep=set()) == [run_ids]
-    lockstep = _traced_peak(
+    assert batches(configs, run_ids) == [run_ids]
+    lockstep = traced_peak(
         cli._run_replications, (configs, run_ids, True, True, [[None] * len(run_ids) for _ in configs])
     )
-    assert lockstep < _traced_peak(_per_variant_task, configs, run_ids)
+    assert lockstep < traced_peak(_per_variant_task, configs, run_ids)
 
 
 def test_csv_schema(mini_path, tmp_path):
@@ -722,7 +752,7 @@ def test_verify_replays_hold_one_trace_at_a_time(mini_path, tmp_path, monkeypatc
     monkeypatch.setattr(cli, "read_trace", windowed_read)
     monkeypatch.setattr(cli._Verdicts, "emit", stop_after_replays)
     with pytest.raises(_ReplaysDone):
-        _traced_peak(verify, spec, tmp_path, 1)
+        traced_peak(verify, spec, tmp_path, 1)
     assert len(excess) == 2
     assert max(excess) < 2 * columns
     assert left[0] < 1.5 * columns
@@ -758,7 +788,7 @@ def test_verify_reduces_each_sample_trace_as_it_is_played(mini_path, tmp_path, m
     monkeypatch.setattr(cli, "read_trace", marked_read)
     monkeypatch.setattr(cli._Verdicts, "emit", stop_after_determinism)
     with pytest.raises(_ReplaysDone):
-        _traced_peak(verify, spec, tmp_path, 1)
+        traced_peak(verify, spec, tmp_path, 1)
     assert len(starts) == 1
     assert left[0] < columns
 
@@ -804,19 +834,15 @@ def test_desk_sample_batch_peaks_below_its_whole_traces():
     config, ids = spec.base, list(range(1, 8))
     assert config.learners[0].feedback == "bandit"  # no convergence-rate probabilities
     checks = cli._SampleChecks([], [], spec.xi_window, None, 0)
-    assert batches(config, ids, 1, checks.keep, checks.columns) == [ids]
+    assert batches(config, ids, 1, checks.columns) == [ids]
     blank = GameTrace(config, 0)
     whole = len(ids) * sum(getattr(blank, name).nbytes for name, _, _ in _COLUMNS)
     del blank
     run_game(synthetic_config({1: 0.3, 2: 0.4}, horizon=40))  # the lazy imports of a first game
     envs = [Environment(config, rid) for rid in ids]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        traces = [trace for _, _, trace in iter_games(config, ids, envs, checks.keep, checks.columns)]
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    traces = []
+    peak = traced_peak(lambda: traces.extend(trace for _, _, trace in iter_games(config, ids, envs, checks.keep,
+                                                                                   checks.columns)))
     assert len(traces) == len(ids)
     assert peak < whole, (peak, whole)
 
@@ -918,8 +944,9 @@ def test_verify_prints_the_same_for_any_workers(mini_path, tmp_path, capsys):
 def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_path, tmp_path, capsys,
                                                                          monkeypatch):
     # with traces: none every sample game is played afresh; under a 40 kB
-    # bound one process batches runs 1-4 in pairs, but a 2-way split would
-    # play every game alone, so the sample ids stay one loop and no pool starts
+    # bound one process batches the runs in pairs (run 0, kept, weighs what
+    # the others weigh), but a 2-way split would play every game alone, so
+    # the sample ids stay one loop and no pool starts
     mini_path.write_text(MINIMAL.replace("replications: 3", "replications: 6").replace("traces: all", "traces: none"))
     out = tmp_path / "out"
     assert main(["run", str(mini_path), "--out", str(out)]) == 0
@@ -929,8 +956,8 @@ def test_verify_plays_sample_batches_a_split_would_leave_alone_in_one_task(mini_
     spec = load_config(mini_path)
     checks = cli._SampleChecks([], [], spec.xi_window, None, 0)  # the columns verify stacks
     ids = list(spec.run_ids)
-    assert batches(spec.base, ids, 1, checks.keep, checks.columns) == [[0], [1, 2], [3, 4], [5]]
-    assert batches(spec.base, ids, 2, checks.keep, checks.columns) == [[rid] for rid in ids]
+    assert batches(spec.base, ids, 1, checks.columns) == [[0, 1], [2, 3], [4, 5]]
+    assert batches(spec.base, ids, 2, checks.columns) == [[rid] for rid in ids]
     pools = _count_pools(monkeypatch)
     assert _verify_outputs(mini_path, out, capsys) == {(0, clean)}
     assert pools == []

@@ -1,6 +1,5 @@
 import dataclasses
 import filecmp
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from fogbandit.env import ConfigError, Environment, ProtocolError
 from fogbandit.game import iter_games, read_trace, run_game, run_games, write_trace
 from fogbandit.metrics import agent_segments, regret_series
 
-from conftest import physical_config, synthetic_config
+from conftest import physical_config, synthetic_config, traced_peak
 from reference_impls import ref_cost_entry, ref_run_game
 
 
@@ -309,13 +308,9 @@ def test_unkept_game_stacks_no_counterfactual_table(monkeypatch):
     monkeypatch.setattr(game, "_BLOCK_CELLS", 2**10)
     cfg = synthetic_config({k: 0.2 + 0.03 * k for k in range(1, 21)}, num_agents=2, horizon=3000)
     envs = [Environment(cfg, 0)]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        [trace] = [trace for _, _, trace in iter_games(cfg, [0], envs, keep=set())]
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    played = []
+    peak = traced_peak(lambda: played.extend(trace for _, _, trace in iter_games(cfg, [0], envs, keep=set())))
+    [trace] = played
     assert peak < 3001 * 2 * 20 * 8
     assert trace.cf_best.shape == (3001, 2)
 
@@ -400,26 +395,19 @@ def test_games_not_kept_hold_the_requested_columns_bit_for_bit(config, tmp_path)
     pytest.param(None, id="ragged"),
 ])
 def test_game_bytes_are_what_each_game_stacks(config):
-    # a kept game holds its trace file's sections and the requested columns,
-    # any other game the requested ones; the plan weighs each at those bytes,
-    # a kept game's sections as if every agent-round were active (batches are
-    # planned before activations are drawn), as they are at activation 1
+    # a kept game streams its trace file into its sink and holds the
+    # requested columns, as any other game does; the plan weighs every game
+    # at those bytes
     configs = _ragged() * 2 if config is None else _two_variants(config)
     keep = {(0, 0), (1, 1)}
     for columns in (game._METRIC, _COLUMN_SETS[1]):
-        weights = game._game_bytes(configs, [0, 1], keep, columns)
+        weight = game._game_bytes(configs[0], columns)
         for g, trace in enumerate(run_games(configs, [0, 1], keep=keep, columns=columns)):
             v, i = divmod(g, 2)
             stacked = sum(values.nbytes for name, values in vars(trace).items()
                           if isinstance(values, np.ndarray) and name not in game._SHARED)
-            sections = sum(values.nbytes for values in (trace.sections or {}).values())
-            held, every = (traces._body_bytes(*traces._extent(trace.config, active), game._SECTIONS)
-                           for active in (trace.active, np.ones_like(trace.active)))
-            kept = (v, i) in keep
-            assert (trace.sections is not None) == kept
-            assert sections == kept * held
-            assert stacked + kept * every == weights[i][v], (columns, v, i)
-            assert (held == every) == (config is not None)  # the ragged game idles in some agent-rounds
+            assert isinstance(trace.sections, traces._Sink) == ((v, i) in keep)
+            assert stacked == weight, (columns, v, i)
 
 
 def test_the_block_check_reads_every_piece_of_a_block(monkeypatch):

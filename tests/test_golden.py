@@ -227,7 +227,7 @@ def test_golden_traces_in_one_batch(name, tmp_path, monkeypatch):
     _two_variants(name, [0, 1], tmp_path / "run.trace", alone)
 
 
-@pytest.mark.parametrize("cells", [1, 240, 2**40])
+@pytest.mark.parametrize("cells", [1, 240, 2**15, 2**40])
 @pytest.mark.parametrize(
     "name", ["acceptance-small/perturbed", "idle-epoch", "ragged-mixed-learners", "truncnorm", "physical-ragged"]
 )
@@ -235,16 +235,20 @@ def test_golden_traces_at_block_extremes(name, cells, tmp_path, monkeypatch):
     # block edges move with the batch size; one round per block, one block
     # per epoch and blocks whose cost table is taken in spans that do not
     # divide them give the same bytes, alone and in a batch of two run ids,
-    # also with a second (full-feedback) variant in the batch.  At 240 cells
-    # acceptance-small's 2 run ids play 15-round blocks in 10-round spans,
-    # ragged-mixed-learners' full-feedback agent 5-round blocks in 2-round
-    # spans alone, and physical-ragged's 2 run ids 5-round blocks in 2-round
-    # spans.
+    # also with a second (full-feedback) variant in the batch, and each kept
+    # game streams the file that write_trace packs of the same batch played
+    # unkept with every column.  At 240 cells acceptance-small's 2 run ids
+    # play 15-round blocks in 10-round spans, ragged-mixed-learners'
+    # full-feedback agent 5-round blocks in 2-round spans alone, and
+    # physical-ragged's 2 run ids 5-round blocks in 2-round spans.
     alone = _alone(name, tmp_path / "run.trace")
     monkeypatch.setattr(game, "_BLOCK_CELLS", cells)
     monkeypatch.setattr(game, "_BATCH_BYTES", 2**40)
     config, _ = cases()[f"{name}/0"]
+    every = [name for name, _, _ in game._COLUMNS]
     for ids in ([0], [1], [0, 1]):
-        for trace in game.run_games(config, ids):
+        unkept = game.run_games(config, ids, keep=set(), columns=every)
+        for trace, whole in zip(game.run_games(config, ids), unkept):
             assert trace_sha256(trace, tmp_path / "run.trace") == GOLDEN[f"{name}/{trace.run_id}"]
+            assert raw_bytes(trace, tmp_path / "run.trace") == raw_bytes(whole, tmp_path / "whole.trace")
     _two_variants(name, [0, 1], tmp_path / "run.trace", alone)

@@ -12,7 +12,6 @@ import dataclasses
 import io
 import json
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from fogbandit.game import _COLUMNS, format_trace, read_trace, run_game, run_gam
 from fogbandit.metrics import pota_series, regret_series, social_cost_series
 from fogbandit.oracle import stage_games
 
-from conftest import synthetic_config
+from conftest import synthetic_config, traced_peak
 from reference_impls import ref_learner_column
 
 
@@ -234,13 +233,9 @@ def test_read_trace_allocates_only_the_stored_columns(tmp_path):
     whole = sum(getattr(blank, name).nbytes for name, _, _ in _COLUMNS)
     del blank
     read_trace(path)  # the lazy imports of a first read
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        trace = read_trace(path)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    read = []
+    peak = traced_peak(lambda: read.append(read_trace(path)))
+    [trace] = read
     held = trace.active.nbytes + sum(section.nbytes for section in trace.sections.values())
     assert held == path.stat().st_size - _columns_start(path.read_bytes())
     assert peak < 0.5 * whole
@@ -339,6 +334,23 @@ def test_write_rejects_a_value_in_a_cell_it_leaves_out(tmp_path, stray):
         write_trace(trace, path)
     assert str(path) in str(exc.value)
     assert not path.exists()
+
+
+def test_a_stored_column_held_whole_wins_over_the_sink(tmp_path):
+    # a kept game's trace that unpacked a stored column and changed it at an
+    # active cell writes the changed value, not the one its sink streamed,
+    # and checks its derived columns against it
+    trace = _ragged_trace()
+    cell = (_busy_round(trace), 1, _chosen_slot(trace, _busy_round(trace), 1))
+    trace.cf_raw[cell] *= 2.0
+    path = tmp_path / "run.trace"
+    write_trace(trace, path)
+    assert _bits(read_trace(path).cf_raw) == _bits(trace.cf_raw)
+    trace.cost_real  # derived from the changed cf_raw, so it is checked against it
+    write_trace(trace, path)
+    trace.cf_raw[cell] /= 2.0
+    with pytest.raises(ValueError, match="cost_real holds a value other than"):
+        write_trace(trace, path)
 
 
 BUNDLED = ("acceptance-small", "paper-fig2", "paper-fig3", "paper-fig4", "paper-fig5")
@@ -511,12 +523,13 @@ def test_batched_replications_equal_single_runs(config, run_ids):
 @settings(max_examples=30, deadline=None)
 @given(ragged_games(extra_epochs=(0, 3)), st.integers(0, 3), st.sampled_from([1, 100, 2**15, 2**40]))
 def test_kept_sections_are_the_packed_columns(config, run_id, cells):
-    # a kept game's sections are, bit for bit, what write_trace packs of the
-    # same game played unkept with every column stacked, for blocks of one
-    # round, of the default size and of a whole epoch, and for blocks whose
-    # cost table is taken in spans that do not divide them (100 cells: a
-    # 2-agent, 2-slot game plays 12-round blocks in 8-round spans), on ragged
-    # games of either cost model and either feedback
+    # a kept game streams into its sink, bit for bit, the file write_trace
+    # packs of the same game played unkept with every column stacked, for
+    # blocks of one round, of the default size and of a whole epoch, and for
+    # blocks whose cost table is taken in spans that do not divide them (100
+    # cells: a 2-agent, 2-slot game plays 12-round blocks in 8-round spans),
+    # on ragged games of either cost model and either feedback; a second
+    # write_trace of the streamed trace gives the same bytes
     lifted, game._BLOCK_CELLS = game._BLOCK_CELLS, cells
     try:
         kept = run_game(config, run_id)
@@ -524,15 +537,16 @@ def test_kept_sections_are_the_packed_columns(config, run_id, cells):
     finally:
         game._BLOCK_CELLS = lifted
     lay = traces._layout(whole)
-    assert [name for name, _, _ in _COLUMNS if name in vars(kept)] == list(game._SHARED)
-    assert list(kept.sections) == list(game._SECTIONS)
+    assert [name for name, _, _ in _COLUMNS if name in vars(kept)] == ["active"]
+    assert list(kept.sections) == [name for name, _, _ in traces._STORED[1:]]
     for name, section in kept.sections.items():
         assert _bits(section) == _bits(traces._section(whole, name, lay)), name
     with tempfile.TemporaryDirectory() as tmp:
-        mine, theirs = Path(tmp) / "kept.trace", Path(tmp) / "whole.trace"
+        mine, again, theirs = Path(tmp) / "kept.trace", Path(tmp) / "again.trace", Path(tmp) / "whole.trace"
         write_trace(kept, mine)
+        write_trace(kept, again)
         write_trace(whole, theirs)
-        assert mine.read_bytes() == theirs.read_bytes()
+        assert mine.read_bytes() == again.read_bytes() == theirs.read_bytes()
 
 
 # what a game not kept whole may stack besides ``active``
