@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, dynamics, metrics
 from .configio import SCHEMA_TEXT, ExperimentSpec, Variant, load_config
 from .env import ConfigError, Environment
-from .game import _COLUMNS, batches, iter_games, run_game, run_games
+from .game import batches, iter_games, run_game, run_games
 from .oracle import SmallGame, find_pure_nash, smoothness_constants, social_optimum, stage_games
 from .traces import format_trace, read_trace, write_trace
 
@@ -243,7 +243,6 @@ def _sigma_band(values: np.ndarray) -> float:
 
 
 _COMPARE_CHUNK = 1 << 16  # bytes of each file a replay comparison holds at once
-_EVERY = tuple(name for name, _, _ in _COLUMNS)
 
 
 def _same_bytes(a: Path, b: Path) -> bool:
@@ -314,9 +313,10 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
     stored trace is read only to check that it parses, replayed as the game
     its name says (which streams its file into a sink as it plays), put at
     ``buf_path`` by ``write_trace`` and compared with the file (an
-    unreadable file is replayed but not compared, and a replay that
-    ``write_trace`` refuses fails determinism).  A batch stacks only what
-    ``checks`` reads.  Each sample trace, a run id of ``sample`` played by
+    unreadable file is replayed but not compared, and a replay that its
+    own play or ``write_trace`` refuses fails determinism; one its play
+    refuses is played again, unkept, only if it is a sample trace).  A
+    batch stacks only what ``checks`` reads.  Each sample trace, a run id of ``sample`` played by
     variant 0, is reduced by ``checks`` and dropped as soon as it is
     played, so a task holds one trace at a time.  Failures come back as
     (check, detail) in file order, reductions by run id.
@@ -335,11 +335,14 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
         except Exception as exc:  # a read_trace error names the file already
             failures.append(("trace-integrity", str(exc) if str(path) in str(exc) else f"{path}: {exc}"))
             path = None
+        sampled = v == 0 and rid in sample
         try:
             fresh = run_game(configs[v], rid)
         except ValueError as exc:  # the replay used a value its trace file would not give back
             failures.append(("determinism", f"replay of {stored} has no trace file: {exc}"))
-            fresh, path = run_games(configs[v], [rid], keep=(), columns=_EVERY)[0], None  # unchecked
+            path = fresh = None
+            if sampled:  # played unkept, so unchecked, stacking what the checks read of run ``first`` too
+                fresh = run_games(configs[0], [rid], keep=(), columns=checks.columns + ("eta", "zeta", "probs"))[0]
         if path is not None:  # before the checks, which derive columns it would check again
             try:
                 write_trace(fresh, buf_path)  # removes the file if it refuses the trace
@@ -347,7 +350,7 @@ def _verify_task(args: tuple) -> tuple[list, dict]:
                 refusal = str(exc).removeprefix(f"{buf_path}: ")
                 failures.append(("determinism", f"replay of {path} has no trace file: {refusal}"))
                 path = None
-        if v == 0 and rid in sample:
+        if sampled:
             reduced[rid] = checks(fresh)
         del fresh
         if path is not None:
@@ -454,7 +457,7 @@ def verify(spec: ExperimentSpec, out_root: Path | None = None, workers: int | No
         else:
             v.emit("NOTE", "replicator-rest", "no rest point within step budget (legal)")
 
-        report = dynamics.check_contraction(games[-1][1], zeta_max=2.0)
+        report = dynamics.check_contraction(games[-1][1])
         if report.condition_holds and report.empirical_factor >= 1.0:
             v.emit("FAIL", "contraction", f"factor {report.empirical_factor:.3f} >= 1")
         else:

@@ -32,6 +32,9 @@ SIMPLEX_TOL = 1e-9
 # local error allowed per step of integrate_to_rest; at 1e-4 its rest points
 # stay within 1e-3 of a fixed 1e-2 step's (tests/test_dynamics.py)
 STEP_ERROR_TOL = 1e-4
+ZETA_MAX = 2.0  # check_contraction's demand weight, the cap of bandit.demand_weight
+CONTRACTION_PAIRS = 50  # score pairs check_contraction samples, from a generator seeded with 0
+SCORE_BOX = 4.0  # each sampled score is uniform in [0, SCORE_BOX)
 
 
 @dataclass(frozen=True)
@@ -214,37 +217,31 @@ def estimate_theta(game: SmallGame) -> float:
     return float(diffs.max()) if diffs.size else 0.0
 
 
-def check_contraction(
-    game: SmallGame,
-    zeta_max: float,
-    theta: float | None = None,
-    num_pairs: int = 50,
-    rng: np.random.Generator | None = None,
-    score_box: float = 4.0,
-) -> ContractionReport:
-    """Analytic contraction condition plus an empirical factor.
+def check_contraction(game: SmallGame, theta: float | None = None) -> ContractionReport:
+    """Analytic contraction condition plus an empirical factor, at zeta = ``ZETA_MAX``.
 
     The analytic test is 2*zeta*theta < 1, tightened to theta*zeta/2 < 1
     when the cost is linear in the congestion degree.  The empirical factor
-    samples score pairs, maps them through the softmin choice rule, and
-    measures ||cost(profile) - cost(profile')||_inf / ||scores - scores'||_inf.
+    samples ``CONTRACTION_PAIRS`` score pairs, maps them through the softmin
+    choice rule, and measures
+    ||cost(profile) - cost(profile')||_inf / ||scores - scores'||_inf.
     """
     if theta is None:
         theta = estimate_theta(game)
     if game.linear_coupling:
-        bound = theta * zeta_max / 2.0
+        bound = theta * ZETA_MAX / 2.0
     else:
-        bound = 2.0 * zeta_max * theta
+        bound = 2.0 * ZETA_MAX * theta
     holds = bound < 1.0
 
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     field = MeanCostField(game)
     factor = 0.0
-    for _ in range(num_pairs):
-        scores = [rng.uniform(0.0, score_box, size=len(s)) for s in game.candidate_sets]
-        other = [rng.uniform(0.0, score_box, size=len(s)) for s in game.candidate_sets]
-        prof_a = MixedProfile(tuple(choice_probabilities(s, zeta_max) for s in scores))
-        prof_b = MixedProfile(tuple(choice_probabilities(s, zeta_max) for s in other))
+    for _ in range(CONTRACTION_PAIRS):
+        scores = [rng.uniform(0.0, SCORE_BOX, size=len(s)) for s in game.candidate_sets]
+        other = [rng.uniform(0.0, SCORE_BOX, size=len(s)) for s in game.candidate_sets]
+        prof_a = MixedProfile(tuple(choice_probabilities(s, ZETA_MAX) for s in scores))
+        prof_b = MixedProfile(tuple(choice_probabilities(s, ZETA_MAX) for s in other))
         la = np.concatenate(field.expected_costs(prof_a))
         lb = np.concatenate(field.expected_costs(prof_b))
         ds = max(
@@ -335,24 +332,19 @@ def path_deviation(discrete: np.ndarray, ode: np.ndarray) -> np.ndarray:
     return np.nanmax(d, axis=(1, 2))
 
 
-def tracking_error(
-    trace: "GameTrace",
-    field: MeanCostField,
-    weights: Sequence[float] | None = None,
-) -> np.ndarray:
+def tracking_error(trace: "GameTrace", field: MeanCostField) -> np.ndarray:
     """Per-round sup deviation of one trace from the mean ODE.
 
     The ODE advances on each agent's realized learning-rate clock (its eta
-    at active rounds); weights default to the trace's mean demand weight.
-    Only single-epoch traces have a well-defined mean field to track.
+    at active rounds), weighted by the agent's mean demand weight over the
+    trace (1 if it never plays).  Only single-epoch traces have a
+    well-defined mean field to track.
     """
     if len(trace.config.candidates.epochs) != 1:
         raise ValueError("tracking_error needs a single candidate epoch")
-    T, N = trace.horizon, trace.num_agents
-    if weights is None:
-        with np.errstate(invalid="ignore"):
-            weights = [float(np.nanmean(trace.zeta[1:, n])) for n in range(N)]
-        weights = [1.0 if np.isnan(w) else w for w in weights]
+    with np.errstate(invalid="ignore"):
+        weights = [float(np.nanmean(trace.zeta[1:, n])) for n in range(trace.num_agents)]
+    weights = [1.0 if np.isnan(w) else w for w in weights]
     dt = np.where(trace.active, np.nan_to_num(trace.eta), 0.0)
     arms0 = trace.config.candidates.sets_at(1)
     profile0 = MixedProfile(tuple(np.full(len(a), 1.0 / len(a)) for a in arms0))

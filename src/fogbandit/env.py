@@ -346,11 +346,11 @@ class CostInputs(NamedTuple):
     cpu: np.ndarray | None = None
 
 
-def normalized(real, cost_cap: float, out: np.ndarray | None = None) -> np.ndarray:
+def normalized(real, cost_cap: float) -> np.ndarray:
     """Realized costs normalized into [0, 1]: ``clip(real / cost_cap, 0, 1)``,
     NaN kept.  The one normalization of the cost formula; a trace file
     derives ``cf_norm`` from ``cf_raw`` with it."""
-    out = np.divide(real, cost_cap, out=out)
+    out = np.divide(real, cost_cap)
     return np.clip(out, 0.0, 1.0, out=out)
 
 

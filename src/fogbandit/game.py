@@ -84,16 +84,13 @@ def _game_bytes(config: GameConfig, columns) -> int:
     return _bytes(config, set(columns).difference(_SHARED))
 
 
-def _cuts(weights, bound, most=None) -> list[range]:
-    """Contiguous ranges over ``weights``, each of at most ``most`` items
-    summing to at most ``bound``; an item heavier than the bound stands alone."""
-    cuts, lo, total = [], 0, 0
-    for i, w in enumerate(weights):
-        if i > lo and (total + w > bound or i - lo == most):
-            cuts.append(range(lo, i))
-            lo, total = i, 0
-        total += w
-    return cuts + [range(lo, len(weights))] if weights else []
+def _cuts(count, weight, bound, most=None) -> list[range]:
+    """``range(count)`` cut into contiguous runs of items that each weigh
+    ``weight``: a run holds as many as ``bound`` takes, at most ``most``
+    and at least one (items of zero weight all fit while ``bound`` >= 0)."""
+    fit = bound // weight if weight else (count if bound >= 0 else 1)
+    size = max(1, min(fit, most or count))
+    return [range(lo, min(lo + size, count)) for lo in range(0, count, size)]
 
 
 def batches(configs, run_ids, parts: int = 1, columns=_METRIC) -> list[list[int]]:
@@ -109,9 +106,9 @@ def batches(configs, run_ids, parts: int = 1, columns=_METRIC) -> list[list[int]
     the whole bound.
     """
     configs, ids = _variants(configs), list(run_ids)
-    weights = [_bytes(configs[0], _SHARED) + len(configs) * _game_bytes(configs[0], columns)] * len(ids)
+    weight = _bytes(configs[0], _SHARED) + len(configs) * _game_bytes(configs[0], columns)
     parts = max(parts, 1)
-    return [[ids[i] for i in cut] for cut in _cuts(weights, _BATCH_BYTES // parts, -(-len(ids) // parts))]
+    return [[ids[i] for i in cut] for cut in _cuts(len(ids), weight, _BATCH_BYTES // parts, -(-len(ids) // parts))]
 
 
 def run_game(config: GameConfig, run_id: int = 0) -> GameTrace:
@@ -183,7 +180,7 @@ def iter_games(configs, run_ids, envs=None, keep=None, columns=_METRIC):
         batch_envs = [Environment(base, run_ids[i]) if envs[i] is None else envs[i] for i in at]
         # every variant in one batch, unless the run ids' games exceed the bound
         room = _BATCH_BYTES - len(ids) * _bytes(base, _SHARED)
-        for vs in _cuts([len(ids) * weight] * len(configs), room):
+        for vs in _cuts(len(configs), len(ids) * weight, room):
             kept = [keep is None or (v, run_ids[i]) in keep for v in vs for i in at]
             traces = _play([configs[v] for v in vs], ids, batch_envs, kept, columns)
             yield from ((v, i, traces[j * len(ids) + r]) for j, v in enumerate(vs) for r, i in enumerate(at))

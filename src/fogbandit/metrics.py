@@ -20,6 +20,9 @@ from .oracle import SmallGame, SmoothnessResult, best_fixed_arm, smoothness_cons
 if TYPE_CHECKING:  # pragma: no cover
     from .traces import GameTrace
 
+MIN_SAMPLES = 100  # plays per agent a tail window needs for its action frequencies
+POTA_TOL = 1e-9  # slack by which a measured PoTA may exceed its bound and still hold
+
 
 def agent_segments(trace: "GameTrace", agent: int) -> list[tuple[int, int]]:
     """Maximal round ranges over which the agent's candidate set is constant.
@@ -103,10 +106,9 @@ def regret_series(trace: "GameTrace", agent: int) -> RegretSeries:
     )
 
 
-def social_cost_series(trace: "GameTrace", normalized: bool = True) -> np.ndarray:
-    """Cumulative social cost (active agents only); index t = through round t."""
-    src = trace.cost_norm if normalized else trace.cost_real
-    per_round = np.where(trace.active, np.nan_to_num(src), 0.0).sum(axis=1)
+def social_cost_series(trace: "GameTrace") -> np.ndarray:
+    """Cumulative normalized social cost (active agents only); index t = through round t."""
+    per_round = np.where(trace.active, np.nan_to_num(trace.cost_norm), 0.0).sum(axis=1)
     per_round[0] = 0.0
     return per_round.cumsum()
 
@@ -152,31 +154,24 @@ class XiCertificate:
     profile: MixedProfile
 
 
-def empirical_tail_profile(
-    trace: "GameTrace", lo: int, hi: int, min_samples: int = 100
-) -> MixedProfile:
+def empirical_tail_profile(trace: "GameTrace", lo: int, hi: int) -> MixedProfile:
     """Action frequencies of each agent over [lo, hi] as a mixed profile."""
     vecs = []
     for n in range(trace.num_agents):
         arms = trace.candidate_set(lo, n)
         act = trace.active[lo : hi + 1, n]
         chosen = trace.chosen[lo : hi + 1, n][act]
-        if chosen.size < min_samples:
+        if chosen.size < MIN_SAMPLES:
             raise ValueError(
                 f"window [{lo},{hi}] has {chosen.size} samples for agent {n}; "
-                f"need >= {min_samples} for frequency estimation"
+                f"need >= {MIN_SAMPLES} for frequency estimation"
             )
         counts = np.array([(chosen == k).sum() for k in arms], dtype=np.float64)
         vecs.append(counts / counts.sum())
     return MixedProfile(tuple(vecs))
 
 
-def xi_certificate(
-    trace: "GameTrace",
-    window: float,
-    game: SmallGame,
-    min_samples: int = 100,
-) -> XiCertificate:
+def xi_certificate(trace: "GameTrace", window: float, game: SmallGame) -> XiCertificate:
     """Check tail play against the logit-map equilibrium slack.
 
     The slack is max_n log|K_n| / zeta_n; certification holds when every
@@ -188,7 +183,7 @@ def xi_certificate(
     lo_e, hi_e = trace.config.candidates.epoch_bounds(trace.horizon)[-1]
     length = hi_e - lo_e + 1
     lo = hi_e - max(int(math.ceil(window * length)), 1) + 1
-    profile = empirical_tail_profile(trace, lo, hi_e, min_samples)
+    profile = empirical_tail_profile(trace, lo, hi_e)
     field = MeanCostField(game)
     costs = field.expected_costs(profile)
     gaps = []
@@ -219,15 +214,9 @@ def xi_certificate(
 # ---------------------------------------------------------------------------
 
 
-def dominant_arm_bound(
-    zeta: float,
-    num_arms: int,
-    delta_l: float,
-    delta_beta: float,
-    rate_sums: np.ndarray,
-) -> np.ndarray:
-    """1 - (K-1) exp(-zeta (delta_beta + delta_l * sum of rates))."""
-    return 1.0 - (num_arms - 1) * np.exp(-zeta * (delta_beta + delta_l * rate_sums))
+def dominant_arm_bound(zeta: float, num_arms: int, delta_l: float, rate_sums: np.ndarray) -> np.ndarray:
+    """1 - (K-1) exp(-zeta delta_l * sum of rates); fresh learners start with no score gap."""
+    return 1.0 - (num_arms - 1) * np.exp(-zeta * (delta_l * rate_sums))
 
 
 @dataclass(frozen=True)
@@ -282,15 +271,11 @@ def strict_gap(config, agent: int) -> tuple[int, float]:
     return dominant, gap
 
 
-def convergence_rate_check(
-    trace: "GameTrace",
-    agent: int,
-    tolerance: float = 0.0,
-) -> ConvergenceRateReport:
+def convergence_rate_check(trace: "GameTrace", agent: int) -> ConvergenceRateReport:
     """Compare the agent's dominant-arm probability to the exponential bound.
 
     The bound holds for seed-averaged probabilities; on a single trace this
-    reports violations beyond ``tolerance`` for diagnostic use.  Skips (with
+    reports the rounds below it for diagnostic use.  Skips (with
     notice) when the configuration has no strict-gap dominant arm.
     """
     dominant, delta_l = strict_gap(trace.config, agent)
@@ -309,10 +294,10 @@ def convergence_rate_check(
         zeta = float(np.nanmean(trace.zeta[1:, agent]))
     if math.isnan(zeta):
         zeta = 1.0
-    bounds = dominant_arm_bound(zeta, k, delta_l, 0.0, rate_sums)
+    bounds = dominant_arm_bound(zeta, k, delta_l, rate_sums)
     realized = trace.probs[1:, agent, pos]
     mask = act & ~np.isnan(realized)
-    violations = int((realized[mask] < bounds[mask] - tolerance).sum())
+    violations = int((realized[mask] < bounds[mask]).sum())
     return ConvergenceRateReport(
         False, "", dominant, delta_l, bounds, realized, violations
     )
@@ -467,7 +452,6 @@ class PotaBoundCheck:
 def pota_bound_check(
     trace: "GameTrace",
     games: list[tuple[tuple[int, int], SmallGame]],
-    tolerance: float = 1e-9,
     smoothness: list[SmoothnessResult] | None = None,
 ) -> list[PotaBoundCheck]:
     """Per-epoch check of PoTA <= rho + sum_n R_n / (T (1-mu') C*).
@@ -504,7 +488,7 @@ def pota_bound_check(
                 rho=smooth.rho,
                 regret_term=regret_term,
                 bound=bound,
-                holds=bool(measured <= bound + tolerance),
+                holds=bool(measured <= bound + POTA_TOL),
                 slack=bound - measured,
                 smoothness=smooth,
             )

@@ -472,6 +472,18 @@ def ref_smoothness_constants(game) -> SmoothnessResult:
     return best
 
 
+def ref_cuts(weights, bound, most=None) -> list[range]:
+    """Contiguous ranges over ``weights``, each of at most ``most`` items
+    summing to at most ``bound``, cut greedily; an item heavier than the
+    bound stands alone."""
+    cuts, lo, total = [], 0, 0
+    for i, w in enumerate(weights):
+        if i > lo and (total + w > bound or i - lo == most):
+            cuts.append(range(lo, i))
+            lo, total = i, 0
+        total += w
+    return cuts + [range(lo, len(weights))] if weights else []
+
 
 def ref_async_condition_check(schedules, horizon, activations=None, threshold=50.0):
     """``metrics.async_condition_check`` on whole [horizon, N] arrays of partial sums."""

@@ -367,6 +367,45 @@ def test_a_loop_value_the_trace_file_would_not_give_back_is_refused(mini_path, t
         assert not list(scratch.iterdir())
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_refused_replay_is_played_again_only_for_the_sample_checks(mini_path, tmp_path, monkeypatch, capsys,
+                                                                      workers):
+    # 27 run ids, every trace stored, of two variants: every replay is
+    # refused, and verify plays a refused replay again, unkept, only for a
+    # sampled run id (the first 25) of the first variant, stacking what the
+    # sample checks read and never every column
+    doc = yaml.safe_load(_with_variants(mini_path, TWO_VARIANTS, "two.yaml").read_text())
+    doc["replications"] = 27
+    path = tmp_path / "two-27.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--workers", "1", "--out", str(out)]) == 0
+    _perturb(monkeypatch, "estimates")
+    log = tmp_path / "replays.jsonl"  # appended to by every process
+    replay = cli.run_games
+
+    def recording(configs, run_ids, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([configs.digest(), list(run_ids), sorted(set(kwargs["columns"]))]) + "\n")
+        return replay(configs, run_ids, **kwargs)
+
+    monkeypatch.setattr(cli, "run_games", recording)
+    capsys.readouterr()
+    assert main(["verify", str(path), "--workers", workers, "--out", str(out)]) == cli.EXIT_VERIFY
+    text = capsys.readouterr().out
+    spec = load_config(path)
+    for variant in spec.variants:
+        for rid in spec.run_ids:
+            stored = out / "mini" / variant.name / "traces" / f"run_{rid:04d}.trace"
+            assert f"FAIL  determinism: replay of {stored} has no trace file: " in text
+    assert "pota-bound" in text
+    first = spec.game_for(spec.variants[0]).digest()
+    columns = ["cf_norm", "chosen", "cost_norm", "eta", "probs", "zeta"]
+    assert sorted(json.loads(line) for line in log.read_text().splitlines()) == [
+        [first, [rid], columns] for rid in spec.run_ids[:25]]
+    assert len(columns) < len(_COLUMNS)
+
+
 def _wide(tmp_path) -> Path:
     """A 6-agent game on 8 -> 12 arms, 900 rounds, 6 run ids, every trace kept."""
     horizon, arms = 900, list(range(1, 13))

@@ -181,7 +181,7 @@ def test_rest_point_support_costs_equalize():
 
 def test_contraction_boundary_arithmetic():
     game = make_game([(1, 2), (1, 2)], {1: 0.3, 2: 0.4})
-    report = check_contraction(game, zeta_max=2.0, theta=0.25)
+    report = check_contraction(game, theta=0.25)
     assert report.analytic_bound == pytest.approx(1.0)
     assert not report.condition_holds
 
@@ -189,7 +189,7 @@ def test_contraction_boundary_arithmetic():
 def test_contraction_empirical_factor_below_one():
     # linear coupling with theta * zeta / 2 = 0.3
     game = make_game([(1, 2), (1, 2)], {1: 0.3, 2: 0.5}, coupling="linear", theta=0.3)
-    report = check_contraction(game, zeta_max=2.0, num_pairs=50)
+    report = check_contraction(game)
     assert report.linear_cost
     assert report.condition_holds
     assert report.empirical_factor < 1.0
@@ -209,7 +209,7 @@ def test_theta_estimate_compute_share_headroom():
 def test_unique_attractor_under_contraction():
     # strictly dominant arm: every interior start reaches the same vertex
     game = make_game([(1, 2), (1, 2)], {1: 0.2, 2: 0.5})
-    report = check_contraction(game, zeta_max=2.0)
+    report = check_contraction(game)
     assert report.condition_holds
     field = MeanCostField(game)
     rng = np.random.default_rng(11)

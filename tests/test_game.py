@@ -13,7 +13,7 @@ from fogbandit.game import iter_games, read_trace, run_game, run_games, write_tr
 from fogbandit.metrics import agent_segments, regret_series
 
 from conftest import physical_config, synthetic_config, traced_peak
-from reference_impls import ref_cost_entry, ref_run_game
+from reference_impls import ref_cost_entry, ref_cuts, ref_run_game
 
 
 def counterfactual_cost(trace, rnd: int, agent: int, alt_arm: int) -> float:
@@ -432,3 +432,39 @@ def test_the_block_check_reads_every_piece_of_a_block(monkeypatch):
 def test_an_unknown_column_is_rejected():
     with pytest.raises(ValueError, match="no trace column cost"):
         run_games(synthetic_config({1: 0.3, 2: 0.4}, horizon=40), [0], keep=set(), columns=("cost",))
+
+
+def test_batches_and_variant_groups_cut_as_the_weighted_reference(monkeypatch):
+    # every run id of a batch, and every variant of a group, weighs the
+    # same, so cutting by count gives the runs the greedy weighted cutter
+    # gives: for 1 to 4 parts, 0 to 30 run ids, zero game weight (no
+    # columns), bounds that fit several, one or no item, and a room left
+    # for the variants of at most 0
+    base = synthetic_config({1: 0.3, 2: 0.5}, horizon=40)
+    variants = [dataclasses.replace(base, learners=(LearnerParams(schedule_a=a),) * 2) for a in (1.0, 2.0, 3.0, 4.0)]
+    played = []
+
+    def recording(configs, run_ids, envs, kept, columns):
+        played.append(([variants.index(c) for c in configs], list(run_ids)))
+        return [None] * (len(configs) * len(run_ids))
+
+    monkeypatch.setattr(game, "_play", recording)
+    shared = game._bytes(base, game._SHARED)
+    for columns in (game._METRIC, ("cost_norm",), ()):
+        each = game._game_bytes(base, columns)
+        for configs in (variants[:1], variants[:2], variants[:4]):
+            weight = shared + len(configs) * each
+            for bound in (game._BATCH_BYTES, 5 * weight + 1, 2 * weight, weight, weight - 1, shared, shared - 1, 0):
+                monkeypatch.setattr(game, "_BATCH_BYTES", bound)
+                for count in range(31):
+                    ids = list(range(100, 100 + count))
+                    for parts in (1, 2, 3, 4):
+                        cuts = ref_cuts([weight] * count, bound // parts, -(-count // parts))
+                        assert game.batches(configs, ids, parts, columns) == [[ids[i] for i in cut] for cut in cuts]
+                    played.clear()
+                    list(iter_games(configs, ids, [object()] * count, None, columns))  # no Environment built
+                    assert played == [
+                        (list(vs), [ids[i] for i in cut])
+                        for cut in ref_cuts([weight] * count, bound)
+                        for vs in ref_cuts([len(cut) * each] * len(configs), bound - len(cut) * shared)
+                    ]

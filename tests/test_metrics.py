@@ -138,9 +138,9 @@ def test_xi_gap_shrinks_for_later_windows():
 
 
 def test_dominant_arm_bound_golden_and_degenerate():
-    bound = metrics.dominant_arm_bound(1.0, 2, 0.3, 0.0, np.array([5.0]))
+    bound = metrics.dominant_arm_bound(1.0, 2, 0.3, np.array([5.0]))
     assert bound[0] == pytest.approx(GOLDEN_PROP2_BOUND, rel=1e-12)
-    flat = metrics.dominant_arm_bound(1.0, 4, 0.0, 0.0, np.array([0.0, 10.0]))
+    flat = metrics.dominant_arm_bound(1.0, 4, 0.0, np.array([0.0, 10.0]))
     np.testing.assert_allclose(flat, [-2.0, -2.0])  # 2 - K, vacuous for K >= 2
 
 
